@@ -101,12 +101,15 @@ def closed_chain_projectors(xi):
 
 def projector_ratio_constant(xi):
     """The constant c with F_minus xi_slash = c F_minus xibar_slash,
-    in its two equivalent forms (c1, c2)."""
+    in its two equivalent forms (c1, c2); DegenerateChain at a null xi,
+    where |c| ~ 1/|xi^2| has no finite value."""
     xi = np.asarray(xi, dtype=complex)
     xibar = np.conj(xi)
     w = minkowski(xi, xibar)
     z = minkowski(xi, xi)
     zbar = minkowski(xibar, xibar)
+    if abs(z) <= DEGENERACY_TOL * float(np.sum(np.abs(xi) ** 2)):
+        raise DegenerateChain(f"null xi: |xi^2| = {abs(z):.3e}, no finite ratio")
     d = 2.0 * np.sqrt(complex(w * w - z * zbar))
     c1 = 2.0 * z / (d + 2.0 * w)
     c2 = -(d - 2.0 * w) / (2.0 * zbar)

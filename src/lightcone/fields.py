@@ -197,25 +197,27 @@ class FermionicJet:
 
 
 def pairing_predicates(jet_u, jet_v, tol=1e-9):
-    """Enumerate mode quadruples with equal momentum transfer
-    p(delta_psi_u) - p(psi_u) = p(delta_psi_v) - p(psi_v) and flag those
-    violating the matching frequency relation."""
-    quadruples = []
-    flagged = []
-    for du in jet_u.delta_psi:
-        for pu in jet_u.psi:
-            for dv in jet_v.delta_psi:
-                for pv in jet_v.psi:
-                    dp_u = du.kvec_arr - pu.kvec_arr
-                    dp_v = dv.kvec_arr - pv.kvec_arr
-                    if np.max(np.abs(dp_u - dp_v)) > tol:
-                        continue
-                    quad = (du, pu, dv, pv)
-                    quadruples.append(quad)
-                    dw_u = du.k0 - pu.k0
-                    dw_v = dv.k0 - pv.k0
-                    if abs(dw_u - dw_v) > tol:
-                        flagged.append(quad)
+    """Enumerate the mode quadruples (du, pu, dv, pv) whose momentum
+    transfers p(du) - p(pu) and p(dv) - p(pv) are equal or opposite (the
+    momentum-conserving quadruples of the conservation residual) and flag
+    those violating the matching frequency relation: equal transfers must
+    carry equal frequency transfers, opposite ones opposite frequency
+    transfers."""
+
+    def transfers(jet):
+        pairs = [(d, p) for d in jet.delta_psi for p in jet.psi]
+        dp = np.array([d.kvec_arr - p.kvec_arr for d, p in pairs]).reshape(-1, 3)
+        return pairs, dp, np.array([d.k0 - p.k0 for d, p in pairs])
+
+    pairs_u, dp_u, dw_u = transfers(jet_u)
+    pairs_v, dp_v, dw_v = transfers(jet_v)
+    equal = np.max(np.abs(dp_u[:, None] - dp_v[None, :]), axis=-1) <= tol
+    opposite = np.max(np.abs(dp_u[:, None] + dp_v[None, :]), axis=-1) <= tol
+    bad = (equal & (np.abs(dw_u[:, None] - dw_v[None, :]) > tol)) | (
+        opposite & (np.abs(dw_u[:, None] + dw_v[None, :]) > tol)
+    )
+    quadruples = [pairs_u[i] + pairs_v[j] for i, j in zip(*np.nonzero(equal | opposite))]
+    flagged = [pairs_u[i] + pairs_v[j] for i, j in zip(*np.nonzero(bad))]
     return {
         "quadruples": quadruples,
         "flagged": flagged,

@@ -302,32 +302,6 @@ def jtensor_components(jet_u, jet_v, x, y):
     return 0.5 * (j + j.T)
 
 
-def _bilinear_terms(modes_bra, mat, modes_ket):
-    """Exponential representation of <w_a(x) | mat w_b(y)> at x0 = y0 = t:
-    list of (coeff, w, kx, ky) meaning coeff e^{i w t} e^{i kx.xvec} e^{i ky.yvec}.
-    """
-    out = []
-    for a in modes_bra:
-        row = np.conj(a.a_arr) @ GAMMA0 @ mat
-        for b in modes_ket:
-            out.append(
-                (complex(row @ b.a_arr), a.k0 - b.k0, -a.kvec_arr, b.kvec_arr)
-            )
-    return out
-
-
-def _d_minus_terms(jet, mat):
-    plus = _bilinear_terms(jet.delta_psi, mat, jet.psi)
-    minus = _bilinear_terms(jet.psi, mat, jet.delta_psi)
-    return plus + [(-c, w, kx, ky) for c, w, kx, ky in minus]
-
-
-def _d_plus_terms(jet, mat):
-    return _bilinear_terms(jet.delta_psi, mat, jet.psi) + _bilinear_terms(
-        jet.psi, mat, jet.delta_psi
-    )
-
-
 @lru_cache(maxsize=256)
 def _box_quadrupole_hat(q_key, box, n=40):
     """The 3x3 matrix W(q) = Integral_box e^{i q.xi} (xi_a xi_b/|xi|^2
@@ -353,6 +327,24 @@ def _box_quadrupole_hat(q_key, box, n=40):
     return out
 
 
+def _jet_bilinears(jet, mats, sign_swapped):
+    """<delta_psi(x) | M psi(y)> + sign_swapped <psi(x) | M delta_psi(y)> at
+    x0 = y0 = t for a stack of matrices M, as exponential terms
+    coeff[m, j] e^{i w[j] t} e^{i (k_total[j] - ky[j]).xvec} e^{i ky[j].yvec}.
+
+    Returns (coeff, w, k_total, ky)."""
+    terms = [(d, p, 1.0) for d in jet.delta_psi for p in jet.psi]
+    terms += [(p, d, sign_swapped) for p in jet.psi for d in jet.delta_psi]
+    bra = np.array([b.a for b, _, _ in terms], dtype=complex).reshape(-1, 4)
+    ket = np.array([k.a for _, k, _ in terms], dtype=complex).reshape(-1, 4)
+    sign = np.array([s for _, _, s in terms])
+    coeff = sign * np.einsum("ji,mik,jk->mj", np.conj(bra) @ GAMMA0, mats, ket)
+    w = np.array([b.k0 - k.k0 for b, k, _ in terms])
+    ky = np.array([k.kvec for _, k, _ in terms], dtype=float).reshape(-1, 3)
+    kx = -np.array([b.kvec for b, _, _ in terms], dtype=float).reshape(-1, 3)
+    return coeff, w, kx + ky, ky
+
+
 def fermi_conservation_residual(jet_u, jet_v, t=0.0, box=DEFAULT_BOX):
     """The time derivative (analytic in the mode phases) of
     -1/2 Integral d^3x d^3y J^{alpha beta}((t,x),(t,y))
@@ -360,57 +352,41 @@ def fermi_conservation_residual(jet_u, jet_v, t=0.0, box=DEFAULT_BOX):
 
     Vanishes when every momentum-conserving mode quadruple also conserves
     the frequency transfer, and for mode families whose summed J^{alpha
-    beta} is proportional to delta^{alpha beta}."""
-    sigma0 = [None] + [sigma_jk(0, a) for a in (1, 2, 3)]
-    total = 0.0 + 0.0j
-    lattice_tol = 1e-9
-    for alpha in (1, 2, 3):
-        for beta in (1, 2, 3):
-            prods = []
-            for c in ("L", "R"):
-                prods.append(
-                    (
-                        1.0,
-                        _d_minus_terms(jet_u, sigma0[alpha] @ _CHI[c]),
-                        _d_plus_terms(jet_v, sigma0[beta] @ _CHI_BAR[c]),
-                    )
-                )
-                prods.append(
-                    (
-                        -1.0,
-                        _d_minus_terms(jet_u, GAMMA[alpha] @ _CHI[c]),
-                        _d_plus_terms(jet_v, GAMMA[beta] @ _CHI[c]),
-                    )
-                )
-            for sign, terms1, terms2 in prods:
-                for c1, w1, kx1, ky1 in terms1:
-                    for c2, w2, kx2, ky2 in terms2:
-                        coeff = sign * c1 * c2
-                        w = w1 + w2
-                        kx = kx1 + kx2
-                        ky = ky1 + ky2
-                        if np.max(np.abs(kx + ky)) > lattice_tol:
-                            continue
-                        # Im(z) expansion: (z - conj z)/(2i) contributes the
-                        # term and its reflected conjugate
-                        for cc, ww, kk in (
-                            (coeff / 2j, w, ky),
-                            (-np.conj(coeff) / 2j, -w, -ky),
-                        ):
-                            if abs(ww) < 1e-12:
-                                continue
-                            w_hat = _box_quadrupole_hat(
-                                tuple(np.round(kk, 9)), box
-                            )[alpha - 1, beta - 1]
-                            total += (
-                                -0.5
-                                * (1j * ww)
-                                * cc
-                                * np.exp(1j * ww * t)
-                                * box**3
-                                * w_hat
-                            )
-    return float(total.real)
+    beta} is proportional to delta^{alpha beta}.
+
+    The bilinears of both jets are tabulated once as exponential terms;
+    term pairs of zero total momentum survive the box integral and are
+    weighted by the box quadrupole at their y-momentum."""
+    sigma0 = [sigma_jk(0, a) for a in (1, 2, 3)]
+    chi = (_CHI["L"], _CHI["R"])
+    chi_bar = (_CHI_BAR["L"], _CHI_BAR["R"])
+    # matrix stacks ordered (contraction, alpha, chirality)
+    vector = [g @ c for g in GAMMA[1:] for c in chi]
+    mats_u = np.array([s @ c for s in sigma0 for c in chi] + vector)
+    mats_v = np.array([s @ c for s in sigma0 for c in chi_bar] + vector)
+    cu, wu, su, kyu = _jet_bilinears(jet_u, mats_u, -1.0)
+    cv, wv, sv, kyv = _jet_bilinears(jet_v, mats_v, 1.0)
+    cu = cu.reshape(2, 3, 2, -1)
+    cu[1] *= -1.0  # the vector-contracted part enters with a minus sign
+    cv = cv.reshape(2, 3, 2, -1)
+
+    w = wu[:, None] + wv[None, :]
+    keep = np.max(np.abs(su[:, None, :] + sv[None, :, :]), axis=-1) <= 1e-9
+    # pairs with vanishing frequency transfer carry no time dependence
+    iu, iv = np.nonzero(keep & (np.abs(w) >= 1e-12))
+    if iu.size == 0:
+        return 0.0
+    w = w[iu, iv]
+    coeff = np.einsum("kacp,kbcp->pab", cu[..., iu], cv[..., iv])
+
+    # Im(z) = (z - conj z)/(2i): each pair contributes at ky and, conjugated,
+    # at -ky; one box quadrupole weight per distinct rounded momentum
+    ky = kyu[iu] + kyv[iv]
+    keys, inv = np.unique(np.round(np.concatenate((ky, -ky)), 9), axis=0, return_inverse=True)
+    w_hat = np.array([_box_quadrupole_hat(tuple(key), box) for key in keys])[inv.reshape(2, -1)]
+    z = np.exp(1j * w * t) * np.einsum("pab,pab->p", coeff, w_hat[0])
+    z += np.exp(-1j * w * t) * np.einsum("pab,pab->p", np.conj(coeff), w_hat[1])
+    return float((-0.25 * box**3 * np.sum(w * z)).real)
 
 
 def cube_spin_rotations():

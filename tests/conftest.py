@@ -90,6 +90,24 @@ def violating_jet_pair(rng, box=DEFAULT_BOX, m=1.0):
     return jet(0.0, 1.0), jet(-2.0, -1.0)
 
 
+def opposite_transfer_pair(rng, box=DEFAULT_BOX, m=1.0):
+    """Two jets on the same momenta (psi at p0, p1; delta_psi at d0, d1)
+    whose transfers d1 - p1 = -(d0 - p0) and d1 - p0 = -(d0 - p1) are
+    opposite: every equal-transfer quadruple conserves the frequency
+    transfer, but the four opposite ones carry the sum of two positive
+    gaps, so the residual is nonzero."""
+    unit = 2.0 * np.pi / box
+    p0, p1 = np.zeros(3), unit * np.array([0.0, 1.0, 0.0])
+    d0 = unit * np.array([1.0, 0.0, 0.0])
+    d1 = p1 - (d0 - p0)
+    jets = []
+    for _ in range(2):
+        psi = tuple(random_dirac_mode(rng, -1, box, m, kvec=k) for k in (p0, p1))
+        delta = tuple(random_dirac_mode(rng, 1, box, m, kvec=k) for k in (d0, d1))
+        jets.append(FermionicJet(psi, delta, m))
+    return jets[0], jets[1]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240823)

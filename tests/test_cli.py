@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import opposite_transfer_pair, violating_jet_pair
 from lightcone import cli
+from lightcone.fields import DEFAULT_BOX
 
 
 @pytest.fixture
@@ -31,6 +34,12 @@ def test_verify_unknown_suite_exits_2(runner):
 
 def test_verify_bad_tol_exits_2(runner):
     result = runner.invoke(cli.main, ["verify", "--tol", "nonsense"])
+    assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("override", ["clifford=nan", "slayer=inf"])
+def test_verify_non_finite_tol_exits_2(runner, override):
+    result = runner.invoke(cli.main, ["verify", "--suites", "clifford", "--tol", override])
     assert result.exit_code == 2
 
 
@@ -169,3 +178,47 @@ def test_report_rendering(runner, tmp_path):
     assert result.exit_code == 1
     assert "a: PASS" in result.output
     assert "b: FAIL" in result.output
+
+
+def _jet_config(jets, box=DEFAULT_BOX):
+    def mode(m):
+        return {
+            "shell": m.shell,
+            "n": [int(c) for c in np.rint(m.kvec_arr * box / (2.0 * np.pi))],
+            "a_re": [float(c) for c in m.a_arr.real],
+            "a_im": [float(c) for c in m.a_arr.imag],
+        }
+
+    return {
+        "box": box,
+        "mass": 1.0,
+        "maxwell": [],
+        "jets": [
+            {"psi": [mode(m) for m in j.psi], "delta_psi": [mode(m) for m in j.delta_psi]}
+            for j in jets
+        ],
+    }
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in report")
+
+
+@pytest.mark.parametrize("pair", [violating_jet_pair, opposite_transfer_pair])
+def test_verify_skips_conservation_outside_its_hypothesis(runner, tmp_path, rng, pair):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_jet_config(pair(rng))))
+    out = tmp_path / "report.json"
+    result = runner.invoke(
+        cli.main, ["verify", "--suites", "slayer", "--config", str(path), "--out", str(out)]
+    )
+    assert result.exit_code == 0
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    entry = next(e for e in report if e["check"] == "fermi-conservation")
+    assert entry["status"] == "skipped"
+    assert entry["value"] > 1e3
+    assert entry["tolerance"] == 1e-10
+    assert all(e["status"] == "pass" for e in report if e is not entry)
+    rendered = runner.invoke(cli.main, ["report", "--in", str(out)])
+    assert rendered.exit_code == 0
+    assert "slayer/fermi-conservation: SKIPPED" in rendered.output

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightcone import clifford
@@ -83,18 +83,30 @@ def test_projector_properties(xi):
     assert np.allclose(f_plus @ f_minus, 0.0, atol=1e-8)
 
 
+# a null xi: xi^2 = 0 with a nondegenerate chain, where no finite ratio exists
+NULL_XI = np.array([1.0, 1.0, 1.0j, 1.0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(complex_xi)
+@example(NULL_XI)
 def test_projector_ratio_relation(xi):
     try:
         _, f_minus, _ = closed_chain_projectors(xi)
+        c1, c2 = projector_ratio_constant(xi)
     except DegenerateChain:
         return
-    c1, c2 = projector_ratio_constant(xi)
     assert c1 == pytest.approx(c2, abs=1e-8, rel=1e-8)
     lhs = f_minus @ slash(xi)
     rhs = c1 * (f_minus @ slash(np.conj(xi)))
     assert np.allclose(lhs, rhs, atol=1e-8)
+
+
+def test_projector_ratio_raises_at_null_xi():
+    assert minkowski(NULL_XI, NULL_XI) == 0.0
+    closed_chain_projectors(NULL_XI)  # the chain itself is nondegenerate
+    with pytest.raises(DegenerateChain):
+        projector_ratio_constant(NULL_XI)
 
 
 def test_real_xi_degenerates():

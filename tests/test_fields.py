@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_dirac_mode, random_maxwell_mode, violating_jet_pair
+from conftest import (
+    opposite_transfer_pair,
+    random_dirac_mode,
+    random_maxwell_mode,
+    violating_jet_pair,
+)
 from lightcone.clifford import minkowski, slash
 from lightcone.errors import ConfigInvalid, InvalidMode, ShellViolation
 from lightcone.fields import (
@@ -107,6 +112,17 @@ def test_pairing_predicates(rng):
     # a jet paired with itself conserves trivially
     self_report = pairing_predicates(ju, ju)
     assert self_report["implication_holds"]
+
+
+def test_pairing_predicates_flags_opposite_transfers(rng):
+    ju, jv = opposite_transfer_pair(rng)
+    report = pairing_predicates(ju, jv)
+    # four equal transfers (each mode pair with itself) and four opposite
+    assert len(report["quadruples"]) == 8
+    assert len(report["flagged"]) == 4
+    for du, pu, dv, pv in report["flagged"]:
+        assert np.allclose(du.kvec_arr - pu.kvec_arr, -(dv.kvec_arr - pv.kvec_arr))
+    assert not report["implication_holds"]
 
 
 def test_time_translation_phases(rng):

@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,14 +6,18 @@ import pytest
 
 from conftest import (
     matched_jet_pair,
+    opposite_transfer_pair,
     random_dirac_mode,
     random_jet,
+    random_lattice_vector,
     random_maxwell_field,
     violating_jet_pair,
 )
+from lightcone.clifford import CHI_L, CHI_R, GAMMA, GAMMA0, sigma_jk
 from lightcone.errors import OffShellField
 from lightcone.fields import DEFAULT_BOX, DiracMode, FermionicJet, pairing_predicates, time_translate
 from lightcone.slayer import (
+    _box_quadrupole_hat,
     cube_spin_rotations,
     current_sli_support_check,
     definiteness_bracket,
@@ -183,6 +188,147 @@ def test_conservation_residual_nonzero_for_violating_jets(rng):
     u, v = violating_jet_pair(rng)
     assert not pairing_predicates(u, v)["implication_holds"]
     assert abs(fermi_conservation_residual(u, v, t=0.3)) > 1e3
+
+
+def test_conservation_residual_nonzero_for_opposite_transfers(rng):
+    u, v = opposite_transfer_pair(rng)
+    assert not pairing_predicates(u, v)["implication_holds"]
+    assert abs(fermi_conservation_residual(u, v, t=0.3)) > 1e3
+
+
+def _reference_bilinear_terms(modes_bra, mat, modes_ket):
+    """<w_a(x) | mat w_b(y)> at x0 = y0 = t as a list of (coeff, w, kx, ky),
+    meaning coeff e^{i w t} e^{i kx.xvec} e^{i ky.yvec}."""
+    out = []
+    for a in modes_bra:
+        row = np.conj(a.a_arr) @ GAMMA0 @ mat
+        for b in modes_ket:
+            out.append((complex(row @ b.a_arr), a.k0 - b.k0, -a.kvec_arr, b.kvec_arr))
+    return out
+
+
+def _reference_d_terms(jet, mat, sign):
+    plus = _reference_bilinear_terms(jet.delta_psi, mat, jet.psi)
+    other = _reference_bilinear_terms(jet.psi, mat, jet.delta_psi)
+    return plus + [(sign * c, w, kx, ky) for c, w, kx, ky in other]
+
+
+def reference_conservation_residual(jet_u, jet_v, t=0.0, box=DEFAULT_BOX):
+    """Term-by-term evaluation of fermi_conservation_residual: a loop over
+    every pair of exponential terms of the two jets' bilinears, for each
+    (alpha, beta), chirality and contraction.
+
+    Returns (value, scale), scale being the sum of the magnitudes of the
+    contributions: the roundoff of any summation order is a multiple of
+    eps * scale, which can exceed eps * |value| when terms cancel."""
+    chi = {"L": CHI_L, "R": CHI_R}
+    chi_bar = {"L": CHI_R, "R": CHI_L}
+    sigma0 = [None] + [sigma_jk(0, a) for a in (1, 2, 3)]
+    total = 0.0 + 0.0j
+    scale = 0.0
+    for alpha in (1, 2, 3):
+        for beta in (1, 2, 3):
+            prods = []
+            for c in ("L", "R"):
+                prods.append((
+                    1.0,
+                    _reference_d_terms(jet_u, sigma0[alpha] @ chi[c], -1.0),
+                    _reference_d_terms(jet_v, sigma0[beta] @ chi_bar[c], 1.0),
+                ))
+                prods.append((
+                    -1.0,
+                    _reference_d_terms(jet_u, GAMMA[alpha] @ chi[c], -1.0),
+                    _reference_d_terms(jet_v, GAMMA[beta] @ chi[c], 1.0),
+                ))
+            for sign, terms1, terms2 in prods:
+                for c1, w1, kx1, ky1 in terms1:
+                    for c2, w2, kx2, ky2 in terms2:
+                        coeff = sign * c1 * c2
+                        w = w1 + w2
+                        ky = ky1 + ky2
+                        if np.max(np.abs(kx1 + kx2 + ky)) > 1e-9:
+                            continue
+                        # Im(z) = (z - conj z)/(2i): the term and its
+                        # reflected conjugate
+                        for cc, ww, kk in ((coeff / 2j, w, ky), (-np.conj(coeff) / 2j, -w, -ky)):
+                            if abs(ww) < 1e-12:
+                                continue
+                            w_hat = _box_quadrupole_hat(tuple(np.round(kk, 9)), box)
+                            term = (
+                                -0.5 * (1j * ww) * cc * np.exp(1j * ww * t)
+                                * box**3 * w_hat[alpha - 1, beta - 1]
+                            )
+                            total += term
+                            scale += abs(term)
+    return float(total.real), scale
+
+
+def _jet_at(rng, psi_ks, delta_ks):
+    psi = tuple(random_dirac_mode(rng, -1, kvec=k) for k in psi_ks)
+    delta = tuple(random_dirac_mode(rng, 1, kvec=k) for k in delta_ks)
+    return FermionicJet(psi, delta, 1.0)
+
+
+def _dense_pair(rng, n):
+    """Two jets with n modes per side drawn from a pool of n + 1 lattice
+    momenta, so that equal and opposite momentum transfers between them
+    are frequent."""
+    pool = [random_lattice_vector(rng, DEFAULT_BOX, max_index=1) for _ in range(n + 1)]
+
+    def jet():
+        idx = rng.integers(0, n + 1, size=2 * n)
+        return _jet_at(rng, [pool[i] for i in idx[:n]], [pool[i] for i in idx[n:]])
+
+    return jet(), jet()
+
+
+def test_conservation_residual_matches_reference(rng):
+    cases = []
+    for n in (1, 2, 3):
+        pair = [random_jet(rng, n_psi=n, n_delta=n) for _ in range(2)]
+        cases.append(("random", *pair))
+        cases += [("dense", *_dense_pair(rng, n)) for _ in range(2)]
+    cases.append(("matched", *matched_jet_pair(rng)))
+    cases.append(("violating", *violating_jet_pair(rng)))
+    cases.append(("opposite", *opposite_transfer_pair(rng)))
+    nonzero = set()
+    for name, u, v in cases:
+        for t in (0.0, 0.3):
+            want, scale = reference_conservation_residual(u, v, t)
+            got = fermi_conservation_residual(u, v, t)
+            assert abs(got - want) <= 1e-12 * scale, name
+            if want != 0.0:
+                nonzero.add(name)
+    # the comparison is not between zeros only
+    assert nonzero >= {"dense", "violating", "opposite"}
+
+
+def _distinct_transfer_family(rng, n, max_index):
+    """Lattice momenta of n psi and n delta_psi modes whose n^2 transfers
+    are nonzero, distinct and free of opposite pairs."""
+    def draw():
+        return [tuple(rng.integers(-max_index, max_index + 1, size=3)) for _ in range(n)]
+
+    while True:
+        psi, delta = draw(), draw()
+        transfers = {tuple(np.subtract(d, p)) for d in delta for p in psi}
+        if len(transfers) < n * n or (0, 0, 0) in transfers:
+            continue
+        if any(tuple(-c for c in t) in transfers for t in transfers):
+            continue
+        scale = 2.0 * np.pi / DEFAULT_BOX
+        return [scale * np.array(p, dtype=float) for p in psi], [
+            scale * np.array(d, dtype=float) for d in delta
+        ]
+
+
+def test_conservation_residual_matched_at_16_modes(rng):
+    psi_ks, delta_ks = _distinct_transfer_family(rng, 16, 16)
+    u, v = _jet_at(rng, psi_ks, delta_ks), _jet_at(rng, psi_ks, delta_ks)
+    assert pairing_predicates(u, v)["implication_holds"]
+    start = time.perf_counter()
+    assert fermi_conservation_residual(u, v, t=0.3) == 0.0
+    assert time.perf_counter() - start < 2.0
 
 
 def test_cube_spin_rotation_group():
