@@ -2,7 +2,7 @@
 line-integral functions, shell convolutions, Dirac/Clifford algebra, and
 surface-layer functionals of finite-box field configurations."""
 
-from . import clifford, convolution, errors, fields, kernels, lineint, slayer
+from . import clifford, convolution, errors, fields, kernels, lineint, quadrature, slayer
 
 __all__ = [
     "clifford",
@@ -11,6 +11,7 @@ __all__ = [
     "fields",
     "kernels",
     "lineint",
+    "quadrature",
     "slayer",
 ]
 

@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import clifford, convolution, fields, kernels, lineint, slayer
-from .errors import ConfigInvalid, LightconeError
+from .errors import ConfigInvalid, ConfigMalformed, LightconeError
 
 SUITE_NAMES = ("clifford", "convolution", "fields", "kernels", "lineint", "slayer")
 
@@ -371,6 +371,9 @@ def verify(suites, config_path, seed, tols, out):
             sys.exit(2)
         try:
             fields.load_config(config)
+        except ConfigMalformed as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(2)
         except ConfigInvalid as exc:
             # Inadmissible field content is a failing check, not a usage error.
             report = [
@@ -405,8 +408,8 @@ def kernels_cmd(kid, omega_min, omega_max, omega_step, k_min, k_max, k_step, out
     if kid not in kernels.KERNEL_IDS:
         click.echo(f"unknown kernel id: {kid}", err=True)
         sys.exit(2)
-    omegas = np.arange(omega_min, omega_max + 0.5 * omega_step, omega_step)
-    ks = np.arange(k_min, k_max + 0.5 * k_step, k_step)
+    omegas = _grid("omega", omega_min, omega_max, omega_step)
+    ks = _grid("k", k_min, k_max, k_step)
     rows = kernels.kernel_table(kid, omegas, ks)
     _write_csv(out, ("omega", "k", "region", "re", "im"), rows)
     sys.exit(0)
@@ -426,12 +429,27 @@ def lineint_cmd(fn, a_min, a_max, a_step, b_min, b_max, b_step, out):
     if fn not in ("J", "I", "U", "Jtilde", "V"):
         click.echo(f"unknown function: {fn}", err=True)
         sys.exit(2)
+    alphas = _grid("a", a_min, a_max, a_step)
+    betas = _grid("b", b_min, b_max, b_step)
     rows = []
-    for a in np.arange(a_min, a_max + 0.5 * a_step, a_step):
-        for b in np.arange(b_min, b_max + 0.5 * b_step, b_step):
+    for a in alphas:
+        for b in betas:
             rows.append((a, b, fn, float(lineint.eval_piecewise(fn, a, b))))
     _write_csv(out, ("alpha", "beta", "fn", "value"), rows)
     sys.exit(0)
+
+
+def _grid(axis, lo, hi, step):
+    """The table axis lo, lo + step, ... up to hi.  Exits 2 unless the
+    bounds are finite and the step is finite and positive."""
+    if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(step) and step > 0):
+        click.echo(
+            f"bad {axis} grid: --{axis}-min {lo} and --{axis}-max {hi} must be finite,"
+            f" --{axis}-step {step} finite and positive",
+            err=True,
+        )
+        sys.exit(2)
+    return np.arange(lo, hi + 0.5 * step, step)
 
 
 def _write_csv(out, header, rows):
@@ -458,8 +476,13 @@ def convolution_cmd(q, m, out):
         qv = tuple(float(c) for c in q.split(","))
         if len(qv) != 4:
             raise ValueError("need four components")
+        if not all(np.isfinite(qv)):
+            raise ValueError("components must be finite")
     except ValueError as exc:
         click.echo(f"bad momentum: {exc}", err=True)
+        sys.exit(2)
+    if not (np.isfinite(m) and m > 0):
+        click.echo(f"bad mass: {m} must be finite and positive", err=True)
         sys.exit(2)
     query = convolution.ShellIntegralQuery(qv, m)
     rows = []

@@ -11,9 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import FitUnstable, OutsideUpperCone, QuadratureNotConverged, SpacelikeQ
+from .errors import (
+    FitUnstable,
+    LightconeError,
+    OutsideUpperCone,
+    QuadratureNotConverged,
+    SpacelikeQ,
+)
+from .quadrature import gauss_legendre
 
 PI3_16 = 16.0 * np.pi**3
 PI3_32 = 32.0 * np.pi**3
@@ -56,6 +62,25 @@ def conv_K0_shell(query):
     return (1.0 / PI3_32) * ((q2 - query.m**2) / q2) * np.sign(query.q0) * hval
 
 
+def _bisect(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200):
+    """Root of g in [lo, hi] by bisection, for finite g(lo) and g(hi) of
+    opposite signs; stops once the bracket is narrower than
+    xtol + rtol |midpoint|."""
+    lo_positive = g(lo) > 0
+    for _ in range(maxiter):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol + rtol * abs(mid):
+            return mid
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    raise LightconeError(f"bisection did not converge in {maxiter} steps on [{lo}, {hi}]")
+
+
 def conv_K0_shell_oracle(big_omega, m):
     """Delta-function reduction of the same convolution for a rest-frame
     momentum q = (Omega, 0): the light-cone factor sign(p0) delta(p^2)
@@ -73,9 +98,12 @@ def conv_K0_shell_oracle(big_omega, m):
 
         k_hi = 10.0 * (abs(big_omega) + m) + 1.0
         eps = 1e-12
-        if g(eps) * g(k_hi) > 0:
+        g_lo, g_hi = g(eps), g(k_hi)
+        if not (np.isfinite(g_lo) and np.isfinite(g_hi)):
+            raise LightconeError(f"non-finite root bracket at Omega = {big_omega}, m = {m}")
+        if g_lo * g_hi > 0:
             continue
-        k_star = brentq(g, eps, k_hi, xtol=1e-15, rtol=8.9e-16)
+        k_star = _bisect(g, eps, k_hi)
         h = 1e-3
         jac = abs((g(k_star + h) - g(k_star - h)) / (2.0 * h))
         # one Newton polish with the central-difference derivative
@@ -135,7 +163,7 @@ def conv_masscone_shell_oracle(query, tol=1e-12):
     lo, hi = (0.0, lmax) if lmax >= 0.0 else (-lmax, 0.0)
 
     def quad(n):
-        nodes, weights = np.polynomial.legendre.leggauss(n)
+        nodes, weights = gauss_legendre(n)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         return half * np.sum(weights * integrand(mid + half * nodes))
 
@@ -169,7 +197,7 @@ def _omega_weighted_value(query):
         anti = lambda k: k**2 / 2.0 + ell * k
         return (np.pi / qn) * (anti(k_hi) - anti(k_lo))
 
-    nodes, weights = np.polynomial.legendre.leggauss(80)
+    nodes, weights = gauss_legendre(80)
     mid, half = 0.5 * lmax, 0.5 * lmax
     return 2.0 * half * sum(wt * w(mid + half * t) for t, wt in zip(nodes, weights))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clifford import ETA, minkowski, slash
-from .errors import ConfigInvalid, InvalidMode, ShellViolation
+from .errors import ConfigInvalid, ConfigMalformed, InvalidMode, ShellViolation
 
 ONSHELL_TOL = 1e-9
 
@@ -284,9 +284,9 @@ def load_config(source):
         box = float(raw["box"])
         mass = float(raw["mass"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"missing or bad box/mass: {exc}") from exc
-    if box <= 0 or mass <= 0:
-        raise ConfigInvalid("box and mass must be positive")
+        raise ConfigMalformed(f"missing or bad box/mass: {exc}") from exc
+    if not (np.isfinite(box) and np.isfinite(mass) and box > 0 and mass > 0):
+        raise ConfigMalformed(f"box and mass must be finite and positive, got {box} and {mass}")
     fields_out = []
     for entry in raw.get("maxwell", []):
         try:

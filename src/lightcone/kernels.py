@@ -23,6 +23,7 @@ from .errors import (
     UnsupportedKernel,
     ZeroMomentum,
 )
+from .quadrature import gauss_legendre
 
 
 class ConeRegion(Enum):
@@ -271,13 +272,13 @@ def radial_fourier(f, omega, k, grid=None, check=True, tol=1e-3):
             nfine = int(np.ceil(2.0 * t_fine_hw / (t_fine_dx / refine)))
             fine = np.linspace(-t_fine_hw, t_fine_hw, nfine + 1)
             edges = np.unique(np.concatenate([edges, fine]))
-        gl_t, gw_t = np.polynomial.legendre.leggauss(10)
+        gl_t, gw_t = gauss_legendre(10)
         half = 0.5 * np.diff(edges)
         mid = 0.5 * (edges[:-1] + edges[1:])
         t = (mid[:, None] + half[:, None] * gl_t[None, :]).ravel()
         wt = (half[:, None] * gw_t[None, :]).ravel()
 
-        gl_r, gw_r = np.polynomial.legendre.leggauss(int(refine * nr))
+        gl_r, gw_r = gauss_legendre(int(refine * nr))
         if r_window is None:
             r_lo = np.zeros_like(t)
             r_hi = np.full_like(t, t_max)

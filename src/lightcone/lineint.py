@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import QuadratureNotConverged, TailNotNegligible, TooCloseToSingularSet
+from .quadrature import gauss_legendre
 
 # Half-plane tags for regions cut by the diagonal.
 ABOVE = "b>a"
@@ -169,7 +170,7 @@ def nested_line_integral(F, G, x, y, w1, w2, order=48, tol=1e-9):
     y = np.asarray(y, dtype=float)
 
     def compute(n):
-        nodes, weights = np.polynomial.legendre.leggauss(n)
+        nodes, weights = gauss_legendre(n)
         tau = 0.5 * (nodes + 1.0)
         wq = 0.5 * weights
         wa = wq * _weight(tau, *w1)
@@ -213,7 +214,7 @@ def unbounded_line_integral(j, x, direction, cutoff, tail_tol=1e-6, order=60):
         return a * a * np.sign(a) * contraction
 
     def panel(lo, hi, n):
-        nodes, weights = np.polynomial.legendre.leggauss(n)
+        nodes, weights = gauss_legendre(n)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         return half * sum(w * integrand(mid + half * t) for t, w in zip(nodes, weights))
 
@@ -239,7 +240,7 @@ def _half_line_nodes(w, damping, upper=None):
     npanels = int(np.ceil(upper * max(abs(w), damping, 0.25) / 2.5))
     npanels = min(max(npanels, 16), 200_000)
     edges = np.linspace(0.0, upper, npanels + 1)
-    nodes, weights = np.polynomial.legendre.leggauss(12)
+    nodes, weights = gauss_legendre(12)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     a = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()

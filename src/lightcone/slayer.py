@@ -24,6 +24,7 @@ from .errors import (
 )
 from .fields import DEFAULT_BOX, field_tensor_hat, lower
 from .lineint import unbounded_line_integral
+from .quadrature import gauss_legendre
 
 _CHI = {"L": CHI_L, "R": CHI_R}
 _CHI_BAR = {"L": CHI_R, "R": CHI_L}
@@ -308,7 +309,7 @@ def _box_quadrupole_hat(q_key, box, n=40):
     - delta_ab/3) d^3xi over the fundamental domain [-L/2, L/2)^3,
     by tensor-product Gauss-Legendre quadrature.  Exactly trace-free."""
     q = np.asarray(q_key, dtype=float)
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = gauss_legendre(n)
     half = 0.5 * box
     xs = half * nodes
     ws = half * weights
@@ -397,14 +398,13 @@ def cube_spin_rotations():
     Applying these to all mode amplitudes of rest-frame jets and summing
     makes the spatial block of the J-tensor proportional to the identity,
     so its contraction with any trace-free weight vanishes."""
-    from scipy.linalg import expm
-
     sig_x = np.array([[0, 1], [1, 0]], dtype=complex)
     sig_z = np.array([[1, 0], [0, -1]], dtype=complex)
 
     def spin_half(sig):
-        # rotation by pi/2: exp(-i (pi/2) sigma / 2) on both spinor blocks
-        blk = expm(-0.25j * np.pi * sig)
+        # rotation by pi/2: exp(-i (pi/2) sigma / 2) = cos(pi/4) 1 - i sin(pi/4) sigma
+        # on both spinor blocks, exact because sigma^2 = 1
+        blk = np.cos(0.25 * np.pi) * np.eye(2) - 1j * np.sin(0.25 * np.pi) * sig
         out = np.zeros((4, 4), dtype=complex)
         out[:2, :2] = blk
         out[2:, 2:] = blk
@@ -475,7 +475,7 @@ def time_average_identity_check(f, t0=0.0, t_list=(10.0, 50.0, 100.0), s_max=40.
         rhs_T = (1/2T) Integral_0^T dt Integral dt' (t'-t) A(t,t')
 
     Returns (lhs, [rhs_T for T in t_list])."""
-    nodes, weights = np.polynomial.legendre.leggauss(200)
+    nodes, weights = gauss_legendre(200)
 
     def gl(lo, hi):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -491,7 +491,7 @@ def time_average_identity_check(f, t0=0.0, t_list=(10.0, 50.0, 100.0), s_max=40.
     def inner(n):
         # s f(s) is even for odd f; integrating over [0, s_max] avoids the
         # potential |s| kink at the origin
-        nd, wt = np.polynomial.legendre.leggauss(n)
+        nd, wt = gauss_legendre(n)
         s = 0.5 * s_max * (nd + 1.0)
         return 2.0 * float(
             np.sum(0.5 * s_max * wt * s * np.array([f(si) for si in s]))

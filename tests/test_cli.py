@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from conftest import opposite_transfer_pair, violating_jet_pair
+import lightcone
 from lightcone import cli
 from lightcone.fields import DEFAULT_BOX
 
@@ -73,6 +77,16 @@ def test_verify_failing_config(runner, tmp_path):
     assert report[0]["paper_ref"]
 
 
+@pytest.mark.parametrize("key, value", [("box", float("nan")), ("mass", float("nan")), ("box", 0.0)])
+def test_verify_malformed_config_exits_2(runner, tmp_path, key, value):
+    cfg = cli.default_config()
+    cfg[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    result = runner.invoke(cli.main, ["verify", "--suites", "slayer", "--config", str(path)])
+    assert result.exit_code == 2
+
+
 def test_verify_unreadable_config_exits_2(runner, tmp_path):
     result = runner.invoke(cli.main, ["verify", "--config", str(tmp_path / "none.json")])
     assert result.exit_code == 2
@@ -108,6 +122,25 @@ def test_kernels_empty_grid_header_only(runner):
     assert result.output.strip() == "omega,k,region,re,im"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["kernels", "--id", "IK0_over_t", "--omega-step", "0"],
+        ["kernels", "--id", "IK0_over_t", "--k-step", "-0.1"],
+        ["kernels", "--id", "IK0_over_t", "--omega-step", "nan"],
+        ["kernels", "--id", "IK0_over_t", "--k-max", "inf"],
+        ["lineint", "--fn", "J", "--a-step", "0"],
+        ["lineint", "--fn", "J", "--b-step", "-0.05"],
+        ["lineint", "--fn", "J", "--a-step", "inf"],
+        ["lineint", "--fn", "J", "--b-min", "nan"],
+    ],
+    ids=" ".join,
+)
+def test_table_bad_grid_exits_2(runner, args):
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2
+
+
 def test_lineint_csv(runner):
     result = runner.invoke(
         cli.main,
@@ -141,6 +174,37 @@ def test_convolution_csv(runner):
 def test_convolution_bad_momentum_exits_2(runner):
     result = runner.invoke(cli.main, ["convolution", "--q", "1,2"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--q", "nan,0,0,0"],
+        ["--q", "2,inf,0,0"],
+        ["--q", "2,0,0,0", "--m", "nan"],
+        ["--q", "2,0,0,0", "--m", "inf"],
+        ["--q", "2,0,0,0", "--m", "0"],
+        ["--q", "2,0,0,0", "--m", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_convolution_non_finite_or_non_positive_exits_2(runner, args):
+    result = runner.invoke(cli.main, ["convolution", *args])
+    assert result.exit_code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(lightcone.__file__))
+    code = "import sys, lightcone.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_slayer_eval_default_config(runner):

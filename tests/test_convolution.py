@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from lightcone.convolution import (
     conv_masscone_shell_oracle,
     conv_omega_scaling,
 )
-from lightcone.errors import OutsideUpperCone, SpacelikeQ
+from lightcone.errors import LightconeError, OutsideUpperCone, SpacelikeQ
 
 
 def test_anchor_value():
@@ -41,6 +43,14 @@ def test_k0_shell_oracle_agreement(rng):
         closed = conv_K0_shell(ShellIntegralQuery((big_omega, 0.0, 0.0, 0.0), 1.0))
         oracle = conv_K0_shell_oracle(big_omega, 1.0)
         assert abs(closed - oracle) <= 1e-10 * abs(closed)
+
+
+@pytest.mark.parametrize("big_omega, m", [(np.nan, 1.0), (2.0, np.nan), (np.inf, 1.0), (2.0, np.inf)])
+def test_k0_shell_oracle_rejects_non_finite_input(big_omega, m):
+    start = time.perf_counter()
+    with pytest.raises(LightconeError):
+        conv_K0_shell_oracle(big_omega, m)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_masscone_oracle_agreement(rng):

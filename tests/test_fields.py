@@ -10,7 +10,7 @@ from conftest import (
     violating_jet_pair,
 )
 from lightcone.clifford import minkowski, slash
-from lightcone.errors import ConfigInvalid, InvalidMode, ShellViolation
+from lightcone.errors import ConfigInvalid, ConfigMalformed, InvalidMode, ShellViolation
 from lightcone.fields import (
     DEFAULT_BOX,
     DiracMode,
@@ -191,6 +191,12 @@ def test_load_config_rejects_bad_content(tmp_path):
         load_config({"mass": 1.0})  # missing box
     with pytest.raises(ConfigInvalid):
         load_config({"box": -1.0, "mass": 1.0})
+    for key in ("box", "mass"):
+        for value in (float("nan"), float("inf")):
+            bad_number = _sample_config()
+            bad_number[key] = value
+            with pytest.raises(ConfigMalformed):
+                load_config(bad_number)
     bad = _sample_config()
     bad["maxwell"][0]["p"] = [1.0, 0.5, 0.0, 0.0]
     with pytest.raises(ConfigInvalid):
