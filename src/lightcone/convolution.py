@@ -105,9 +105,13 @@ def conv_K0_shell_oracle(big_omega, m):
             continue
         k_star = _bisect(g, eps, k_hi)
         h = 1e-3
-        jac = abs((g(k_star + h) - g(k_star - h)) / (2.0 * h))
+        slope = (g(k_star + h) - g(k_star - h)) / (2.0 * h)
+        # far out, k* +- h round to k* and the difference quotient vanishes
+        if slope == 0.0 or not np.isfinite(slope):
+            raise LightconeError(f"central-difference Jacobian {slope} at Omega = {big_omega}")
+        jac = abs(slope)
         # one Newton polish with the central-difference derivative
-        k_star -= g(k_star) / ((g(k_star + h) - g(k_star - h)) / (2.0 * h))
+        k_star -= g(k_star) / slope
         # 4 pi k^2 dk / (2 pi)^4 against the odd light-cone weight s/(2k).
         total += (
             (4.0 * np.pi / (2.0 * np.pi) ** 4)

@@ -11,7 +11,8 @@ k0 = shell * omega(kvec), omega(kvec) = sqrt(|kvec|^2 + m^2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,13 +20,27 @@ from .clifford import ETA, minkowski, slash
 from .errors import ConfigInvalid, ConfigMalformed, InvalidMode, ShellViolation
 
 ONSHELL_TOL = 1e-9
+FREQUENCY_TOL = 1e-9
 
 DEFAULT_BOX = 32.0 * np.pi
 
 
-def lower(v):
-    """Covariant components of a contravariant four-vector."""
-    return ETA @ np.asarray(v, dtype=complex)
+def lattice_index(kvec, box):
+    """The integer n with kvec = 2 pi n / box: the one place lattice
+    membership is decided.  Raises InvalidMode off the lattice; the
+    tolerance grows with |n| as the roundoff of 2 pi n / box does."""
+    n = [c * box / (2.0 * math.pi) for c in kvec]
+    on_lattice = all(math.isfinite(c) and abs(c - round(c)) <= 1e-9 * max(1.0, abs(c)) for c in n)
+    if not (box > 0 and on_lattice):
+        raise InvalidMode(f"spatial momentum {tuple(kvec)} not on the lattice of box {box}")
+    return tuple(round(c) for c in n)
+
+
+def common_box(u, v):
+    """The box side of two fields or jets; raises InvalidMode if they differ."""
+    if u.box != v.box:
+        raise InvalidMode(f"box sides differ: {u.box} and {v.box}")
+    return u.box
 
 
 @dataclass(frozen=True)
@@ -59,38 +74,38 @@ class MaxwellMode:
         return np.asarray(self.eps, dtype=complex)
 
 
-def field_tensor_hat(mode):
-    """Covariant field tensor F_{jk} = -i (p_j eps_k - eps_j p_k) of one mode.
+def field_tensor_hat(eps, p):
+    """Covariant field tensor F_{jk} = -i (p_j eps_k - eps_j p_k) of one
+    exponential term eps * exp(-i p.x).
 
     Antisymmetric, and F_{ij} p^j = 0 by the null and gauge conditions."""
-    p_low = lower(mode.p_arr)
-    e_low = lower(mode.eps_arr)
+    p_low = ETA @ np.asarray(p, dtype=complex)
+    e_low = ETA @ np.asarray(eps, dtype=complex)
     return -1j * (np.outer(p_low, e_low) - np.outer(e_low, p_low))
 
 
 @dataclass(frozen=True)
 class MaxwellField:
-    """A real Maxwell field: stored modes plus (implicitly) their conjugates."""
+    """A real Maxwell field: stored modes, implicitly their conjugates, and
+    the lattice indices n of the modes' spatial momenta."""
 
     modes: tuple
     box: float = DEFAULT_BOX
+    n: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.box <= 0:
             raise InvalidMode("box side must be positive")
-        for mode in self.modes:
-            n = np.asarray(mode.p[1:]) * self.box / (2.0 * np.pi)
-            if np.max(np.abs(n - np.round(n))) > 1e-9:
-                raise InvalidMode(f"spatial momentum {mode.p[1:]} not box-quantized")
         object.__setattr__(self, "modes", tuple(self.modes))
+        object.__setattr__(self, "n", tuple(lattice_index(m.p[1:], self.box) for m in self.modes))
 
     def terms(self):
-        """Complex exponential terms (eps, p) with the potential
-        A(x) = sum eps * exp(-i(p0 t - pvec.x)); includes conjugates."""
+        """Exponential terms (n, eps, p), n the lattice index of pvec, of the
+        potential A(x) = sum eps * exp(-i(p0 t - pvec.x)); includes conjugates."""
         out = []
-        for mode in self.modes:
-            out.append((mode.eps_arr, mode.p_arr))
-            out.append((np.conj(mode.eps_arr), -mode.p_arr))
+        for n, mode in zip(self.n, self.modes):
+            out.append((np.array(n), mode.eps_arr, mode.p_arr))
+            out.append((-np.array(n), np.conj(mode.eps_arr), -mode.p_arr))
         return out
 
 
@@ -116,23 +131,16 @@ class DiracMode:
         norm = np.linalg.norm(a)
         if norm == 0.0:
             raise InvalidMode("zero amplitude")
-        k = np.concatenate(([self.k0_of(kvec)], kvec))
+        k = np.concatenate(([self.k0], kvec))
         residual = np.linalg.norm((slash(k) - self.m * np.eye(4)) @ a)
         if residual > ONSHELL_TOL * self.m * norm:
             raise InvalidMode(f"amplitude off the mass shell: residual {residual:.3e}")
         object.__setattr__(self, "kvec", tuple(float(c) for c in kvec))
         object.__setattr__(self, "a", tuple(complex(c) for c in a))
 
-    def k0_of(self, kvec):
-        return self.shell * np.sqrt(float(np.dot(kvec, kvec)) + self.m**2)
-
-    @property
-    def omega(self):
-        return np.sqrt(float(np.dot(self.kvec, self.kvec)) + self.m**2)
-
     @property
     def k0(self):
-        return self.shell * self.omega
+        return self.shell * np.sqrt(float(np.dot(self.kvec, self.kvec)) + self.m**2)
 
     @property
     def kvec_arr(self):
@@ -168,26 +176,31 @@ def dirac_basis(shell, kvec, m):
 
 @dataclass(frozen=True)
 class FermionicJet:
-    """A fermionic perturbation (delta_psi, psi): finite Dirac mode sets of
-    equal mass.  With the sea-excitation flag, psi lives on the lower and
-    delta_psi on the upper mass shell."""
+    """A fermionic perturbation (delta_psi, psi) of a sea excitation in a box:
+    finite Dirac mode sets of equal mass, psi on the lower and delta_psi on
+    the upper mass shell, with the lattice indices psi_n and delta_psi_n."""
 
     psi: tuple
     delta_psi: tuple
     m: float
-    sea_excitation: bool = True
+    box: float = DEFAULT_BOX
+    psi_n: tuple = field(init=False, repr=False, compare=False)
+    delta_psi_n: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.box <= 0:
+            raise InvalidMode("box side must be positive")
         for mode in tuple(self.psi) + tuple(self.delta_psi):
             if abs(mode.m - self.m) > 1e-12 * self.m:
                 raise InvalidMode("all modes must share the jet mass")
-        if self.sea_excitation:
-            if any(mode.shell != -1 for mode in self.psi):
-                raise ShellViolation("psi modes must lie on the lower mass shell")
-            if any(mode.shell != 1 for mode in self.delta_psi):
-                raise ShellViolation("delta_psi modes must lie on the upper mass shell")
-        object.__setattr__(self, "psi", tuple(self.psi))
-        object.__setattr__(self, "delta_psi", tuple(self.delta_psi))
+        if any(mode.shell != -1 for mode in self.psi):
+            raise ShellViolation("psi modes must lie on the lower mass shell")
+        if any(mode.shell != 1 for mode in self.delta_psi):
+            raise ShellViolation("delta_psi modes must lie on the upper mass shell")
+        for name in ("psi", "delta_psi"):
+            modes = tuple(getattr(self, name))
+            object.__setattr__(self, name, modes)
+            object.__setattr__(self, name + "_n", tuple(lattice_index(m.kvec, self.box) for m in modes))
 
     def psi_at(self, x):
         return sum((mode.at(x) for mode in self.psi), np.zeros(4, dtype=complex))
@@ -196,25 +209,26 @@ class FermionicJet:
         return sum((mode.at(x) for mode in self.delta_psi), np.zeros(4, dtype=complex))
 
 
-def pairing_predicates(jet_u, jet_v, tol=1e-9):
+def pairing_predicates(jet_u, jet_v):
     """Enumerate the mode quadruples (du, pu, dv, pv) whose momentum
     transfers p(du) - p(pu) and p(dv) - p(pv) are equal or opposite (the
     momentum-conserving quadruples of the conservation residual) and flag
     those violating the matching frequency relation: equal transfers must
     carry equal frequency transfers, opposite ones opposite frequency
-    transfers."""
+    transfers (exact on the lattice, to FREQUENCY_TOL in frequency)."""
+    common_box(jet_u, jet_v)
 
     def transfers(jet):
         pairs = [(d, p) for d in jet.delta_psi for p in jet.psi]
-        dp = np.array([d.kvec_arr - p.kvec_arr for d, p in pairs]).reshape(-1, 3)
-        return pairs, dp, np.array([d.k0 - p.k0 for d, p in pairs])
+        dn = np.array([np.subtract(a, b) for a in jet.delta_psi_n for b in jet.psi_n]).reshape(-1, 3)
+        return pairs, dn, np.array([d.k0 - p.k0 for d, p in pairs])
 
-    pairs_u, dp_u, dw_u = transfers(jet_u)
-    pairs_v, dp_v, dw_v = transfers(jet_v)
-    equal = np.max(np.abs(dp_u[:, None] - dp_v[None, :]), axis=-1) <= tol
-    opposite = np.max(np.abs(dp_u[:, None] + dp_v[None, :]), axis=-1) <= tol
-    bad = (equal & (np.abs(dw_u[:, None] - dw_v[None, :]) > tol)) | (
-        opposite & (np.abs(dw_u[:, None] + dw_v[None, :]) > tol)
+    pairs_u, dn_u, dw_u = transfers(jet_u)
+    pairs_v, dn_v, dw_v = transfers(jet_v)
+    equal = np.all(dn_u[:, None] == dn_v[None, :], axis=-1)
+    opposite = np.all(dn_u[:, None] == -dn_v[None, :], axis=-1)
+    bad = (equal & (np.abs(dw_u[:, None] - dw_v[None, :]) > FREQUENCY_TOL)) | (
+        opposite & (np.abs(dw_u[:, None] + dw_v[None, :]) > FREQUENCY_TOL)
     )
     quadruples = [pairs_u[i] + pairs_v[j] for i, j in zip(*np.nonzero(equal | opposite))]
     flagged = [pairs_u[i] + pairs_v[j] for i, j in zip(*np.nonzero(bad))]
@@ -245,19 +259,26 @@ def time_translate(obj, dt):
     raise TypeError(f"cannot time-translate {type(obj).__name__}")
 
 
+def _require_finite(what, *arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ConfigMalformed(f"non-finite number in a {what}")
+
+
 def _dirac_mode_from_json(entry, box, mass):
     try:
         shell = int(entry["shell"])
         n = np.asarray(entry["n"], dtype=float)
-        a = np.asarray(entry["a_re"], dtype=float) + 1j * np.asarray(
-            entry["a_im"], dtype=float
-        )
+        a_re = np.asarray(entry["a_re"], dtype=float)
+        a_im = np.asarray(entry["a_im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad Dirac mode entry: {exc}") from exc
+    _require_finite("Dirac mode entry", n, a_re, a_im)
+    if np.any(n != np.round(n)):
+        raise ConfigMalformed(f"lattice index n = {entry['n']} must be integers")
     kvec = 2.0 * np.pi * n / box
     try:
-        return DiracMode(shell, tuple(kvec), tuple(a), mass)
-    except InvalidMode as exc:
+        return DiracMode(shell, tuple(kvec), tuple(a_re + 1j * a_im), mass)
+    except (InvalidMode, ValueError) as exc:
         raise ConfigInvalid(str(exc)) from exc
 
 
@@ -269,6 +290,8 @@ def load_config(source):
       "maxwell": [{"p": [..4], "eps_re": [..4], "eps_im": [..4]}, ...],
       "jets": [{"psi": [mode...], "delta_psi": [mode...]}, ...] }
     with Dirac modes {"shell": +-1, "n": [3 ints], "a_re": [..4], "a_im": [..4]}.
+    An unreadable file, a non-integer n or a non-finite number in a mode
+    raises ConfigMalformed.
 
     Returns (box, mass, maxwell_fields, jets): each maxwell entry becomes a
     single-mode MaxwellField."""
@@ -279,7 +302,7 @@ def load_config(source):
             with open(source) as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigInvalid(f"cannot read configuration: {exc}") from exc
+            raise ConfigMalformed(f"cannot read configuration: {exc}") from exc
     try:
         box = float(raw["box"])
         mass = float(raw["mass"])
@@ -297,6 +320,7 @@ def load_config(source):
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(f"bad maxwell entry: {exc}") from exc
+        _require_finite("maxwell entry", p, eps)
         try:
             fields_out.append(MaxwellField((MaxwellMode(p, eps),), box))
         except InvalidMode as exc:
@@ -308,7 +332,7 @@ def load_config(source):
             _dirac_mode_from_json(e, box, mass) for e in entry.get("delta_psi", [])
         )
         try:
-            jets_out.append(FermionicJet(psi, delta, mass))
+            jets_out.append(FermionicJet(psi, delta, mass, box))
         except (InvalidMode, ShellViolation) as exc:
             raise ConfigInvalid(str(exc)) from exc
     return box, mass, fields_out, jets_out

@@ -11,7 +11,6 @@ defined as integrals from the outset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,20 +21,12 @@ from .errors import (
     QuadratureNotConverged,
     ZeroMomentumMode,
 )
-from .fields import DEFAULT_BOX, field_tensor_hat, lower
+from .fields import common_box, field_tensor_hat
 from .lineint import unbounded_line_integral
 from .quadrature import gauss_legendre
 
 _CHI = {"L": CHI_L, "R": CHI_R}
 _CHI_BAR = {"L": CHI_R, "R": CHI_L}
-
-
-@dataclass(frozen=True)
-class SurfaceLayerResult:
-    value: complex
-    kind: str  # "symplectic" | "inner"
-    channel: str  # "bose" | "fermi"
-    conserved_drift: float = 0.0
 
 
 def _bil(bra, mat, ket):
@@ -55,44 +46,37 @@ def _check_on_shell(field_obj):
             raise OffShellField(f"mode momentum {mode.p} off the light cone")
 
 
-def sigma_bose(u, v, t0=0.0, normalization=1.0, delta=1.0):
+def sigma_bose(u, v, t0=0.0):
     """Symplectic form of two real Maxwell fields at time t0:
     (c1/delta^4) * Integral_box sum_i (A_u^i F_v_{i0} - A_v^i F_u_{i0}),
-    evaluated by exact mode sums.  Antisymmetric in (u, v)."""
+    c1 = delta = 1, by exact mode sums.  Antisymmetric in (u, v)."""
     _check_on_shell(u)
     _check_on_shell(v)
-    box = u.box
-    terms_u = [(e, p, field_tensor_hat_term(e, p)) for e, p in u.terms()]
-    terms_v = [(e, p, field_tensor_hat_term(e, p)) for e, p in v.terms()]
+    box = common_box(u, v)
+    terms_u = [(n, e, p, field_tensor_hat(e, p)) for n, e, p in u.terms()]
+    terms_v = [(n, e, p, field_tensor_hat(e, p)) for n, e, p in v.terms()]
     total = 0.0 + 0.0j
-    for eu, pu, fu in terms_u:
-        for ev, pv, fv in terms_v:
-            if np.max(np.abs(pu[1:] + pv[1:])) > 1e-9:
+    for nu, eu, pu, fu in terms_u:
+        for nv, ev, pv, fv in terms_v:
+            if np.any(nu + nv):
                 continue
             phase = np.exp(-1j * (pu[0] + pv[0]) * t0)
             s = sum(eu[i] * fv[i, 0] - ev[i] * fu[i, 0] for i in (1, 2, 3))
             total += box**3 * phase * s
-    return (normalization / delta**4) * total.real
+    return total.real
 
 
-def field_tensor_hat_term(eps, p):
-    """Covariant F_{jk} of a single exponential term eps * exp(-i p.x)."""
-    p_low = lower(p)
-    e_low = lower(eps)
-    return -1j * (np.outer(p_low, e_low) - np.outer(e_low, p_low))
-
-
-def sigma_bose_grid_oracle(u, v, t0=0.0, n=64, normalization=1.0, delta=1.0):
+def sigma_bose_grid_oracle(u, v, t0=0.0, n=64):
     """Position-space Riemann-sum evaluation of sigma_bose on an n^3 grid."""
-    box = u.box
+    box = common_box(u, v)
     axis = np.arange(n) * (box / n)
     xg, yg, zg = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
 
     def assemble(field_obj):
         a = [np.zeros((n, n, n), dtype=complex) for _ in range(4)]
         f_i0 = [np.zeros((n, n, n), dtype=complex) for _ in range(4)]
-        for eps, p in field_obj.terms():
-            f = field_tensor_hat_term(eps, p)
+        for _, eps, p in field_obj.terms():
+            f = field_tensor_hat(eps, p)
             phase = np.exp(
                 -1j * (p[0] * t0 - (p[1] * xg + p[2] * yg + p[3] * zg))
             )
@@ -104,28 +88,29 @@ def sigma_bose_grid_oracle(u, v, t0=0.0, n=64, normalization=1.0, delta=1.0):
     a_u, f_u = assemble(u)
     a_v, f_v = assemble(v)
     s = sum(a_u[i] * f_v[i] - a_v[i] * f_u[i] for i in (1, 2, 3))
-    return (normalization / delta**4) * float(np.sum(s.real)) * (box / n) ** 3
+    return float(np.sum(s.real)) * (box / n) ** 3
 
 
-def ip_bose(u, v, normalization=-1.0, delta=1.0):
+def ip_bose(u, v):
     """Surface-layer inner product of two real Maxwell fields:
     (c2/delta^4) * (1/L^3) sum over equal-momentum term pairs of
     (1/|kvec|) (conj(F_u)_{0i} (F_v)_0^i - 1/4 conj(F_u)_{ij} (F_v)^{ij}).
 
-    With the default c2 = -1 the diagonal u = v is nonnegative and
+    With c2 = -1 and delta = 1 the diagonal u = v is nonnegative and
     vanishes exactly on pure-gauge modes."""
     _check_on_shell(u)
     _check_on_shell(v)
-    box = u.box
-    terms_u = [(p, field_tensor_hat_term(e, p)) for e, p in u.terms()]
-    terms_v = [(p, field_tensor_hat_term(e, p)) for e, p in v.terms()]
+    box = common_box(u, v)
+    terms_u = [(n, p, field_tensor_hat(e, p)) for n, e, p in u.terms()]
+    terms_v = [(n, p, field_tensor_hat(e, p)) for n, e, p in v.terms()]
     total = 0.0 + 0.0j
-    for pu, fu in terms_u:
+    for nu, pu, fu in terms_u:
         knorm = np.linalg.norm(pu[1:])
-        if knorm < 1e-12:
+        if not np.any(nu):
             raise ZeroMomentumMode("mode with vanishing spatial momentum")
-        for pv, fv in terms_v:
-            if np.max(np.abs(pu - pv)) > 1e-9:
+        for nv, pv, fv in terms_v:
+            # equal null momenta: equal lattice index, same frequency sign
+            if np.any(nu != nv) or pu[0] * pv[0] < 0:
                 continue
             fuc = np.conj(fu)
             # (F_u)_{0i} (F_v)_0^i with the spatial index raised (one sign),
@@ -133,7 +118,7 @@ def ip_bose(u, v, normalization=-1.0, delta=1.0):
             t1 = -sum(fuc[0, i] * fv[0, i] for i in (1, 2, 3))
             t2 = sum(fuc[i, j] * fv[i, j] for i in (1, 2, 3) for j in (1, 2, 3))
             total += (t1 - 0.25 * t2) / knorm
-    return (normalization / delta**4) * total.real / box**3
+    return -total.real / box**3
 
 
 # ---------------------------------------------------------------------------
@@ -141,41 +126,42 @@ def ip_bose(u, v, normalization=-1.0, delta=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _hat(modes):
-    """Momentum-space spinor dictionary kvec -> summed amplitude (at t=0)."""
+def _hat(modes, indices, sign=1):
+    """Spinor dictionary: lattice index (times sign) -> summed amplitude at t=0."""
     out = {}
-    for mode in modes:
-        key = tuple(np.round(mode.kvec_arr, 9))
+    for mode, n in zip(modes, indices):
+        key = tuple(sign * c for c in n)
         out[key] = out.get(key, np.zeros(4, dtype=complex)) + mode.a_arr
     return out
 
 
+def _kvec(n, box):
+    """The spatial momentum 2 pi n / L of lattice index n."""
+    return (2.0 * np.pi / box) * np.asarray(n, dtype=float)
+
+
 def _omega(kvec, m):
-    kvec = np.asarray(kvec, dtype=float)
     return np.sqrt(np.sum(kvec * kvec, axis=-1) + m * m)
 
 
-def _neg(key):
-    return tuple(-c + 0.0 for c in key)
-
-
-def sigma_fermi(jet_u, jet_v, normalization=1.0, delta=1.0, box=DEFAULT_BOX):
-    """Fermionic symplectic form: double momentum sum with weight
-    (omega(q)^2 + omega(k)^2)/m^2 over the chiral and vectorial spinor
+def sigma_fermi(jet_u, jet_v):
+    """Fermionic symplectic form (delta = 1): double momentum sum with weight
+    (omega(q)^2 + omega(k)^2)/(m^2 L^6) over the chiral and vectorial spinor
     contractions of the jets' mode amplitudes.  Antisymmetric in (u, v)."""
     m = jet_u.m
-    du, pu = _hat(jet_u.delta_psi), _hat(jet_u.psi)
-    dv, pv = _hat(jet_v.delta_psi), _hat(jet_v.psi)
+    box = common_box(jet_u, jet_v)
+    du, pu_neg = _hat(jet_u.delta_psi, jet_u.delta_psi_n), _hat(jet_u.psi, jet_u.psi_n, -1)
+    dv, pv_neg = _hat(jet_v.delta_psi, jet_v.delta_psi_n), _hat(jet_v.psi, jet_v.psi_n, -1)
     total = 0.0 + 0.0j
     for k_key, duk in du.items():
-        pv_mk = pv.get(_neg(k_key))
+        pv_mk = pv_neg.get(k_key)
         if pv_mk is None:
             continue
         for q_key, dvq in dv.items():
-            pu_mq = pu.get(_neg(q_key))
+            pu_mq = pu_neg.get(q_key)
             if pu_mq is None:
                 continue
-            weight = (_omega(q_key, m) ** 2 + _omega(k_key, m) ** 2) / m**2
+            weight = (_omega(_kvec(q_key, box), m) ** 2 + _omega(_kvec(k_key, box), m) ** 2) / m**2
             s = 0.0 + 0.0j
             for c in ("L", "R"):
                 s += _bil(duk, _CHI[c], pu_mq) * _bil(pv_mk, _CHI_BAR[c], dvq)
@@ -186,19 +172,18 @@ def sigma_fermi(jet_u, jet_v, normalization=1.0, delta=1.0, box=DEFAULT_BOX):
                         * _bil(pv_mk, GAMMA[alpha] @ _CHI[c], dvq)
                     )
             total += weight * s.imag
-    return (normalization / delta**4) * total.real / box**6
+    return total.real / box**6
 
 
-def ip_fermi(
-    jet_u, jet_v, normalization=1.0, delta=1.0, box=DEFAULT_BOX, chirality_sign=1
-):
-    """Fermionic surface-layer inner product: the equal-momentum pairing
+def ip_fermi(jet_u, jet_v):
+    """Fermionic surface-layer inner product (delta = 1): the pairing
     Re(<delta_psi_u_hat(k)|delta_psi_v_hat(k)> <psi_v_hat(q)|psi_u_hat(q)>)
-    against the definiteness bracket / m^3, with overall sign
-    -chirality_sign.  Symmetric in (u, v)."""
+    against the definiteness bracket / (m^3 L^6), with overall sign -1
+    (minus the chirality sign +1).  Symmetric in (u, v)."""
     m = jet_u.m
-    du, pu = _hat(jet_u.delta_psi), _hat(jet_u.psi)
-    dv, pv = _hat(jet_v.delta_psi), _hat(jet_v.psi)
+    box = common_box(jet_u, jet_v)
+    du, pu = _hat(jet_u.delta_psi, jet_u.delta_psi_n), _hat(jet_u.psi, jet_u.psi_n)
+    dv, pv = _hat(jet_v.delta_psi, jet_v.delta_psi_n), _hat(jet_v.psi, jet_v.psi_n)
     total = 0.0
     for k_key, duk in du.items():
         dvk = dv.get(k_key)
@@ -208,11 +193,11 @@ def ip_fermi(
             pvq = pv.get(q_key)
             if pvq is None:
                 continue
-            bracket = definiteness_bracket(k_key, q_key, m) / m**3
+            bracket = definiteness_bracket(_kvec(k_key, box), _kvec(q_key, box), m) / m**3
             total += (
                 (_bil(duk, ID4, dvk) * _bil(pvq, ID4, puq)).real * bracket
             )
-    return -chirality_sign * (normalization / delta**4) * total / box**6
+    return -total / box**6
 
 
 def definiteness_bracket(kvec, qvec, m):
@@ -304,11 +289,11 @@ def jtensor_components(jet_u, jet_v, x, y):
 
 
 @lru_cache(maxsize=256)
-def _box_quadrupole_hat(q_key, box, n=40):
+def _box_quadrupole_hat(n_key, box, n=40):
     """The 3x3 matrix W(q) = Integral_box e^{i q.xi} (xi_a xi_b/|xi|^2
-    - delta_ab/3) d^3xi over the fundamental domain [-L/2, L/2)^3,
-    by tensor-product Gauss-Legendre quadrature.  Exactly trace-free."""
-    q = np.asarray(q_key, dtype=float)
+    - delta_ab/3) d^3xi over [-L/2, L/2)^3 at q = 2 pi n_key / L, by
+    tensor-product Gauss-Legendre quadrature.  Exactly trace-free."""
+    q = _kvec(n_key, box)
     nodes, weights = gauss_legendre(n)
     half = 0.5 * box
     xs = half * nodes
@@ -331,22 +316,24 @@ def _box_quadrupole_hat(q_key, box, n=40):
 def _jet_bilinears(jet, mats, sign_swapped):
     """<delta_psi(x) | M psi(y)> + sign_swapped <psi(x) | M delta_psi(y)> at
     x0 = y0 = t for a stack of matrices M, as exponential terms
-    coeff[m, j] e^{i w[j] t} e^{i (k_total[j] - ky[j]).xvec} e^{i ky[j].yvec}.
+    coeff[m, j] e^{i w[j] t} e^{i (k_total[j] - ky[j]).xvec} e^{i ky[j].yvec},
+    the momenta k = 2 pi n / L given by their integer lattice indices n.
 
-    Returns (coeff, w, k_total, ky)."""
-    terms = [(d, p, 1.0) for d in jet.delta_psi for p in jet.psi]
-    terms += [(p, d, sign_swapped) for p in jet.psi for d in jet.delta_psi]
-    bra = np.array([b.a for b, _, _ in terms], dtype=complex).reshape(-1, 4)
-    ket = np.array([k.a for _, k, _ in terms], dtype=complex).reshape(-1, 4)
+    Returns (coeff, w, n_total, n_y)."""
+    delta, psi = list(zip(jet.delta_psi, jet.delta_psi_n)), list(zip(jet.psi, jet.psi_n))
+    terms = [(d, p, 1.0) for d in delta for p in psi]
+    terms += [(p, d, sign_swapped) for p in psi for d in delta]
+    bra = np.array([b.a for (b, _), _, _ in terms], dtype=complex).reshape(-1, 4)
+    ket = np.array([k.a for _, (k, _), _ in terms], dtype=complex).reshape(-1, 4)
     sign = np.array([s for _, _, s in terms])
     coeff = sign * np.einsum("ji,mik,jk->mj", np.conj(bra) @ GAMMA0, mats, ket)
-    w = np.array([b.k0 - k.k0 for b, k, _ in terms])
-    ky = np.array([k.kvec for _, k, _ in terms], dtype=float).reshape(-1, 3)
-    kx = -np.array([b.kvec for b, _, _ in terms], dtype=float).reshape(-1, 3)
-    return coeff, w, kx + ky, ky
+    w = np.array([b.k0 - k.k0 for (b, _), (k, _), _ in terms])
+    n_y = np.array([n for _, (_, n), _ in terms], dtype=int).reshape(-1, 3)
+    n_x = -np.array([n for (_, n), _, _ in terms], dtype=int).reshape(-1, 3)
+    return coeff, w, n_x + n_y, n_y
 
 
-def fermi_conservation_residual(jet_u, jet_v, t=0.0, box=DEFAULT_BOX):
+def fermi_conservation_residual(jet_u, jet_v, t=0.0):
     """The time derivative (analytic in the mode phases) of
     -1/2 Integral d^3x d^3y J^{alpha beta}((t,x),(t,y))
     (xi_a xi_b/|xi|^2 - delta_ab/3) over the box.
@@ -356,8 +343,9 @@ def fermi_conservation_residual(jet_u, jet_v, t=0.0, box=DEFAULT_BOX):
     beta} is proportional to delta^{alpha beta}.
 
     The bilinears of both jets are tabulated once as exponential terms;
-    term pairs of zero total momentum survive the box integral and are
-    weighted by the box quadrupole at their y-momentum."""
+    term pairs of zero total lattice momentum survive the box integral and
+    are weighted by the box quadrupole at their y-momentum."""
+    box = common_box(jet_u, jet_v)
     sigma0 = [sigma_jk(0, a) for a in (1, 2, 3)]
     chi = (_CHI["L"], _CHI["R"])
     chi_bar = (_CHI_BAR["L"], _CHI_BAR["R"])
@@ -372,7 +360,7 @@ def fermi_conservation_residual(jet_u, jet_v, t=0.0, box=DEFAULT_BOX):
     cv = cv.reshape(2, 3, 2, -1)
 
     w = wu[:, None] + wv[None, :]
-    keep = np.max(np.abs(su[:, None, :] + sv[None, :, :]), axis=-1) <= 1e-9
+    keep = np.all(su[:, None, :] + sv[None, :, :] == 0, axis=-1)
     # pairs with vanishing frequency transfer carry no time dependence
     iu, iv = np.nonzero(keep & (np.abs(w) >= 1e-12))
     if iu.size == 0:
@@ -381,10 +369,10 @@ def fermi_conservation_residual(jet_u, jet_v, t=0.0, box=DEFAULT_BOX):
     coeff = np.einsum("kacp,kbcp->pab", cu[..., iu], cv[..., iv])
 
     # Im(z) = (z - conj z)/(2i): each pair contributes at ky and, conjugated,
-    # at -ky; one box quadrupole weight per distinct rounded momentum
+    # at -ky; one box quadrupole weight per distinct lattice momentum
     ky = kyu[iu] + kyv[iv]
-    keys, inv = np.unique(np.round(np.concatenate((ky, -ky)), 9), axis=0, return_inverse=True)
-    w_hat = np.array([_box_quadrupole_hat(tuple(key), box) for key in keys])[inv.reshape(2, -1)]
+    keys, inv = np.unique(np.concatenate((ky, -ky)), axis=0, return_inverse=True)
+    w_hat = np.array([_box_quadrupole_hat(tuple(key), box) for key in keys.tolist()])[inv.reshape(2, -1)]
     z = np.exp(1j * w * t) * np.einsum("pab,pab->p", coeff, w_hat[0])
     z += np.exp(-1j * w * t) * np.einsum("pab,pab->p", np.conj(coeff), w_hat[1])
     return float((-0.25 * box**3 * np.sum(w * z)).real)

@@ -57,7 +57,7 @@ def random_dirac_mode(rng, shell, box=DEFAULT_BOX, m=1.0, kvec=None):
 def random_jet(rng, box=DEFAULT_BOX, m=1.0, n_psi=1, n_delta=1):
     psi = tuple(random_dirac_mode(rng, -1, box, m) for _ in range(n_psi))
     delta = tuple(random_dirac_mode(rng, 1, box, m) for _ in range(n_delta))
-    return FermionicJet(psi, delta, m)
+    return FermionicJet(psi, delta, m, box)
 
 
 def matched_jet_pair(rng, box=DEFAULT_BOX, m=1.0):
@@ -72,7 +72,7 @@ def matched_jet_pair(rng, box=DEFAULT_BOX, m=1.0):
     for _ in range(2):
         psi = (random_dirac_mode(rng, -1, box, m, kvec=k_psi),)
         delta = (random_dirac_mode(rng, 1, box, m, kvec=k_delta),)
-        jets.append(FermionicJet(psi, delta, m))
+        jets.append(FermionicJet(psi, delta, m, box))
     return jets[0], jets[1]
 
 
@@ -84,7 +84,7 @@ def violating_jet_pair(rng, box=DEFAULT_BOX, m=1.0):
     def jet(psi_n, delta_n):
         psi = (random_dirac_mode(rng, -1, box, m, kvec=psi_n * k1),)
         delta = (random_dirac_mode(rng, 1, box, m, kvec=delta_n * k1),)
-        return FermionicJet(psi, delta, m)
+        return FermionicJet(psi, delta, m, box)
 
     # both transfers equal k1, but the frequency gaps differ
     return jet(0.0, 1.0), jet(-2.0, -1.0)
@@ -104,7 +104,7 @@ def opposite_transfer_pair(rng, box=DEFAULT_BOX, m=1.0):
     for _ in range(2):
         psi = tuple(random_dirac_mode(rng, -1, box, m, kvec=k) for k in (p0, p1))
         delta = tuple(random_dirac_mode(rng, 1, box, m, kvec=k) for k in (d0, d1))
-        jets.append(FermionicJet(psi, delta, m))
+        jets.append(FermionicJet(psi, delta, m, box))
     return jets[0], jets[1]
 
 

@@ -9,8 +9,8 @@ from click.testing import CliRunner
 
 from conftest import opposite_transfer_pair, violating_jet_pair
 import lightcone
-from lightcone import cli
-from lightcone.fields import DEFAULT_BOX
+from lightcone import cli, slayer
+from lightcone.fields import DEFAULT_BOX, load_config
 
 
 @pytest.fixture
@@ -77,10 +77,24 @@ def test_verify_failing_config(runner, tmp_path):
     assert report[0]["paper_ref"]
 
 
-@pytest.mark.parametrize("key, value", [("box", float("nan")), ("mass", float("nan")), ("box", 0.0)])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("box", float("nan")),
+        ("mass", float("nan")),
+        ("box", 0.0),
+        pytest.param("jets.0.psi.0.n", [0.5, 0, 0], id="non-integer-n"),
+        pytest.param("maxwell.0.p.1", float("nan"), id="maxwell-p-nan"),
+        pytest.param("jets.0.delta_psi.0.a_re.0", float("nan"), id="jet-a_re-nan"),
+    ],
+)
 def test_verify_malformed_config_exits_2(runner, tmp_path, key, value):
     cfg = cli.default_config()
-    cfg[key] = value
+    *parents, last = (int(k) if k.isdigit() else k for k in key.split("."))
+    entry = cfg
+    for k in parents:
+        entry = entry[k]
+    entry[last] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     result = runner.invoke(cli.main, ["verify", "--suites", "slayer", "--config", str(path)])
@@ -169,6 +183,13 @@ def test_convolution_csv(runner):
     assert len(lines) == 3
     rel = float(lines[1].split(",")[-1])
     assert rel < 1e-10
+
+
+def test_convolution_far_out_leaves_oracle_cells_empty(runner):
+    result = runner.invoke(cli.main, ["convolution", "--q", "1e150,0,0,0"])
+    assert result.exit_code == 0
+    row = next(r for r in result.output.splitlines() if ",conv_K0_shell," in r)
+    assert row.endswith(",conv_K0_shell,0.0010078604510374842,,")
 
 
 def test_convolution_bad_momentum_exits_2(runner):
@@ -262,6 +283,17 @@ def _jet_config(jets, box=DEFAULT_BOX):
             for j in jets
         ],
     }
+
+
+def test_slayer_eval_reads_the_jets_box(runner, tmp_path, rng):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_jet_config(violating_jet_pair(rng, box=10.0), box=10.0)))
+    result = runner.invoke(cli.main, ["slayer", "eval", "--config", str(path)])
+    assert result.exit_code == 0
+    report = {e["check"]: e["value"] for e in json.loads(result.output)}
+    _, _, _, jets = load_config(str(path))
+    assert report["ip_fermi[0,0]"] == slayer.ip_fermi(jets[0], jets[0])
+    assert report["ip_fermi[0,0]"] != 0.0
 
 
 def _reject_constant(name):

@@ -53,6 +53,13 @@ def test_k0_shell_oracle_rejects_non_finite_input(big_omega, m):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("big_omega", [1e16, 1e150])
+def test_k0_shell_oracle_raises_on_vanishing_jacobian(big_omega):
+    # the central difference at step 1e-3 rounds to zero this far out
+    with pytest.raises(LightconeError):
+        conv_K0_shell_oracle(big_omega, 1.0)
+
+
 def test_masscone_oracle_agreement(rng):
     for _ in range(40):
         qvec = rng.uniform(-1.0, 1.0, size=3)

@@ -38,7 +38,7 @@ def test_maxwell_mode_validation():
 def test_field_tensor_properties(rng):
     for _ in range(20):
         mode = random_maxwell_mode(rng)
-        f = field_tensor_hat(mode)
+        f = field_tensor_hat(mode.eps_arr, mode.p_arr)
         assert np.allclose(f, -f.T)
         # F_{jk} p^k = 0 by the null and Lorenz conditions
         assert np.allclose(f @ mode.p_arr, 0.0, atol=1e-9)
@@ -51,12 +51,34 @@ def test_box_quantization_enforced():
     MaxwellField((mode,), box=2.0 * np.pi)
 
 
+def test_jet_keeps_box_and_lattice_indices(rng):
+    box = 10.0
+    unit = 2.0 * np.pi / box
+    lower = random_dirac_mode(rng, -1, box, kvec=unit * np.array([2.0, 0.0, -1.0]))
+    upper = random_dirac_mode(rng, 1, box, kvec=unit * np.array([0.0, 3.0, 0.0]))
+    jet = FermionicJet((lower,), (upper,), 1.0, box)
+    assert jet.box == box
+    assert jet.psi_n == ((2, 0, -1),)
+    assert jet.delta_psi_n == ((0, 3, 0),)
+    # n * box / (2 pi) misses this index by 1.9e-9 after the round trip
+    far = random_dirac_mode(rng, 1, box, kvec=2.0 * np.pi * np.array([9000014, 0, 0]) / box)
+    assert FermionicJet((lower,), (far,), 1.0, box).delta_psi_n == ((9000014, 0, 0),)
+    # the same modes are off the lattice of the default box
+    with pytest.raises(InvalidMode):
+        FermionicJet((lower,), (upper,), 1.0)
+    with pytest.raises(InvalidMode):
+        FermionicJet((lower,), (upper,), 1.0, 0.0)
+    with pytest.raises(InvalidMode):
+        FermionicJet((), (), 1.0, -1.0)
+
+
 def test_terms_include_conjugates(rng):
     mode = random_maxwell_mode(rng)
     field = MaxwellField((mode,), DEFAULT_BOX)
     terms = field.terms()
     assert len(terms) == 2
-    (e1, p1), (e2, p2) = terms
+    (n1, e1, p1), (n2, e2, p2) = terms
+    assert np.array_equal(n2, -n1)
     assert np.allclose(p2, -p1)
     assert np.allclose(e2, np.conj(e1))
 
@@ -201,6 +223,21 @@ def test_load_config_rejects_bad_content(tmp_path):
     bad["maxwell"][0]["p"] = [1.0, 0.5, 0.0, 0.0]
     with pytest.raises(ConfigInvalid):
         load_config(bad)
+    for path, value in (
+        (("jets", 0, "psi", 0, "n"), [0.5, 0, 0]),
+        (("jets", 0, "psi", 0, "n"), [float("nan"), 0, 0]),
+        (("jets", 0, "delta_psi", 0, "a_re"), [float("nan"), 0.0, 0.0, 0.0]),
+        (("jets", 0, "delta_psi", 0, "a_im"), [float("inf"), 0.0, 0.0, 0.0]),
+        (("maxwell", 0, "p"), [float("nan"), 1.0, 0.0, 0.0]),
+        (("maxwell", 0, "eps_im"), [0.0, 0.0, float("inf"), 0.0]),
+    ):
+        bad_mode = _sample_config()
+        entry = bad_mode
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        with pytest.raises(ConfigMalformed):
+            load_config(bad_mode)
     bad2 = _sample_config()
     bad2["jets"][0]["psi"][0]["shell"] = 1
     with pytest.raises(ConfigInvalid):

@@ -14,7 +14,7 @@ from conftest import (
     violating_jet_pair,
 )
 from lightcone.clifford import CHI_L, CHI_R, GAMMA, GAMMA0, sigma_jk
-from lightcone.errors import OffShellField
+from lightcone.errors import InvalidMode, OffShellField
 from lightcone.fields import DEFAULT_BOX, DiracMode, FermionicJet, pairing_predicates, time_translate
 from lightcone.slayer import (
     _box_quadrupole_hat,
@@ -213,14 +213,15 @@ def _reference_d_terms(jet, mat, sign):
     return plus + [(sign * c, w, kx, ky) for c, w, kx, ky in other]
 
 
-def reference_conservation_residual(jet_u, jet_v, t=0.0, box=DEFAULT_BOX):
+def reference_conservation_residual(jet_u, jet_v, t=0.0):
     """Term-by-term evaluation of fermi_conservation_residual: a loop over
     every pair of exponential terms of the two jets' bilinears, for each
-    (alpha, beta), chirality and contraction.
+    (alpha, beta), chirality and contraction, with float momenta.
 
     Returns (value, scale), scale being the sum of the magnitudes of the
     contributions: the roundoff of any summation order is a multiple of
     eps * scale, which can exceed eps * |value| when terms cancel."""
+    box = jet_u.box
     chi = {"L": CHI_L, "R": CHI_R}
     chi_bar = {"L": CHI_R, "R": CHI_L}
     sigma0 = [None] + [sigma_jk(0, a) for a in (1, 2, 3)]
@@ -253,7 +254,8 @@ def reference_conservation_residual(jet_u, jet_v, t=0.0, box=DEFAULT_BOX):
                         for cc, ww, kk in ((coeff / 2j, w, ky), (-np.conj(coeff) / 2j, -w, -ky)):
                             if abs(ww) < 1e-12:
                                 continue
-                            w_hat = _box_quadrupole_hat(tuple(np.round(kk, 9)), box)
+                            n_key = tuple(int(c) for c in np.rint(kk * box / (2.0 * np.pi)))
+                            w_hat = _box_quadrupole_hat(n_key, box)
                             term = (
                                 -0.5 * (1j * ww) * cc * np.exp(1j * ww * t)
                                 * box**3 * w_hat[alpha - 1, beta - 1]
@@ -291,6 +293,8 @@ def test_conservation_residual_matches_reference(rng):
     cases.append(("matched", *matched_jet_pair(rng)))
     cases.append(("violating", *violating_jet_pair(rng)))
     cases.append(("opposite", *opposite_transfer_pair(rng)))
+    # the residual reads the box from the jets
+    cases.append(("violating, box 10", *violating_jet_pair(rng, box=10.0)))
     nonzero = set()
     for name, u, v in cases:
         for t in (0.0, 0.3):
@@ -300,7 +304,19 @@ def test_conservation_residual_matches_reference(rng):
             if want != 0.0:
                 nonzero.add(name)
     # the comparison is not between zeros only
-    assert nonzero >= {"dense", "violating", "opposite"}
+    assert nonzero >= {"dense", "violating", "opposite", "violating, box 10"}
+
+
+def test_functionals_reject_pairs_from_different_boxes(rng):
+    u, v = random_jet(rng), random_jet(rng, box=10.0)
+    for functional in (sigma_fermi, ip_fermi, fermi_conservation_residual, pairing_predicates):
+        with pytest.raises(InvalidMode):
+            functional(u, v)
+    fu = random_maxwell_field(rng)
+    fv = random_maxwell_field(rng, box=10.0)
+    for functional in (sigma_bose, ip_bose, sigma_bose_grid_oracle):
+        with pytest.raises(InvalidMode):
+            functional(fu, fv)
 
 
 def _distinct_transfer_family(rng, n, max_index):
