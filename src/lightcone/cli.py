@@ -21,8 +21,6 @@ import numpy as np
 from . import clifford, convolution, fields, kernels, lineint, slayer
 from .errors import ConfigInvalid, ConfigMalformed, LightconeError
 
-SUITE_NAMES = ("clifford", "convolution", "fields", "kernels", "lineint", "slayer")
-
 
 def default_config():
     """The shipped default field configuration: one opposite-momentum
@@ -241,7 +239,9 @@ def suite_fields(seed, tol):
 
 
 def suite_slayer(seed, tol, config=None):
-    _, mass, maxwell_fields, jets = fields.load_config(default_config() if config is None else config)
+    """config is a loaded (box, mass, maxwell_fields, jets), or None for
+    the default configuration."""
+    _, mass, maxwell_fields, jets = config or fields.load_config(default_config())
     rng = np.random.default_rng(seed)
     out = []
     if len(maxwell_fields) >= 2:
@@ -342,7 +342,7 @@ def main():
 @click.option("--out", default=None, type=click.Path())
 def verify(suites, config_path, seed, tols, out):
     """Run verification suites and write a JSON report."""
-    names = SUITE_NAMES if suites == "all" else tuple(s.strip() for s in suites.split(","))
+    names = tuple(_SUITES) if suites == "all" else tuple(s.strip() for s in suites.split(","))
     for name in names:
         if name not in _SUITES:
             click.echo(f"unknown suite: {name}", err=True)
@@ -357,32 +357,25 @@ def verify(suites, config_path, seed, tols, out):
             tolerances[key] = float(val)
         except ValueError:
             tolerances[key] = float("nan")
-        # a non-finite tolerance could not be written to the strict-JSON report
-        if not np.isfinite(tolerances[key]):
+        # a non-finite tolerance could not be written to the strict-JSON
+        # report; a negative one fails every check; an unknown suite name
+        # would be ignored
+        if key not in _SUITES or not (np.isfinite(tolerances[key]) and tolerances[key] >= 0):
             click.echo(f"bad --tol override: {item}", err=True)
             sys.exit(2)
+    config = None
     if config_path is not None:
         try:
-            fields.load_config(config_path)
+            config = fields.load_config(config_path)
         except ConfigMalformed as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
         except ConfigInvalid as exc:
             # Inadmissible field content is a failing check, not a usage error.
-            report = [
-                {
-                    "check": "config-admissibility",
-                    "status": "fail",
-                    "value": 1.0,
-                    "tolerance": 0.0,
-                    "paper_ref": "on-shell-constraints",
-                    "suite": "fields",
-                    "detail": str(exc),
-                }
-            ]
-            _write_json(report, out)
+            entry = _entry("config-admissibility", 1.0, 0.0, "on-shell-constraints", ok=False)
+            _write_json([dict(entry, suite="fields", detail=str(exc))], out)
             sys.exit(1)
-    report = run_suites(names, seed, tolerances, config_path)
+    report = run_suites(names, seed, tolerances, config)
     _write_json(report, out)
     sys.exit(1 if any(e["status"] == "fail" for e in report) else 0)
 
@@ -481,24 +474,27 @@ def convolution_cmd(q, m, out):
     rows = []
 
     def row(name, closed_fn, oracle_fn):
+        """One CSV row; the oracle cells stay empty without an oracle
+        (oracle_fn None) or when it raises."""
         try:
             closed = closed_fn()
         except LightconeError:
             return
+        oracle = rel = ""
         try:
-            oracle = oracle_fn()
-            rel = abs(closed - oracle) / max(1e-300, abs(closed))
-            rows.append((q, m, name, closed, oracle, rel))
+            if oracle_fn is not None:
+                oracle = oracle_fn()
+                rel = abs(closed - oracle) / max(1e-300, abs(closed))
         except LightconeError:
-            rows.append((q, m, name, closed, "", ""))
+            pass
+        rows.append((q, m, name, closed, oracle, rel))
 
+    # the K0 oracle reduces a rest-frame momentum only
     rest_frame = all(abs(c) < 1e-12 for c in qv[1:])
     row(
         "conv_K0_shell",
         lambda: convolution.conv_K0_shell(query),
-        lambda: convolution.conv_K0_shell_oracle(qv[0], m)
-        if rest_frame
-        else (_ for _ in ()).throw(LightconeError("oracle needs a rest-frame momentum")),
+        (lambda: convolution.conv_K0_shell_oracle(qv[0], m)) if rest_frame else None,
     )
     row(
         "conv_masscone_shell",
@@ -524,51 +520,20 @@ def slayer_eval(config_path, out):
     except ConfigInvalid as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
+    bose = (
+        ("sigma_bose", slayer.sigma_bose, "bose-symplectic"),
+        ("ip_bose", slayer.ip_bose, "bose-inner-product"),
+    )
+    fermi = (
+        ("sigma_fermi", slayer.sigma_fermi, "fermi-symplectic"),
+        ("ip_fermi", slayer.ip_fermi, "fermi-inner-product"),
+    )
     report = []
-    for i, u in enumerate(maxwell_fields):
-        for j, v in enumerate(maxwell_fields):
-            if j < i:
-                continue
-            report.append(
-                {
-                    "check": f"sigma_bose[{i},{j}]",
-                    "status": "pass",
-                    "value": slayer.sigma_bose(u, v, 0.0),
-                    "tolerance": 0.0,
-                    "paper_ref": "bose-symplectic",
-                }
-            )
-            report.append(
-                {
-                    "check": f"ip_bose[{i},{j}]",
-                    "status": "pass",
-                    "value": slayer.ip_bose(u, v),
-                    "tolerance": 0.0,
-                    "paper_ref": "bose-inner-product",
-                }
-            )
-    for i, ju in enumerate(jets):
-        for j, jv in enumerate(jets):
-            if j < i:
-                continue
-            report.append(
-                {
-                    "check": f"sigma_fermi[{i},{j}]",
-                    "status": "pass",
-                    "value": slayer.sigma_fermi(ju, jv),
-                    "tolerance": 0.0,
-                    "paper_ref": "fermi-symplectic",
-                }
-            )
-            report.append(
-                {
-                    "check": f"ip_fermi[{i},{j}]",
-                    "status": "pass",
-                    "value": slayer.ip_fermi(ju, jv),
-                    "tolerance": 0.0,
-                    "paper_ref": "fermi-inner-product",
-                }
-            )
+    for items, functionals in ((maxwell_fields, bose), (jets, fermi)):
+        for i, u in enumerate(items):
+            for j in range(i, len(items)):
+                for name, fn, paper_ref in functionals:
+                    report.append(_entry(f"{name}[{i},{j}]", fn(u, items[j]), 0.0, paper_ref, ok=True))
     _write_json(report, out)
     sys.exit(0)
 

@@ -116,16 +116,17 @@ def projector_ratio_constant(xi):
     return complex(c1), complex(c2)
 
 
-def conscond_check(nabla_p, s1, s2, tol=1e-10):
+def conscond_check(nabla_p, s1, s2):
     """True iff Tr((1 + s1*i*gamma0) gamma^a nabla_p) = 0 and
-    Tr(gamma5 (1 + s2*gamma0) gamma^a nabla_p) = 0 for a = 1, 2, 3."""
+    Tr(gamma5 (1 + s2*gamma0) gamma^a nabla_p) = 0 for a = 1, 2, 3, each to
+    absolute 1e-10."""
     nabla_p = np.asarray(nabla_p, dtype=complex)
     pre1 = ID4 + s1 * 1j * GAMMA0
     pre2 = GAMMA5 @ (ID4 + s2 * GAMMA0)
     for a in (1, 2, 3):
         t1 = np.trace(pre1 @ GAMMA[a] @ nabla_p)
         t2 = np.trace(pre2 @ GAMMA[a] @ nabla_p)
-        if abs(t1) > tol or abs(t2) > tol:
+        if abs(t1) > 1e-10 or abs(t2) > 1e-10:
             return False
     return True
 
@@ -145,16 +146,14 @@ def chiral_jet(g, h, a_vec, alpha, beta, sign):
     )
 
 
-def anticomm_trace_equiv(nabla_p, nabla_p_star, sign, tol=1e-10):
+def anticomm_trace_equiv(nabla_p, nabla_p_star, sign):
     """For a chirally symmetric nabla_p with matching sign and its spin
     adjoint, the traces of the anticommutator against sigma^{0a} and
     against -sign*gamma^a agree component-wise.
 
     Returns (lhs, rhs) with lhs_a = Tr(sigma^{0a} {nabla_p, nabla_p_star})
     and rhs_a = -sign * Tr(gamma^a {nabla_p, nabla_p_star})."""
-    if not conscond_check(nabla_p, sign, 1, tol=tol) or not conscond_check(
-        nabla_p, sign, -1, tol=tol
-    ):
+    if not conscond_check(nabla_p, sign, 1) or not conscond_check(nabla_p, sign, -1):
         raise ChiralityViolated("jet does not satisfy the chiral trace conditions")
     anti = nabla_p @ nabla_p_star + nabla_p_star @ nabla_p
     lhs = np.array([np.trace(sigma_jk(0, a) @ anti) for a in (1, 2, 3)])

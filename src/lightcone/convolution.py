@@ -62,14 +62,14 @@ def conv_K0_shell(query):
     return (1.0 / PI3_32) * ((q2 - query.m**2) / q2) * np.sign(query.q0) * hval
 
 
-def _bisect(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200):
+def _bisect(g, lo, hi):
     """Root of g in [lo, hi] by bisection, for finite g(lo) and g(hi) of
     opposite signs; stops once the bracket is narrower than
-    xtol + rtol |midpoint|."""
+    1e-15 + 8.9e-16 |midpoint|, or raises after 200 steps."""
     lo_positive = g(lo) > 0
-    for _ in range(maxiter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol + rtol * abs(mid):
+        if hi - lo <= 1e-15 + 8.9e-16 * abs(mid):
             return mid
         g_mid = g(mid)
         if g_mid == 0.0:
@@ -78,7 +78,7 @@ def _bisect(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200):
             lo = mid
         else:
             hi = mid
-    raise LightconeError(f"bisection did not converge in {maxiter} steps on [{lo}, {hi}]")
+    raise LightconeError(f"bisection did not converge in 200 steps on [{lo}, {hi}]")
 
 
 def conv_K0_shell_oracle(big_omega, m):
@@ -134,26 +134,28 @@ def conv_masscone_shell(query):
             [log((q0 - |q| - l)/(q0 + |q| - l))]_0^{l_max}
 
     with l_max = q0 - sqrt(|q|^2 + m^2); the |q| -> 0 limit of the
-    bracket is -2/(q0 - l)."""
+    bracket is -2/(q0 - l).  The bracket difference is evaluated as one
+    log1p in l_max and q0 - l_max = sqrt(|q|^2 + m^2), which cancels neither
+    near the shell (l_max -> 0) nor far out (l_max -> q0)."""
     if query.q_sq <= 0 or query.q0 <= 0:
         raise OutsideUpperCone(f"q = {query.q} not in the open upper cone")
     m = query.m
     qn = query.qvec_norm
-    lmax = _ell_max(query)
+    q0 = query.q0
+    r_min = np.sqrt(qn**2 + m**2)
+    lmax = q0 - r_min
+    if qn < 1e-6 * m:
+        diff = -2.0 * lmax / (r_min * q0)
+    else:
+        diff = np.log1p(-2.0 * qn * lmax / ((r_min + qn) * (q0 - qn))) / qn
+    return lmax / PI3_16 + (m**2 / PI3_32) * diff
 
-    def bracket(ell):
-        if qn < 1e-6 * m:
-            return -2.0 / (query.q0 - ell)
-        return (1.0 / qn) * np.log((query.q0 - qn - ell) / (query.q0 + qn - ell))
 
-    return lmax / PI3_16 + (m**2 / PI3_32) * (bracket(lmax) - bracket(0.0))
-
-
-def conv_masscone_shell_oracle(query, tol=1e-12):
+def conv_masscone_shell_oracle(query):
     """Proof-level 1D reduction: (1/16 pi^3) int_0^{l_max}
     ((q - l)^2 - m^2)/(q - l)^2 dl with l = (ell, 0, 0, 0); for momenta
     below the shell (l_max < 0) the integration runs from -l_max to 0.
-    Adaptive Gauss quadrature with refinement check."""
+    60-point Gauss quadrature; 90 points must agree to relative 1e-12."""
     if query.q_sq <= 0 or query.q0 <= 0:
         raise OutsideUpperCone(f"q = {query.q} not in the open upper cone")
     m = query.m
@@ -172,7 +174,7 @@ def conv_masscone_shell_oracle(query, tol=1e-12):
         return half * np.sum(weights * integrand(mid + half * nodes))
 
     v1, v2 = quad(60), quad(90)
-    if abs(v2 - v1) > tol * max(1.0, abs(v2)):
+    if abs(v2 - v1) > 1e-12 * max(1.0, abs(v2)):
         raise QuadratureNotConverged(f"refinement moved by {abs(v2 - v1):.3e}")
     return v2 / PI3_16
 

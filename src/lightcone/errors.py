@@ -73,11 +73,3 @@ class ConfigMalformed(ConfigInvalid):
     """Run configuration lacks a parameter or gives one a value outside its
     domain (not a number, non-finite, non-positive): a usage error rather
     than inadmissible field content."""
-
-
-class SuiteFailed(LightconeError):
-    """At least one verification check failed."""
-
-
-class IoError(LightconeError):
-    """Could not read or write a requested file."""

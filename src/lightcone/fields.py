@@ -133,7 +133,8 @@ class DiracMode:
             raise InvalidMode("zero amplitude")
         k = np.concatenate(([self.k0], kvec))
         residual = np.linalg.norm((slash(k) - self.m * np.eye(4)) @ a)
-        if residual > ONSHELL_TOL * self.m * norm:
+        # the roundoff of (k_slash - m) a grows with |k0| >= m
+        if residual > ONSHELL_TOL * abs(k[0]) * norm:
             raise InvalidMode(f"amplitude off the mass shell: residual {residual:.3e}")
         object.__setattr__(self, "kvec", tuple(float(c) for c in kvec))
         object.__setattr__(self, "a", tuple(complex(c) for c in a))

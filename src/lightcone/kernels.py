@@ -5,8 +5,7 @@ radial Fourier engine used as an independent oracle.
 Conventions: momentum p = (omega, k_vec), k = |k_vec| > 0; cone regions
 are InsideUpper (omega > k), InsideLower (omega < -k), Outside
 (|omega| < k) and Boundary (|omega| = k).  Each kernel id carries the
-unit-prefactor closed formula; overall constants live in the
-`normalization` field.
+unit-prefactor closed formula.
 """
 
 from __future__ import annotations
@@ -74,18 +73,17 @@ TENSOR_HOMOGENEITY_DEGREE = {"XiXiDelta_over_t3": -1, "XiXiK0_over_t4": 0}
 @dataclass(frozen=True)
 class KernelHat:
     id: str
-    normalization: float = 1.0
 
     def __post_init__(self):
         if self.id not in KERNEL_IDS:
             raise UnsupportedKernel(self.id)
 
 
-def classify(omega, k, tol=1e-12):
+def classify(omega, k):
     """Cone-region tag of the momentum (omega, |k_vec| = k)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if abs(abs(omega) - k) <= tol:
+    if abs(abs(omega) - k) <= 1e-12:
         return ConeRegion.Boundary
     if omega > k:
         return ConeRegion.InsideUpper
@@ -97,7 +95,8 @@ def classify(omega, k, tol=1e-12):
 def _xixi_delta_base(omega, k):
     lm = np.log(abs(omega - k))
     lp = np.log(abs(omega + k))
-    return (1j / k) * ((omega - k) ** 2 * lm - (omega + k) ** 2 * lp)
+    # purely imaginary: the real part is +0.0 for either sign of the base
+    return complex(0.0, (1.0 / k) * ((omega - k) ** 2 * lm - (omega + k) ** 2 * lp))
 
 
 def _xixi_delta_base_dk(omega, k):
@@ -122,7 +121,6 @@ def eval_hat(kernel, omega, k):
     kid = kernel.id
     if region is ConeRegion.Boundary and kid in LOG_SINGULAR:
         raise OnLightCone(f"{kid} at |omega| = k")
-    n = kernel.normalization
     inside = region in (ConeRegion.InsideUpper, ConeRegion.InsideLower)
     sign = 1.0 if region is ConeRegion.InsideUpper else -1.0
 
@@ -132,36 +130,36 @@ def eval_hat(kernel, omega, k):
             raise OnLightCone("K0Hat supported on |omega| = k")
         return 0.0j
     if kid == "IK0_over_t":
-        return n * (0.0j if inside else 1.0 / k + 0.0j)
+        return 0.0j if inside else 1.0 / k + 0.0j
     if kid == "IK0_over_t2":
         if inside:
-            return n * (1j * sign)
-        return n * 1j * omega / k
+            return complex(0.0, sign)  # +0.0 real part also in the lower cone
+        return 1j * omega / k
     if kid == "Delta_over_t":
-        return n * (1j / k) * (np.log(abs(omega - k)) - np.log(abs(omega + k)))
+        return (1j / k) * (np.log(abs(omega - k)) - np.log(abs(omega + k)))
     if kid == "Delta_over_t2":
-        return n * (1.0 / k) * (
+        return (1.0 / k) * (
             (omega - k) * np.log(abs(omega - k))
             - (omega + k) * np.log(abs(omega + k))
         ) + 0.0j
     if kid == "XiK0_over_t3":
-        return n * (0.0j if inside else omega**2 / (2.0 * k) + k / 2.0 + 0.0j)
+        return 0.0j if inside else omega**2 / (2.0 * k) + k / 2.0 + 0.0j
     if kid == "XiXiK0_over_t4":
         if inside:
-            return n * (sign * k**2 / 6.0 + 0.0j)
-        return n * (omega**3 / (6.0 * k) + k * omega / 2.0 + 0.0j)
+            return sign * k**2 / 6.0 + 0.0j
+        return omega**3 / (6.0 * k) + k * omega / 2.0 + 0.0j
     if kid == "XiXiDelta_over_t3":
-        return n * _xixi_delta_base(omega, k)
+        return _xixi_delta_base(omega, k)
     if kid == "K0_et":
-        return n * 1j * omega / k
+        return 1j * omega / k
     if kid == "K0_zm":
         if inside:
-            return n * 1j * (sign - omega / k)
+            return 1j * (sign - omega / k)
         return 0.0j
     if kid == "K0c_et":
-        return n * (1.0 / k) + 0.0j
+        return 1.0 / k + 0.0j
     if kid == "K0c_zm":
-        return n * (-1.0 / k + 0.0j) if inside else 0.0j
+        return -1.0 / k + 0.0j if inside else 0.0j
     raise UnsupportedKernel(kid)
 
 
@@ -177,7 +175,6 @@ def eval_hat_tensor(kernel, omega, k_vec, alpha, beta=None):
     khat = k_vec / k
     region = classify(omega, k)
     kid = kernel.id
-    n = kernel.normalization
     a = alpha - 1
     inside = region in (ConeRegion.InsideUpper, ConeRegion.InsideLower)
     sign = 1.0 if region is ConeRegion.InsideUpper else -1.0
@@ -188,24 +185,22 @@ def eval_hat_tensor(kernel, omega, k_vec, alpha, beta=None):
         if inside:
             return 0.0j
         g1 = -(omega**2) / (2.0 * k**2) + 0.5
-        return n * 1j * khat[a] * g1
+        return 1j * khat[a] * g1
     if beta is None:
         raise UnsupportedKernel(f"{kid} carries two indices")
     b = beta - 1
     delta = 1.0 if a == b else 0.0
     if kid == "XiXiK0_over_t4":
         if inside:
-            return n * (sign * delta / 3.0 + 0.0j)
+            return sign * delta / 3.0 + 0.0j
         g1 = -(omega**3) / (6.0 * k**2) + omega / 2.0
         g2 = omega**3 / (3.0 * k**3)
-        return n * (
-            khat[a] * khat[b] * g2 + (delta - khat[a] * khat[b]) * g1 / k + 0.0j
-        )
+        return khat[a] * khat[b] * g2 + (delta - khat[a] * khat[b]) * g1 / k + 0.0j
     if kid == "XiXiDelta_over_t3":
         if region is ConeRegion.Boundary:
             raise OnLightCone("XiXiDelta_over_t3 at |omega| = k")
         b1, b2 = _xixi_delta_base_dk(omega, k)
-        return n * (khat[a] * khat[b] * b2 + (delta - khat[a] * khat[b]) * b1 / k)
+        return khat[a] * khat[b] * b2 + (delta - khat[a] * khat[b]) * b1 / k
     raise UnsupportedKernel(f"{kid} is not a tensor kernel")
 
 
@@ -250,23 +245,21 @@ def radial_fourier(f, omega, k, grid=None, check=True, tol=1e-3):
                                     int_0^inf r sin(k r) f(t, r) dr
 
     f must accept numpy arrays (broadcast over t[:, None], r[None, :]).
-    grid keys: t_max, nodes_per_unit (t-resolution relative to the
-    largest frequency), r_window (half-width around r = |t|), nr.
-    With check=True a refined grid must agree to relative tol."""
+    grid keys: t_max, r_window (half-width around r = |t|), and a finer
+    t-mesh of spacing t_fine_dx on |t| < t_fine_hw.  The resolution is fixed
+    (4 ten-node t-panels per period of the largest frequency, 40 r-nodes);
+    with check=True the twofold refinement must agree to relative tol."""
     if k <= 0:
         raise ZeroMomentum("k must be > 0")
     grid = dict(grid or {})
     t_max = grid.get("t_max", 120.0)
     r_window = grid.get("r_window", None)
-    nr = grid.get("nr", 40)
-    per_unit = grid.get("nodes_per_unit", 4.0)
-
     t_fine_hw = grid.get("t_fine_hw", 0.0)
     t_fine_dx = grid.get("t_fine_dx", 0.0)
 
     def compute(refine):
         freq = max(abs(omega), k, 1.0)
-        npan = int(np.ceil(refine * per_unit * t_max * freq / (2.0 * np.pi))) + 8
+        npan = int(np.ceil(refine * 4.0 * t_max * freq / (2.0 * np.pi))) + 8
         edges = np.linspace(-t_max, t_max, npan + 1)
         if t_fine_hw > 0.0 and t_fine_dx > 0.0:
             nfine = int(np.ceil(2.0 * t_fine_hw / (t_fine_dx / refine)))
@@ -278,7 +271,7 @@ def radial_fourier(f, omega, k, grid=None, check=True, tol=1e-3):
         t = (mid[:, None] + half[:, None] * gl_t[None, :]).ravel()
         wt = (half[:, None] * gw_t[None, :]).ravel()
 
-        gl_r, gw_r = gauss_legendre(int(refine * nr))
+        gl_r, gw_r = gauss_legendre(40 * refine)
         if r_window is None:
             r_lo = np.zeros_like(t)
             r_hi = np.full_like(t, t_max)
@@ -313,7 +306,7 @@ def _smooth_cutoff(t, eta):
     return x * x * (3.0 - 2.0 * x)
 
 
-def mollified_position_kernel(kid, eta, t_damp=14.0):
+def mollified_position_kernel(kid, eta, t_damp):
     """Position-space realization of a kernel id with the on-cone delta
     replaced by a Gaussian of width eta in (r - |t|) and a Gaussian time
     damping of scale t_damp (for conditional convergence).  Returns a
@@ -352,20 +345,26 @@ def _extrapolate_to_zero(xs, vs):
     return total
 
 
-def oracle_value(kid, omega, k, eta, t_damp, grid=None):
+def oracle_value(kid, omega, k, eta, t_damp):
     """One mollified radial Fourier evaluation at fixed eta and damping
     scale; for the 1/t^2 kernels the damping tail is removed by a linear
     Richardson step in 1/t_damp."""
-    g = dict(grid or {})
-    g.setdefault("r_window", 10.0 * eta)
-    g.setdefault("t_fine_hw", max(20.0 * eta, 1.0))
-    g.setdefault("t_fine_dx", eta / 2.0)
-    g.setdefault("t_max", 6.0 * t_damp)
+    grid = {
+        "r_window": 10.0 * eta,
+        "t_fine_hw": max(20.0 * eta, 1.0),
+        "t_fine_dx": eta / 2.0,
+        "t_max": 6.0 * t_damp,
+    }
     f = mollified_position_kernel(kid, eta, t_damp=t_damp)
-    return radial_fourier(f, omega, k, grid=g, check=False)
+    return radial_fourier(f, omega, k, grid=grid, check=False)
 
 
-def oracle_ratio(kid, omega, k, etas=(0.08, 0.04, 0.02), t_damp=20.0, grid=None):
+# The oracles' mollifier ladder (extrapolated to zero width) and damping scale.
+ORACLE_ETAS = (0.08, 0.04, 0.02)
+ORACLE_T_DAMP = 20.0
+
+
+def oracle_ratio(kid, omega, k):
     """Ratio of the mollified radial Fourier oracle to the closed form at
     (omega, k), polynomially extrapolated to zero mollifier width.  The
     limit is an (omega, k)-independent constant per kernel id."""
@@ -373,26 +372,19 @@ def oracle_ratio(kid, omega, k, etas=(0.08, 0.04, 0.02), t_damp=20.0, grid=None)
     closed = eval_hat(kernel, omega, k)
     if abs(closed) < 1e-14:
         raise TooCloseToSingularSet("closed form vanishes; ratio undefined")
-    vals = [oracle_value(kid, omega, k, eta, t_damp, grid) / closed for eta in etas]
-    return _extrapolate_to_zero(etas, vals)
+    vals = [oracle_value(kid, omega, k, eta, ORACLE_T_DAMP) / closed for eta in ORACLE_ETAS]
+    return _extrapolate_to_zero(ORACLE_ETAS, vals)
 
 
-def k0hat_shell_ratio(omega, k, eta=0.02, t_damp=20.0):
+def k0hat_shell_ratio(omega, k):
     """Near-shell oracle check for the on-cone kernel: the Gaussian time
     damping smears the shell deltas into Gaussians of width 1/t_damp in
     omega.  Returns the ratio of the mollified transform to the smeared
     reference (1/k)(T/sqrt(2 pi))(exp(-(omega-k)^2 T^2/2)
     - exp(-(omega+k)^2 T^2/2)); an (omega, k)-independent constant near
     either shell."""
-    T = t_damp
-    f = mollified_position_kernel("K0Hat", eta, t_damp=T)
-    grid = {
-        "r_window": 10.0 * eta,
-        "t_fine_hw": max(20.0 * eta, 1.0),
-        "t_fine_dx": eta / 2.0,
-        "t_max": 6.0 * T,
-    }
-    oracle = radial_fourier(f, omega, k, grid=grid, check=False)
+    T = ORACLE_T_DAMP
+    oracle = oracle_value("K0Hat", omega, k, ORACLE_ETAS[-1], T)
     ref = (T / np.sqrt(2.0 * np.pi) / k) * (
         np.exp(-0.5 * ((omega - k) * T) ** 2) - np.exp(-0.5 * ((omega + k) * T) ** 2)
     )
@@ -424,11 +416,7 @@ def et_zm_split(kernel):
     polynomial in omega and K_zm supported in the closed mass cones.
     Defined for the two split source ids."""
     if kernel.id == "IK0_over_t2":
-        return KernelHat("K0_et", kernel.normalization), KernelHat(
-            "K0_zm", kernel.normalization
-        )
+        return KernelHat("K0_et"), KernelHat("K0_zm")
     if kernel.id == "IK0_over_t":
-        return KernelHat("K0c_et", kernel.normalization), KernelHat(
-            "K0c_zm", kernel.normalization
-        )
+        return KernelHat("K0c_et"), KernelHat("K0c_zm")
     raise UnsupportedKernel(f"no equal-time split for {kernel.id}")

@@ -134,12 +134,6 @@ def eval_piecewise(fn, a, b):
     return _FUNCTIONS[fn](a, b)
 
 
-def jtilde_from_j():
-    """Return (JTILDE, subtraction steps): J - P1 - P2 - P3 = JTILDE
-    pointwise away from region boundaries."""
-    return JTILDE, SUBTRACTIONS
-
-
 def compact_identity_residual(samples):
     """Max over samples of |JTILDE(a,b) - U(a,b) - V(a,b)*chi(a,b)| with chi
     the indicator of the half-open unit square [0,1)^2 (matching the
@@ -158,14 +152,15 @@ def _weight(tau, p, q, r):
     return tau**p * (1.0 - tau) ** q * (tau - tau * tau) ** r
 
 
-def nested_line_integral(F, G, x, y, w1, w2, order=48, tol=1e-9):
+def nested_line_integral(F, G, x, y, w1, w2):
     """Nested segment integral
 
         int_0^1 dtau w1(tau) int_0^1 dtau~ w2(tau~) F(z) G(z~)
 
     with z = tau*y + (1-tau)*x and z~ = tau~*y + (1-tau~)*z, weights
     w(tau) = tau^p (1-tau)^q (tau - tau^2)^r given as triples (p, q, r).
-    Gauss-Legendre tensor quadrature with an order-refinement check."""
+    48-point Gauss-Legendre tensor quadrature; 72 points must agree to
+    relative 1e-9."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
@@ -186,23 +181,23 @@ def nested_line_integral(F, G, x, y, w1, w2, order=48, tol=1e-9):
             total += wa[i] * fz * inner
         return total
 
-    v1 = compute(order)
-    v2 = compute(order + order // 2)
-    if abs(v2 - v1) > tol * max(1.0, abs(v2)):
+    v1 = compute(48)
+    v2 = compute(72)
+    if abs(v2 - v1) > 1e-9 * max(1.0, abs(v2)):
         raise QuadratureNotConverged(
             f"nested line integral: refinement moved by {abs(v2 - v1):.3e}"
         )
     return v2
 
 
-def unbounded_line_integral(j, x, direction, cutoff, tail_tol=1e-6, order=60):
+def unbounded_line_integral(j, x, direction, cutoff):
     """Weighted line integral of a current j along the null ray through x:
 
         int_-cutoff^cutoff a^2 sign(a) (j^0 - dir . j_vec)(x0 + a, x_vec + a dir) da
 
-    j maps a spacetime point (4 floats) to a real 4-vector j^k.  The tail
-    beyond the cutoff is estimated on [cutoff, 2 cutoff]; if it is not
-    negligible against tail_tol the integral is rejected."""
+    j maps a spacetime point (4 floats) to a real 4-vector j^k, integrated
+    on 8 panels of 60 Gauss nodes.  The tail beyond the cutoff is estimated
+    on [cutoff, 2 cutoff]; above relative 1e-6 the integral is rejected."""
     x = np.asarray(x, dtype=float)
     direction = np.asarray(direction, dtype=float)
     xi = np.concatenate(([1.0], direction))
@@ -213,8 +208,8 @@ def unbounded_line_integral(j, x, direction, cutoff, tail_tol=1e-6, order=60):
         contraction = jk[0] - direction @ jk[1:]
         return a * a * np.sign(a) * contraction
 
-    def panel(lo, hi, n):
-        nodes, weights = gauss_legendre(n)
+    def panel(lo, hi):
+        nodes, weights = gauss_legendre(60)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         return half * sum(w * integrand(mid + half * t) for t, w in zip(nodes, weights))
 
@@ -223,20 +218,17 @@ def unbounded_line_integral(j, x, direction, cutoff, tail_tol=1e-6, order=60):
     for k in range(npanels):
         lo = -cutoff + 2.0 * cutoff * k / npanels
         hi = -cutoff + 2.0 * cutoff * (k + 1) / npanels
-        total += panel(lo, hi, order)
-    tail = abs(panel(cutoff, 2.0 * cutoff, order)) + abs(
-        panel(-2.0 * cutoff, -cutoff, order)
-    )
-    if tail > tail_tol * max(1.0, abs(total)):
+        total += panel(lo, hi)
+    tail = abs(panel(cutoff, 2.0 * cutoff)) + abs(panel(-2.0 * cutoff, -cutoff))
+    if tail > 1e-6 * max(1.0, abs(total)):
         raise TailNotNegligible(f"tail estimate {tail:.3e} beyond cutoff {cutoff}")
     return total
 
 
-def _half_line_nodes(w, damping, upper=None):
-    """Panelized Gauss nodes on [0, upper] resolving oscillations of
+def _half_line_nodes(w, damping):
+    """Panelized Gauss nodes on [0, 40/damping] resolving oscillations of
     frequency w under exponential damping."""
-    if upper is None:
-        upper = 40.0 / damping
+    upper = 40.0 / damping
     npanels = int(np.ceil(upper * max(abs(w), damping, 0.25) / 2.5))
     npanels = min(max(npanels, 16), 200_000)
     edges = np.linspace(0.0, upper, npanels + 1)
@@ -248,17 +240,17 @@ def _half_line_nodes(w, damping, upper=None):
     return a, wq
 
 
-def _damped_sign_block(w, damping, upper=None):
-    """Numerical int sign(a) exp(-i a w - damping |a|) da
+def damped_sign_block(w, damping):
+    """Quadrature oracle for int sign(a) exp(-i a w - damping |a|) da
     = -2i int_0^inf exp(-damping a) sin(a w) da."""
-    a, wq = _half_line_nodes(w, damping, upper)
+    a, wq = _half_line_nodes(w, damping)
     return -2j * np.sum(wq * np.exp(-damping * a) * np.sin(a * w))
 
 
-def _damped_delta_block(w, damping, upper=None):
-    """Numerical int exp(-i a w - damping |a|) da
+def damped_delta_block(w, damping):
+    """Quadrature oracle for int exp(-i a w - damping |a|) da
     = 2 int_0^inf exp(-damping a) cos(a w) da = 2 damping/(w^2+damping^2)."""
-    a, wq = _half_line_nodes(w, damping, upper)
+    a, wq = _half_line_nodes(w, damping)
     return 2.0 * np.sum(wq * np.exp(-damping * a) * np.cos(a * w))
 
 
@@ -281,11 +273,11 @@ def bidist_A_oracle(u, v, damping=None):
             raise TooCloseToSingularSet(f"argument {w} within damping of singular set")
 
     def assemble(eps):
-        eu = _damped_sign_block(u, eps)
-        ev = _damped_sign_block(v, eps)
-        du = _damped_delta_block(u, eps)
-        dv = _damped_delta_block(v, eps)
-        duv = _damped_delta_block(u + v, eps)
+        eu = damped_sign_block(u, eps)
+        ev = damped_sign_block(v, eps)
+        du = damped_delta_block(u, eps)
+        dv = damped_delta_block(v, eps)
+        duv = damped_delta_block(u + v, eps)
         return eu * dv - du * ev - 2.0 * eu * duv
 
     values = [assemble(eps) for eps in ladder]
@@ -295,13 +287,3 @@ def bidist_A_oracle(u, v, damping=None):
     e1, e2 = ladder[-2], ladder[-1]
     v1, v2 = values[-2], values[-1]
     return v2 + (v2 - v1) * e2 / (e1 - e2)
-
-
-def damped_sign_block(w, damping):
-    """Public quadrature oracle for int sign(a) exp(-i a w - damping|a|) da."""
-    return _damped_sign_block(w, damping)
-
-
-def damped_delta_block(w, damping):
-    """Public quadrature oracle for int exp(-i a w - damping|a|) da."""
-    return _damped_delta_block(w, damping)

@@ -455,11 +455,11 @@ def current_sli_support_check(modes):
     return total
 
 
-def time_average_identity_check(f, t0=0.0, t_list=(10.0, 50.0, 100.0), s_max=40.0):
+def time_average_identity_check(f, t_list=(10.0, 50.0, 100.0), s_max=40.0):
     """For an antisymmetric translation-invariant kernel A(t, t') = f(t'-t)
     with f odd and s*f(s) integrable, compares
 
-        lhs = Integral_{-inf}^{t0} dt Integral_{t0}^{inf} dt' A(t,t')
+        lhs = Integral_{-inf}^0 dt Integral_0^inf dt' A(t,t')
         rhs_T = (1/2T) Integral_0^T dt Integral dt' (t'-t) A(t,t')
 
     Returns (lhs, [rhs_T for T in t_list])."""
@@ -470,8 +470,8 @@ def time_average_identity_check(f, t0=0.0, t_list=(10.0, 50.0, 100.0), s_max=40.
         return mid + half * nodes, half * weights
 
     # lhs as a genuine double integral over the decaying corner
-    t_n, t_w = gl(t0 - s_max, t0)
-    tp_n, tp_w = gl(t0, t0 + s_max)
+    t_n, t_w = gl(-s_max, 0.0)
+    tp_n, tp_w = gl(0.0, s_max)
     grid = np.array([[f(tp - t) for tp in tp_n] for t in t_n])
     lhs = float(t_w @ grid @ tp_w)
 
@@ -497,7 +497,7 @@ def time_average_identity_check(f, t0=0.0, t_list=(10.0, 50.0, 100.0), s_max=40.
     return lhs, rhs
 
 
-def positivity_probe(j, x, y, cutoff=8.0, tail_tol=1e-6):
+def positivity_probe(j, x, y, cutoff=8.0):
     """Product of the unbounded line integrals of the current j contracted
     with the null direction xi = (1, dir) through x and through y, with
     dir read off from the null separation y - x (default (1,0,0) at
@@ -512,6 +512,6 @@ def positivity_probe(j, x, y, cutoff=8.0, tail_tol=1e-6):
         direction = np.array([1.0, 0.0, 0.0])
     nrm = np.linalg.norm(direction)
     direction = direction / nrm if nrm > 0 else np.array([1.0, 0.0, 0.0])
-    fx = unbounded_line_integral(j, x, direction, cutoff, tail_tol=tail_tol)
-    fy = unbounded_line_integral(j, y, direction, cutoff, tail_tol=tail_tol)
+    fx = unbounded_line_integral(j, x, direction, cutoff)
+    fy = unbounded_line_integral(j, y, direction, cutoff)
     return fx * fy

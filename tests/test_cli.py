@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -41,7 +43,7 @@ def test_verify_bad_tol_exits_2(runner):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("override", ["clifford=nan", "slayer=inf"])
+@pytest.mark.parametrize("override", ["clifford=nan", "slayer=inf", "kernls=1e-8", "clifford=-1"])
 def test_verify_non_finite_tol_exits_2(runner, override):
     result = runner.invoke(cli.main, ["verify", "--suites", "clifford", "--tol", override])
     assert result.exit_code == 2
@@ -190,6 +192,13 @@ def test_convolution_far_out_leaves_oracle_cells_empty(runner):
     assert result.exit_code == 0
     row = next(r for r in result.output.splitlines() if ",conv_K0_shell," in r)
     assert row.endswith(",conv_K0_shell,0.0010078604510374842,,")
+    # the mass-cone closed form stays finite where q0 - l_max would cancel
+    for q in ("1e16,0,0,0", "1e150,0,0,0"):
+        result = runner.invoke(cli.main, ["convolution", "--q", q])
+        assert result.exit_code == 0 and result.stderr == ""
+        row = next(r for r in csv.reader(io.StringIO(result.stdout)) if r[2] == "conv_masscone_shell")
+        closed, oracle, rel = (float(c) for c in row[3:])
+        assert np.isfinite(closed) and np.isfinite(oracle) and rel <= 1e-10
 
 
 def test_convolution_bad_momentum_exits_2(runner):

@@ -98,6 +98,13 @@ def test_dirac_mode_rejects_off_shell():
     DiracMode(1, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), 1.0)
 
 
+def test_dirac_mode_accepts_exact_spinor_far_out():
+    # residual 1.9e-9 from roundoff alone at |k| = 2 pi 3e7 / 10
+    kvec = 2.0 * np.pi * np.array([30000000.0, 0.0, 0.0]) / 10.0
+    for a in dirac_basis(1, kvec, 1.0):
+        DiracMode(1, tuple(kvec), tuple(a), 1.0)
+
+
 def test_dirac_basis_orthonormal(rng):
     for shell in (1, -1):
         kvec = rng.normal(size=3)

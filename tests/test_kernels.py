@@ -4,6 +4,7 @@ import pytest
 from lightcone import kernels
 from lightcone.errors import (
     OnLightCone,
+    QuadratureNotConverged,
     TooCloseToSingularSet,
     UnsupportedKernel,
     ZeroMomentum,
@@ -22,6 +23,7 @@ from lightcone.kernels import (
     k0hat_shell_ratio,
     kernel_table,
     oracle_ratio,
+    radial_fourier,
 )
 
 # number of spatial indices carried by the tensor ids; eval_hat returns
@@ -165,6 +167,25 @@ def test_k0hat_shell_ratio_constant():
     for omega, k in ((1.3, 1.3), (0.9, 0.9)):
         ratio = k0hat_shell_ratio(omega, k)
         assert abs(ratio - (-2.0 * np.pi**2)) < 0.01 * 2.0 * np.pi**2
+
+
+def _gaussian_4d(t, r):
+    return np.exp(-(t**2 + r**2) / 2.0)
+
+
+def test_radial_fourier_guard_passes_on_a_resolved_grid():
+    # the transform of exp(-(t^2 + r^2)/2) is (2 pi)^2 exp(-(omega^2 + k^2)/2)
+    for omega, k in ((0.3, 0.7), (1.2, 0.4), (2.0, 1.5)):
+        value = radial_fourier(_gaussian_4d, omega, k, grid={"t_max": 12.0}, check=True)
+        exact = (2.0 * np.pi) ** 2 * np.exp(-(omega**2 + k**2) / 2.0)
+        assert abs(value - exact) <= 1e-12 * exact
+
+
+def test_radial_fourier_guard_rejects_an_unresolved_grid():
+    # at the default t_max = 120 the 40 r-nodes on [0, t_max] miss the
+    # Gaussian, and the twofold refinement moves the value by about 4e-2
+    with pytest.raises(QuadratureNotConverged):
+        radial_fourier(_gaussian_4d, 0.3, 0.7, check=True)
 
 
 def test_kernel_table_rows():
