@@ -1,10 +1,10 @@
 """Verification library for light-cone distribution kernels, piecewise
 line-integral functions, shell convolutions, Dirac/Clifford algebra, and
-surface-layer functionals of finite-box field configurations."""
-
-from . import clifford, convolution, errors, fields, kernels, lineint, quadrature, slayer
+surface-layer functionals of finite-box field configurations.  Importing
+the package loads no submodule: `from lightcone import slayer` loads one."""
 
 __all__ = [
+    "checks",
     "clifford",
     "convolution",
     "errors",

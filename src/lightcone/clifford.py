@@ -74,7 +74,7 @@ def closed_chain_projectors(xi):
     d = 2 sqrt((<xi,xibar>)^2 - xi^2 xibar^2), principal square root.
     Satisfies F_plus + F_minus = 1, F_pm idempotent, F_plus F_minus = 0,
     and F_minus xi_slash = c F_minus xibar_slash with
-    c = 2 xi^2 / (d + 2 <xi,xibar>).
+    c = 2 xi^2 / (d + 2 <xi,xibar>) (see projector_ratio_constant).
     """
     xi = np.asarray(xi, dtype=complex)
     xibar = np.conj(xi)
@@ -100,9 +100,13 @@ def closed_chain_projectors(xi):
 
 
 def projector_ratio_constant(xi):
-    """The constant c with F_minus xi_slash = c F_minus xibar_slash,
-    in its two equivalent forms (c1, c2); DegenerateChain at a null xi,
-    where |c| ~ 1/|xi^2| has no finite value."""
+    """The constant c with F_minus xi_slash = c F_minus xibar_slash;
+    DegenerateChain at a null xi, where |c| ~ 1/|xi^2| has no finite value.
+
+    With w = <xi, xibar> real, c = 2 xi^2 / (d + 2w) = -(d - 2w) / (2 xibar^2),
+    the two forms being equal because (d + 2w)(d - 2w) = -4 xi^2 xibar^2.
+    The first cancels for w < 0 and the second for w > 0 (near a null xi,
+    d is close to 2|w|), so each sign of w takes the other form."""
     xi = np.asarray(xi, dtype=complex)
     xibar = np.conj(xi)
     w = minkowski(xi, xibar)
@@ -110,10 +114,11 @@ def projector_ratio_constant(xi):
     zbar = minkowski(xibar, xibar)
     if abs(z) <= DEGENERACY_TOL * float(np.sum(np.abs(xi) ** 2)):
         raise DegenerateChain(f"null xi: |xi^2| = {abs(z):.3e}, no finite ratio")
+    # the same d, branch included, as closed_chain_projectors
     d = 2.0 * np.sqrt(complex(w * w - z * zbar))
-    c1 = 2.0 * z / (d + 2.0 * w)
-    c2 = -(d - 2.0 * w) / (2.0 * zbar)
-    return complex(c1), complex(c2)
+    if w.real >= 0:
+        return complex(2.0 * z / (d + 2.0 * w))
+    return complex(-(d - 2.0 * w) / (2.0 * zbar))
 
 
 def conscond_check(nabla_p, s1, s2):

@@ -86,7 +86,9 @@ def conv_K0_shell_oracle(big_omega, m):
     momentum q = (Omega, 0): the light-cone factor sign(p0) delta(p^2)
     restricts p0 = s k (s = +-1, weight s/(2k)), and the remaining mass
     shell delta in k is resolved by numerical root finding with a
-    numerical Jacobian."""
+    numerical Jacobian.  Raises LightconeError where that Jacobian, a
+    central difference at step 1e-3 of terms of size Omega^2, carries a
+    roundoff above 1e-11 of itself (from |Omega| of about 180 on)."""
     if big_omega == 0:
         raise SpacelikeQ("Omega = 0")
     total = 0.0
@@ -106,9 +108,14 @@ def conv_K0_shell_oracle(big_omega, m):
         k_star = _bisect(g, eps, k_hi)
         h = 1e-3
         slope = (g(k_star + h) - g(k_star - h)) / (2.0 * h)
-        # far out, k* +- h round to k* and the difference quotient vanishes
-        if slope == 0.0 or not np.isfinite(slope):
-            raise LightconeError(f"central-difference Jacobian {slope} at Omega = {big_omega}")
+        # each g(k* +- h) rounds at about eps times its terms, so the
+        # quotient's roundoff grows like |Omega| while the slope stays 2|Omega|
+        roundoff = np.finfo(float).eps * ((big_omega - s * k_star) ** 2 + k_star**2 + m**2) / h
+        if not (np.isfinite(slope) and roundoff <= 1e-11 * abs(slope)):
+            raise LightconeError(
+                f"central-difference Jacobian {slope} at Omega = {big_omega}"
+                f" has a roundoff of {roundoff:.3e}"
+            )
         jac = abs(slope)
         # one Newton polish with the central-difference derivative
         k_star -= g(k_star) / slope
@@ -155,28 +162,43 @@ def conv_masscone_shell_oracle(query):
     """Proof-level 1D reduction: (1/16 pi^3) int_0^{l_max}
     ((q - l)^2 - m^2)/(q - l)^2 dl with l = (ell, 0, 0, 0); for momenta
     below the shell (l_max < 0) the integration runs from -l_max to 0.
-    60-point Gauss quadrature; 90 points must agree to relative 1e-12."""
+
+    With r^2 = (q0 - ell)^2 - |q|^2 the integrand is 1 - m^2/r^2, which
+    varies on a scale of order m near l_max however large q0 is, so the
+    nodes are graded toward l_max: the rule runs in t = log r^2, where the
+    integrand is smooth on unit scales.  Gauss panels of width at most 1
+    in t (12 nodes) must agree with panels of width at most 2/3 (8 nodes)
+    to relative 1e-12."""
     if query.q_sq <= 0 or query.q0 <= 0:
         raise OutsideUpperCone(f"q = {query.q} not in the open upper cone")
     m = query.m
     qn = query.qvec_norm
     lmax = _ell_max(query)
+    # t at both ends: r^2 is q^2 at ell = 0 and exactly m^2 at ell = l_max
+    if lmax >= 0.0:
+        t_a, t_b = np.log(query.q_sq), 2.0 * np.log(m)
+    else:
+        x = query.q0 + lmax  # q0 - ell at ell = -l_max
+        if not (x > 0.0 and x * x > qn**2):
+            raise QuadratureNotConverged(f"integrand singular below the shell at q = {query.q}")
+        t_a, t_b = np.log(x * x - qn**2), np.log(query.q_sq)
 
-    def integrand(ell):
-        r2 = (query.q0 - ell) ** 2 - qn**2
-        return (r2 - m**2) / r2
+    def integrand(t):
+        # (1 - m^2/r^2) d ell/dt, with d ell/dt = -r^2 / (2 (q0 - ell))
+        r2 = np.exp(t)
+        return -(r2 - m**2) / (2.0 * np.sqrt(r2 + qn**2))
 
-    lo, hi = (0.0, lmax) if lmax >= 0.0 else (-lmax, 0.0)
-
-    def quad(n):
+    def quad(width, n):
+        edges = np.linspace(t_a, t_b, max(1, int(np.ceil(abs(t_b - t_a) / width))) + 1)
         nodes, weights = gauss_legendre(n)
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        return half * np.sum(weights * integrand(mid + half * nodes))
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+        t = mid[:, None] + half[:, None] * nodes
+        return float(np.sum(half[:, None] * weights * integrand(t)))
 
-    v1, v2 = quad(60), quad(90)
-    if abs(v2 - v1) > 1e-12 * max(1.0, abs(v2)):
-        raise QuadratureNotConverged(f"refinement moved by {abs(v2 - v1):.3e}")
-    return v2 / PI3_16
+    v1, v2 = quad(1.0, 12), quad(2.0 / 3.0, 8)
+    if abs(v2 - v1) > 1e-12 * max(1.0, abs(v1)):
+        raise QuadratureNotConverged(f"node placements differ by {abs(v2 - v1):.3e}")
+    return v1 / PI3_16
 
 
 def _omega_weighted_value(query):

@@ -337,3 +337,49 @@ def load_config(source):
         except (InvalidMode, ShellViolation) as exc:
             raise ConfigInvalid(str(exc)) from exc
     return box, mass, fields_out, jets_out
+
+
+def default_config():
+    """The shipped default field configuration: one opposite-momentum
+    Maxwell mode pair and one momentum-matched jet pair in the default box."""
+    box = DEFAULT_BOX
+    k = 2.0 * np.pi / box
+    return {
+        "box": box,
+        "mass": 1.0,
+        "maxwell": [
+            {
+                "p": [k, k, 0.0, 0.0],
+                "eps_re": [0.0, 0.0, 1.0, 0.0],
+                "eps_im": [0.0, 0.0, 0.0, 1.0],
+            },
+            {
+                "p": [-k, -k, 0.0, 0.0],
+                "eps_re": [0.0, 0.0, 0.5, 0.0],
+                "eps_im": [0.0, 0.0, 0.0, -0.25],
+            },
+        ],
+        "jets": [
+            _jet_entry([1, 0, 0], [0, 1, 0], 101),
+            _jet_entry([1, 0, 0], [0, 1, 0], 202),
+        ],
+    }
+
+
+def _jet_entry(n_psi, n_delta, seed):
+    rng = np.random.default_rng(seed)
+    box = DEFAULT_BOX
+
+    def mode(shell, n):
+        kvec = 2.0 * np.pi * np.asarray(n, dtype=float) / box
+        basis = dirac_basis(shell, kvec, 1.0)
+        c = rng.normal(size=2) + 1j * rng.normal(size=2)
+        a = c[0] * basis[0] + c[1] * basis[1]
+        return {
+            "shell": shell,
+            "n": list(int(i) for i in n),
+            "a_re": [float(x) for x in a.real],
+            "a_im": [float(x) for x in a.imag],
+        }
+
+    return {"psi": [mode(-1, n_psi)], "delta_psi": [mode(1, n_delta)]}

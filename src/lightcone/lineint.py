@@ -5,13 +5,12 @@ integrals, and the damped oracle for the antisymmetric bi-distribution.
 The piecewise functions are bilinear polynomials c0 + c1*a + c2*b + c3*a*b
 on finitely many regions (interval x interval, optionally cut by the
 diagonal).  All region coefficients are integers, so evaluation on
-rational inputs is exact.
+rational inputs is exact: on Fractions, or on int arrays via PiecewisePoly2.scaled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,36 +36,48 @@ class Region:
     halfplane: object  # None, ABOVE, or BELOW
     coeffs: tuple
 
-    def contains(self, a, b):
-        if self.a_lo is not None and not a >= self.a_lo:
-            return False
-        if self.a_hi is not None and not a < self.a_hi:
-            return False
-        if self.b_lo is not None and not b >= self.b_lo:
-            return False
-        if self.b_hi is not None and not b < self.b_hi:
-            return False
-        if self.halfplane == ABOVE and not b > a:
-            return False
-        if self.halfplane == BELOW and not a > b:
-            return False
-        return True
+    def contains(self, pa, qa, pb, qb):
+        """Whether a = pa/qa, b = pb/qb (qa, qb > 0) is in the region."""
+        inside = True
+        for p, q, lo, hi in ((pa, qa, self.a_lo, self.a_hi), (pb, qb, self.b_lo, self.b_hi)):
+            if lo is not None:
+                inside = inside & (p >= lo * q)
+            if hi is not None:
+                inside = inside & (p < hi * q)
+            if inside is False:  # a scalar outside: skip the remaining tests
+                return False
+        if self.halfplane == ABOVE:
+            inside = inside & (pb * qa > pa * qb)
+        if self.halfplane == BELOW:
+            inside = inside & (pa * qb > pb * qa)
+        return inside
 
-    def value(self, a, b):
+    def value(self, pa, qa, pb, qb):
+        """qa*qb times the polynomial at a = pa/qa, b = pb/qb."""
         c0, c1, c2, c3 = self.coeffs
-        return c0 + c1 * a + c2 * b + c3 * a * b
+        return c0 * qa * qb + c1 * qb * pa + c2 * qa * pb + c3 * pa * pb
 
 
 @dataclass(frozen=True)
 class PiecewisePoly2:
     regions: tuple
 
-    def __call__(self, a, b):
-        total = 0 * a
+    def scaled(self, pa, qa, pb, qb):
+        """qa*qb times the function at a = pa/qa, b = pb/qb (qa, qb > 0),
+        elementwise and exact on int64 arrays.  f(a, b) is the case
+        qa = qb = 1, exact on Fractions and bit for bit on floats; a cell in
+        no region keeps the sign of 0 * pa."""
+        total = 0 * pa
         for r in self.regions:
-            if r.contains(a, b):
-                total = total + r.value(a, b)
+            inside = r.contains(pa, qa, pb, qb)
+            if isinstance(inside, np.ndarray):  # scalars skip np.where, which boxes Fractions
+                total = np.where(inside, total + r.value(pa, qa, pb, qb), total)
+            elif inside:
+                total = total + r.value(pa, qa, pb, qb)
         return total
+
+    def __call__(self, a, b):
+        return self.scaled(a, 1, b, 1)
 
 
 def _r(a_lo, a_hi, b_lo, b_hi, halfplane, coeffs):
@@ -127,10 +138,9 @@ SUBTRACTIONS = (
 
 
 def eval_piecewise(fn, a, b):
-    """Evaluate one of the named piecewise functions J, I, U, Jtilde, V.
-
-    Exact on Fraction/int inputs; region boundaries follow the
-    closed-below / open-above convention."""
+    """Evaluate one of the named piecewise functions J, I, U, Jtilde, V,
+    elementwise on float arrays and exactly on Fraction/int inputs; region
+    boundaries follow the closed-below / open-above convention."""
     return _FUNCTIONS[fn](a, b)
 
 
@@ -139,13 +149,22 @@ def compact_identity_residual(samples):
     the indicator of the half-open unit square [0,1)^2 (matching the
     closed-below / open-above region convention); zero in exact
     arithmetic."""
-    worst = Fraction(0)
+    worst = 0
     for a, b in samples:
         chi = 1 if (0 <= a < 1 and 0 <= b < 1) else 0
         res = abs(JTILDE(a, b) - U(a, b) - V(a, b) * chi)
         if res > worst:
             worst = res
     return worst
+
+
+def compact_identity_residual_homogeneous(pa, qa, pb, qb):
+    """compact_identity_residual over a = pa/qa, b = pb/qb (integer arrays,
+    qa, qb > 0, all below a few thousand) in one exact int64 pass: the
+    correctly rounded float of the exact worst residual, 0.0 iff none."""
+    chi = (pa >= 0) & (pa < qa) & (pb >= 0) & (pb < qb)
+    res = JTILDE.scaled(pa, qa, pb, qb) - U.scaled(pa, qa, pb, qb) - V.scaled(pa, qa, pb, qb) * chi
+    return float(np.max(np.abs(res) / (qa * qb)))
 
 
 def _weight(tau, p, q, r):

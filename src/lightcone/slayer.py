@@ -462,7 +462,9 @@ def time_average_identity_check(f, t_list=(10.0, 50.0, 100.0), s_max=40.0):
         lhs = Integral_{-inf}^0 dt Integral_0^inf dt' A(t,t')
         rhs_T = (1/2T) Integral_0^T dt Integral dt' (t'-t) A(t,t')
 
-    Returns (lhs, [rhs_T for T in t_list])."""
+    f takes a float array and returns f elementwise (a numpy expression
+    such as `lambda s: s * np.exp(-s * s)`); it is called three times, on
+    the whole node grid at once.  Returns (lhs, [rhs_T for T in t_list])."""
     nodes, weights = gauss_legendre(200)
 
     def gl(lo, hi):
@@ -472,7 +474,7 @@ def time_average_identity_check(f, t_list=(10.0, 50.0, 100.0), s_max=40.0):
     # lhs as a genuine double integral over the decaying corner
     t_n, t_w = gl(-s_max, 0.0)
     tp_n, tp_w = gl(0.0, s_max)
-    grid = np.array([[f(tp - t) for tp in tp_n] for t in t_n])
+    grid = f(tp_n[None, :] - t_n[:, None])
     lhs = float(t_w @ grid @ tp_w)
 
     # refinement check on the inner weighted integral
@@ -481,9 +483,7 @@ def time_average_identity_check(f, t_list=(10.0, 50.0, 100.0), s_max=40.0):
         # potential |s| kink at the origin
         nd, wt = gauss_legendre(n)
         s = 0.5 * s_max * (nd + 1.0)
-        return 2.0 * float(
-            np.sum(0.5 * s_max * wt * s * np.array([f(si) for si in s]))
-        )
+        return 2.0 * float(np.sum(0.5 * s_max * wt * s * f(s)))
 
     i1, i2 = inner(200), inner(300)
     if abs(i2 - i1) > 1e-9 * max(1.0, abs(i2)):

@@ -1,9 +1,11 @@
-"""Shared random generators for admissible field configurations."""
+"""Shared random generators for admissible field configurations, and
+reference values computed on paths independent of the library's."""
 
 import numpy as np
 import pytest
 
 from lightcone import fields
+from lightcone.clifford import closed_chain_projectors, slash
 from lightcone.fields import (
     DEFAULT_BOX,
     DiracMode,
@@ -106,6 +108,16 @@ def opposite_transfer_pair(rng, box=DEFAULT_BOX, m=1.0):
         delta = tuple(random_dirac_mode(rng, 1, box, m, kvec=k) for k in (d0, d1))
         jets.append(FermionicJet(psi, delta, m, box))
     return jets[0], jets[1]
+
+
+def ratio_by_least_squares(xi):
+    """The c of F_minus xi_slash = c F_minus xibar_slash, solved by least
+    squares from closed_chain_projectors: no formula in common with
+    projector_ratio_constant."""
+    _, f_minus, _ = closed_chain_projectors(xi)
+    lhs = f_minus @ slash(xi)
+    rhs = f_minus @ slash(np.conj(xi))
+    return complex(np.linalg.lstsq(rhs.reshape(-1, 1), lhs.reshape(-1), rcond=None)[0][0])
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from conftest import opposite_transfer_pair, violating_jet_pair
 import lightcone
-from lightcone import cli, slayer
+from lightcone import cli, fields, slayer
 from lightcone.fields import DEFAULT_BOX, load_config
 
 
@@ -91,7 +91,7 @@ def test_verify_failing_config(runner, tmp_path):
     ],
 )
 def test_verify_malformed_config_exits_2(runner, tmp_path, key, value):
-    cfg = cli.default_config()
+    cfg = fields.default_config()
     *parents, last = (int(k) if k.isdigit() else k for k in key.split("."))
     entry = cfg
     for k in parents:
@@ -201,6 +201,18 @@ def test_convolution_far_out_leaves_oracle_cells_empty(runner):
         assert np.isfinite(closed) and np.isfinite(oracle) and rel <= 1e-10
 
 
+@pytest.mark.parametrize("q0", ["1e8", "1e10", "1e12"])
+def test_convolution_oracle_cells_far_out_are_empty_or_right(runner, q0):
+    result = runner.invoke(cli.main, ["convolution", "--q", f"{q0},0,0,0"])
+    assert result.exit_code == 0 and result.stderr == ""
+    rows = list(csv.DictReader(io.StringIO(result.stdout)))
+    assert [r["name"] for r in rows] == ["conv_K0_shell", "conv_masscone_shell"]
+    for r in rows:
+        if r["oracle"]:
+            closed, oracle = float(r["closed"]), float(r["oracle"])
+            assert abs(oracle - closed) <= 1e-10 * abs(closed), r
+
+
 def test_convolution_bad_momentum_exits_2(runner):
     result = runner.invoke(cli.main, ["convolution", "--q", "1,2"])
     assert result.exit_code == 2
@@ -223,18 +235,46 @@ def test_convolution_non_finite_or_non_positive_exits_2(runner, args):
     assert result.exit_code == 2
 
 
-def test_cli_import_loads_no_scipy():
+# Run in a fresh interpreter: imports lightcone.cli, then runs `report` and
+# `kernels` in-process, and prints the numpy, scipy and lightcone modules
+# loaded after each step as the last line.
+_FOOTPRINT = """
+import json, sys
+import lightcone.cli as cli
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "lightcone"))
+stages = {"import": [loaded(), None]}
+for name, argv in (("report", ["report", "--in", sys.argv[1]]),
+                   ("kernels", ["kernels", "--id", "K0Hat", "--out", sys.argv[2]])):
+    try:
+        cli.main(argv)
+    except SystemExit as exc:
+        stages[name] = [loaded(), exc.code]
+print(json.dumps(stages))
+"""
+
+
+def test_cli_loads_only_what_each_command_needs(runner, tmp_path):
+    report = tmp_path / "report.json"
+    assert runner.invoke(cli.main, ["verify", "--suites", "fields", "--out", str(report)]).exit_code == 0
     src = os.path.dirname(os.path.dirname(lightcone.__file__))
-    code = "import sys, lightcone.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", _FOOTPRINT, str(report), str(tmp_path / "k.csv")],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    stages = json.loads(proc.stdout.splitlines()[-1])
+    # the CLI module needs only the standard library, click and errors
+    assert stages["import"][0] == ["lightcone", "lightcone.cli", "lightcone.errors"]
+    # rendering a report never imports numpy (nor scipy)
+    assert stages["report"] == [["lightcone", "lightcone.cli", "lightcone.errors"], 0]
+    # a kernel table loads its own module, not slayer or lineint
+    modules, code = stages["kernels"]
+    assert code == 0 and "lightcone.kernels" in modules
+    assert "lightcone.slayer" not in modules and "lightcone.lineint" not in modules
 
 
 def test_slayer_eval_default_config(runner):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from lightcone.lineint import (
     V,
     bidist_A_oracle,
     compact_identity_residual,
+    compact_identity_residual_homogeneous,
     damped_delta_block,
     damped_sign_block,
     eval_piecewise,
@@ -80,6 +82,65 @@ def test_antisymmetries(a, b):
         assert J(1 - a, 1 - b) == -J(a, b)
         assert U(b, a) == -U(a, b)
         assert V(b, a) == -V(a, b)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("fn", ["J", "I", "U", "Jtilde", "V"])
+def test_array_evaluation_matches_scalar_bit_for_bit(fn):
+    # the CLI's default grid, plus the region boundaries a, b in {0, 1}
+    # with both signs of zero, and the diagonal a = b
+    axis = np.concatenate((np.arange(-2.0, 3.0 + 0.025, 0.05), [-0.0, 0.0, 1.0]))
+    a, b = np.meshgrid(axis, axis, indexing="ij")
+    a, b = np.append(a.ravel(), axis), np.append(b.ravel(), axis)
+    values = eval_piecewise(fn, a, b)
+    scalar = [eval_piecewise(fn, float(x), float(y)) for x, y in zip(a, b)]
+    assert np.array_equal(_bits(values), _bits(scalar))
+    assert np.signbit(values).any()  # -0.0 cells are kept, not turned into 0.0
+
+
+def _identity_samples(rng, n):
+    """(pa, qa, pb, qb) drawn one scalar at a time, as the Fraction samples
+    of the verify suite were."""
+    draws = [
+        [int(rng.integers(-400, 400)), int(rng.integers(1, 40)), int(rng.integers(-400, 400)), int(rng.integers(1, 40))]
+        for _ in range(n)
+    ]
+    return np.array(draws).T
+
+
+def test_identity_draw_matches_scalar_draws():
+    # the verify suite draws its 2000 integers in one call with per-element
+    # bounds; that takes the same values as the scalar draws
+    for seed in (7, 11, 123):
+        lo, hi = np.tile([-400, 1, -400, 1], 500), np.tile([400, 40, 400, 40], 500)
+        vectorised = np.random.default_rng(seed).integers(lo, hi).reshape(500, 4).T
+        assert np.array_equal(vectorised, _identity_samples(np.random.default_rng(seed), 500))
+
+
+def _fraction_residual(pa, qa, pb, qb):
+    samples = [(Fraction(int(w), int(x)), Fraction(int(y), int(z))) for w, x, y, z in zip(pa, qa, pb, qb)]
+    return compact_identity_residual(samples)
+
+
+def test_homogeneous_identity_matches_fraction_residual(rng):
+    samples = _identity_samples(rng, 2000)
+    assert compact_identity_residual_homogeneous(*samples) == 0.0
+    assert _fraction_residual(*samples) == 0
+
+
+def test_homogeneous_identity_catches_a_wrong_coefficient(rng, monkeypatch):
+    # samples around the unit square, where V enters the identity
+    pa, pb = rng.integers(-40, 80, size=(2, 500))
+    qa, qb = rng.integers(1, 40, size=(2, 500))
+    samples = (pa, qa, pb, qb)
+    wrong = dataclasses.replace(lineint.V.regions[0], coeffs=(0, -1, -3, 5))
+    monkeypatch.setattr(lineint, "V", dataclasses.replace(lineint.V, regions=(wrong, lineint.V.regions[1])))
+    worst = compact_identity_residual_homogeneous(*samples)
+    assert worst > 0.0
+    assert worst == float(_fraction_residual(*samples))
 
 
 def test_eval_piecewise_dispatch():

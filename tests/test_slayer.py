@@ -427,6 +427,18 @@ def test_time_average_identity_gaussian():
         assert r == pytest.approx(lhs, abs=1e-12)
 
 
+def test_time_average_identity_calls_f_on_arrays():
+    calls = []
+
+    def f(s):
+        calls.append(np.shape(s))
+        return s * np.exp(-s * s)
+
+    time_average_identity_check(f, t_list=(10.0,), s_max=12.0)
+    # the 200 x 200 grid and the two refinement rules, each in one call
+    assert calls == [(200, 200), (200,), (300,)]
+
+
 def test_time_average_identity_damped_sine():
     lhs, rhs = time_average_identity_check(
         lambda s: np.sin(s) * np.exp(-abs(s)), t_list=(100.0,), s_max=40.0
