@@ -19,7 +19,7 @@ from .errors import (
     QuadratureNotConverged,
     SpacelikeQ,
 )
-from .quadrature import gauss_legendre
+from .quadrature import converged, gauss_rule
 
 PI3_16 = 16.0 * np.pi**3
 PI3_32 = 32.0 * np.pi**3
@@ -190,15 +190,10 @@ def conv_masscone_shell_oracle(query):
 
     def quad(width, n):
         edges = np.linspace(t_a, t_b, max(1, int(np.ceil(abs(t_b - t_a) / width))) + 1)
-        nodes, weights = gauss_legendre(n)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
-        t = mid[:, None] + half[:, None] * nodes
-        return float(np.sum(half[:, None] * weights * integrand(t)))
+        t, w = gauss_rule(edges[:-1], edges[1:], n)
+        return float(np.sum(w * integrand(t)))
 
-    v1, v2 = quad(1.0, 12), quad(2.0 / 3.0, 8)
-    if abs(v2 - v1) > 1e-12 * max(1.0, abs(v1)):
-        raise QuadratureNotConverged(f"node placements differ by {abs(v2 - v1):.3e}")
-    return v1 / PI3_16
+    return converged(quad(1.0, 12), quad(2.0 / 3.0, 8), 1e-12, "masscone oracle") / PI3_16
 
 
 def _omega_weighted_value(query):
@@ -225,9 +220,7 @@ def _omega_weighted_value(query):
         anti = lambda k: k**2 / 2.0 + ell * k
         return (np.pi / qn) * (anti(k_hi) - anti(k_lo))
 
-    nodes, weights = gauss_legendre(80)
-    mid, half = 0.5 * lmax, 0.5 * lmax
-    return 2.0 * half * sum(wt * w(mid + half * t) for t, wt in zip(nodes, weights))
+    return 2.0 * sum(wt * w(ell) for ell, wt in zip(*gauss_rule(0.0, lmax, 80)))
 
 
 def conv_omega_scaling(q_sequence, m, weighted=True):

@@ -15,14 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    OnLightCone,
-    QuadratureNotConverged,
-    TooCloseToSingularSet,
-    UnsupportedKernel,
-    ZeroMomentum,
-)
-from .quadrature import gauss_legendre
+from .errors import OnLightCone, TooCloseToSingularSet, UnsupportedKernel, ZeroMomentum
+from .quadrature import converged, extrapolate_to_zero, gauss_rule
 
 
 class ConeRegion(Enum):
@@ -265,35 +259,19 @@ def radial_fourier(f, omega, k, grid=None, check=True, tol=1e-3):
             nfine = int(np.ceil(2.0 * t_fine_hw / (t_fine_dx / refine)))
             fine = np.linspace(-t_fine_hw, t_fine_hw, nfine + 1)
             edges = np.unique(np.concatenate([edges, fine]))
-        gl_t, gw_t = gauss_legendre(10)
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        t = (mid[:, None] + half[:, None] * gl_t[None, :]).ravel()
-        wt = (half[:, None] * gw_t[None, :]).ravel()
-
-        gl_r, gw_r = gauss_legendre(40 * refine)
+        t, wt = (a.ravel() for a in gauss_rule(edges[:-1], edges[1:], 10))
         if r_window is None:
-            r_lo = np.zeros_like(t)
-            r_hi = np.full_like(t, t_max)
+            r_lo, r_hi = np.zeros_like(t), t_max
         else:
-            r_lo = np.maximum(np.abs(t) - r_window, 0.0)
-            r_hi = np.abs(t) + r_window
-        rh = 0.5 * (r_hi - r_lo)
-        rm = 0.5 * (r_hi + r_lo)
-        r = rm[:, None] + rh[:, None] * gl_r[None, :]
-        wr = rh[:, None] * gw_r[None, :]
+            r_lo, r_hi = np.maximum(np.abs(t) - r_window, 0.0), np.abs(t) + r_window
+        r, wr = gauss_rule(r_lo, r_hi, 40 * refine)
         inner = np.sum(wr * r * np.sin(k * r) * f(t[:, None], r), axis=1)
         return (4.0 * np.pi / k) * np.sum(wt * np.exp(1j * omega * t) * inner)
 
     v1 = compute(1)
     if not check:
         return v1
-    v2 = compute(2)
-    if abs(v2 - v1) > tol * max(1.0, abs(v2)):
-        raise QuadratureNotConverged(
-            f"radial_fourier refinement moved by {abs(v2 - v1):.3e}"
-        )
-    return v2
+    return converged(compute(2), v1, tol, "radial_fourier")
 
 
 def _gaussian(x, eta):
@@ -333,22 +311,10 @@ def mollified_position_kernel(kid, eta, t_damp):
     return f
 
 
-def _extrapolate_to_zero(xs, vs):
-    """Value at 0 of the interpolating polynomial through (xs, vs)."""
-    total = 0.0 + 0.0j
-    for i, (xi, vi) in enumerate(zip(xs, vs)):
-        w = 1.0
-        for j, xj in enumerate(xs):
-            if j != i:
-                w *= xj / (xj - xi)
-        total += w * vi
-    return total
-
-
 def oracle_value(kid, omega, k, eta, t_damp):
     """One mollified radial Fourier evaluation at fixed eta and damping
-    scale; for the 1/t^2 kernels the damping tail is removed by a linear
-    Richardson step in 1/t_damp."""
+    scale t_damp, without the refinement check.  The value keeps the
+    damping: nothing extrapolates it away in t_damp."""
     grid = {
         "r_window": 10.0 * eta,
         "t_fine_hw": max(20.0 * eta, 1.0),
@@ -373,7 +339,7 @@ def oracle_ratio(kid, omega, k):
     if abs(closed) < 1e-14:
         raise TooCloseToSingularSet("closed form vanishes; ratio undefined")
     vals = [oracle_value(kid, omega, k, eta, ORACLE_T_DAMP) / closed for eta in ORACLE_ETAS]
-    return _extrapolate_to_zero(ORACLE_ETAS, vals)
+    return extrapolate_to_zero(ORACLE_ETAS, vals)
 
 
 def k0hat_shell_ratio(omega, k):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureNotConverged, TailNotNegligible, TooCloseToSingularSet
-from .quadrature import gauss_legendre
+from .errors import TailNotNegligible, TooCloseToSingularSet
+from .quadrature import converged, extrapolate_to_zero, gauss_rule
 
 # Half-plane tags for regions cut by the diagonal.
 ABOVE = "b>a"
@@ -184,9 +184,7 @@ def nested_line_integral(F, G, x, y, w1, w2):
     y = np.asarray(y, dtype=float)
 
     def compute(n):
-        nodes, weights = gauss_legendre(n)
-        tau = 0.5 * (nodes + 1.0)
-        wq = 0.5 * weights
+        tau, wq = gauss_rule(0.0, 1.0, n)
         wa = wq * _weight(tau, *w1)
         wb = wq * _weight(tau, *w2)
         total = 0.0 + 0.0j
@@ -201,12 +199,7 @@ def nested_line_integral(F, G, x, y, w1, w2):
         return total
 
     v1 = compute(48)
-    v2 = compute(72)
-    if abs(v2 - v1) > 1e-9 * max(1.0, abs(v2)):
-        raise QuadratureNotConverged(
-            f"nested line integral: refinement moved by {abs(v2 - v1):.3e}"
-        )
-    return v2
+    return converged(compute(72), v1, 1e-9, "nested line integral")
 
 
 def unbounded_line_integral(j, x, direction, cutoff):
@@ -228,9 +221,7 @@ def unbounded_line_integral(j, x, direction, cutoff):
         return a * a * np.sign(a) * contraction
 
     def panel(lo, hi):
-        nodes, weights = gauss_legendre(60)
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        return half * sum(w * integrand(mid + half * t) for t, w in zip(nodes, weights))
+        return sum(w * integrand(a) for a, w in zip(*gauss_rule(lo, hi, 60)))
 
     npanels = 8
     total = 0.0
@@ -251,12 +242,8 @@ def _half_line_nodes(w, damping):
     npanels = int(np.ceil(upper * max(abs(w), damping, 0.25) / 2.5))
     npanels = min(max(npanels, 16), 200_000)
     edges = np.linspace(0.0, upper, npanels + 1)
-    nodes, weights = gauss_legendre(12)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    a = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    wq = (half[:, None] * weights[None, :]).ravel()
-    return a, wq
+    a, wq = gauss_rule(edges[:-1], edges[1:], 12)
+    return a.ravel(), wq.ravel()
 
 
 def damped_sign_block(w, damping):
@@ -273,7 +260,9 @@ def damped_delta_block(w, damping):
     return 2.0 * np.sum(wq * np.exp(-damping * a) * np.cos(a * w))
 
 
-DAMPING_LADDER = (1e-1, 5e-2, 2.5e-2)
+# Rungs extrapolated to zero damping, and their least distance from the singular set.
+DAMPING_LADDER = (5e-2, 2.5e-2)
+SINGULAR_DISTANCE = 1e-1
 
 
 def bidist_A_oracle(u, v, damping=None):
@@ -283,12 +272,14 @@ def bidist_A_oracle(u, v, damping=None):
         A_eps(u, v) = E(u) D(v) - D(u) E(v) - 2 E(u) D(u + v)
 
     with E the damped odd block and D the damped delta block, both
-    computed by quadrature.  With damping=None the ladder (1e-1, 5e-2,
-    2.5e-2) is evaluated and linearly Richardson-extrapolated to zero
-    damping."""
-    ladder = DAMPING_LADDER if damping is None else (damping,)
+    computed by quadrature.  With damping=None the two rungs 5e-2 and
+    2.5e-2 are evaluated and linearly extrapolated to zero damping; the
+    arguments u, v, u + v and u - v must then stay 1e-1 away from zero.
+    With a damping given, A_eps is returned at that damping, and the
+    arguments must stay that far from zero."""
+    distance = SINGULAR_DISTANCE if damping is None else damping
     for w in (u, v, u + v, u - v):
-        if abs(w) <= max(ladder):
+        if abs(w) <= distance:
             raise TooCloseToSingularSet(f"argument {w} within damping of singular set")
 
     def assemble(eps):
@@ -299,10 +290,6 @@ def bidist_A_oracle(u, v, damping=None):
         duv = damped_delta_block(u + v, eps)
         return eu * dv - du * ev - 2.0 * eu * duv
 
-    values = [assemble(eps) for eps in ladder]
-    if len(values) == 1:
-        return values[0]
-    # Linear extrapolation in damping from the two finest rungs.
-    e1, e2 = ladder[-2], ladder[-1]
-    v1, v2 = values[-2], values[-1]
-    return v2 + (v2 - v1) * e2 / (e1 - e2)
+    if damping is not None:
+        return assemble(damping)
+    return extrapolate_to_zero(DAMPING_LADDER, [assemble(eps) for eps in DAMPING_LADDER])

@@ -16,14 +16,10 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import CHI_L, CHI_R, ETA, GAMMA, GAMMA0, ID4, sigma_jk
-from .errors import (
-    OffShellField,
-    QuadratureNotConverged,
-    ZeroMomentumMode,
-)
+from .errors import OffShellField, ZeroMomentumMode
 from .fields import common_box, field_tensor_hat
 from .lineint import unbounded_line_integral
-from .quadrature import gauss_legendre
+from .quadrature import converged, gauss_rule
 
 _CHI = {"L": CHI_L, "R": CHI_R}
 _CHI_BAR = {"L": CHI_R, "R": CHI_L}
@@ -288,16 +284,17 @@ def jtensor_components(jet_u, jet_v, x, y):
     return 0.5 * (j + j.T)
 
 
+# Nodes per axis of the box quadrupole's tensor-product rule.
+BOX_QUADRUPOLE_NODES = 40
+
+
 @lru_cache(maxsize=256)
-def _box_quadrupole_hat(n_key, box, n=40):
+def _box_quadrupole_hat(n_key, box):
     """The 3x3 matrix W(q) = Integral_box e^{i q.xi} (xi_a xi_b/|xi|^2
     - delta_ab/3) d^3xi over [-L/2, L/2)^3 at q = 2 pi n_key / L, by
     tensor-product Gauss-Legendre quadrature.  Exactly trace-free."""
     q = _kvec(n_key, box)
-    nodes, weights = gauss_legendre(n)
-    half = 0.5 * box
-    xs = half * nodes
-    ws = half * weights
+    xs, ws = gauss_rule(-0.5 * box, 0.5 * box, BOX_QUADRUPOLE_NODES)
     gx, gy, gz = np.meshgrid(xs, xs, xs, indexing="ij", sparse=True)
     wx, wy, wz = np.meshgrid(ws, ws, ws, indexing="ij", sparse=True)
     r2 = gx * gx + gy * gy + gz * gz
@@ -465,33 +462,26 @@ def time_average_identity_check(f, t_list=(10.0, 50.0, 100.0), s_max=40.0):
     f takes a float array and returns f elementwise (a numpy expression
     such as `lambda s: s * np.exp(-s * s)`); it is called three times, on
     the whole node grid at once.  Returns (lhs, [rhs_T for T in t_list])."""
-    nodes, weights = gauss_legendre(200)
-
-    def gl(lo, hi):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        return mid + half * nodes, half * weights
-
     # lhs as a genuine double integral over the decaying corner
-    t_n, t_w = gl(-s_max, 0.0)
-    tp_n, tp_w = gl(0.0, s_max)
+    t_n, t_w = gauss_rule(-s_max, 0.0, 200)
+    tp_n, tp_w = gauss_rule(0.0, s_max, 200)
     grid = f(tp_n[None, :] - t_n[:, None])
     lhs = float(t_w @ grid @ tp_w)
 
     # refinement check on the inner weighted integral
     def inner(n):
         # s f(s) is even for odd f; integrating over [0, s_max] avoids the
-        # potential |s| kink at the origin
-        nd, wt = gauss_legendre(n)
-        s = 0.5 * s_max * (nd + 1.0)
-        return 2.0 * float(np.sum(0.5 * s_max * wt * s * f(s)))
+        # potential |s| kink at the origin; the rule runs in tau = s/s_max
+        tau, wt = gauss_rule(0.0, 1.0, n)
+        s = s_max * tau
+        return 2.0 * float(np.sum(s_max * wt * s * f(s)))
 
-    i1, i2 = inner(200), inner(300)
-    if abs(i2 - i1) > 1e-9 * max(1.0, abs(i2)):
-        raise QuadratureNotConverged(f"inner integral moved by {abs(i2 - i1):.3e}")
+    i1 = inner(200)
+    i2 = converged(inner(300), i1, 1e-9, "time-average inner integral")
 
     rhs = []
     for t_total in t_list:
-        t_n2, t_w2 = gl(0.0, t_total)
+        _, t_w2 = gauss_rule(0.0, t_total, 200)
         # (t'-t) A(t,t') integrated over t' is translation invariant
         rhs.append(float(np.sum(t_w2)) * i2 / (2.0 * t_total))
     return lhs, rhs

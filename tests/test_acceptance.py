@@ -15,7 +15,7 @@ from conftest import (
     ratio_by_least_squares,
     violating_jet_pair,
 )
-from lightcone import clifford, convolution, kernels, lineint, slayer
+from lightcone import clifford, convolution, kernels, lineint, quadrature, slayer
 from lightcone.clifford import (
     ETA,
     GAMMA,
@@ -154,7 +154,7 @@ def test_acceptance_4_kernel_catalogue(capsys):
     kern = kernels.KernelHat("Delta_over_t2")
 
     def extrapolated(w, k):
-        return kernels._extrapolate_to_zero(
+        return quadrature.extrapolate_to_zero(
             etas, [kernels.oracle_value("Delta_over_t2", w, k, e, 20.0) for e in etas]
         )
 

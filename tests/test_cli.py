@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from conftest import opposite_transfer_pair, violating_jet_pair
 import lightcone
-from lightcone import cli, fields, slayer
+from lightcone import checks, cli, fields, lineint, slayer
 from lightcone.fields import DEFAULT_BOX, load_config
 
 
@@ -31,6 +31,35 @@ def test_verify_fast_suites_pass(runner):
         set(e) >= {"check", "status", "value", "tolerance", "paper_ref", "suite"}
         for e in report
     )
+
+
+def test_verify_all_suites_pass(runner):
+    result = runner.invoke(cli.main, ["verify", "--suites", "all", "--seed", "7"])
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert len(report) == 22
+    assert {e["suite"] for e in report} == set(checks._SUITES)
+    assert all(e["status"] == "pass" for e in report)
+
+
+def test_verify_convolution_tol_is_applied(runner):
+    result = runner.invoke(cli.main, ["verify", "--suites", "convolution", "--tol", "convolution=1e-20"])
+    assert result.exit_code == 1
+    report = {e["check"]: e for e in json.loads(result.output)}
+    assert report["shell-convolution-oracle"]["tolerance"] == 1e-20
+    assert report["shell-convolution-oracle"]["status"] == "fail"
+
+
+@pytest.mark.parametrize("seed", [7, 11, 123])
+def test_lineint_suite_catches_a_wrong_V(monkeypatch, seed):
+    # V enters the compactification identity only on the unit square
+    wrong = lineint.PiecewisePoly2((
+        lineint.Region(None, None, None, None, lineint.BELOW, (0, -1, -3, 5)),
+        lineint.V.regions[1],
+    ))
+    monkeypatch.setattr(lineint, "V", wrong)
+    report = {e["check"]: e for e in checks.suite_lineint(seed, 1e-10)}
+    assert report["piecewise-identities"]["status"] == "fail"
 
 
 def test_verify_unknown_suite_exits_2(runner):

@@ -1,0 +1,66 @@
+import pathlib
+import re
+
+import numpy as np
+import pytest
+from numpy.polynomial import Polynomial
+
+import lightcone
+from lightcone.errors import QuadratureNotConverged
+from lightcone.quadrature import converged, extrapolate_to_zero, gauss_rule
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_gauss_rule_exact_to_degree_2n_minus_1_on_scalar_bounds(rng, n):
+    p = Polynomial(rng.normal(size=2 * n))
+    x, w = gauss_rule(-0.7, 1.9, n)
+    assert x.shape == w.shape == (n,)
+    exact = p.integ()(1.9) - p.integ()(-0.7)
+    assert np.sum(w * p(x)) == pytest.approx(exact, rel=1e-13, abs=1e-13)
+
+
+def test_gauss_rule_exact_on_array_bounds(rng):
+    n = 6
+    p = Polynomial(rng.normal(size=2 * n))
+    lo = rng.uniform(-2.0, 0.0, size=(3, 4))
+    hi = rng.uniform(0.5, 2.0, size=(4,))
+    x, w = gauss_rule(lo, hi, n)
+    assert x.shape == w.shape == (3, 4, n)
+    exact = p.integ()(hi) - p.integ()(lo)
+    assert np.sum(w * p(x), axis=-1) == pytest.approx(exact, rel=1e-13, abs=1e-13)
+
+
+def test_gauss_rule_misses_degree_2n():
+    # the rule is exact to degree 2n - 1 and no further
+    x, w = gauss_rule(0.0, 1.0, 3)
+    assert abs(np.sum(w * x**6) - 1.0 / 7.0) > 1e-6
+
+
+def test_converged_returns_value():
+    assert converged(2.0, 2.0 + 1e-12, 1e-9, "probe") == 2.0
+    # the tolerance is relative to max(1, |value|)
+    assert converged(1e-3, 1e-3 + 5e-10, 1e-9, "probe") == 1e-3
+
+
+def test_converged_raises_naming_the_integral():
+    with pytest.raises(QuadratureNotConverged, match="nested probe"):
+        converged(1.0, 1.0 + 1e-6, 1e-9, "nested probe")
+
+
+@pytest.mark.parametrize("xs", [(0.05, 0.025), (0.08, 0.04, 0.02)])
+def test_extrapolate_to_zero_reproduces_polynomials(xs):
+    # a polynomial of degree len(xs) - 1 is its own interpolant
+    p = Polynomial((0.3 - 0.2j, 1.7, -4.0)[: len(xs)])
+    assert extrapolate_to_zero(xs, [p(x) for x in xs]) == pytest.approx(p(0.0), rel=1e-12)
+
+
+def test_only_the_quadrature_layer_builds_gauss_rules():
+    # every other module maps its nodes through gauss_rule
+    src = pathlib.Path(lightcone.__file__).parent
+    offenders = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if path.name != "quadrature.py"
+        and re.search(r"\b(gauss_legendre|leggauss)\b", path.read_text())
+    ]
+    assert offenders == []
