@@ -45,11 +45,8 @@ def converged(value, other, rtol, what):
 
 
 def extrapolate_to_zero(xs, vs):
-    """Value at 0 of the interpolating polynomial through (xs, vs): the
-    linear Richardson step for two points, the Lagrange form for more."""
-    if len(xs) == 2:
-        (x1, x2), (v1, v2) = xs, vs
-        return v2 + (v2 - v1) * x2 / (x1 - x2)
+    """Value at 0 of the interpolating polynomial through (xs, vs), in the
+    Lagrange form; for two points it is the linear Richardson step."""
     total = 0.0 + 0.0j
     for i, (xi, vi) in enumerate(zip(xs, vs)):
         w = 1.0

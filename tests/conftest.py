@@ -62,34 +62,34 @@ def random_jet(rng, box=DEFAULT_BOX, m=1.0, n_psi=1, n_delta=1):
     return FermionicJet(psi, delta, m, box)
 
 
-def matched_jet_pair(rng, box=DEFAULT_BOX, m=1.0):
+def one_mode_jet(rng, k_psi, k_delta, box=DEFAULT_BOX, m=1.0):
+    """A jet with one random psi mode at spatial momentum k_psi and one
+    random delta_psi mode at k_delta."""
+    psi = (random_dirac_mode(rng, -1, box, m, kvec=np.asarray(k_psi, dtype=float)),)
+    delta = (random_dirac_mode(rng, 1, box, m, kvec=np.asarray(k_delta, dtype=float)),)
+    return FermionicJet(psi, delta, m, box)
+
+
+def matched_jet_pair(rng, box=DEFAULT_BOX, m=1.0, k_psi=None, k_delta=None):
     """Two jets sharing one (psi, delta_psi) momentum pair with nonzero
     transfer: every momentum-conserving quadruple then conserves the
-    frequency transfer, so the conservation residual vanishes."""
-    k_psi = random_lattice_vector(rng, box, nonzero=False)
-    k_delta = random_lattice_vector(rng, box)
-    while np.allclose(k_delta, k_psi):
+    frequency transfer, so the conservation residual vanishes.  Momenta
+    not given are drawn at random."""
+    if k_psi is None:
+        k_psi = random_lattice_vector(rng, box, nonzero=False)
+    if k_delta is None:
         k_delta = random_lattice_vector(rng, box)
-    jets = []
-    for _ in range(2):
-        psi = (random_dirac_mode(rng, -1, box, m, kvec=k_psi),)
-        delta = (random_dirac_mode(rng, 1, box, m, kvec=k_delta),)
-        jets.append(FermionicJet(psi, delta, m, box))
-    return jets[0], jets[1]
+        while np.allclose(k_delta, k_psi):
+            k_delta = random_lattice_vector(rng, box)
+    return one_mode_jet(rng, k_psi, k_delta, box, m), one_mode_jet(rng, k_psi, k_delta, box, m)
 
 
 def violating_jet_pair(rng, box=DEFAULT_BOX, m=1.0):
     """Two jets with equal momentum transfer but unequal frequency gaps:
     the frequency implication fails, so the residual is nonzero."""
     k1 = 2.0 * np.pi * np.array([1.0, 0.0, 0.0]) / box
-
-    def jet(psi_n, delta_n):
-        psi = (random_dirac_mode(rng, -1, box, m, kvec=psi_n * k1),)
-        delta = (random_dirac_mode(rng, 1, box, m, kvec=delta_n * k1),)
-        return FermionicJet(psi, delta, m, box)
-
     # both transfers equal k1, but the frequency gaps differ
-    return jet(0.0, 1.0), jet(-2.0, -1.0)
+    return one_mode_jet(rng, 0.0 * k1, 1.0 * k1, box, m), one_mode_jet(rng, -2.0 * k1, -1.0 * k1, box, m)
 
 
 def opposite_transfer_pair(rng, box=DEFAULT_BOX, m=1.0):

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     matched_jet_pair,
+    one_mode_jet,
     opposite_transfer_pair,
     random_dirac_mode,
     random_jet,
@@ -130,24 +131,13 @@ def test_fermi_functionals_conserved(rng):
             assert ip_fermi(ut, vt) == pytest.approx(i0, abs=1e-10 * scale)
 
 
-def _contracting_jets(rng, u_delta, u_psi, v_delta, v_psi, box=DEFAULT_BOX):
-    """Two one-mode-per-side jets at the given lattice indices."""
-    unit = 2.0 * np.pi / box
-
-    def jet(psi_n, delta_n):
-        psi = (random_dirac_mode(rng, -1, box, kvec=unit * np.array(psi_n, dtype=float)),)
-        delta = (random_dirac_mode(rng, 1, box, kvec=unit * np.array(delta_n, dtype=float)),)
-        return FermionicJet(psi, delta, 1.0, box)
-
-    return jet(u_psi, u_delta), jet(v_psi, v_delta)
-
-
 def test_sigma_fermi_contraction_antisymmetric_and_conserved(rng):
     # delta_psi_u at k with psi_v at -k, delta_psi_v at q with psi_u at -q:
     # the one momentum pairing sigma_fermi contracts
-    k, q = (1, 0, 0), (0, 2, -1)
-    minus = lambda n: tuple(-c for c in n)
-    u, v = _contracting_jets(rng, u_delta=k, u_psi=minus(q), v_delta=q, v_psi=minus(k))
+    unit = 2.0 * np.pi / DEFAULT_BOX
+    k, q = unit * np.array([1.0, 0.0, 0.0]), unit * np.array([0.0, 2.0, -1.0])
+    u = one_mode_jet(rng, k_psi=-q, k_delta=k)
+    v = one_mode_jet(rng, k_psi=-k, k_delta=q)
     s = sigma_fermi(u, v)
     assert s != 0.0
     assert abs(sigma_fermi(v, u) + s) <= 1e-12 * abs(s)
@@ -158,8 +148,9 @@ def test_sigma_fermi_contraction_antisymmetric_and_conserved(rng):
 def test_ip_fermi_contraction_symmetric_and_conserved(rng):
     # delta_psi of both jets at k and psi of both at q: the pairing
     # ip_fermi contracts, with a nonzero definiteness bracket (q != -k)
-    k, q = (1, 0, 0), (0, 2, -1)
-    u, v = _contracting_jets(rng, u_delta=k, u_psi=q, v_delta=k, v_psi=q)
+    unit = 2.0 * np.pi / DEFAULT_BOX
+    k, q = unit * np.array([1.0, 0.0, 0.0]), unit * np.array([0.0, 2.0, -1.0])
+    u, v = matched_jet_pair(rng, k_psi=q, k_delta=k)
     ip = ip_fermi(u, v)
     assert ip != 0.0
     assert abs(ip_fermi(v, u) - ip) <= 1e-12 * abs(ip)
