@@ -161,13 +161,19 @@ def _write_csv(out, header, rows):
         emit(sys.stdout)
 
 
+# Largest relative error between a convolution closed form and its oracle.
+CONVOLUTION_ORACLE_RTOL = 1e-10
+
+
 @main.command("convolution")
 @click.option("--q", required=True, help="comma-separated four-vector")
 @click.option("--m", default=1.0, type=float)
 @click.option("--out", default=None, type=click.Path())
 def convolution_cmd(q, m, out):
     """Evaluate the shell convolutions and their oracles at a momentum,
-    as CSV rows (query, closed form, oracle, relative error)."""
+    as CSV rows (query, closed form, oracle, relative error).  Exits 1,
+    after writing every row, when an oracle's relative error exceeds
+    CONVOLUTION_ORACLE_RTOL."""
     try:
         qv = tuple(float(c) for c in q.split(","))
         if len(qv) != 4:
@@ -214,7 +220,7 @@ def convolution_cmd(q, m, out):
         lambda: convolution.conv_masscone_shell_oracle(query),
     )
     _write_csv(out, ("q", "m", "name", "closed", "oracle", "rel_err"), rows)
-    sys.exit(0)
+    sys.exit(1 if any(rel != "" and not rel <= CONVOLUTION_ORACLE_RTOL for *_, rel in rows) else 0)
 
 
 @main.group("slayer")

@@ -179,24 +179,23 @@ def nested_line_integral(F, G, x, y, w1, w2):
     with z = tau*y + (1-tau)*x and z~ = tau~*y + (1-tau~)*z, weights
     w(tau) = tau^p (1-tau)^q (tau - tau^2)^r given as triples (p, q, r).
     48-point Gauss-Legendre tensor quadrature; 72 points must agree to
-    relative 1e-9."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    relative 1e-9.
+
+    F and G take the points as the columns of a (4, m) array and return
+    the m values (or one scalar, broadcast); each is called once per rule."""
+    x = np.asarray(x, dtype=float)[:, None]
+    y = np.asarray(y, dtype=float)[:, None]
 
     def compute(n):
         tau, wq = gauss_rule(0.0, 1.0, n)
         wa = wq * _weight(tau, *w1)
         wb = wq * _weight(tau, *w2)
-        total = 0.0 + 0.0j
-        for i, t in enumerate(tau):
-            z = t * y + (1.0 - t) * x
-            fz = F(z)
-            inner = 0.0 + 0.0j
-            for j, tt in enumerate(tau):
-                zt = tt * y + (1.0 - tt) * z
-                inner += wb[j] * G(zt)
-            total += wa[i] * fz * inner
-        return total
+        z = tau * y + (1.0 - tau) * x
+        # inner point (i, j) at column i*n + j
+        zt = (tau * y[:, :, None] + (1.0 - tau) * z[:, :, None]).reshape(4, n * n)
+        fz = np.broadcast_to(F(z), (n,))
+        gz = np.broadcast_to(G(zt), (n * n,)).reshape(n, n)
+        return complex(wa @ (fz * (gz @ wb)))
 
     v1 = compute(48)
     return converged(compute(72), v1, 1e-9, "nested line integral")

@@ -287,26 +287,54 @@ def jtensor_components(jet_u, jet_v, x, y):
 # Nodes per axis of the box quadrupole's tensor-product rule.
 BOX_QUADRUPOLE_NODES = 40
 
+# Exponents (p_x, p_y, p_z) of xi_a xi_b for the upper-triangle pairs (a, b).
+_QUADRUPOLE_PAIRS = {
+    (a, b): tuple(int(a == c) + int(b == c) for c in range(3)) for a in range(3) for b in range(a, 3)
+}
 
-@lru_cache(maxsize=256)
-def _box_quadrupole_hat(n_key, box):
-    """The 3x3 matrix W(q) = Integral_box e^{i q.xi} (xi_a xi_b/|xi|^2
-    - delta_ab/3) d^3xi over [-L/2, L/2)^3 at q = 2 pi n_key / L, by
-    tensor-product Gauss-Legendre quadrature.  Exactly trace-free."""
-    q = _kvec(n_key, box)
+
+@lru_cache(maxsize=8)
+def _box_quadrupole_table(box):
+    """Nodes and weights of the box quadrupole's Gauss-Legendre rule on
+    [-L/2, L/2], and 1/|xi|^2 on its tensor-product grid; cached per box,
+    so all three arrays are read-only."""
     xs, ws = gauss_rule(-0.5 * box, 0.5 * box, BOX_QUADRUPOLE_NODES)
-    gx, gy, gz = np.meshgrid(xs, xs, xs, indexing="ij", sparse=True)
-    wx, wy, wz = np.meshgrid(ws, ws, ws, indexing="ij", sparse=True)
-    r2 = gx * gx + gy * gy + gz * gz
-    r2 = np.where(r2 == 0.0, 1.0, r2)
-    phase = np.exp(1j * (q[0] * gx + q[1] * gy + q[2] * gz)) * (wx * wy * wz)
-    comps = [gx, gy, gz]
-    out = np.zeros((3, 3), dtype=complex)
-    for a in range(3):
-        for b in range(a, 3):
-            out[a, b] = out[b, a] = np.sum(phase * comps[a] * comps[b] / r2)
-    # subtract the delta/3 part as trace/3 so the result is exactly trace-free
-    out -= (np.trace(out) / 3.0) * np.eye(3)
+    s = xs * xs
+    r2 = s[:, None, None] + s[None, :, None] + s[None, None, :]
+    table = (xs, ws, 1.0 / np.where(r2 == 0.0, 1.0, r2))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _box_quadrupole_hat(keys, box):
+    """The 3x3 matrices W(q) = Integral_box e^{i q.xi} (xi_a xi_b/|xi|^2
+    - delta_ab/3) d^3xi over [-L/2, L/2)^3 at q = 2 pi n / L, for the
+    integer lattice indices n in the rows of keys (shape (K, 3)), by
+    tensor-product Gauss-Legendre quadrature.  Shape (K, 3, 3); each
+    matrix is symmetric and trace-free.
+
+    The phase factorises per axis, so the 1/|xi|^2 table is contracted one
+    axis at a time with the moments w x^p e^{iqx} (p = 0, 1, 2) of the
+    distinct component values: the work and memory grow with the number
+    of distinct values, not with K."""
+    keys = np.asarray(keys, dtype=int)
+    xs, ws, inv_r2 = _box_quadrupole_table(box)
+    values, idx = np.unique(keys, return_inverse=True)
+    idx = idx.reshape(keys.shape)
+    phase = np.exp(1j * np.outer(_kvec(values, box), xs))
+    moments = np.array([phase * (ws * xs**p) for p in range(3)])  # (p, value, node)
+    # contract z, then y, over every pair of distinct values; x per key
+    n = len(xs)
+    by_z = (inv_r2 @ moments.transpose(2, 0, 1).reshape(n, -1)).reshape(n, n, 3, -1)
+    out = np.zeros((len(keys), 3, 3), dtype=complex)
+    for (a, b), (px, py, pz) in _QUADRUPOLE_PAIRS.items():
+        by_yz = moments[py] @ by_z[:, :, pz]  # (x node, y value, z value)
+        out[:, a, b] = out[:, b, a] = np.einsum(
+            "ki,ik->k", moments[px][idx[:, 0]], by_yz[:, idx[:, 1], idx[:, 2]]
+        )
+    # subtract the delta/3 part as trace/3 so the result is trace-free to roundoff
+    out -= (np.trace(out, axis1=1, axis2=2) / 3.0)[:, None, None] * np.eye(3)
     return out
 
 
@@ -369,7 +397,7 @@ def fermi_conservation_residual(jet_u, jet_v, t=0.0):
     # at -ky; one box quadrupole weight per distinct lattice momentum
     ky = kyu[iu] + kyv[iv]
     keys, inv = np.unique(np.concatenate((ky, -ky)), axis=0, return_inverse=True)
-    w_hat = np.array([_box_quadrupole_hat(tuple(key), box) for key in keys.tolist()])[inv.reshape(2, -1)]
+    w_hat = _box_quadrupole_hat(keys, box)[inv.reshape(2, -1)]
     z = np.exp(1j * w * t) * np.einsum("pab,pab->p", coeff, w_hat[0])
     z += np.exp(-1j * w * t) * np.einsum("pab,pab->p", np.conj(coeff), w_hat[1])
     return float((-0.25 * box**3 * np.sum(w * z)).real)

@@ -242,6 +242,17 @@ def test_convolution_oracle_cells_far_out_are_empty_or_right(runner, q0):
             assert abs(oracle - closed) <= 1e-10 * abs(closed), r
 
 
+def test_convolution_oracle_mismatch_exits_1_with_rows(runner, tmp_path):
+    # below the mass shell (0 < q^2 < m^2) the mass-cone oracle disagrees
+    # with the closed form; the rows are still written
+    out = tmp_path / "conv.csv"
+    result = runner.invoke(cli.main, ["convolution", "--q", "0.9,0.5,0,0", "--out", str(out)])
+    assert result.exit_code == 1
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [r["name"] for r in rows] == ["conv_K0_shell", "conv_masscone_shell"]
+    assert float(rows[1]["rel_err"]) > cli.CONVOLUTION_ORACLE_RTOL
+
+
 def test_convolution_bad_momentum_exits_2(runner):
     result = runner.invoke(cli.main, ["convolution", "--q", "1,2"])
     assert result.exit_code == 2

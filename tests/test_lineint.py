@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -170,6 +171,49 @@ def test_nested_line_integral_linear_profile():
     x, y = np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0])
     val = nested_line_integral(lambda z: z[0], lambda z: 1.0, x, y, (0, 0, 0), (0, 0, 0))
     assert val == pytest.approx(0.5, abs=1e-12)
+
+
+def _beta_moment(w, m):
+    """int_0^1 tau^m tau^p (1-tau)^q (tau - tau^2)^r dtau = B(p+r+m+1, q+r+1)."""
+    p, q, r = w
+    a, b = p + r + m, q + r
+    return Fraction(factorial(a) * factorial(b), factorial(a + b + 1))
+
+
+def test_nested_line_integral_linear_closed_form(rng):
+    # F(z) = a.z, G(z) = b.z: the inner integral over z~ = z + tau~ (y - z)
+    # is c0 + c1 tau in the outer variable, leaving Beta moments of w1
+    for _ in range(10):
+        a, b, x, y = rng.normal(size=(4, 4))
+        w1, w2 = (tuple(int(c) for c in rng.integers(0, 4, size=3)) for _ in range(2))
+        m0, m1 = (float(_beta_moment(w2, m)) for m in (0, 1))
+        n0, n1, n2 = (float(_beta_moment(w1, m)) for m in (0, 1, 2))
+        c0 = (b @ x) * (m0 - m1) + (b @ y) * m1
+        c1 = (b @ (y - x)) * (m0 - m1)
+        ax, ad = a @ x, a @ (y - x)
+        closed = ax * c0 * n0 + (ax * c1 + ad * c0) * n1 + ad * c1 * n2
+        val = nested_line_integral(lambda z: a @ z, lambda z: b @ z, x, y, w1, w2)
+        # a bound on the integrand's size, so a cancelling closed form
+        # does not tighten the test below roundoff
+        scale = np.linalg.norm(a) * np.linalg.norm(b) * max(x @ x, y @ y) * n0 * m0
+        assert abs(val - closed) <= 1e-12 * scale, (w1, w2)
+
+
+def test_nested_line_integral_calls_integrands_once_per_rule():
+    shapes = {"F": [], "G": []}
+
+    def record(name, value):
+        def fn(z):
+            shapes[name].append(z.shape)
+            return value(z)
+
+        return fn
+
+    x, y = np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0])
+    # G returns a scalar, broadcast over its columns
+    val = nested_line_integral(record("F", lambda z: z[0]), record("G", lambda z: 1.0), x, y, (0, 0, 0), (0, 0, 0))
+    assert val == pytest.approx(0.5, abs=1e-12)
+    assert shapes == {"F": [(4, 48), (4, 72)], "G": [(4, 48 * 48), (4, 72 * 72)]}
 
 
 def test_unbounded_line_integral_against_quad():

@@ -1,4 +1,5 @@
 import time
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,9 +15,11 @@ from conftest import (
     random_maxwell_field,
     violating_jet_pair,
 )
+from lightcone import slayer
 from lightcone.clifford import CHI_L, CHI_R, GAMMA, GAMMA0, sigma_jk
 from lightcone.errors import InvalidMode, OffShellField
 from lightcone.fields import DEFAULT_BOX, DiracMode, FermionicJet, pairing_predicates, time_translate
+from lightcone.quadrature import gauss_rule
 from lightcone.slayer import (
     _box_quadrupole_hat,
     cube_spin_rotations,
@@ -118,17 +121,25 @@ def test_ip_fermi_symmetric(rng):
 
 
 def test_fermi_functionals_conserved(rng):
+    # delta_psi_u at k with psi_v at -k and delta_psi_v at q with psi_u at
+    # -q feed sigma_fermi; delta_psi of both jets at d and psi of both at
+    # s (s != -d) feed ip_fermi, so neither compares zeros
     for _ in range(5):
-        u = random_jet(rng, n_psi=2, n_delta=2)
-        v = random_jet(rng, n_psi=2, n_delta=2)
+        while True:
+            k, q, s, d = (random_lattice_vector(rng, DEFAULT_BOX) for _ in range(4))
+            n = [tuple(np.rint(p * DEFAULT_BOX / (2.0 * np.pi)).astype(int)) for p in (k, q, s, d)]
+            if len(set(n)) == 4 and not np.allclose(s, -d):
+                break
+        u = _jet_at(rng, [-q, s], [k, d])
+        v = _jet_at(rng, [-k, s], [q, d])
         s0 = sigma_fermi(u, v)
         i0 = ip_fermi(u, v)
-        scale = max(1.0, abs(s0), abs(i0))
+        assert s0 != 0.0 and i0 != 0.0
         for dt in (0.1, 1.0, 10.0):
             ut = time_translate(u, dt)
             vt = time_translate(v, dt)
-            assert sigma_fermi(ut, vt) == pytest.approx(s0, abs=1e-10 * scale)
-            assert ip_fermi(ut, vt) == pytest.approx(i0, abs=1e-10 * scale)
+            assert abs(sigma_fermi(ut, vt) - s0) <= 1e-10 * abs(s0)
+            assert abs(ip_fermi(ut, vt) - i0) <= 1e-10 * abs(i0)
 
 
 def test_sigma_fermi_contraction_antisymmetric_and_conserved(rng):
@@ -224,6 +235,63 @@ def test_conservation_residual_nonzero_for_opposite_transfers(rng):
     assert abs(fermi_conservation_residual(u, v, t=0.3)) > 1e3
 
 
+def reference_box_quadrupole_hat(n_key, box):
+    """W(q) at q = 2 pi n_key / L on the 40^3 tensor-product Gauss-Legendre
+    grid, summed point by point with the full three-axis phase: the
+    reference for the axis-by-axis contraction of _box_quadrupole_hat."""
+    q = (2.0 * np.pi / box) * np.asarray(n_key, dtype=float)
+    xs, ws = gauss_rule(-0.5 * box, 0.5 * box, slayer.BOX_QUADRUPOLE_NODES)
+    gx, gy, gz = np.meshgrid(xs, xs, xs, indexing="ij", sparse=True)
+    wx, wy, wz = np.meshgrid(ws, ws, ws, indexing="ij", sparse=True)
+    r2 = gx * gx + gy * gy + gz * gz
+    r2 = np.where(r2 == 0.0, 1.0, r2)
+    phase = np.exp(1j * (q[0] * gx + q[1] * gy + q[2] * gz)) * (wx * wy * wz)
+    comps = [gx, gy, gz]
+    out = np.zeros((3, 3), dtype=complex)
+    for a in range(3):
+        for b in range(a, 3):
+            out[a, b] = out[b, a] = np.sum(phase * comps[a] * comps[b] / r2)
+    out -= (np.trace(out) / 3.0) * np.eye(3)
+    return out
+
+
+@pytest.mark.parametrize("box", [DEFAULT_BOX, 10.0])
+def test_box_quadrupole_matches_pointwise_reference(rng, box):
+    keys = rng.integers(-14, 15, size=(40, 3))
+    keys[0] = 0  # the zero transfer, and a repeated key
+    keys[1] = keys[2]
+    got = _box_quadrupole_hat(keys, box)
+    want = np.array([reference_box_quadrupole_hat(key, box) for key in keys])
+    assert got.shape == (40, 3, 3)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.all(got == np.swapaxes(got, 1, 2))
+
+
+def test_conservation_residual_computes_weights_in_one_call(rng, monkeypatch):
+    calls = []
+    weights = slayer._box_quadrupole_hat
+
+    def counted(keys, box):
+        calls.append(len(keys))
+        return weights(keys, box)
+
+    monkeypatch.setattr(slayer, "_box_quadrupole_hat", counted)
+    pairs = [_dense_pair(rng, 3), violating_jet_pair(rng), opposite_transfer_pair(rng), matched_jet_pair(rng)]
+    counts = []
+    for u, v in pairs:
+        before = len(calls)
+        fermi_conservation_residual(u, v, t=0.3)
+        counts.append(len(calls) - before)
+    # every key of one residual in one call; none where no pair survives
+    assert counts == [1, 1, 1, 0]
+    assert calls[0] > 1
+
+
+@lru_cache(maxsize=None)
+def _weight_at(n_key, box):
+    return _box_quadrupole_hat(np.array([n_key]), box)[0]
+
+
 def _reference_bilinear_terms(modes_bra, mat, modes_ket):
     """<w_a(x) | mat w_b(y)> at x0 = y0 = t as a list of (coeff, w, kx, ky),
     meaning coeff e^{i w t} e^{i kx.xvec} e^{i ky.yvec}."""
@@ -283,7 +351,7 @@ def reference_conservation_residual(jet_u, jet_v, t=0.0):
                             if abs(ww) < 1e-12:
                                 continue
                             n_key = tuple(int(c) for c in np.rint(kk * box / (2.0 * np.pi)))
-                            w_hat = _box_quadrupole_hat(n_key, box)
+                            w_hat = _weight_at(n_key, box)
                             term = (
                                 -0.5 * (1j * ww) * cc * np.exp(1j * ww * t)
                                 * box**3 * w_hat[alpha - 1, beta - 1]
