@@ -99,9 +99,17 @@ def closed_chain_projectors(xi):
     return f_plus, f_minus, complex(d)
 
 
+# The relative accuracy projector_ratio_constant must attain.  c is the
+# ratio of F_minus xi_slash to F_minus xibar_slash, whose entries are |c|
+# times smaller, so their roundoff reaches c as a relative error of about
+# eps |c|: c is returned only while eps |c| <= RATIO_RTOL, |c| <= 4.5e6.
+RATIO_RTOL = 1e-9
+
+
 def projector_ratio_constant(xi):
     """The constant c with F_minus xi_slash = c F_minus xibar_slash;
-    DegenerateChain at a null xi, where |c| ~ 1/|xi^2| has no finite value.
+    DegenerateChain where eps |c| exceeds RATIO_RTOL, as near a null xi,
+    where |c| ~ 1/|xi^2| has no finite value.
 
     With w = <xi, xibar> real, c = 2 xi^2 / (d + 2w) = -(d - 2w) / (2 xibar^2),
     the two forms being equal because (d + 2w)(d - 2w) = -4 xi^2 xibar^2.
@@ -112,13 +120,15 @@ def projector_ratio_constant(xi):
     w = minkowski(xi, xibar)
     z = minkowski(xi, xi)
     zbar = minkowski(xibar, xibar)
-    if abs(z) <= DEGENERACY_TOL * float(np.sum(np.abs(xi) ** 2)):
-        raise DegenerateChain(f"null xi: |xi^2| = {abs(z):.3e}, no finite ratio")
     # the same d, branch included, as closed_chain_projectors
     d = 2.0 * np.sqrt(complex(w * w - z * zbar))
     if w.real >= 0:
-        return complex(2.0 * z / (d + 2.0 * w))
-    return complex(-(d - 2.0 * w) / (2.0 * zbar))
+        num, den = 2.0 * z, d + 2.0 * w
+    else:
+        num, den = -(d - 2.0 * w), 2.0 * zbar
+    if np.finfo(float).eps * abs(num) > RATIO_RTOL * abs(den):
+        raise DegenerateChain(f"near-null xi: |xi^2| = {abs(z):.3e}, c not attainable to {RATIO_RTOL}")
+    return complex(num / den)
 
 
 def conscond_check(nabla_p, s1, s2):

@@ -232,24 +232,35 @@ def homogeneity_check(kernel, omega, k, R):
     return worst
 
 
-def radial_fourier(f, omega, k, grid=None, check=True, tol=1e-3):
-    """Fourier transform of a spherically symmetric function f(t, r):
+# Half-width of the shell window in r - |t|, in units of the shell width
+# eta; and the relative tolerance of the transform's refinement guard.
+SHELL_WINDOW = 10.0
+RADIAL_FOURIER_RTOL = 1e-3
+
+
+def radial_fourier(g, omega, k, eta, grid):
+    """Fourier transform of the Gaussian shell kernel
+    f(t, r) = g(t) G(r - |t|) / (2 r), G the normal density of width eta:
 
         fhat(omega, k) = (4 pi / k) int dt e^{i omega t}
                                     int_0^inf r sin(k r) f(t, r) dr
 
-    f must accept numpy arrays (broadcast over t[:, None], r[None, :]).
-    grid keys: t_max, r_window (half-width around r = |t|), and a finer
-    t-mesh of spacing t_fine_dx on |t| < t_fine_hw.  The resolution is fixed
-    (4 ten-node t-panels per period of the largest frequency, 40 r-nodes);
-    with check=True the twofold refinement must agree to relative tol."""
+    g is the time factor, a vectorized function of t.  The t-rule has 4
+    ten-node panels per period of the largest frequency on [-t_max, t_max]
+    (grid key t_max), plus, if grid sets t_fine_hw and t_fine_dx, a finer
+    mesh of spacing t_fine_dx on |t| < t_fine_hw.  The r-rule has 40 nodes
+    on the window |r - |t|| <= 10 eta, cut at r = 0.  Where |t| >= 10 eta
+    the window is not cut, and the r-sum reduces to
+    (g/2) (A sin k|t| + B cos k|t|) with A, B two sums over one shared
+    window rule; only the core |t| < 10 eta needs a rule per t.  Returns
+    the value on both rules refined twofold, which must agree with the
+    unrefined one to relative 1e-3 (QuadratureNotConverged otherwise)."""
     if k <= 0:
         raise ZeroMomentum("k must be > 0")
-    grid = dict(grid or {})
-    t_max = grid.get("t_max", 120.0)
-    r_window = grid.get("r_window", None)
+    t_max = grid["t_max"]
     t_fine_hw = grid.get("t_fine_hw", 0.0)
     t_fine_dx = grid.get("t_fine_dx", 0.0)
+    r_window = SHELL_WINDOW * eta
 
     def compute(refine):
         freq = max(abs(omega), k, 1.0)
@@ -260,18 +271,36 @@ def radial_fourier(f, omega, k, grid=None, check=True, tol=1e-3):
             fine = np.linspace(-t_fine_hw, t_fine_hw, nfine + 1)
             edges = np.unique(np.concatenate([edges, fine]))
         t, wt = (a.ravel() for a in gauss_rule(edges[:-1], edges[1:], 10))
-        if r_window is None:
-            r_lo, r_hi = np.zeros_like(t), t_max
-        else:
-            r_lo, r_hi = np.maximum(np.abs(t) - r_window, 0.0), np.abs(t) + r_window
-        r, wr = gauss_rule(r_lo, r_hi, 40 * refine)
-        inner = np.sum(wr * r * np.sin(k * r) * f(t[:, None], r), axis=1)
-        return (4.0 * np.pi / k) * np.sum(wt * np.exp(1j * omega * t) * inner)
+        at = np.abs(t)
+        n = 40 * refine
+        # |t| >= r_window: r = |t| + u with one window rule u for every t,
+        # and sin k(|t| + u) = sin k|t| cos ku + cos k|t| sin ku
+        u, wu = gauss_rule(-r_window, r_window, n)
+        wg = wu * _gaussian(u, eta)
+        inner = (wg @ np.cos(k * u)) * np.sin(k * at) + (wg @ np.sin(k * u)) * np.cos(k * at)
+        core = at < r_window
+        inner[core] = _cut_window_sums(at[core], r_window, k, eta, n)
+        return (2.0 * np.pi / k) * np.sum(wt * np.exp(1j * omega * t) * g(t) * inner)
 
-    v1 = compute(1)
-    if not check:
-        return v1
-    return converged(compute(2), v1, tol, "radial_fourier")
+    return converged(compute(2), compute(1), RADIAL_FOURIER_RTOL, "radial_fourier")
+
+
+def _cut_window_sums(a, r_window, k, eta, n):
+    """For each a < r_window, the n-point Gauss sum of sin(k r) G(r - a)
+    over the window cut at r = 0, [0, a + r_window]: the same rule as
+    gauss_rule(0, a + r_window, n), taken as s = a + r_window times the
+    rule on [0, 1].  Worked in place on two (len(a), n) arrays, since
+    these are most of radial_fourier's cost."""
+    s = a + r_window
+    rho, w = gauss_rule(0.0, 1.0, n)
+    kr = np.multiply.outer(k * s, rho)
+    shell = np.multiply.outer(s, rho)
+    shell -= a[:, None]
+    shell *= shell
+    shell *= -0.5 / eta**2
+    np.exp(shell, out=shell)
+    shell *= np.sin(kr, out=kr)
+    return s * (shell @ w) / (eta * np.sqrt(2.0 * np.pi))
 
 
 def _gaussian(x, eta):
@@ -286,43 +315,36 @@ def _smooth_cutoff(t, eta):
 
 def mollified_position_kernel(kid, eta, t_damp):
     """Position-space realization of a kernel id with the on-cone delta
-    replaced by a Gaussian of width eta in (r - |t|) and a Gaussian time
-    damping of scale t_damp (for conditional convergence).  Returns a
-    vectorized f(t, r) for radial_fourier."""
+    replaced by a Gaussian shell of width eta in (r - |t|) and a Gaussian
+    time damping of scale t_damp (for conditional convergence):
+    f(t, r) = g(t) G(r - |t|) / (2 r).  Returns the vectorized time factor
+    g for radial_fourier."""
     if kid not in {"K0Hat", "IK0_over_t", "IK0_over_t2", "Delta_over_t", "Delta_over_t2"}:
         raise UnsupportedKernel(kid)
 
-    def f(t, r):
-        at = np.abs(t)
+    def g(t):
         damp = np.exp(-0.5 * (t / t_damp) ** 2)
-        shell = _gaussian(r - at, eta) / (2.0 * r)
-        cut = _smooth_cutoff(t, eta)
-        safe_t = np.where(at < 1e-30, 1.0, t)
         if kid == "K0Hat":
-            return 1j * np.sign(t) * shell * damp
+            return 1j * np.sign(t) * damp
+        cut = _smooth_cutoff(t, eta) * damp
+        safe_t = np.where(np.abs(t) < 1e-30, 1.0, t)
         if kid == "IK0_over_t":
-            return -shell / np.abs(safe_t) * cut * damp
+            return -cut / np.abs(safe_t)
         if kid == "IK0_over_t2":
-            return -np.sign(t) * shell / safe_t**2 * cut * damp
+            return -np.sign(t) * cut / safe_t**2
         if kid == "Delta_over_t":
-            return np.sign(t) * shell / np.abs(safe_t) * cut * damp
-        return shell / safe_t**2 * cut * damp
+            return np.sign(t) * cut / np.abs(safe_t)
+        return cut / safe_t**2
 
-    return f
+    return g
 
 
 def oracle_value(kid, omega, k, eta, t_damp):
     """One mollified radial Fourier evaluation at fixed eta and damping
-    scale t_damp, without the refinement check.  The value keeps the
-    damping: nothing extrapolates it away in t_damp."""
-    grid = {
-        "r_window": 10.0 * eta,
-        "t_fine_hw": max(20.0 * eta, 1.0),
-        "t_fine_dx": eta / 2.0,
-        "t_max": 6.0 * t_damp,
-    }
-    f = mollified_position_kernel(kid, eta, t_damp=t_damp)
-    return radial_fourier(f, omega, k, grid=grid, check=False)
+    scale t_damp, under radial_fourier's refinement guard.  The value keeps
+    the damping: nothing extrapolates it away in t_damp."""
+    grid = {"t_fine_hw": max(20.0 * eta, 1.0), "t_fine_dx": eta / 2.0, "t_max": 6.0 * t_damp}
+    return radial_fourier(mollified_position_kernel(kid, eta, t_damp), omega, k, eta, grid)
 
 
 # The oracles' mollifier ladder (extrapolated to zero width) and damping scale.

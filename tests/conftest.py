@@ -62,12 +62,31 @@ def random_jet(rng, box=DEFAULT_BOX, m=1.0, n_psi=1, n_delta=1):
     return FermionicJet(psi, delta, m, box)
 
 
+def jet_at(rng, psi_ks, delta_ks, box=DEFAULT_BOX, m=1.0):
+    """A jet with one random psi mode at each spatial momentum of psi_ks and
+    one random delta_psi mode at each of delta_ks."""
+    psi = tuple(random_dirac_mode(rng, -1, box, m, kvec=np.asarray(k, dtype=float)) for k in psi_ks)
+    delta = tuple(random_dirac_mode(rng, 1, box, m, kvec=np.asarray(k, dtype=float)) for k in delta_ks)
+    return FermionicJet(psi, delta, m, box)
+
+
 def one_mode_jet(rng, k_psi, k_delta, box=DEFAULT_BOX, m=1.0):
     """A jet with one random psi mode at spatial momentum k_psi and one
     random delta_psi mode at k_delta."""
-    psi = (random_dirac_mode(rng, -1, box, m, kvec=np.asarray(k_psi, dtype=float)),)
-    delta = (random_dirac_mode(rng, 1, box, m, kvec=np.asarray(k_delta, dtype=float)),)
-    return FermionicJet(psi, delta, m, box)
+    return jet_at(rng, [k_psi], [k_delta], box, m)
+
+
+def fermi_functional_pair(rng, box=DEFAULT_BOX):
+    """Two two-mode jets on which sigma_fermi and ip_fermi are both nonzero:
+    delta_psi_u at k with psi_v at -k and delta_psi_v at q with psi_u at -q
+    feed sigma_fermi; delta_psi of both jets at d and psi of both at s
+    (s != -d) feed ip_fermi.  The four lattice momenta are distinct."""
+    while True:
+        k, q, s, d = (random_lattice_vector(rng, box) for _ in range(4))
+        n = [tuple(np.rint(p * box / (2.0 * np.pi)).astype(int)) for p in (k, q, s, d)]
+        if len(set(n)) == 4 and not np.allclose(s, -d):
+            break
+    return jet_at(rng, [-q, s], [k, d], box), jet_at(rng, [-k, s], [q, d], box)
 
 
 def matched_jet_pair(rng, box=DEFAULT_BOX, m=1.0, k_psi=None, k_delta=None):

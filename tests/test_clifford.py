@@ -89,12 +89,16 @@ NULL_XI = np.array([1.0, 1.0, 1.0j, 1.0])
 # near-null xi with <xi, xibar> < 0, where the form 2 xi^2 / (d + 2<xi, xibar>)
 # cancels: the two forms of c differed there by 9e-5 relative
 NEAR_NULL_XI = np.array([1.0, 1.0, 1.0j, 1.0 + 1e-6])
+# nearer to null, |c| = 1.3e8: roundoff in F_minus xibar_slash, times c,
+# put c F_minus xibar_slash 3e-8 away from F_minus xi_slash
+UNRESOLVED_XI = np.array([1.0j, 2.0j, 2.0, 5.96046448e-08 + 1.0j])
 
 
 @settings(max_examples=60, deadline=None)
 @given(complex_xi)
 @example(NULL_XI)
 @example(NEAR_NULL_XI)
+@example(UNRESOLVED_XI)
 def test_projector_ratio_relation(xi):
     try:
         _, f_minus, _ = closed_chain_projectors(xi)
@@ -112,6 +116,15 @@ def test_projector_ratio_raises_at_null_xi():
     closed_chain_projectors(NULL_XI)  # the chain itself is nondegenerate
     with pytest.raises(DegenerateChain):
         projector_ratio_constant(NULL_XI)
+
+
+def test_projector_ratio_raises_where_c_is_not_attainable():
+    # eps |c| above RATIO_RTOL: c carries a relative error of about 1e-8
+    closed_chain_projectors(UNRESOLVED_XI)
+    with pytest.raises(DegenerateChain):
+        projector_ratio_constant(UNRESOLVED_XI)
+    # NEAR_NULL_XI, with |c| = 2e6, is still inside the guard
+    assert np.finfo(float).eps * abs(projector_ratio_constant(NEAR_NULL_XI)) <= clifford.RATIO_RTOL
 
 
 def test_real_xi_degenerates():

@@ -11,7 +11,10 @@ from lightcone.errors import (
 )
 from lightcone.kernels import (
     KERNEL_IDS,
+    ORACLE_ETAS,
+    ORACLE_T_DAMP,
     PARITY,
+    SHELL_WINDOW,
     ConeRegion,
     KernelHat,
     classify,
@@ -23,8 +26,11 @@ from lightcone.kernels import (
     k0hat_shell_ratio,
     kernel_table,
     oracle_ratio,
+    mollified_position_kernel,
+    oracle_value,
     radial_fourier,
 )
+from lightcone.quadrature import gauss_rule
 
 # number of spatial indices carried by the tensor ids; eval_hat returns
 # their scalar base, whose omega-parity differs from the full value by
@@ -169,23 +175,111 @@ def test_k0hat_shell_ratio_constant():
         assert abs(ratio - (-2.0 * np.pi**2)) < 0.01 * 2.0 * np.pi**2
 
 
+def reference_radial_fourier(f, omega, k, grid, refine):
+    """The radial transform (4 pi / k) int dt e^{i omega t} int r sin(kr) f dr
+    of any f(t, r) on a (t, r) product grid: radial_fourier's t-rule at
+    the given refinement, times a rule of 40 * refine r-nodes per t-node,
+    on [0, t_max] or, with grid key r_window, on |r - |t|| <= r_window cut
+    at r = 0.  It makes no use of the shell structure, so it is the
+    reference for it."""
+    t_max = grid["t_max"]
+    r_window = grid.get("r_window")
+    freq = max(abs(omega), k, 1.0)
+    npan = int(np.ceil(refine * 4.0 * t_max * freq / (2.0 * np.pi))) + 8
+    edges = np.linspace(-t_max, t_max, npan + 1)
+    if "t_fine_hw" in grid:
+        nfine = int(np.ceil(2.0 * grid["t_fine_hw"] / (grid["t_fine_dx"] / refine)))
+        fine = np.linspace(-grid["t_fine_hw"], grid["t_fine_hw"], nfine + 1)
+        edges = np.unique(np.concatenate([edges, fine]))
+    t, wt = (a.ravel() for a in gauss_rule(edges[:-1], edges[1:], 10))
+    if r_window is None:
+        r_lo, r_hi = np.zeros_like(t), t_max
+    else:
+        r_lo, r_hi = np.maximum(np.abs(t) - r_window, 0.0), np.abs(t) + r_window
+    r, wr = gauss_rule(r_lo, r_hi, 40 * refine)
+    inner = np.sum(wr * r * np.sin(k * r) * f(t[:, None], r), axis=1)
+    return (4.0 * np.pi / k) * np.sum(wt * np.exp(1j * omega * t) * inner)
+
+
 def _gaussian_4d(t, r):
     return np.exp(-(t**2 + r**2) / 2.0)
 
 
-def test_radial_fourier_guard_passes_on_a_resolved_grid():
+def test_reference_radial_fourier_exact_on_a_4d_gaussian():
     # the transform of exp(-(t^2 + r^2)/2) is (2 pi)^2 exp(-(omega^2 + k^2)/2)
     for omega, k in ((0.3, 0.7), (1.2, 0.4), (2.0, 1.5)):
-        value = radial_fourier(_gaussian_4d, omega, k, grid={"t_max": 12.0}, check=True)
         exact = (2.0 * np.pi) ** 2 * np.exp(-(omega**2 + k**2) / 2.0)
-        assert abs(value - exact) <= 1e-12 * exact
+        for refine in (1, 2):
+            value = reference_radial_fourier(_gaussian_4d, omega, k, {"t_max": 12.0}, refine)
+            assert abs(value - exact) <= 1e-12 * exact
+
+
+def _oracle_grid(eta):
+    # the grid oracle_value passes to radial_fourier
+    return {"t_fine_hw": max(20.0 * eta, 1.0), "t_fine_dx": eta / 2.0, "t_max": 6.0 * ORACLE_T_DAMP}
+
+
+def _shell_kernel(g, eta):
+    """f(t, r) = g(t) G(r - |t|) / (2 r), G the normal density of width eta."""
+    return lambda t, r: (
+        g(t) * np.exp(-0.5 * ((r - np.abs(t)) / eta) ** 2) / (eta * np.sqrt(2.0 * np.pi)) / (2.0 * r)
+    )
+
+
+# (omega, k) inside and outside the cones; K0Hat on and off its shell
+SHELL_POINTS = {
+    "IK0_over_t": ((0.4, 1.3), (2.2, 0.9)),
+    "IK0_over_t2": ((0.4, 1.3), (2.2, 0.9)),
+    "Delta_over_t": ((0.4, 1.3), (2.2, 0.9)),
+    "Delta_over_t2": ((0.4, 1.3), (2.2, 0.9)),
+    "K0Hat": ((1.3, 1.3), (0.4, 1.3)),
+}
+
+
+def test_shell_transform_matches_the_2d_reference():
+    # radial_fourier returns its refined value, so the reference runs at
+    # refine = 2; off its shell K0Hat is exponentially small, so its error
+    # is measured against the on-shell magnitude at the same k
+    for kid, points in SHELL_POINTS.items():
+        for eta in ORACLE_ETAS:
+            g = mollified_position_kernel(kid, eta, ORACLE_T_DAMP)
+            grid = _oracle_grid(eta)
+            refs = [
+                reference_radial_fourier(
+                    _shell_kernel(g, eta), w, k, {**grid, "r_window": SHELL_WINDOW * eta}, 2
+                )
+                for w, k in points
+            ]
+            scale = abs(refs[0]) if kid == "K0Hat" else None
+            for (w, k), ref in zip(points, refs):
+                value = radial_fourier(g, w, k, eta, grid)
+                assert abs(value - ref) <= 1e-12 * (scale or abs(ref)), (kid, eta, w, k)
+
+
+def test_radial_fourier_guard_passes_on_a_resolved_grid():
+    # on oracle_value's own grid the twofold refinement moves every value by
+    # about 1e-12 relative, far inside the guard
+    for kid, points in SHELL_POINTS.items():
+        for eta in ORACLE_ETAS:
+            for w, k in points:
+                assert np.isfinite(oracle_value(kid, w, k, eta, ORACLE_T_DAMP))
 
 
 def test_radial_fourier_guard_rejects_an_unresolved_grid():
-    # at the default t_max = 120 the 40 r-nodes on [0, t_max] miss the
-    # Gaussian, and the twofold refinement moves the value by about 4e-2
+    # without the fine t-mesh the ten-node t-panels miss the 1/t^2 kernels'
+    # cutoff near t = 0: the refinement moves them by about 0.62 and 0.41
+    eta = ORACLE_ETAS[-1]
+    for kid in ("IK0_over_t2", "Delta_over_t2"):
+        g = mollified_position_kernel(kid, eta, ORACLE_T_DAMP)
+        with pytest.raises(QuadratureNotConverged):
+            radial_fourier(g, 1.3, 1.3, eta, {"t_max": 6.0 * ORACLE_T_DAMP})
+
+
+def test_oracle_value_runs_the_refinement_guard(monkeypatch):
+    # with a zero tolerance any refinement delta at all must raise
+    monkeypatch.setattr(kernels, "RADIAL_FOURIER_RTOL", 0.0)
     with pytest.raises(QuadratureNotConverged):
-        radial_fourier(_gaussian_4d, 0.3, 0.7, check=True)
+        oracle_value("IK0_over_t", 0.4, 1.3, ORACLE_ETAS[0], ORACLE_T_DAMP)
 
 
 def test_kernel_table_rows():

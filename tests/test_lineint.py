@@ -25,6 +25,7 @@ from lightcone.lineint import (
     nested_line_integral,
     unbounded_line_integral,
 )
+from lightcone.quadrature import gauss_rule
 
 rational = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 
@@ -236,6 +237,38 @@ def test_unbounded_line_integral_against_quad():
 
     ref, _ = quad(integrand, -8.0, 8.0, limit=200)
     assert val == pytest.approx(ref, abs=1e-10)
+
+
+def reference_unbounded_line_integral(j, x, direction, cutoff):
+    """unbounded_line_integral as a loop: one Python sum per 60-node panel,
+    8 panels on [-cutoff, cutoff] (no tail estimate)."""
+    xi = np.concatenate(([1.0], direction))
+    total = 0.0
+    for k in range(8):
+        lo = -cutoff + 2.0 * cutoff * k / 8
+        hi = -cutoff + 2.0 * cutoff * (k + 1) / 8
+        for a, w in zip(*gauss_rule(lo, hi, 60)):
+            jk = np.asarray(j(x + a * xi), dtype=float)
+            total += w * a * a * np.sign(a) * (jk[0] - direction @ jk[1:])
+    return total
+
+
+def test_unbounded_line_integral_matches_the_loop(rng):
+    # the contraction over all nodes at once sums in another order than
+    # the loop, so the two agree to roundoff, not bit for bit
+    for _ in range(5):
+        coeffs, shift = rng.normal(size=4), 0.3 * rng.normal(size=4)
+        x = np.concatenate(([0.2 * rng.normal()], 0.4 * rng.normal(size=3)))
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+
+        def j(point):
+            z = point - shift
+            return coeffs * np.exp(-float(z @ z) / 18.0)
+
+        val = unbounded_line_integral(j, x, direction, 15.0)
+        ref = reference_unbounded_line_integral(j, x, direction, 15.0)
+        assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_unbounded_line_integral_rejects_fat_tail():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    fermi_functional_pair,
+    jet_at,
     matched_jet_pair,
     one_mode_jet,
     opposite_transfer_pair,
@@ -121,17 +123,8 @@ def test_ip_fermi_symmetric(rng):
 
 
 def test_fermi_functionals_conserved(rng):
-    # delta_psi_u at k with psi_v at -k and delta_psi_v at q with psi_u at
-    # -q feed sigma_fermi; delta_psi of both jets at d and psi of both at
-    # s (s != -d) feed ip_fermi, so neither compares zeros
     for _ in range(5):
-        while True:
-            k, q, s, d = (random_lattice_vector(rng, DEFAULT_BOX) for _ in range(4))
-            n = [tuple(np.rint(p * DEFAULT_BOX / (2.0 * np.pi)).astype(int)) for p in (k, q, s, d)]
-            if len(set(n)) == 4 and not np.allclose(s, -d):
-                break
-        u = _jet_at(rng, [-q, s], [k, d])
-        v = _jet_at(rng, [-k, s], [q, d])
+        u, v = fermi_functional_pair(rng)
         s0 = sigma_fermi(u, v)
         i0 = ip_fermi(u, v)
         assert s0 != 0.0 and i0 != 0.0
@@ -361,12 +354,6 @@ def reference_conservation_residual(jet_u, jet_v, t=0.0):
     return float(total.real), scale
 
 
-def _jet_at(rng, psi_ks, delta_ks):
-    psi = tuple(random_dirac_mode(rng, -1, kvec=k) for k in psi_ks)
-    delta = tuple(random_dirac_mode(rng, 1, kvec=k) for k in delta_ks)
-    return FermionicJet(psi, delta, 1.0)
-
-
 def _dense_pair(rng, n):
     """Two jets with n modes per side drawn from a pool of n + 1 lattice
     momenta, so that equal and opposite momentum transfers between them
@@ -375,7 +362,7 @@ def _dense_pair(rng, n):
 
     def jet():
         idx = rng.integers(0, n + 1, size=2 * n)
-        return _jet_at(rng, [pool[i] for i in idx[:n]], [pool[i] for i in idx[n:]])
+        return jet_at(rng, [pool[i] for i in idx[:n]], [pool[i] for i in idx[n:]])
 
     return jet(), jet()
 
@@ -436,7 +423,7 @@ def _distinct_transfer_family(rng, n, max_index):
 
 def test_conservation_residual_matched_at_16_modes(rng):
     psi_ks, delta_ks = _distinct_transfer_family(rng, 16, 16)
-    u, v = _jet_at(rng, psi_ks, delta_ks), _jet_at(rng, psi_ks, delta_ks)
+    u, v = jet_at(rng, psi_ks, delta_ks), jet_at(rng, psi_ks, delta_ks)
     assert pairing_predicates(u, v)["implication_holds"]
     start = time.perf_counter()
     assert fermi_conservation_residual(u, v, t=0.3) == 0.0
