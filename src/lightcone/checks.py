@@ -119,10 +119,7 @@ def suite_kernels(seed, tol):
                 v2 = kernels.eval_hat(kern, -omega, k)
             except LightconeError:
                 continue
-            # eval_hat returns the scalar base of tensor ids; each spatial
-            # index contributes a khat sign flip under p -> -p.
-            indices = {"XiK0_over_t3": 1, "XiXiK0_over_t4": 2, "XiXiDelta_over_t3": 2}
-            sign = float(kernels.PARITY[kid]) * (-1.0) ** indices.get(kid, 0)
+            sign = float(kernels.PARITY[kid]) * (-1.0) ** kernels.TENSOR_INDEX_COUNT.get(kid, 0)
             worst = max(worst, abs(v1 - sign * v2))
     out.append(_entry("kernel-parity", worst, tol, "momentum-space-parity"))
     worst_h = 0.0

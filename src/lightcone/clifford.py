@@ -66,6 +66,17 @@ def spin_adjoint(m):
     return GAMMA0 @ np.conj(np.asarray(m)).T @ GAMMA0
 
 
+def _chain_invariants(xi):
+    """(xibar, <xi,xibar>, xi^2, xibar^2, d) of a complex four-vector xi,
+    with d = 2 sqrt(<xi,xibar>^2 - xi^2 xibar^2), principal square root."""
+    xi = np.asarray(xi, dtype=complex)
+    xibar = np.conj(xi)
+    w = minkowski(xi, xibar)
+    z = minkowski(xi, xi)
+    zbar = minkowski(xibar, xibar)
+    return xibar, w, z, zbar, 2.0 * np.sqrt(complex(w * w - z * zbar))
+
+
 def closed_chain_projectors(xi):
     """Spectral projectors (F_plus, F_minus, d) of the closed chain built
     from a complex four-vector xi.
@@ -77,11 +88,7 @@ def closed_chain_projectors(xi):
     c = 2 xi^2 / (d + 2 <xi,xibar>) (see projector_ratio_constant).
     """
     xi = np.asarray(xi, dtype=complex)
-    xibar = np.conj(xi)
-    w = minkowski(xi, xibar)
-    z = minkowski(xi, xi)
-    zbar = minkowski(xibar, xibar)
-    d = 2.0 * np.sqrt(complex(w * w - z * zbar))
+    xibar, _, _, _, d = _chain_invariants(xi)
     scale = float(np.sum(np.abs(xi) ** 2))
     if abs(d) <= DEGENERACY_TOL * scale:
         raise DegenerateChain(f"closed chain degenerate: |d| = {abs(d):.3e}")
@@ -115,13 +122,7 @@ def projector_ratio_constant(xi):
     the two forms being equal because (d + 2w)(d - 2w) = -4 xi^2 xibar^2.
     The first cancels for w < 0 and the second for w > 0 (near a null xi,
     d is close to 2|w|), so each sign of w takes the other form."""
-    xi = np.asarray(xi, dtype=complex)
-    xibar = np.conj(xi)
-    w = minkowski(xi, xibar)
-    z = minkowski(xi, xi)
-    zbar = minkowski(xibar, xibar)
-    # the same d, branch included, as closed_chain_projectors
-    d = 2.0 * np.sqrt(complex(w * w - z * zbar))
+    _, w, z, zbar, d = _chain_invariants(xi)
     if w.real >= 0:
         num, den = 2.0 * z, d + 2.0 * w
     else:

@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    FitUnstable,
-    LightconeError,
-    OutsideUpperCone,
-    QuadratureNotConverged,
-    SpacelikeQ,
-)
+from .errors import FitUnstable, LightconeError, OutsideUpperCone, SpacelikeQ
 from .quadrature import converged, gauss_rule
 
 PI3_16 = 16.0 * np.pi**3
@@ -130,7 +124,16 @@ def conv_K0_shell_oracle(big_omega, m):
 
 
 def _ell_max(query):
-    return query.q0 - np.sqrt(query.qvec_norm**2 + query.m**2)
+    """l_max = q0 - sqrt(|q|^2 + m^2), the length of the mass-cone
+    integration, or OutsideUpperCone unless l_max > 0: the one place the
+    domain of the mass-cone convolution is decided.  For p in the closed
+    future light cone and q - p on the future mass shell,
+    q^2 = p^2 + 2 p.(q - p) + m^2 >= m^2, so the convolution has support
+    only above the shell, in the open upper mass cone."""
+    lmax = query.q0 - np.sqrt(query.qvec_norm**2 + query.m**2)
+    if not lmax > 0:
+        raise OutsideUpperCone(f"q = {query.q} not in the open upper mass cone")
+    return lmax
 
 
 def conv_masscone_shell(query):
@@ -144,13 +147,11 @@ def conv_masscone_shell(query):
     bracket is -2/(q0 - l).  The bracket difference is evaluated as one
     log1p in l_max and q0 - l_max = sqrt(|q|^2 + m^2), which cancels neither
     near the shell (l_max -> 0) nor far out (l_max -> q0)."""
-    if query.q_sq <= 0 or query.q0 <= 0:
-        raise OutsideUpperCone(f"q = {query.q} not in the open upper cone")
+    lmax = _ell_max(query)
     m = query.m
     qn = query.qvec_norm
     q0 = query.q0
     r_min = np.sqrt(qn**2 + m**2)
-    lmax = q0 - r_min
     if qn < 1e-6 * m:
         diff = -2.0 * lmax / (r_min * q0)
     else:
@@ -160,8 +161,7 @@ def conv_masscone_shell(query):
 
 def conv_masscone_shell_oracle(query):
     """Proof-level 1D reduction: (1/16 pi^3) int_0^{l_max}
-    ((q - l)^2 - m^2)/(q - l)^2 dl with l = (ell, 0, 0, 0); for momenta
-    below the shell (l_max < 0) the integration runs from -l_max to 0.
+    ((q - l)^2 - m^2)/(q - l)^2 dl with l = (ell, 0, 0, 0).
 
     With r^2 = (q0 - ell)^2 - |q|^2 the integrand is 1 - m^2/r^2, which
     varies on a scale of order m near l_max however large q0 is, so the
@@ -169,19 +169,11 @@ def conv_masscone_shell_oracle(query):
     integrand is smooth on unit scales.  Gauss panels of width at most 1
     in t (12 nodes) must agree with panels of width at most 2/3 (8 nodes)
     to relative 1e-12."""
-    if query.q_sq <= 0 or query.q0 <= 0:
-        raise OutsideUpperCone(f"q = {query.q} not in the open upper cone")
+    _ell_max(query)
     m = query.m
     qn = query.qvec_norm
-    lmax = _ell_max(query)
     # t at both ends: r^2 is q^2 at ell = 0 and exactly m^2 at ell = l_max
-    if lmax >= 0.0:
-        t_a, t_b = np.log(query.q_sq), 2.0 * np.log(m)
-    else:
-        x = query.q0 + lmax  # q0 - ell at ell = -l_max
-        if not (x > 0.0 and x * x > qn**2):
-            raise QuadratureNotConverged(f"integrand singular below the shell at q = {query.q}")
-        t_a, t_b = np.log(x * x - qn**2), np.log(query.q_sq)
+    t_a, t_b = np.log(query.q_sq), 2.0 * np.log(m)
 
     def integrand(t):
         # (1 - m^2/r^2) d ell/dt, with d ell/dt = -r^2 / (2 (q0 - ell))
@@ -205,18 +197,13 @@ def _omega_weighted_value(query):
     if qn == 0:
         raise OutsideUpperCone("needs |q_vec| > 0 for the angular reduction")
     lmax = _ell_max(query)
-    if lmax <= 0:
-        return 0.0
 
     def w(ell):
+        # on (0, l_max): r0 > sqrt(|q|^2 + m^2), so a > 0 and k_lo < k_hi
         r0 = query.q0 - ell
         a = r0**2 - qn**2 - query.m**2
-        if a <= 0:
-            return 0.0
         k_lo = a / (2.0 * (r0 + qn))
         k_hi = min(a / (2.0 * (r0 - qn)), r0)
-        if k_hi <= k_lo:
-            return 0.0
         anti = lambda k: k**2 / 2.0 + ell * k
         return (np.pi / qn) * (anti(k_hi) - anti(k_lo))
 

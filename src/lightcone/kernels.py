@@ -60,6 +60,11 @@ PARITY = {
     "K0c_zm": +1,
 }
 
+# Number of spatial indices carried by the tensor ids.  eval_hat returns
+# their scalar base, whose parity under p -> -p differs from PARITY by one
+# khat sign flip per index.
+TENSOR_INDEX_COUNT = {"XiK0_over_t3": 1, "XiXiK0_over_t4": 2, "XiXiDelta_over_t3": 2}
+
 # Homogeneity degree of the differentiated tensor forms.
 TENSOR_HOMOGENEITY_DEGREE = {"XiXiDelta_over_t3": -1, "XiXiK0_over_t4": 0}
 
@@ -235,7 +240,7 @@ def homogeneity_check(kernel, omega, k, R):
 # Half-width of the shell window in r - |t|, in units of the shell width
 # eta; and the relative tolerance of the transform's refinement guard.
 SHELL_WINDOW = 10.0
-RADIAL_FOURIER_RTOL = 1e-3
+RADIAL_FOURIER_RTOL = 1e-9
 
 
 def radial_fourier(g, omega, k, eta, grid):
@@ -254,7 +259,8 @@ def radial_fourier(g, omega, k, eta, grid):
     (g/2) (A sin k|t| + B cos k|t|) with A, B two sums over one shared
     window rule; only the core |t| < 10 eta needs a rule per t.  Returns
     the value on both rules refined twofold, which must agree with the
-    unrefined one to relative 1e-3 (QuadratureNotConverged otherwise)."""
+    unrefined one to relative RADIAL_FOURIER_RTOL = 1e-9
+    (QuadratureNotConverged otherwise)."""
     if k <= 0:
         raise ZeroMomentum("k must be > 0")
     t_max = grid["t_max"]

@@ -24,6 +24,36 @@ from .quadrature import converged, gauss_rule
 _CHI = {"L": CHI_L, "R": CHI_R}
 _CHI_BAR = {"L": CHI_R, "R": CHI_L}
 
+# The J-tensor vertex, defined once: every fermionic surface-layer
+# functional contracts a chiral part (chi_c | chibar_c) minus a vector part
+# (gamma^alpha chi_c | gamma^alpha chi_c), the first matrix of each pair
+# taken between jet u's spinors and the second between jet v's.
+#
+# The scalar vertex: (M_u, M_v, weight) for c = L, R, the chiral term and
+# then the vector terms alpha = 0..3 with weight -eta_{alpha alpha}.
+_SCALAR_VERTEX = [
+    vertex
+    for c in ("L", "R")
+    for vertex in [(_CHI[c], _CHI_BAR[c], 1.0)]
+    + [(GAMMA[a] @ _CHI[c], GAMMA[a] @ _CHI[c], -ETA[a, a]) for a in range(4)]
+]
+
+# sigma^{0a}, a = 1, 2, 3
+_SIGMA0 = np.array([sigma_jk(0, a) for a in (1, 2, 3)])
+
+# The spatial vertex: (sigma^{0a} chi_c | sigma^{0b} chibar_c) and
+# (gamma^a chi_c | gamma^b chi_c), jet u's and jet v's (12, 4, 4) matrix
+# stacks ordered (contraction, a, c); the vector contraction enters with a
+# minus sign.
+_SPATIAL_VERTEX_U = np.array(
+    [s @ _CHI[c] for s in _SIGMA0 for c in ("L", "R")]
+    + [g @ _CHI[c] for g in GAMMA[1:] for c in ("L", "R")]
+)
+_SPATIAL_VERTEX_V = np.array(
+    [s @ _CHI_BAR[c] for s in _SIGMA0 for c in ("L", "R")]
+    + [g @ _CHI[c] for g in GAMMA[1:] for c in ("L", "R")]
+)
+
 
 def _bil(bra, mat, ket):
     """Spin scalar product <bra | mat ket> = bra^dagger gamma0 mat ket."""
@@ -142,8 +172,8 @@ def _omega(kvec, m):
 
 def sigma_fermi(jet_u, jet_v):
     """Fermionic symplectic form (delta = 1): double momentum sum with weight
-    (omega(q)^2 + omega(k)^2)/(m^2 L^6) over the chiral and vectorial spinor
-    contractions of the jets' mode amplitudes.  Antisymmetric in (u, v)."""
+    (omega(q)^2 + omega(k)^2)/(m^2 L^6) of the scalar J-tensor vertex
+    between the jets' mode amplitudes.  Antisymmetric in (u, v)."""
     m = jet_u.m
     box = common_box(jet_u, jet_v)
     du, pu_neg = _hat(jet_u.delta_psi, jet_u.delta_psi_n), _hat(jet_u.psi, jet_u.psi_n, -1)
@@ -159,14 +189,8 @@ def sigma_fermi(jet_u, jet_v):
                 continue
             weight = (_omega(_kvec(q_key, box), m) ** 2 + _omega(_kvec(k_key, box), m) ** 2) / m**2
             s = 0.0 + 0.0j
-            for c in ("L", "R"):
-                s += _bil(duk, _CHI[c], pu_mq) * _bil(pv_mk, _CHI_BAR[c], dvq)
-                for alpha in range(4):
-                    s -= (
-                        ETA[alpha, alpha]
-                        * _bil(duk, GAMMA[alpha] @ _CHI[c], pu_mq)
-                        * _bil(pv_mk, GAMMA[alpha] @ _CHI[c], dvq)
-                    )
+            for mat_u, mat_v, w in _SCALAR_VERTEX:
+                s += w * _bil(duk, mat_u, pu_mq) * _bil(pv_mk, mat_v, dvq)
             total += weight * s.imag
     return total.real / box**6
 
@@ -230,57 +254,34 @@ def jtensor_components(jet_u, jet_v, x, y):
     dv_x, pv_x = jet_v.delta_psi_at(x), jet_v.psi_at(x)
     dv_y, pv_y = jet_v.delta_psi_at(y), jet_v.psi_at(y)
 
-    def d_minus_u(mat):
-        return _bil(du_x, mat, pu_y) - _bil(pu_x, mat, du_y)
+    def bils(bra, mats, ket):
+        # <bra | M ket> for a matrix M or a stack of them; for stacks of
+        # bras and kets, shape (matrix, bra, ket)
+        return np.conj(bra) @ GAMMA0 @ mats @ np.transpose(ket)
 
-    def d_plus_v(mat):
-        return _bil(dv_x, mat, pv_y) + _bil(pv_x, mat, dv_y)
+    def d_minus_u(mats):
+        return bils(du_x, mats, pu_y) - bils(pu_x, mats, du_y)
 
-    sigma0 = [None] + [sigma_jk(0, a) for a in (1, 2, 3)]
+    def d_plus_v(mats):
+        return bils(dv_x, mats, pv_y) + bils(pv_x, mats, dv_y)
+
+    # J^00 on the scalar vertex, J^ab on the spatial vertex
     j = np.zeros((4, 4))
+    mats_u, mats_v, weights = map(np.array, zip(*_SCALAR_VERTEX))
+    j[0, 0] = np.sum(weights * d_minus_u(mats_u) * d_plus_v(mats_v)).imag
+    spatial_u = d_minus_u(_SPATIAL_VERTEX_U).reshape(2, 3, 2)
+    spatial_v = d_plus_v(_SPATIAL_VERTEX_V).reshape(2, 3, 2)
+    j[1:, 1:] = np.einsum("k,kac,kbc->ab", (1.0, -1.0), spatial_u, spatial_v).imag
 
-    # scalar component: chiral part minus the vector-contracted part
-    s = 0.0 + 0.0j
-    for c in ("L", "R"):
-        s += d_minus_u(_CHI[c]) * d_plus_v(_CHI_BAR[c])
-        for alpha in range(4):
-            s -= (
-                ETA[alpha, alpha]
-                * d_minus_u(GAMMA[alpha] @ _CHI[c])
-                * d_plus_v(GAMMA[alpha] @ _CHI[c])
-            )
-    j[0, 0] = s.imag
-
-    # mixed components: traces of products of rank-two dyads
-    def dyad_trace(a1, b1, a2, b2):
-        # Tr(|a1><b1| |a2><b2|) with spin scalar products
-        return _bil(b1, ID4, a2) * _bil(b2, ID4, a1)
-
-    for alpha in (1, 2, 3):
-        s = 0.0 + 0.0j
-        for sgn_u, (au, bu) in (((1.0), (pu_y, du_x)), ((-1.0), (du_y, pu_x))):
-            for av, bv in ((sigma0[alpha] @ dv_x, pv_y), (sigma0[alpha] @ pv_x, dv_y)):
-                s += sgn_u * dyad_trace(au, bu, av, bv)
-        for sgn_u, (au, bu) in (
-            ((1.0), (sigma0[alpha] @ pu_y, du_x)),
-            ((-1.0), (sigma0[alpha] @ du_y, pu_x)),
-        ):
-            for av, bv in ((dv_x, pv_y), (pv_x, dv_y)):
-                s -= sgn_u * dyad_trace(au, bu, av, bv)
-        j[0, alpha] = j[alpha, 0] = s.real
-
-    # spatial components
-    for alpha in (1, 2, 3):
-        for beta in (1, 2, 3):
-            s = 0.0 + 0.0j
-            for c in ("L", "R"):
-                s += d_minus_u(sigma0[alpha] @ _CHI[c]) * d_plus_v(
-                    sigma0[beta] @ _CHI_BAR[c]
-                )
-                s -= d_minus_u(GAMMA[alpha] @ _CHI[c]) * d_plus_v(
-                    GAMMA[beta] @ _CHI[c]
-                )
-            j[alpha, beta] = s.imag
+    # mixed components: traces of products of rank-two dyads,
+    # Tr(|a1><b1| |a2><b2|) = <b1|a2> <b2|a1>, with sigma^{0a} inserted on
+    # jet v's dyad (first term) or on jet u's (second term)
+    bra_x, ket_x = np.array([du_x, pu_x]), np.array([dv_x, pv_x])
+    bra_y, ket_y = np.array([pv_y, dv_y]), np.array([pu_y, du_y])
+    sign_u = np.array([1.0, -1.0])
+    mixed = np.einsum("i,aij,ji->a", sign_u, bils(bra_x, _SIGMA0, ket_x), bils(bra_y, ID4, ket_y))
+    mixed -= np.einsum("i,ij,aji->a", sign_u, bils(bra_x, ID4, ket_x), bils(bra_y, _SIGMA0, ket_y))
+    j[0, 1:] = j[1:, 0] = mixed.real
     return 0.5 * (j + j.T)
 
 
@@ -371,15 +372,8 @@ def fermi_conservation_residual(jet_u, jet_v, t=0.0):
     term pairs of zero total lattice momentum survive the box integral and
     are weighted by the box quadrupole at their y-momentum."""
     box = common_box(jet_u, jet_v)
-    sigma0 = [sigma_jk(0, a) for a in (1, 2, 3)]
-    chi = (_CHI["L"], _CHI["R"])
-    chi_bar = (_CHI_BAR["L"], _CHI_BAR["R"])
-    # matrix stacks ordered (contraction, alpha, chirality)
-    vector = [g @ c for g in GAMMA[1:] for c in chi]
-    mats_u = np.array([s @ c for s in sigma0 for c in chi] + vector)
-    mats_v = np.array([s @ c for s in sigma0 for c in chi_bar] + vector)
-    cu, wu, su, kyu = _jet_bilinears(jet_u, mats_u, -1.0)
-    cv, wv, sv, kyv = _jet_bilinears(jet_v, mats_v, 1.0)
+    cu, wu, su, kyu = _jet_bilinears(jet_u, _SPATIAL_VERTEX_U, -1.0)
+    cv, wv, sv, kyv = _jet_bilinears(jet_v, _SPATIAL_VERTEX_V, 1.0)
     cu = cu.reshape(2, 3, 2, -1)
     cu[1] *= -1.0  # the vector-contracted part enters with a minus sign
     cv = cv.reshape(2, 3, 2, -1)

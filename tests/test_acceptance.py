@@ -116,11 +116,10 @@ def test_acceptance_4_kernel_catalogue(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(404)
     ok = True
-    index_count = {"XiK0_over_t3": 1, "XiXiK0_over_t4": 2, "XiXiDelta_over_t3": 2}
     # parity at 100 random points per id
     for kid in kernels.KERNEL_IDS:
         kern = kernels.KernelHat(kid)
-        sign = kernels.PARITY[kid] * (-1) ** index_count.get(kid, 0)
+        sign = kernels.PARITY[kid] * (-1) ** kernels.TENSOR_INDEX_COUNT.get(kid, 0)
         for _ in range(100):
             omega = float(rng.uniform(-3.0, 3.0))
             k = float(rng.uniform(0.1, 3.0))

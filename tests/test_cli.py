@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from conftest import opposite_transfer_pair, violating_jet_pair
 import lightcone
-from lightcone import checks, cli, fields, lineint, slayer
+from lightcone import checks, cli, convolution, fields, lineint, slayer
 from lightcone.fields import DEFAULT_BOX, load_config
 
 
@@ -242,15 +242,25 @@ def test_convolution_oracle_cells_far_out_are_empty_or_right(runner, q0):
             assert abs(oracle - closed) <= 1e-10 * abs(closed), r
 
 
-def test_convolution_oracle_mismatch_exits_1_with_rows(runner, tmp_path):
-    # below the mass shell (0 < q^2 < m^2) the mass-cone oracle disagrees
-    # with the closed form; the rows are still written
+def test_convolution_oracle_mismatch_exits_1_with_rows(runner, tmp_path, monkeypatch):
+    # a mass-cone oracle that disagrees with the closed form: the rows are
+    # still written
+    closed = convolution.conv_masscone_shell
+    monkeypatch.setattr(convolution, "conv_masscone_shell_oracle", lambda query: 2.0 * closed(query))
     out = tmp_path / "conv.csv"
-    result = runner.invoke(cli.main, ["convolution", "--q", "0.9,0.5,0,0", "--out", str(out)])
+    result = runner.invoke(cli.main, ["convolution", "--q", "2,0.5,0,0", "--out", str(out)])
     assert result.exit_code == 1
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert [r["name"] for r in rows] == ["conv_K0_shell", "conv_masscone_shell"]
     assert float(rows[1]["rel_err"]) > cli.CONVOLUTION_ORACLE_RTOL
+
+
+def test_convolution_omits_the_masscone_row_below_the_shell(runner):
+    # the mass-cone convolution has no support below the shell (q^2 < m^2)
+    result = runner.invoke(cli.main, ["convolution", "--q", "0.9,0.5,0,0"])
+    assert result.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(result.stdout)))
+    assert [r["name"] for r in rows] == ["conv_K0_shell"]
 
 
 def test_convolution_bad_momentum_exits_2(runner):

@@ -102,10 +102,19 @@ def test_masscone_zero_spatial_limit():
 
 
 def test_masscone_outside_cone_rejected():
-    with pytest.raises(OutsideUpperCone):
-        conv_masscone_shell(ShellIntegralQuery((-2.0, 0.0, 0.0, 0.0), 1.0))
-    with pytest.raises(OutsideUpperCone):
-        conv_masscone_shell(ShellIntegralQuery((0.5, 1.0, 0.0, 0.0), 1.0))
+    for q in (
+        (-2.0, 0.0, 0.0, 0.0),
+        (0.5, 1.0, 0.0, 0.0),
+        # below the mass shell, 0 < q^2 < m^2: q^2 >= m^2 wherever the
+        # convolution has support
+        (0.9, 0.5, 0.0, 0.0),
+        # on the shell, l_max = 0
+        (1.0, 0.0, 0.0, 0.0),
+        (float(np.sqrt(1.25)), 0.5, 0.0, 0.0),
+    ):
+        for fn in (conv_masscone_shell, conv_masscone_shell_oracle):
+            with pytest.raises(OutsideUpperCone):
+                fn(ShellIntegralQuery(q, 1.0))
 
 
 def _shell_sequence(m=1.0, qn=0.5):

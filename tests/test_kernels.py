@@ -15,6 +15,7 @@ from lightcone.kernels import (
     ORACLE_T_DAMP,
     PARITY,
     SHELL_WINDOW,
+    TENSOR_INDEX_COUNT,
     ConeRegion,
     KernelHat,
     classify,
@@ -31,11 +32,6 @@ from lightcone.kernels import (
     radial_fourier,
 )
 from lightcone.quadrature import gauss_rule
-
-# number of spatial indices carried by the tensor ids; eval_hat returns
-# their scalar base, whose omega-parity differs from the full value by
-# one khat sign flip per index under p -> -p
-TENSOR_INDEX_COUNT = {"XiK0_over_t3": 1, "XiXiK0_over_t4": 2, "XiXiDelta_over_t3": 2}
 
 # ids whose scalar closed form is annihilated by the wave operator in the
 # region sampled (XiXiK0_over_t4 only outside the cones)
@@ -266,13 +262,22 @@ def test_radial_fourier_guard_passes_on_a_resolved_grid():
 
 
 def test_radial_fourier_guard_rejects_an_unresolved_grid():
-    # without the fine t-mesh the ten-node t-panels miss the 1/t^2 kernels'
-    # cutoff near t = 0: the refinement moves them by about 0.62 and 0.41
-    eta = ORACLE_ETAS[-1]
-    for kid in ("IK0_over_t2", "Delta_over_t2"):
+    # the oracle grid without its fine t-mesh
+    cases = (
+        # the ten-node t-panels miss the 1/t^2 kernels' cutoff near t = 0:
+        # the refinement moves them by about 0.62 and 0.41
+        ("IK0_over_t2", 1.3, 1.3, 0.02),
+        ("Delta_over_t2", 1.3, 1.3, 0.02),
+        # and the 1/|t| kernel's by 1.8e-4 to 6.4e-4 relative, while the
+        # values are 3.3e-4 to 9.3e-4 off: a guard at 1e-3 passed them
+        ("Delta_over_t", 0.4, 1.3, 0.04),
+        ("Delta_over_t", 1.3, 1.3, 0.08),
+        ("Delta_over_t", 1.3, 1.3, 0.04),
+    )
+    for kid, omega, k, eta in cases:
         g = mollified_position_kernel(kid, eta, ORACLE_T_DAMP)
         with pytest.raises(QuadratureNotConverged):
-            radial_fourier(g, 1.3, 1.3, eta, {"t_max": 6.0 * ORACLE_T_DAMP})
+            radial_fourier(g, omega, k, eta, {"t_max": 6.0 * ORACLE_T_DAMP})
 
 
 def test_oracle_value_runs_the_refinement_guard(monkeypatch):

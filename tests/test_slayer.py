@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import time
 from functools import lru_cache
 from types import SimpleNamespace
@@ -147,6 +149,66 @@ def test_sigma_fermi_contraction_antisymmetric_and_conserved(rng):
     assert abs(sigma_fermi(v, u) + s) <= 1e-12 * abs(s)
     for dt in (0.1, 1.0, 10.0):
         assert abs(sigma_fermi(time_translate(u, dt), time_translate(v, dt)) - s) <= 1e-10 * abs(s)
+
+
+def reference_sigma_fermi(jet_u, jet_v):
+    """Mode-by-mode evaluation of sigma_fermi: a loop over every
+    (delta_psi_u, psi_v, delta_psi_v, psi_u) mode quadruple with
+    k(delta_psi_u) = -k(psi_v) and k(delta_psi_v) = -k(psi_u), float
+    momenta matched to 1e-9, and chiral projectors built here from
+    gamma5 = i gamma0 gamma1 gamma2 gamma3.
+
+    Returns (value, scale), scale being the sum of the magnitudes of the
+    contributions, as for reference_conservation_residual."""
+    m, box = jet_u.m, jet_u.box
+    gamma5 = 1j * GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]
+    chi_l, chi_r = 0.5 * (np.eye(4) - gamma5), 0.5 * (np.eye(4) + gamma5)
+    metric = (1.0, -1.0, -1.0, -1.0)
+
+    def bil(a, mat, b):
+        return complex(np.conj(a.a_arr) @ GAMMA0 @ mat @ b.a_arr)
+
+    def same(p, q):
+        return np.max(np.abs(p - q)) <= 1e-9
+
+    total = scale = 0.0
+    for du in jet_u.delta_psi:
+        for pv in jet_v.psi:
+            if not same(du.kvec_arr, -pv.kvec_arr):
+                continue
+            for dv in jet_v.delta_psi:
+                for pu in jet_u.psi:
+                    if not same(dv.kvec_arr, -pu.kvec_arr):
+                        continue
+                    k, q = du.kvec_arr, dv.kvec_arr
+                    weight = (q @ q + k @ k + 2.0 * m * m) / (m * m)
+                    terms = []
+                    for chi, chi_bar in ((chi_l, chi_r), (chi_r, chi_l)):
+                        terms.append(bil(du, chi, pu) * bil(pv, chi_bar, dv))
+                        for alpha in range(4):
+                            vertex = GAMMA[alpha] @ chi
+                            terms.append(-metric[alpha] * bil(du, vertex, pu) * bil(pv, vertex, dv))
+                    total += weight * sum(terms).imag / box**6
+                    scale += weight * sum(abs(z) for z in terms) / box**6
+    return total, scale
+
+
+def test_sigma_fermi_matches_reference(rng):
+    unit = 2.0 * np.pi / DEFAULT_BOX
+    k, q = unit * np.array([1.0, 0.0, 0.0]), unit * np.array([0.0, 2.0, -1.0])
+    cases = [("functional pair", *fermi_functional_pair(rng)) for _ in range(5)]
+    cases += [("dense", *_dense_pair(rng, n)) for n in (1, 2, 3)]
+    cases.append(("one mode", one_mode_jet(rng, k_psi=-q, k_delta=k), one_mode_jet(rng, k_psi=-k, k_delta=q)))
+    # several modes at one momentum, which sigma_fermi sums before contracting
+    cases.append(("repeated", jet_at(rng, [-q, -q, k], [k, k, -q]), jet_at(rng, [-k, -k, q], [q, q, -k])))
+    cases.append(("box 10", *fermi_functional_pair(rng, box=10.0)))
+    nonzero = set()
+    for name, u, v in cases:
+        want, scale = reference_sigma_fermi(u, v)
+        assert abs(sigma_fermi(u, v) - want) <= 1e-12 * scale, name
+        if want != 0.0:
+            nonzero.add(name)
+    assert nonzero >= {"functional pair", "one mode", "repeated", "box 10"}
 
 
 def test_ip_fermi_contraction_symmetric_and_conserved(rng):
@@ -388,6 +450,23 @@ def test_conservation_residual_matches_reference(rng):
                 nonzero.add(name)
     # the comparison is not between zeros only
     assert nonzero >= {"dense", "violating", "opposite", "violating, box 10"}
+
+
+def test_jtensor_vertex_is_defined_once():
+    # chibar_c enters only the module-level vertex constants, which
+    # sigma_fermi, jtensor_components and the residual read; a second
+    # transcription of the vertex would name it again
+    tree = ast.parse(pathlib.Path(slayer.__file__).read_text())
+    readers = set()
+    for node in tree.body:
+        if any(isinstance(n, ast.Name) and n.id == "_CHI_BAR" and isinstance(n.ctx, ast.Load)
+               for n in ast.walk(node)):
+            readers.add(node.name if hasattr(node, "name") else node.targets[0].id)
+    assert readers == {"_SCALAR_VERTEX", "_SPATIAL_VERTEX_V"}
+    # jtensor_components contracts stacked bilinears, component by component
+    # nowhere
+    fn = next(n for n in tree.body if getattr(n, "name", None) == "jtensor_components")
+    assert not any(isinstance(n, (ast.For, ast.While, ast.comprehension)) for n in ast.walk(fn))
 
 
 def test_functionals_reject_pairs_from_different_boxes(rng):
