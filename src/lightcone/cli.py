@@ -101,7 +101,7 @@ def kernels_cmd(kid, omega_min, omega_max, omega_step, k_min, k_max, k_step, out
         sys.exit(2)
     omegas = _grid("omega", omega_min, omega_max, omega_step)
     ks = _grid("k", k_min, k_max, k_step)
-    rows = kernels.kernel_table(kid, omegas, ks)
+    rows = kernels.kernel_table(kid, omegas.tolist(), ks.tolist())
     _write_csv(out, ("omega", "k", "region", "re", "im"), rows)
     sys.exit(0)
 
@@ -128,7 +128,9 @@ def lineint_cmd(fn, a_min, a_max, a_step, b_min, b_max, b_step, out):
     betas = _grid("b", b_min, b_max, b_step)
     a, b = np.meshgrid(alphas, betas, indexing="ij")
     values = lineint.eval_piecewise(fn, a, b)
-    rows = [(x, y, fn, float(v)) for x, y, v in zip(a.flat, b.flat, values.flat)]
+    # Python floats: csv formats them faster than numpy scalars, to the same text
+    columns = (a.ravel().tolist(), b.ravel().tolist(), values.ravel().tolist())
+    rows = [(x, y, fn, v) for x, y, v in zip(*columns)]
     _write_csv(out, ("alpha", "beta", "fn", "value"), rows)
     sys.exit(0)
 

@@ -238,8 +238,12 @@ def homogeneity_check(kernel, omega, k, R):
 
 
 # Half-width of the shell window in r - |t|, in units of the shell width
-# eta; and the relative tolerance of the transform's refinement guard.
+# eta; the mesh spacing (in eta, per refinement) and the nodes per panel
+# of the rule for the window's tails; and the relative tolerance of the
+# transform's refinement guard.
 SHELL_WINDOW = 10.0
+TAIL_MESH = 0.25
+TAIL_NODES = 8
 RADIAL_FOURIER_RTOL = 1e-9
 
 
@@ -250,63 +254,68 @@ def radial_fourier(g, omega, k, eta, grid):
         fhat(omega, k) = (4 pi / k) int dt e^{i omega t}
                                     int_0^inf r sin(k r) f(t, r) dr
 
-    g is the time factor, a vectorized function of t.  The t-rule has 4
-    ten-node panels per period of the largest frequency on [-t_max, t_max]
-    (grid key t_max), plus, if grid sets t_fine_hw and t_fine_dx, a finer
-    mesh of spacing t_fine_dx on |t| < t_fine_hw.  The r-rule has 40 nodes
-    on the window |r - |t|| <= 10 eta, cut at r = 0.  Where |t| >= 10 eta
-    the window is not cut, and the r-sum reduces to
-    (g/2) (A sin k|t| + B cos k|t|) with A, B two sums over one shared
-    window rule; only the core |t| < 10 eta needs a rule per t.  Returns
-    the value on both rules refined twofold, which must agree with the
-    unrefined one to relative RADIAL_FOURIER_RTOL = 1e-9
-    (QuadratureNotConverged otherwise)."""
+    g is the time factor, a vectorized function of t.  The r-integral
+    depends on |t| only, so the t-rule is mirrored about t = 0: it runs on
+    [0, t_max] (grid key t_max) and sums e^{i omega t} g(t)
+    + e^{-i omega t} g(-t).  It has ten-node panels at most half a period
+    of the largest frequency wide, plus, if grid sets t_fine_hw and
+    t_fine_dx, a finer mesh of spacing t_fine_dx on [0, t_fine_hw].  The
+    r-integral runs over the window |r - |t|| <= 10 eta, cut at r = 0
+    (see _shell_sums).  Returns the value on both rules refined twofold,
+    which must agree with the unrefined one to relative
+    RADIAL_FOURIER_RTOL = 1e-9 (QuadratureNotConverged otherwise)."""
     if k <= 0:
         raise ZeroMomentum("k must be > 0")
     t_max = grid["t_max"]
     t_fine_hw = grid.get("t_fine_hw", 0.0)
     t_fine_dx = grid.get("t_fine_dx", 0.0)
-    r_window = SHELL_WINDOW * eta
 
     def compute(refine):
         freq = max(abs(omega), k, 1.0)
         npan = int(np.ceil(refine * 4.0 * t_max * freq / (2.0 * np.pi))) + 8
-        edges = np.linspace(-t_max, t_max, npan + 1)
+        edges = np.linspace(0.0, t_max, (npan + 1) // 2 + 1)
         if t_fine_hw > 0.0 and t_fine_dx > 0.0:
             nfine = int(np.ceil(2.0 * t_fine_hw / (t_fine_dx / refine)))
-            fine = np.linspace(-t_fine_hw, t_fine_hw, nfine + 1)
-            edges = np.unique(np.concatenate([edges, fine]))
+            fine = np.linspace(0.0, t_fine_hw, (nfine + 1) // 2 + 1)
+            edges = np.union1d(edges, fine)
         t, wt = (a.ravel() for a in gauss_rule(edges[:-1], edges[1:], 10))
-        at = np.abs(t)
-        n = 40 * refine
-        # |t| >= r_window: r = |t| + u with one window rule u for every t,
-        # and sin k(|t| + u) = sin k|t| cos ku + cos k|t| sin ku
-        u, wu = gauss_rule(-r_window, r_window, n)
-        wg = wu * _gaussian(u, eta)
-        inner = (wg @ np.cos(k * u)) * np.sin(k * at) + (wg @ np.sin(k * u)) * np.cos(k * at)
-        core = at < r_window
-        inner[core] = _cut_window_sums(at[core], r_window, k, eta, n)
-        return (2.0 * np.pi / k) * np.sum(wt * np.exp(1j * omega * t) * g(t) * inner)
+        phase = np.exp(1j * omega * t)
+        time_factor = phase * g(t) + phase.conj() * g(-t)
+        return (2.0 * np.pi / k) * np.sum(wt * time_factor * _shell_sums(t, k, eta, refine))
 
     return converged(compute(2), compute(1), RADIAL_FOURIER_RTOL, "radial_fourier")
 
 
-def _cut_window_sums(a, r_window, k, eta, n):
-    """For each a < r_window, the n-point Gauss sum of sin(k r) G(r - a)
-    over the window cut at r = 0, [0, a + r_window]: the same rule as
-    gauss_rule(0, a + r_window, n), taken as s = a + r_window times the
-    rule on [0, 1].  Worked in place on two (len(a), n) arrays, since
-    these are most of radial_fourier's cost."""
-    s = a + r_window
-    rho, w = gauss_rule(0.0, 1.0, n)
-    kr = np.multiply.outer(k * s, rho)
-    shell = np.multiply.outer(s, rho)
-    shell -= a[:, None]
-    shell *= shell
-    shell *= -0.5 / eta**2
-    np.exp(shell, out=shell)
-    shell *= np.sin(kr, out=kr)
-    return s * (shell @ w) / (eta * np.sqrt(2.0 * np.pi))
+def _shell_sums(a, k, eta, refine):
+    """For each a = |t| >= 0, the integral of sin(k r) G(r - a) over the
+    window |r - a| <= W = 10 eta cut at r = 0.  With r = a + u it is
+
+        sin(ka) (A - Tc(a)) + cos(ka) (B + Ts(a)),
+
+    A + iB the integral of e^{iku} G(u) over [-W, W] (one rule of
+    40 * refine nodes shared by every a), and Tc + iTs its tail over
+    [a, W], which the cut removes where a < W (see _window_tails)."""
+    r_window = SHELL_WINDOW * eta
+    u, wu = gauss_rule(-r_window, r_window, 40 * refine)
+    wg = wu * _gaussian(u, eta)
+    tails = np.zeros(a.shape, dtype=complex)
+    core = a < r_window
+    tails[core] = _window_tails(a[core], r_window, k, eta, refine)
+    window_c, window_s = wg @ np.cos(k * u), wg @ np.sin(k * u)
+    return (window_c - tails.real) * np.sin(k * a) + (window_s + tails.imag) * np.cos(k * a)
+
+
+def _window_tails(a, r_window, k, eta, refine):
+    """The integral of e^{iku} G(u) over [a, r_window] for every
+    0 <= a < r_window at once: TAIL_NODES-node panels whose edges are
+    the points a and a mesh of spacing TAIL_MESH * eta / refine on
+    [0, r_window], summed panel by panel from r_window down."""
+    nmesh = int(np.ceil(SHELL_WINDOW / TAIL_MESH * refine))
+    edges = np.union1d(np.linspace(0.0, r_window, nmesh + 1), a)
+    u, wu = gauss_rule(edges[:-1], edges[1:], TAIL_NODES)
+    panels = np.sum(wu * np.exp(1j * k * u - 0.5 * (u / eta) ** 2), axis=1)
+    tails = np.append(np.cumsum(panels[::-1])[::-1], 0.0)
+    return tails[np.searchsorted(edges, a)] / (eta * np.sqrt(2.0 * np.pi))
 
 
 def _gaussian(x, eta):
@@ -398,7 +407,7 @@ def kernel_table(kid, omega_values, k_values):
                 continue
             region = classify(omega, k)
             try:
-                v = eval_hat(kernel, omega, k)
+                v = complex(eval_hat(kernel, omega, k))
                 rows.append((omega, k, region.value, v.real, v.imag))
             except (OnLightCone, ZeroMomentum):
                 rows.append((omega, k, region.value, float("nan"), float("nan")))

@@ -490,16 +490,17 @@ def time_average_identity_check(f, t_list=(10.0, 50.0, 100.0), s_max=40.0):
     grid = f(tp_n[None, :] - t_n[:, None])
     lhs = float(t_w @ grid @ tp_w)
 
-    # refinement check on the inner weighted integral
-    def inner(n):
+    # refinement check on the inner weighted integral: the 200-node rule
+    # on [0, 1] against the same rule on each half of it
+    def inner(lo, hi):
         # s f(s) is even for odd f; integrating over [0, s_max] avoids the
         # potential |s| kink at the origin; the rule runs in tau = s/s_max
-        tau, wt = gauss_rule(0.0, 1.0, n)
+        tau, wt = gauss_rule(lo, hi, 200)
         s = s_max * tau
         return 2.0 * float(np.sum(s_max * wt * s * f(s)))
 
-    i1 = inner(200)
-    i2 = converged(inner(300), i1, 1e-9, "time-average inner integral")
+    i1 = inner(0.0, 1.0)
+    i2 = converged(inner([0.0, 0.5], [0.5, 1.0]), i1, 1e-9, "time-average inner integral")
 
     rhs = []
     for t_total in t_list:

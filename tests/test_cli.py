@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from conftest import opposite_transfer_pair, violating_jet_pair
 import lightcone
 from lightcone import checks, cli, convolution, fields, lineint, slayer
+from lightcone.errors import OnLightCone
 from lightcone.fields import DEFAULT_BOX, load_config
 
 
@@ -199,6 +200,57 @@ def test_lineint_csv(runner):
     lines = result.output.strip().splitlines()
     assert lines[0] == "alpha,beta,fn,value"
     assert lines[1] == "2.0,0.5,J,-0.5"
+
+
+def _csv_bytes(header, rows):
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return fh.getvalue().encode()
+
+
+def _axis_args(name, lo, hi, step):
+    return [f"--{name}-min", repr(lo), f"--{name}-max", repr(hi), f"--{name}-step", repr(step)]
+
+
+# (first axis, second axis) as (lo, hi, step): the default grids, and
+# grids whose axes and values sit near 1e-7 and 1e16
+NEAR_1E_7 = (1e-7, 5e-7, 1e-7)
+NEAR_1E16 = (1e16, 3e16, 1e16)
+LINEINT_GRIDS = (((-2.0, 3.0, 0.05), (-2.0, 3.0, 0.05)), (NEAR_1E_7, NEAR_1E16))
+KERNELS_GRIDS = (((-3.0, 3.0, 0.1), (0.1, 3.0, 0.1)), (NEAR_1E_7, NEAR_1E_7), (NEAR_1E_7, NEAR_1E16))
+
+
+@pytest.mark.parametrize("a_axis, b_axis", LINEINT_GRIDS)
+def test_lineint_csv_matches_rows_of_numpy_scalars(runner, a_axis, b_axis):
+    args = ["lineint", "--fn", "V", *_axis_args("a", *a_axis), *_axis_args("b", *b_axis)]
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 0
+    a, b = np.meshgrid(cli._grid("a", *a_axis), cli._grid("b", *b_axis), indexing="ij")
+    values = lineint.eval_piecewise("V", a, b)
+    rows = [(x, y, "V", float(v)) for x, y, v in zip(a.flat, b.flat, values.flat)]
+    assert result.stdout_bytes == _csv_bytes(("alpha", "beta", "fn", "value"), rows)
+
+
+@pytest.mark.parametrize("kid", ["Delta_over_t", "Delta_over_t2"])
+@pytest.mark.parametrize("omega_axis, k_axis", KERNELS_GRIDS)
+def test_kernels_csv_matches_rows_of_numpy_scalars(runner, kid, omega_axis, k_axis):
+    from lightcone.kernels import KernelHat, classify, eval_hat
+
+    args = ["kernels", "--id", kid, *_axis_args("omega", *omega_axis), *_axis_args("k", *k_axis)]
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 0
+    rows = []
+    for omega in cli._grid("omega", *omega_axis):
+        for k in cli._grid("k", *k_axis):
+            region = classify(omega, k).value
+            try:
+                v = eval_hat(KernelHat(kid), omega, k)
+                rows.append((omega, k, region, v.real, v.imag))
+            except OnLightCone:
+                rows.append((omega, k, region, float("nan"), float("nan")))
+    assert result.stdout_bytes == _csv_bytes(("omega", "k", "region", "re", "im"), rows)
 
 
 def test_lineint_unknown_fn_exits_2(runner):

@@ -131,6 +131,37 @@ def test_homogeneity_of_tensor_forms():
             assert homogeneity_check(kern, omega, k, 1.7) < 1e-10
 
 
+def _base_dk(kernel, omega, k, h=5e-3):
+    """First and second k-derivatives of eval_hat's base at (omega, k):
+    central differences at steps h and h/2, one Richardson step each."""
+    f = [eval_hat(kernel, omega, k + j * h / 2.0) for j in (-2, -1, 0, 1, 2)]
+    d1 = ((f[3] - f[1]) / h * 4.0 - (f[4] - f[0]) / (2.0 * h)) / 3.0
+    d2 = ((f[3] - 2.0 * f[2] + f[1]) / (h / 2.0) ** 2 * 4.0 - (f[4] - 2.0 * f[2] + f[0]) / h**2) / 3.0
+    return d1, d2
+
+
+def test_tensor_assembly_matches_k_derivatives_of_the_base():
+    # outside the cones: d_a f = khat_a f' for one index (times i), and
+    # d_a d_b f = khat_a khat_b f'' + (delta_ab - khat_a khat_b) f'/k for two
+    khat = np.array([2.0, -1.0, 2.0]) / 3.0
+    for kid, n_idx in TENSOR_INDEX_COUNT.items():
+        kern = KernelHat(kid)
+        for omega, k in ((0.4, 1.3), (-1.1, 1.6), (1.5, 1.7)):
+            d1, d2 = _base_dk(kern, omega, k)
+            for a in (1, 2, 3):
+                if n_idx == 1:
+                    pairs = [((a,), 1j * khat[a - 1] * d1)]
+                else:
+                    pairs = [
+                        ((a, b), khat[a - 1] * khat[b - 1] * d2 + ((a == b) - khat[a - 1] * khat[b - 1]) * d1 / k)
+                        for b in (1, 2, 3)
+                    ]
+                for idx, expected in pairs:
+                    value = eval_hat_tensor(kern, omega, k * khat, *idx)
+                    # the difference quotients are good to about 2e-9 here
+                    assert abs(value - expected) <= 1e-7 * max(1.0, abs(expected)), (kid, omega, k, idx)
+
+
 def test_et_zm_split_pointwise(rng):
     for source, parts in (("IK0_over_t2", ("K0_et", "K0_zm")), ("IK0_over_t", ("K0c_et", "K0c_zm"))):
         kern = KernelHat(source)
@@ -250,6 +281,30 @@ def test_shell_transform_matches_the_2d_reference():
             for (w, k), ref in zip(points, refs):
                 value = radial_fourier(g, w, k, eta, grid)
                 assert abs(value - ref) <= 1e-12 * (scale or abs(ref)), (kid, eta, w, k)
+
+
+def reference_cut_window_sums(a, r_window, k, eta, n):
+    """For each a < r_window, the n-point Gauss sum of sin(k r) G(r - a)
+    over the window cut at r = 0, [0, a + r_window]: one rule per a, the
+    rule on [0, 1] scaled by s = a + r_window."""
+    s = a + r_window
+    rho, w = gauss_rule(0.0, 1.0, n)
+    r = np.multiply.outer(s, rho)
+    shell = np.exp(-0.5 * ((r - a[:, None]) / eta) ** 2) * np.sin(k * r)
+    return s * (shell @ w) / (eta * np.sqrt(2.0 * np.pi))
+
+
+def test_window_tails_match_the_per_t_rule():
+    # the core |t| < 10 eta, summed as the shared window minus its tail,
+    # against an 80-node rule per point on the cut window (refine = 2)
+    rng = np.random.default_rng(5)
+    for eta in ORACLE_ETAS:
+        r_window = SHELL_WINDOW * eta
+        a = np.concatenate(([0.0, 1e-12, r_window * (1.0 - 1e-12)], r_window * rng.random(200)))
+        for k in (0.3, 1.3, 3.0):
+            ref = reference_cut_window_sums(a, r_window, k, eta, 80)
+            value = kernels._shell_sums(a, k, eta, 2)
+            assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref)), (eta, k)
 
 
 def test_radial_fourier_guard_passes_on_a_resolved_grid():

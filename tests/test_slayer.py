@@ -19,7 +19,7 @@ from conftest import (
     random_maxwell_field,
     violating_jet_pair,
 )
-from lightcone import slayer
+from lightcone import quadrature, slayer
 from lightcone.clifford import CHI_L, CHI_R, GAMMA, GAMMA0, sigma_jk
 from lightcone.errors import InvalidMode, OffShellField
 from lightcone.fields import DEFAULT_BOX, DiracMode, FermionicJet, pairing_predicates, time_translate
@@ -597,8 +597,24 @@ def test_time_average_identity_calls_f_on_arrays():
         return s * np.exp(-s * s)
 
     time_average_identity_check(f, t_list=(10.0,), s_max=12.0)
-    # the 200 x 200 grid and the two refinement rules, each in one call
-    assert calls == [(200, 200), (200,), (300,)]
+    # the 200 x 200 grid and the two refinement rules (the 200-node rule
+    # on [0, 1] and on its two halves), each in one call
+    assert calls == [(200, 200), (200,), (2, 200)]
+
+
+def test_time_average_identity_uses_one_node_count(monkeypatch):
+    # every rule of the check is the cached 200-node one, so a fresh
+    # process computes a single Gauss-Legendre rule for it
+    asked = []
+    cached = quadrature.gauss_legendre
+
+    def recording(n):
+        asked.append(n)
+        return cached(n)
+
+    monkeypatch.setattr(quadrature, "gauss_legendre", recording)
+    time_average_identity_check(lambda s: s * np.exp(-s * s), t_list=(10.0, 50.0), s_max=12.0)
+    assert asked and set(asked) == {200}
 
 
 def test_time_average_identity_damped_sine():
