@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import OnLightCone, TooCloseToSingularSet, UnsupportedKernel, ZeroMomentum
-from .quadrature import converged, extrapolate_to_zero, gauss_rule
+from .quadrature import converged, extrapolate_to_zero, kronrod_rule
 
 
 class ConeRegion(Enum):
@@ -91,11 +91,20 @@ def classify(omega, k):
     return ConeRegion.Outside
 
 
+def _log_difference_and_sum(omega, k):
+    """d = log|omega - k| - log|omega + k| and s = log|omega - k| + log|omega + k|.
+    d is written as -2 atanh of the smaller of k/omega and omega/k, which
+    keeps its digits when k << |omega| or |omega| << k, where the two logs
+    nearly cancel."""
+    d = -2.0 * np.arctanh(k / omega if k < abs(omega) else omega / k)
+    return d, np.log(abs(omega - k)) + np.log(abs(omega + k))
+
+
 def _xixi_delta_base(omega, k):
-    lm = np.log(abs(omega - k))
-    lp = np.log(abs(omega + k))
+    # (1/k)((omega - k)^2 log|omega - k| - (omega + k)^2 log|omega + k|)
+    d, s = _log_difference_and_sum(omega, k)
     # purely imaginary: the real part is +0.0 for either sign of the base
-    return complex(0.0, (1.0 / k) * ((omega - k) ** 2 * lm - (omega + k) ** 2 * lp))
+    return complex(0.0, ((omega**2 + k**2) / k) * d - 2.0 * omega * s)
 
 
 def _xixi_delta_base_dk(omega, k):
@@ -135,12 +144,11 @@ def eval_hat(kernel, omega, k):
             return complex(0.0, sign)  # +0.0 real part also in the lower cone
         return 1j * omega / k
     if kid == "Delta_over_t":
-        return (1j / k) * (np.log(abs(omega - k)) - np.log(abs(omega + k)))
+        return (1j / k) * _log_difference_and_sum(omega, k)[0]
     if kid == "Delta_over_t2":
-        return (1.0 / k) * (
-            (omega - k) * np.log(abs(omega - k))
-            - (omega + k) * np.log(abs(omega + k))
-        ) + 0.0j
+        # (1/k)((omega - k) log|omega - k| - (omega + k) log|omega + k|)
+        d, s = _log_difference_and_sum(omega, k)
+        return (omega / k) * d - s + 0.0j
     if kid == "XiK0_over_t3":
         return 0.0j if inside else omega**2 / (2.0 * k) + k / 2.0 + 0.0j
     if kid == "XiXiK0_over_t4":
@@ -238,12 +246,11 @@ def homogeneity_check(kernel, omega, k, R):
 
 
 # Half-width of the shell window in r - |t|, in units of the shell width
-# eta; the mesh spacing (in eta, per refinement) and the nodes per panel
-# of the rule for the window's tails; and the relative tolerance of the
-# transform's refinement guard.
+# eta, and its number of Kronrod panels, whose edges on [0, window] also
+# mesh the window's tails; and the relative tolerance of the transform's
+# Kronrod guards.
 SHELL_WINDOW = 10.0
-TAIL_MESH = 0.25
-TAIL_NODES = 8
+WINDOW_PANELS = 8
 RADIAL_FOURIER_RTOL = 1e-9
 
 
@@ -254,68 +261,72 @@ def radial_fourier(g, omega, k, eta, grid):
         fhat(omega, k) = (4 pi / k) int dt e^{i omega t}
                                     int_0^inf r sin(k r) f(t, r) dr
 
-    g is the time factor, a vectorized function of t.  The r-integral
-    depends on |t| only, so the t-rule is mirrored about t = 0: it runs on
-    [0, t_max] (grid key t_max) and sums e^{i omega t} g(t)
-    + e^{-i omega t} g(-t).  It has ten-node panels at most half a period
-    of the largest frequency wide, plus, if grid sets t_fine_hw and
-    t_fine_dx, a finer mesh of spacing t_fine_dx on [0, t_fine_hw].  The
-    r-integral runs over the window |r - |t|| <= 10 eta, cut at r = 0
-    (see _shell_sums).  Returns the value on both rules refined twofold,
-    which must agree with the unrefined one to relative
-    RADIAL_FOURIER_RTOL = 1e-9 (QuadratureNotConverged otherwise)."""
+    g is the time factor, a vectorized function of t, called once on the
+    nodes t and once on -t.  The r-integral depends on |t| only, so the
+    t-rule is mirrored about t = 0: it runs on [0, t_max] (grid key t_max)
+    and sums e^{i omega t} g(t) + e^{-i omega t} g(-t).  Its 21-point
+    Kronrod panels are at most one period of |omega| + k wide.  If grid
+    sets t_fine_hw and t_fine_dx, panels 2 t_fine_dx wide mesh
+    [0, t_fine_hw], and edges at t_fine_hw 2^j grade them out to one
+    period, since the kernels' 1/t^p factors vary on the scale t.
+    The r-integral runs over the window |r - |t|| <= 10 eta, cut at r = 0
+    (see _shell_sums).  Each sum, over t, over the window and over its
+    tails, returns its Kronrod value once the embedded 10-point Gauss
+    rule agrees with it to relative RADIAL_FOURIER_RTOL = 1e-9
+    (QuadratureNotConverged otherwise)."""
     if k <= 0:
         raise ZeroMomentum("k must be > 0")
     t_max = grid["t_max"]
     t_fine_hw = grid.get("t_fine_hw", 0.0)
     t_fine_dx = grid.get("t_fine_dx", 0.0)
-
-    def compute(refine):
-        freq = max(abs(omega), k, 1.0)
-        npan = int(np.ceil(refine * 4.0 * t_max * freq / (2.0 * np.pi))) + 8
-        edges = np.linspace(0.0, t_max, (npan + 1) // 2 + 1)
-        if t_fine_hw > 0.0 and t_fine_dx > 0.0:
-            nfine = int(np.ceil(2.0 * t_fine_hw / (t_fine_dx / refine)))
-            fine = np.linspace(0.0, t_fine_hw, (nfine + 1) // 2 + 1)
-            edges = np.union1d(edges, fine)
-        t, wt = (a.ravel() for a in gauss_rule(edges[:-1], edges[1:], 10))
-        phase = np.exp(1j * omega * t)
-        time_factor = phase * g(t) + phase.conj() * g(-t)
-        return (2.0 * np.pi / k) * np.sum(wt * time_factor * _shell_sums(t, k, eta, refine))
-
-    return converged(compute(2), compute(1), RADIAL_FOURIER_RTOL, "radial_fourier")
+    # the integrand oscillates at up to |omega| + k
+    period = 2.0 * np.pi / max(abs(omega) + k, 1.0)
+    edges = np.linspace(0.0, t_max, int(np.ceil(t_max / period)) + 1)
+    if t_fine_hw > 0.0 and t_fine_dx > 0.0:
+        fine = np.linspace(0.0, t_fine_hw, int(np.ceil(t_fine_hw / (2.0 * t_fine_dx))) + 1)
+        n_graded = int(np.ceil(np.log2(max(period / t_fine_hw, 1.0))))
+        graded = t_fine_hw * 2.0 ** np.arange(1, n_graded)
+        edges = np.union1d(edges, np.concatenate((fine, graded[graded < t_max])))
+    t, wk, wg = kronrod_rule(edges[:-1], edges[1:])
+    phase = np.exp(1j * omega * t)
+    f = (2.0 * np.pi / k) * (phase * g(t) + phase.conj() * g(-t)) * _shell_sums(t, k, eta)
+    return converged(np.sum(wk * f), np.sum(wg * f[:, 1::2]), RADIAL_FOURIER_RTOL, "radial_fourier")
 
 
-def _shell_sums(a, k, eta, refine):
+def _shell_sums(a, k, eta):
     """For each a = |t| >= 0, the integral of sin(k r) G(r - a) over the
     window |r - a| <= W = 10 eta cut at r = 0.  With r = a + u it is
 
         sin(ka) (A - Tc(a)) + cos(ka) (B + Ts(a)),
 
-    A + iB the integral of e^{iku} G(u) over [-W, W] (one rule of
-    40 * refine nodes shared by every a), and Tc + iTs its tail over
+    A + iB the integral of e^{iku} G(u) over [-W, W] (WINDOW_PANELS
+    Kronrod panels shared by every a), and Tc + iTs its tail over
     [a, W], which the cut removes where a < W (see _window_tails)."""
     r_window = SHELL_WINDOW * eta
-    u, wu = gauss_rule(-r_window, r_window, 40 * refine)
-    wg = wu * _gaussian(u, eta)
+    u_edges = np.linspace(-r_window, r_window, WINDOW_PANELS + 1)
+    u, wk, wg = kronrod_rule(u_edges[:-1], u_edges[1:])
+    e = np.exp(1j * k * u) * _gaussian(u, eta)
+    window = converged(np.sum(wk * e), np.sum(wg * e[:, 1::2]), RADIAL_FOURIER_RTOL, "radial_fourier window")
     tails = np.zeros(a.shape, dtype=complex)
     core = a < r_window
-    tails[core] = _window_tails(a[core], r_window, k, eta, refine)
-    window_c, window_s = wg @ np.cos(k * u), wg @ np.sin(k * u)
-    return (window_c - tails.real) * np.sin(k * a) + (window_s + tails.imag) * np.cos(k * a)
+    tails[core] = _window_tails(a[core], u_edges[u_edges >= 0.0], k, eta)
+    return (window.real - tails.real) * np.sin(k * a) + (window.imag + tails.imag) * np.cos(k * a)
 
 
-def _window_tails(a, r_window, k, eta, refine):
-    """The integral of e^{iku} G(u) over [a, r_window] for every
-    0 <= a < r_window at once: TAIL_NODES-node panels whose edges are
-    the points a and a mesh of spacing TAIL_MESH * eta / refine on
-    [0, r_window], summed panel by panel from r_window down."""
-    nmesh = int(np.ceil(SHELL_WINDOW / TAIL_MESH * refine))
-    edges = np.union1d(np.linspace(0.0, r_window, nmesh + 1), a)
-    u, wu = gauss_rule(edges[:-1], edges[1:], TAIL_NODES)
-    panels = np.sum(wu * np.exp(1j * k * u - 0.5 * (u / eta) ** 2), axis=1)
-    tails = np.append(np.cumsum(panels[::-1])[::-1], 0.0)
-    return tails[np.searchsorted(edges, a)] / (eta * np.sqrt(2.0 * np.pi))
+def _window_tails(a, mesh, k, eta):
+    """The integral of e^{iku} G(u) over [a, W] for every 0 <= a < W at
+    once, W = mesh[-1]: Kronrod panels whose edges are the points a and
+    the mesh, summed panel by panel from W down, under the guard."""
+    edges = np.union1d(mesh, a)
+    u, wk, wg = kronrod_rule(edges[:-1], edges[1:])
+    e = np.exp(1j * k * u - 0.5 * (u / eta) ** 2) / (eta * np.sqrt(2.0 * np.pi))
+    at = np.searchsorted(edges, a)
+
+    def tails(panels):  # the sum over the panels above each edge, 0 at W
+        return np.append(np.cumsum(panels[::-1])[::-1], 0.0)[at]
+
+    kronrod, gauss = tails(np.sum(wk * e, axis=1)), tails(np.sum(wg * e[:, 1::2], axis=1))
+    return converged(kronrod, gauss, RADIAL_FOURIER_RTOL, "radial_fourier window tails")
 
 
 def _gaussian(x, eta):

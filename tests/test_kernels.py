@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -204,8 +206,10 @@ def test_k0hat_shell_ratio_constant():
 
 def reference_radial_fourier(f, omega, k, grid, refine):
     """The radial transform (4 pi / k) int dt e^{i omega t} int r sin(kr) f dr
-    of any f(t, r) on a (t, r) product grid: radial_fourier's t-rule at
-    the given refinement, times a rule of 40 * refine r-nodes per t-node,
+    of any f(t, r) on a (t, r) product grid: a ten-node Gauss t-rule on
+    panels at most half a period of max(|omega|, k, 1) wide over refine,
+    with the fine mesh of spacing t_fine_dx / refine if the grid sets one,
+    times a rule of 40 * refine r-nodes per t-node,
     on [0, t_max] or, with grid key r_window, on |r - |t|| <= r_window cut
     at r = 0.  It makes no use of the shell structure, so it is the
     reference for it."""
@@ -264,8 +268,8 @@ SHELL_POINTS = {
 
 
 def test_shell_transform_matches_the_2d_reference():
-    # radial_fourier returns its refined value, so the reference runs at
-    # refine = 2; off its shell K0Hat is exponentially small, so its error
+    # the reference runs at refine = 2: ten t-nodes per quarter period and
+    # 80 r-nodes per t-node; off its shell K0Hat is exponentially small, so its error
     # is measured against the on-shell magnitude at the same k
     for kid, points in SHELL_POINTS.items():
         for eta in ORACLE_ETAS:
@@ -303,13 +307,13 @@ def test_window_tails_match_the_per_t_rule():
         a = np.concatenate(([0.0, 1e-12, r_window * (1.0 - 1e-12)], r_window * rng.random(200)))
         for k in (0.3, 1.3, 3.0):
             ref = reference_cut_window_sums(a, r_window, k, eta, 80)
-            value = kernels._shell_sums(a, k, eta, 2)
+            value = kernels._shell_sums(a, k, eta)
             assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref)), (eta, k)
 
 
 def test_radial_fourier_guard_passes_on_a_resolved_grid():
-    # on oracle_value's own grid the twofold refinement moves every value by
-    # about 1e-12 relative, far inside the guard
+    # on oracle_value's own grid the embedded Gauss rule differs from the
+    # Kronrod value by at most 4e-13 relative, far inside the guard
     for kid, points in SHELL_POINTS.items():
         for eta in ORACLE_ETAS:
             for w, k in points:
@@ -319,12 +323,12 @@ def test_radial_fourier_guard_passes_on_a_resolved_grid():
 def test_radial_fourier_guard_rejects_an_unresolved_grid():
     # the oracle grid without its fine t-mesh
     cases = (
-        # the ten-node t-panels miss the 1/t^2 kernels' cutoff near t = 0:
-        # the refinement moves them by about 0.62 and 0.41
+        # the Kronrod t-panels miss the 1/t^2 kernels' cutoff near t = 0:
+        # the embedded Gauss rule differs by 4.6e-3 and 3.8e-2 relative
         ("IK0_over_t2", 1.3, 1.3, 0.02),
         ("Delta_over_t2", 1.3, 1.3, 0.02),
-        # and the 1/|t| kernel's by 1.8e-4 to 6.4e-4 relative, while the
-        # values are 3.3e-4 to 9.3e-4 off: a guard at 1e-3 passed them
+        # and for the 1/|t| kernel by 1.7e-4 to 2.8e-3, while the values
+        # are 9.6e-5 to 2.6e-4 off: a guard at 1e-3 would pass two of them
         ("Delta_over_t", 0.4, 1.3, 0.04),
         ("Delta_over_t", 1.3, 1.3, 0.08),
         ("Delta_over_t", 1.3, 1.3, 0.04),
@@ -336,10 +340,68 @@ def test_radial_fourier_guard_rejects_an_unresolved_grid():
 
 
 def test_oracle_value_runs_the_refinement_guard(monkeypatch):
-    # with a zero tolerance any refinement delta at all must raise
+    # with a zero tolerance any gap between the Kronrod and Gauss values raises
     monkeypatch.setattr(kernels, "RADIAL_FOURIER_RTOL", 0.0)
     with pytest.raises(QuadratureNotConverged):
         oracle_value("IK0_over_t", 0.4, 1.3, ORACLE_ETAS[0], ORACLE_T_DAMP)
+
+
+def test_radial_fourier_calls_g_once_per_sign():
+    # g(t) and g(-t) on the one mirrored node array, nothing more
+    calls = []
+    g = mollified_position_kernel("IK0_over_t", ORACLE_ETAS[1], ORACLE_T_DAMP)
+
+    def record(t):
+        calls.append(np.array(t))
+        return g(t)
+
+    radial_fourier(record, 0.4, 1.3, ORACLE_ETAS[1], _oracle_grid(ORACLE_ETAS[1]))
+    assert len(calls) == 2
+    assert np.all(calls[0] >= 0.0)
+    assert np.array_equal(calls[1], -calls[0])
+
+
+def test_radial_fourier_runs_each_embedded_guard(monkeypatch):
+    # the t-sum, the shell window and its tails each check their Kronrod
+    # value against the embedded Gauss rule, at RADIAL_FOURIER_RTOL
+    checked = []
+    real = kernels.converged
+
+    def spy(value, other, rtol, what):
+        checked.append((what, rtol))
+        return real(value, other, rtol, what)
+
+    monkeypatch.setattr(kernels, "converged", spy)
+    oracle_value("Delta_over_t2", 0.3, 0.9, ORACLE_ETAS[1], ORACLE_T_DAMP)
+    assert sorted(checked) == [
+        ("radial_fourier", 1e-9),
+        ("radial_fourier window", 1e-9),
+        ("radial_fourier window tails", 1e-9),
+    ]
+
+
+def _decimal_log_kernels(omega, k):
+    """Delta_over_t, Delta_over_t2 and the XiXiDelta_over_t3 base at the
+    binary values omega and k, from 60-digit decimal logarithms."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        w, kk = Decimal(omega), Decimal(k)
+        lm, lp = abs(w - kk).ln(), abs(w + kk).ln()
+        return {
+            "Delta_over_t": complex(0.0, float((lm - lp) / kk)),
+            "Delta_over_t2": complex(float(((w - kk) * lm - (w + kk) * lp) / kk), 0.0),
+            "XiXiDelta_over_t3": complex(0.0, float(((w - kk) ** 2 * lm - (w + kk) ** 2 * lp) / kk)),
+        }
+
+
+def test_log_kernels_keep_their_digits_far_from_the_cone():
+    # log|omega - k| - log|omega + k| cancels when k << |omega| (or
+    # |omega| << k): taken as a difference of two logs it is 8.9e-5 off
+    # at (1e6, 1e-6), and Delta_over_t2 comes out 0.0 at (1e16, 1e-7)
+    for omega, k in ((1e3, 1e-3), (1e6, 1e-6), (1e16, 1e-7), (-1e6, 1e-6), (1e-6, 1e6), (0.4, 1.3)):
+        for kid, ref in _decimal_log_kernels(omega, k).items():
+            value = eval_hat(KernelHat(kid), omega, k)
+            assert abs(value - ref) <= 1e-15 * abs(ref), (kid, omega, k)
 
 
 def test_kernel_table_rows():

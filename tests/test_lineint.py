@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightcone import lineint
-from lightcone.errors import TailNotNegligible, TooCloseToSingularSet
+from lightcone.errors import QuadratureNotConverged, TailNotNegligible, TooCloseToSingularSet
 from lightcone.lineint import (
     I,
     J,
@@ -277,6 +277,37 @@ def test_unbounded_line_integral_rejects_fat_tail():
         unbounded_line_integral(j, np.zeros(4), np.array([1.0, 0.0, 0.0]), cutoff=4.0)
 
 
+def test_unbounded_line_integral_calls_j_once_per_node():
+    points = []
+
+    def j(point):
+        points.append(point)
+        return np.exp(-float(point @ point)) * np.ones(4)
+
+    unbounded_line_integral(j, np.zeros(4), np.array([0.0, 1.0, 0.0]), 6.0)
+    # 8 panels on [-cutoff, cutoff] and 2 tail panels, 21 Kronrod nodes each
+    assert len(points) == 10 * 21
+    assert all(p.shape == (4,) for p in points)
+
+
+def test_unbounded_line_integral_guard_rejects_a_spike():
+    # a spike of width 0.02 at a = 1.37, inside the panel [1, 2]: the
+    # Kronrod nodes and the Gauss nodes among them see different parts of it
+    j = lambda point: np.array([np.exp(-0.5 * ((point[0] - 1.37) / 0.02) ** 2), 0.0, 0.0, 0.0])
+    with pytest.raises(QuadratureNotConverged, match="unbounded line integral"):
+        unbounded_line_integral(j, np.zeros(4), np.array([1.0, 0.0, 0.0]), cutoff=4.0)
+
+
+def test_unbounded_line_integral_runs_its_guard(monkeypatch):
+    # with a zero tolerance any gap between the Kronrod and Gauss values raises
+    j = lambda point: np.exp(-float(point @ point) / 8.0) * np.array([1.0, 0.2, -0.3, 0.1])
+    x, direction = np.array([0.1, 0.2, 0.0, -0.1]), np.array([0.0, 0.6, 0.8])
+    assert np.isfinite(unbounded_line_integral(j, x, direction, 10.0))
+    monkeypatch.setattr(lineint, "LINE_INTEGRAL_RTOL", 0.0)
+    with pytest.raises(QuadratureNotConverged):
+        unbounded_line_integral(j, x, direction, 10.0)
+
+
 def test_damped_blocks_match_closed_forms():
     for w in (0.7, 1.7, -2.3):
         for eps in (1e-1, 1e-2):
@@ -295,6 +326,17 @@ def test_bidist_extrapolation_suppresses_delta_blocks():
         extrapolated = bidist_A_oracle(u, v)
         single = bidist_A_oracle(u, v, damping=2.5e-2)
         assert abs(extrapolated) < 0.05 * abs(single)
+
+
+def test_bidist_oracle_assembles_the_closed_form_blocks():
+    # at (0.6, -0.5) the u + v block is large, D(0.1) ~ 4.7, and the u - v
+    # block small, D(1.1) ~ 0.04, so a slip between them in the -2 E(u) D(u + v)
+    # term moves the value by about 31, the size of the value itself
+    u, v, eps = 0.6, -0.5, 2.5e-2
+    e = lambda w: -2j * w / (w * w + eps * eps)
+    d = lambda w: 2.0 * eps / (w * w + eps * eps)
+    closed = e(u) * d(v) - d(u) * e(v) - 2.0 * e(u) * d(u + v)
+    assert abs(bidist_A_oracle(u, v, damping=eps) - closed) <= 1e-9
 
 
 def test_bidist_rejects_singular_arguments():

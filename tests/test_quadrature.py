@@ -7,7 +7,8 @@ from numpy.polynomial import Polynomial
 
 import lightcone
 from lightcone.errors import QuadratureNotConverged
-from lightcone.quadrature import converged, extrapolate_to_zero, gauss_rule
+from lightcone import quadrature
+from lightcone.quadrature import converged, extrapolate_to_zero, gauss_legendre, gauss_rule, kronrod_rule
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
@@ -36,6 +37,34 @@ def test_gauss_rule_misses_degree_2n():
     assert abs(np.sum(w * x**6) - 1.0 / 7.0) > 1e-6
 
 
+@pytest.mark.parametrize("lo, hi", [(-0.7, 1.9), (np.array([[-2.0], [0.3]]), np.array([0.5, 1.0, 4.0]))])
+def test_kronrod_rule_exact_to_degree_31_and_its_gauss_rule_to_19(rng, lo, hi):
+    x, wk, wg = kronrod_rule(lo, hi)
+    shape = np.broadcast(lo, hi).shape
+    assert x.shape == wk.shape == shape + (21,)
+    assert wg.shape == shape + (10,)
+    for degree, weights, nodes in ((31, wk, x), (19, wg, x[..., 1::2])):
+        p = Polynomial(rng.normal(size=degree + 1))
+        exact = p.integ()(hi) - p.integ()(lo)
+        assert np.sum(weights * p(nodes), axis=-1) == pytest.approx(exact, rel=1e-13, abs=1e-13)
+
+
+def test_kronrod_rule_misses_degree_32_and_its_gauss_rule_degree_20():
+    # the degrees above are exact and no further
+    x, wk, wg = kronrod_rule(-1.0, 1.0)
+    assert abs(np.sum(wk * x**32) - 2.0 / 33.0) > 1e-12
+    assert abs(np.sum(wg * x[1::2] ** 20) - 2.0 / 21.0) > 1e-7
+
+
+def test_kronrod_rule_embeds_the_10_point_gauss_rule():
+    x, wk, wg = kronrod_rule(-1.0, 1.0)
+    nodes, weights = gauss_legendre(10)
+    assert np.all(np.abs(x[1::2] - nodes) <= 2 * np.spacing(np.abs(nodes)))
+    assert wg == pytest.approx(weights, rel=1e-14)
+    assert np.all(np.diff(x) > 0.0) and x[10] == 0.0
+    assert np.sum(wk) == pytest.approx(2.0, rel=1e-15)
+
+
 def test_converged_returns_value():
     assert converged(2.0, 2.0 + 1e-12, 1e-9, "probe") == 2.0
     # the tolerance is relative to max(1, |value|)
@@ -55,12 +84,20 @@ def test_extrapolate_to_zero_reproduces_polynomials(xs):
 
 
 def test_only_the_quadrature_layer_builds_gauss_rules():
-    # every other module maps its nodes through gauss_rule
+    # every other module maps its nodes through gauss_rule or kronrod_rule,
+    # and none holds the Kronrod constants: their first eight digits
+    constants = (
+        *quadrature._QK21_ABSCISSAE[:-1],
+        *quadrature._QK21_KRONROD_WEIGHTS,
+        *quadrature._QK21_GAUSS_WEIGHTS,
+    )
+    digits = "|".join(f"{c:.17e}".replace(".", "")[:8] for c in constants)
     src = pathlib.Path(lightcone.__file__).parent
     offenders = [
         path.name
         for path in sorted(src.glob("*.py"))
         if path.name != "quadrature.py"
-        and re.search(r"\b(gauss_legendre|leggauss)\b", path.read_text())
+        and re.search(rf"\b(gauss_legendre|leggauss)\b|{digits}", path.read_text())
     ]
     assert offenders == []
+    assert len(constants) == 26 and re.search(digits, (src / "quadrature.py").read_text())
