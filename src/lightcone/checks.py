@@ -1,9 +1,9 @@
 """The verification suites that `lightcone verify` runs: one function per
-suite, each returning its report entries."""
+suite, each returning its report entries.  Each suite imports the modules
+it checks, so a run loads only what its suites need."""
 
 import numpy as np
 
-from . import clifford, convolution, fields, kernels, lineint, slayer
 from .errors import LightconeError
 
 
@@ -20,6 +20,8 @@ def _entry(check, value, tolerance, paper_ref, ok=None):
 
 
 def _random_xi(rng):
+    from . import clifford
+
     while True:
         xi = rng.normal(size=4) + 1j * rng.normal(size=4)
         try:
@@ -31,6 +33,8 @@ def _random_xi(rng):
 
 
 def suite_clifford(seed, tol):
+    from . import clifford
+
     rng = np.random.default_rng(seed)
     out = []
     worst = 0.0
@@ -72,6 +76,8 @@ def suite_clifford(seed, tol):
 
 
 def suite_lineint(seed, tol):
+    from . import lineint
+
     rng = np.random.default_rng(seed)
     out = []
     # 500 samples a = pa/qa, b = pb/qb; one draw with per-element bounds
@@ -104,6 +110,8 @@ def suite_lineint(seed, tol):
 
 
 def suite_kernels(seed, tol):
+    from . import kernels
+
     rng = np.random.default_rng(seed)
     out = []
     worst = 0.0
@@ -132,6 +140,8 @@ def suite_kernels(seed, tol):
 
 
 def suite_convolution(seed, tol):
+    from . import convolution
+
     rng = np.random.default_rng(seed)
     out = []
     q = convolution.ShellIntegralQuery((2.0, 0.0, 0.0, 0.0), 1.0)
@@ -157,6 +167,8 @@ def suite_convolution(seed, tol):
 
 
 def suite_fields(seed, tol):
+    from . import clifford, fields
+
     out = []
     mode = fields.MaxwellMode((1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
     f = fields.field_tensor_hat(mode.eps_arr, mode.p_arr)
@@ -183,6 +195,8 @@ def suite_fields(seed, tol):
 def suite_slayer(seed, tol, config=None):
     """config is a loaded (box, mass, maxwell_fields, jets), or None for
     the default configuration."""
+    from . import fields, slayer
+
     _, mass, maxwell_fields, jets = config or fields.load_config(fields.default_config())
     rng = np.random.default_rng(seed)
     out = []

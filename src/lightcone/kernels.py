@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import OnLightCone, TooCloseToSingularSet, UnsupportedKernel, ZeroMomentum
-from .quadrature import converged, extrapolate_to_zero, kronrod_rule
+from .quadrature import converged, extrapolate_to_zero, gauss_rule, kronrod_rule
 
 
 class ConeRegion(Enum):
@@ -107,15 +107,33 @@ def _xixi_delta_base(omega, k):
     return complex(0.0, ((omega**2 + k**2) / k) * d - 2.0 * omega * s)
 
 
+# Below this |k/omega| the k-derivatives of the XiXiDelta_over_t3 base
+# take their series, whose first 14 terms reach 1e-17 relative there.
+XIXI_SERIES_X = 0.25
+
+
 def _xixi_delta_base_dk(omega, k):
-    """First and second k-derivatives of the XiXiDelta_over_t3 base."""
-    lm = np.log(abs(omega - k))
-    lp = np.log(abs(omega + k))
-    s = (omega - k) ** 2 * lm - (omega + k) ** 2 * lp
-    s_k = -2.0 * (omega - k) * lm - 2.0 * (omega + k) * lp - 2.0 * omega
-    s_kk = 2.0 * lm - 2.0 * lp
-    b1 = -1j * s / k**2 + 1j * s_k / k
-    b2 = 2j * s / k**3 - 2j * s_k / k**2 + 1j * s_kk / k
+    """First and second k-derivatives of the XiXiDelta_over_t3 base,
+
+        b1 = i [d (1 - omega^2/k^2) - 2 omega/k],
+        b2 = i [4 omega/k^2 + 2 omega^2 d/k^3],
+
+    d = log|omega - k| - log|omega + k|.  In x = k/omega, b1 is
+    (2i/x^2) [(1 - x^2) atanh(x) - x] and b2 is (4i/(omega x^3))
+    [x - atanh(x)], and both brackets cancel as x -> 0.  For
+    |x| < XIXI_SERIES_X they take their series,
+    (1 - x^2) atanh(x) - x = -sum_{n>=1} 2 x^{2n+1}/((2n-1)(2n+1)) and
+    x - atanh(x) = -sum_{n>=1} x^{2n+1}/(2n+1)."""
+    if abs(k) < XIXI_SERIES_X * abs(omega):
+        x = k / omega
+        n = np.arange(1, 15)
+        powers = x ** (2 * n - 2)
+        b1 = -4j * x * np.sum(powers / ((2 * n - 1) * (2 * n + 1)))
+        b2 = -4j / omega * np.sum(powers / (2 * n + 1))
+    else:
+        d = _log_difference_and_sum(omega, k)[0]
+        b1 = 1j * (d * (1.0 - (omega / k) ** 2) - 2.0 * omega / k)
+        b2 = 1j * (4.0 * omega / k**2 + 2.0 * omega**2 * d / k**3)
     return b1, b2
 
 
@@ -247,86 +265,127 @@ def homogeneity_check(kernel, omega, k, R):
 
 # Half-width of the shell window in r - |t|, in units of the shell width
 # eta, and its number of Kronrod panels, whose edges on [0, window] also
-# mesh the window's tails; and the relative tolerance of the transform's
-# Kronrod guards.
+# mesh the window's tails; the Gauss nodes per gap of the tails' mesh; and
+# the relative tolerance of the transform's guards.
 SHELL_WINDOW = 10.0
 WINDOW_PANELS = 8
+TAIL_NODES = 5
 RADIAL_FOURIER_RTOL = 1e-9
 
 
 def radial_fourier(g, omega, k, eta, grid):
     """Fourier transform of the Gaussian shell kernel
-    f(t, r) = g(t) G(r - |t|) / (2 r), G the normal density of width eta:
+    f(t, r) = g(t, eta) G(r - |t|) / (2 r), G the normal density of width
+    eta:
 
         fhat(omega, k) = (4 pi / k) int dt e^{i omega t}
                                     int_0^inf r sin(k r) f(t, r) dr
 
-    g is the time factor, a vectorized function of t, called once on the
-    nodes t and once on -t.  The r-integral depends on |t| only, so the
-    t-rule is mirrored about t = 0: it runs on [0, t_max] (grid key t_max)
-    and sums e^{i omega t} g(t) + e^{-i omega t} g(-t).  Its 21-point
-    Kronrod panels are at most one period of |omega| + k wide.  If grid
-    sets t_fine_hw and t_fine_dx, panels 2 t_fine_dx wide mesh
+    eta is one width or a 1-D ladder of them, and the result has its
+    shape.  Every rung builds its own t-rule, and one kronrod_rule call
+    maps the panels of all rungs.  g is the time factor, a vectorized
+    function of t and of eta (one width per panel, broadcast against t),
+    called once on all nodes t and once on -t.  The r-integral depends on
+    |t| only, so the t-rule is mirrored about t = 0: it runs on
+    [0, t_max] (grid key t_max) and sums e^{i omega t} g(t) +
+    e^{-i omega t} g(-t).  Its 21-point Kronrod panels are at most one
+    period of |omega| + k wide.  If grid sets t_fine_hw and t_fine_dx
+    (scalars, or one per rung), panels 2 t_fine_dx wide mesh
     [0, t_fine_hw], and edges at t_fine_hw 2^j grade them out to one
     period, since the kernels' 1/t^p factors vary on the scale t.
     The r-integral runs over the window |r - |t|| <= 10 eta, cut at r = 0
-    (see _shell_sums).  Each sum, over t, over the window and over its
-    tails, returns its Kronrod value once the embedded 10-point Gauss
-    rule agrees with it to relative RADIAL_FOURIER_RTOL = 1e-9
-    (QuadratureNotConverged otherwise)."""
+    (see _shell_sums).  Each rung's sums over t, over its window and over
+    the window's tails pass their own guard at relative
+    RADIAL_FOURIER_RTOL = 1e-9 (QuadratureNotConverged otherwise): the
+    t-sum and the window against their embedded 10-point Gauss rule, the
+    tails against the window's Kronrod panels (see _window_tails)."""
     if k <= 0:
         raise ZeroMomentum("k must be > 0")
+    ladder = np.atleast_1d(np.asarray(eta, dtype=float))
     t_max = grid["t_max"]
-    t_fine_hw = grid.get("t_fine_hw", 0.0)
-    t_fine_dx = grid.get("t_fine_dx", 0.0)
     # the integrand oscillates at up to |omega| + k
     period = 2.0 * np.pi / max(abs(omega) + k, 1.0)
-    edges = np.linspace(0.0, t_max, int(np.ceil(t_max / period)) + 1)
-    if t_fine_hw > 0.0 and t_fine_dx > 0.0:
-        fine = np.linspace(0.0, t_fine_hw, int(np.ceil(t_fine_hw / (2.0 * t_fine_dx))) + 1)
-        n_graded = int(np.ceil(np.log2(max(period / t_fine_hw, 1.0))))
-        graded = t_fine_hw * 2.0 ** np.arange(1, n_graded)
-        edges = np.union1d(edges, np.concatenate((fine, graded[graded < t_max])))
-    t, wk, wg = kronrod_rule(edges[:-1], edges[1:])
+    coarse = np.linspace(0.0, t_max, int(np.ceil(t_max / period)) + 1)
+    t_fine = (np.broadcast_to(grid.get(key, 0.0), ladder.shape) for key in ("t_fine_hw", "t_fine_dx"))
+    edges = []
+    for t_fine_hw, t_fine_dx in zip(*t_fine):
+        if t_fine_hw > 0.0 and t_fine_dx > 0.0:
+            fine = np.linspace(0.0, t_fine_hw, int(np.ceil(t_fine_hw / (2.0 * t_fine_dx))) + 1)
+            n_graded = int(np.ceil(np.log2(max(period / t_fine_hw, 1.0))))
+            graded = t_fine_hw * 2.0 ** np.arange(1, n_graded)
+            edges.append(np.union1d(coarse, np.concatenate((fine, graded[graded < t_max]))))
+        else:
+            edges.append(coarse)
+    panels = np.array([len(e) - 1 for e in edges])
+    t, wk, wg = kronrod_rule(np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges]))
+    width = np.repeat(ladder, panels)[:, None]
     phase = np.exp(1j * omega * t)
-    f = (2.0 * np.pi / k) * (phase * g(t) + phase.conj() * g(-t)) * _shell_sums(t, k, eta)
-    return converged(np.sum(wk * f), np.sum(wg * f[:, 1::2]), RADIAL_FOURIER_RTOL, "radial_fourier")
+    f = (2.0 * np.pi / k) * (phase * g(t, width) + phase.conj() * g(-t, width)) * _shell_sums(t, k, width)
+    first = np.cumsum(panels) - panels
+    kronrod = np.add.reduceat(np.sum(wk * f, axis=1), first)
+    gauss = np.add.reduceat(np.sum(wg * f[:, 1::2], axis=1), first)
+    value = np.array([converged(v, o, RADIAL_FOURIER_RTOL, "radial_fourier") for v, o in zip(kronrod, gauss)])
+    return value if np.ndim(eta) else value[0]
 
 
 def _shell_sums(a, k, eta):
-    """For each a = |t| >= 0, the integral of sin(k r) G(r - a) over the
-    window |r - a| <= W = 10 eta cut at r = 0.  With r = a + u it is
+    """For each a = |t| >= 0 and its shell width eta (broadcast against
+    a), the integral of sin(k r) G(r - a) over the window
+    |r - a| <= W = 10 eta cut at r = 0.  With r = a + u it is
 
         sin(ka) (A - Tc(a)) + cos(ka) (B + Ts(a)),
 
-    A + iB the integral of e^{iku} G(u) over [-W, W] (WINDOW_PANELS
-    Kronrod panels shared by every a), and Tc + iTs its tail over
-    [a, W], which the cut removes where a < W (see _window_tails)."""
-    r_window = SHELL_WINDOW * eta
-    u_edges = np.linspace(-r_window, r_window, WINDOW_PANELS + 1)
-    u, wk, wg = kronrod_rule(u_edges[:-1], u_edges[1:])
-    e = np.exp(1j * k * u) * _gaussian(u, eta)
-    window = converged(np.sum(wk * e), np.sum(wg * e[:, 1::2]), RADIAL_FOURIER_RTOL, "radial_fourier window")
+    A + iB the integral of e^{iku} G(u) over [-W, W], and Tc + iTs its
+    tail over [a, W], which the cut removes where a < W (see
+    _window_tails).  Each distinct eta (rung) has its own window of
+    WINDOW_PANELS Kronrod panels; the windows of all rungs form one
+    stacked rule, and each passes its own embedded-Gauss guard."""
+    ladder, rung = np.unique(eta, return_inverse=True)
+    rung = rung.reshape(np.shape(eta))
+    r_window = SHELL_WINDOW * ladder
+    u_edges = r_window[:, None] * np.linspace(-1.0, 1.0, WINDOW_PANELS + 1)
+    u, wk, wg = kronrod_rule(u_edges[:, :-1], u_edges[:, 1:])
+    e = np.exp(1j * k * u) * _gaussian(u, ladder[:, None, None])
+    panels = np.sum(wk * e, axis=2)
+    gauss = np.sum(wg * e[..., 1::2], axis=(1, 2))
+    window = np.array(
+        [converged(np.sum(p), o, RADIAL_FOURIER_RTOL, "radial_fourier window") for p, o in zip(panels, gauss)]
+    )
     tails = np.zeros(a.shape, dtype=complex)
-    core = a < r_window
-    tails[core] = _window_tails(a[core], u_edges[u_edges >= 0.0], k, eta)
+    core = a < r_window[rung]
+    half = WINDOW_PANELS // 2
+    core_rung = np.broadcast_to(rung, a.shape)[core]
+    tails[core] = _window_tails(a[core], core_rung, u_edges[:, half:], panels[:, half:], k, ladder)
+    window = window[rung]
     return (window.real - tails.real) * np.sin(k * a) + (window.imag + tails.imag) * np.cos(k * a)
 
 
-def _window_tails(a, mesh, k, eta):
-    """The integral of e^{iku} G(u) over [a, W] for every 0 <= a < W at
-    once, W = mesh[-1]: Kronrod panels whose edges are the points a and
-    the mesh, summed panel by panel from W down, under the guard."""
-    edges = np.union1d(mesh, a)
-    u, wk, wg = kronrod_rule(edges[:-1], edges[1:])
-    e = np.exp(1j * k * u - 0.5 * (u / eta) ** 2) / (eta * np.sqrt(2.0 * np.pi))
-    at = np.searchsorted(edges, a)
-
-    def tails(panels):  # the sum over the panels above each edge, 0 at W
-        return np.append(np.cumsum(panels[::-1])[::-1], 0.0)[at]
-
-    kronrod, gauss = tails(np.sum(wk * e, axis=1)), tails(np.sum(wg * e[:, 1::2], axis=1))
-    return converged(kronrod, gauss, RADIAL_FOURIER_RTOL, "radial_fourier window tails")
+def _window_tails(a, rung, mesh, mesh_panels, k, eta):
+    """The integral of e^{iku} G(u) over [a, W] for every core point
+    0 <= a < W of every rung at once, W = mesh[rung, -1] and G of width
+    eta[rung]: a TAIL_NODES-point Gauss rule on each gap between the
+    rung's sorted points a and its window mesh, summed gap by gap from W
+    down.  The sums at the mesh points must agree, rung by rung, with the
+    sums of the window's Kronrod panels above them (mesh_panels)."""
+    n_mesh = mesh.shape[1]
+    points = np.concatenate((a, mesh.ravel()))
+    owner = np.concatenate((rung, np.repeat(np.arange(len(eta)), n_mesh)))
+    order = np.lexsort((points, owner))
+    lo, hi, gap_rung = points[order[:-1]], points[order[1:]], owner[order[:-1]]
+    u, w = gauss_rule(lo, hi, TAIL_NODES)
+    width = eta[gap_rung][:, None]
+    e = np.exp(1j * k * u - 0.5 * (u / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
+    # the step from one rung's W to the next rung's first point is no gap
+    gaps = np.where(gap_rung == owner[order[1:]], np.sum(w * e, axis=1), 0.0)
+    above = np.append(np.cumsum(gaps[::-1])[::-1], 0.0)
+    at = np.empty_like(order)  # the sorted position of each point
+    at[order] = np.arange(len(order))
+    top = at[len(a) + n_mesh * np.arange(1, len(eta) + 1) - 1]  # of each rung's W
+    tails = above[at] - above[top][owner]
+    mesh_tails = tails[len(a):].reshape(mesh.shape)[:, :-1]
+    for r, reference in enumerate(np.cumsum(mesh_panels[:, ::-1], axis=1)[:, ::-1]):
+        converged(mesh_tails[r], reference, RADIAL_FOURIER_RTOL, "radial_fourier window tails")
+    return tails[: len(a)]
 
 
 def _gaussian(x, eta):
@@ -339,16 +398,16 @@ def _smooth_cutoff(t, eta):
     return x * x * (3.0 - 2.0 * x)
 
 
-def mollified_position_kernel(kid, eta, t_damp):
+def mollified_position_kernel(kid, t_damp):
     """Position-space realization of a kernel id with the on-cone delta
     replaced by a Gaussian shell of width eta in (r - |t|) and a Gaussian
     time damping of scale t_damp (for conditional convergence):
-    f(t, r) = g(t) G(r - |t|) / (2 r).  Returns the vectorized time factor
-    g for radial_fourier."""
+    f(t, r) = g(t, eta) G(r - |t|) / (2 r).  Returns the vectorized time
+    factor g(t, eta) for radial_fourier; eta broadcasts against t."""
     if kid not in {"K0Hat", "IK0_over_t", "IK0_over_t2", "Delta_over_t", "Delta_over_t2"}:
         raise UnsupportedKernel(kid)
 
-    def g(t):
+    def g(t, eta):
         damp = np.exp(-0.5 * (t / t_damp) ** 2)
         if kid == "K0Hat":
             return 1j * np.sign(t) * damp
@@ -366,11 +425,16 @@ def mollified_position_kernel(kid, eta, t_damp):
 
 
 def oracle_value(kid, omega, k, eta, t_damp):
-    """One mollified radial Fourier evaluation at fixed eta and damping
-    scale t_damp, under radial_fourier's refinement guard.  The value keeps
-    the damping: nothing extrapolates it away in t_damp."""
-    grid = {"t_fine_hw": max(20.0 * eta, 1.0), "t_fine_dx": eta / 2.0, "t_max": 6.0 * t_damp}
-    return radial_fourier(mollified_position_kernel(kid, eta, t_damp), omega, k, eta, grid)
+    """The mollified radial Fourier transform of kernel id kid at
+    (omega, k), shell width eta and damping scale t_damp, under
+    radial_fourier's guards.  eta is one width or a ladder, evaluated in
+    one radial_fourier call; the result has eta's shape.  The fine t-mesh
+    (panels eta wide) covers the core |t| < 10 eta, where the cutoff and
+    the window's cut act.  The value keeps the damping: nothing
+    extrapolates it away in t_damp."""
+    eta = np.asarray(eta, dtype=float)
+    grid = {"t_fine_hw": SHELL_WINDOW * eta, "t_fine_dx": eta / 2.0, "t_max": 6.0 * t_damp}
+    return radial_fourier(mollified_position_kernel(kid, t_damp), omega, k, eta, grid)
 
 
 # The oracles' mollifier ladder (extrapolated to zero width) and damping scale.
@@ -381,13 +445,14 @@ ORACLE_T_DAMP = 20.0
 def oracle_ratio(kid, omega, k):
     """Ratio of the mollified radial Fourier oracle to the closed form at
     (omega, k), polynomially extrapolated to zero mollifier width.  The
-    limit is an (omega, k)-independent constant per kernel id."""
+    whole ladder ORACLE_ETAS is one oracle_value call, so one
+    radial_fourier call.  The limit is an (omega, k)-independent constant
+    per kernel id."""
     kernel = KernelHat(kid)
     closed = eval_hat(kernel, omega, k)
     if abs(closed) < 1e-14:
         raise TooCloseToSingularSet("closed form vanishes; ratio undefined")
-    vals = [oracle_value(kid, omega, k, eta, ORACLE_T_DAMP) / closed for eta in ORACLE_ETAS]
-    return extrapolate_to_zero(ORACLE_ETAS, vals)
+    return extrapolate_to_zero(ORACLE_ETAS, oracle_value(kid, omega, k, ORACLE_ETAS, ORACLE_T_DAMP) / closed)
 
 
 def k0hat_shell_ratio(omega, k):

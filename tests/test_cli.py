@@ -379,6 +379,27 @@ def test_cli_loads_only_what_each_command_needs(runner, tmp_path):
     assert "lightcone.slayer" not in modules and "lightcone.lineint" not in modules
 
 
+def test_slayer_suite_loads_neither_kernels_nor_convolution():
+    # each suite imports its own modules, so the slayer suite, which every
+    # slayer config check runs, pays for neither oracle module
+    script = (
+        "import sys\n"
+        "from lightcone import checks\n"
+        "checks.run_suites(('slayer',), 7)\n"
+        "print(sorted(m for m in ('lightcone.kernels', 'lightcone.convolution') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(lightcone.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_slayer_eval_default_config(runner):
     result = runner.invoke(cli.main, ["slayer", "eval"])
     assert result.exit_code == 0

@@ -247,13 +247,13 @@ def test_reference_radial_fourier_exact_on_a_4d_gaussian():
 
 def _oracle_grid(eta):
     # the grid oracle_value passes to radial_fourier
-    return {"t_fine_hw": max(20.0 * eta, 1.0), "t_fine_dx": eta / 2.0, "t_max": 6.0 * ORACLE_T_DAMP}
+    return {"t_fine_hw": SHELL_WINDOW * eta, "t_fine_dx": eta / 2.0, "t_max": 6.0 * ORACLE_T_DAMP}
 
 
 def _shell_kernel(g, eta):
-    """f(t, r) = g(t) G(r - |t|) / (2 r), G the normal density of width eta."""
+    """f(t, r) = g(t, eta) G(r - |t|) / (2 r), G the normal density of width eta."""
     return lambda t, r: (
-        g(t) * np.exp(-0.5 * ((r - np.abs(t)) / eta) ** 2) / (eta * np.sqrt(2.0 * np.pi)) / (2.0 * r)
+        g(t, eta) * np.exp(-0.5 * ((r - np.abs(t)) / eta) ** 2) / (eta * np.sqrt(2.0 * np.pi)) / (2.0 * r)
     )
 
 
@@ -269,18 +269,16 @@ SHELL_POINTS = {
 
 def test_shell_transform_matches_the_2d_reference():
     # the reference runs at refine = 2: ten t-nodes per quarter period and
-    # 80 r-nodes per t-node; off its shell K0Hat is exponentially small, so its error
-    # is measured against the on-shell magnitude at the same k
+    # 80 r-nodes per t-node, with its fine mesh out to max(20 eta, 1), since
+    # its Gauss panels need it where the 1/t^p factors vary; off its shell
+    # K0Hat is exponentially small, so its error is measured against the
+    # on-shell magnitude at the same k
     for kid, points in SHELL_POINTS.items():
         for eta in ORACLE_ETAS:
-            g = mollified_position_kernel(kid, eta, ORACLE_T_DAMP)
+            g = mollified_position_kernel(kid, ORACLE_T_DAMP)
             grid = _oracle_grid(eta)
-            refs = [
-                reference_radial_fourier(
-                    _shell_kernel(g, eta), w, k, {**grid, "r_window": SHELL_WINDOW * eta}, 2
-                )
-                for w, k in points
-            ]
+            ref_grid = {**grid, "t_fine_hw": max(20.0 * eta, 1.0), "r_window": SHELL_WINDOW * eta}
+            refs = [reference_radial_fourier(_shell_kernel(g, eta), w, k, ref_grid, 2) for w, k in points]
             scale = abs(refs[0]) if kid == "K0Hat" else None
             for (w, k), ref in zip(points, refs):
                 value = radial_fourier(g, w, k, eta, grid)
@@ -313,7 +311,8 @@ def test_window_tails_match_the_per_t_rule():
 
 def test_radial_fourier_guard_passes_on_a_resolved_grid():
     # on oracle_value's own grid the embedded Gauss rule differs from the
-    # Kronrod value by at most 4e-13 relative, far inside the guard
+    # Kronrod value by at most 4.2e-13 relative, and the window tails from
+    # the window's own panels by 2e-16, far inside the guards
     for kid, points in SHELL_POINTS.items():
         for eta in ORACLE_ETAS:
             for w, k in points:
@@ -321,7 +320,9 @@ def test_radial_fourier_guard_passes_on_a_resolved_grid():
 
 
 def test_radial_fourier_guard_rejects_an_unresolved_grid():
-    # the oracle grid without its fine t-mesh
+    # the oracle grid without its fine t-mesh; with few t-nodes in the core
+    # the window-tails guard fires first in all but the eta = 0.08 case
+    # (it reads 1.3e-9 to 4.4e-9), and the t-sum guard reads as below
     cases = (
         # the Kronrod t-panels miss the 1/t^2 kernels' cutoff near t = 0:
         # the embedded Gauss rule differs by 4.6e-3 and 3.8e-2 relative
@@ -334,7 +335,7 @@ def test_radial_fourier_guard_rejects_an_unresolved_grid():
         ("Delta_over_t", 1.3, 1.3, 0.04),
     )
     for kid, omega, k, eta in cases:
-        g = mollified_position_kernel(kid, eta, ORACLE_T_DAMP)
+        g = mollified_position_kernel(kid, ORACLE_T_DAMP)
         with pytest.raises(QuadratureNotConverged):
             radial_fourier(g, omega, k, eta, {"t_max": 6.0 * ORACLE_T_DAMP})
 
@@ -349,11 +350,11 @@ def test_oracle_value_runs_the_refinement_guard(monkeypatch):
 def test_radial_fourier_calls_g_once_per_sign():
     # g(t) and g(-t) on the one mirrored node array, nothing more
     calls = []
-    g = mollified_position_kernel("IK0_over_t", ORACLE_ETAS[1], ORACLE_T_DAMP)
+    g = mollified_position_kernel("IK0_over_t", ORACLE_T_DAMP)
 
-    def record(t):
+    def record(t, eta):
         calls.append(np.array(t))
-        return g(t)
+        return g(t, eta)
 
     radial_fourier(record, 0.4, 1.3, ORACLE_ETAS[1], _oracle_grid(ORACLE_ETAS[1]))
     assert len(calls) == 2
@@ -380,6 +381,74 @@ def test_radial_fourier_runs_each_embedded_guard(monkeypatch):
     ]
 
 
+def test_ladder_matches_one_rung_calls():
+    # the ladder shares one t-rule construction and one stacked window
+    # rule, and returns each rung's value as its own one-rung call does
+    for kid, (w, k) in (
+        ("IK0_over_t", (0.4, 1.3)),
+        ("IK0_over_t2", (2.2, 0.9)),
+        ("Delta_over_t", (0.4, 1.3)),
+        ("K0Hat", (1.3, 1.3)),
+    ):
+        ladder = oracle_value(kid, w, k, ORACLE_ETAS, ORACLE_T_DAMP)
+        assert ladder.shape == (len(ORACLE_ETAS),)
+        for eta, value in zip(ORACLE_ETAS, ladder):
+            single = oracle_value(kid, w, k, eta, ORACLE_T_DAMP)
+            assert abs(value - single) <= 1e-13 * abs(single), (kid, eta)
+
+
+def test_oracle_ratio_makes_one_radial_fourier_call(monkeypatch):
+    # the whole mollifier ladder in one call, with g called once per sign
+    calls = []
+    real = kernels.radial_fourier
+
+    def spy(g, omega, k, eta, grid):
+        g_calls = []
+
+        def record(t, width):
+            g_calls.append(np.array(t))
+            return g(t, width)
+
+        calls.append((np.array(eta), g_calls))
+        return real(record, omega, k, eta, grid)
+
+    monkeypatch.setattr(kernels, "radial_fourier", spy)
+    oracle_ratio("IK0_over_t", 0.4, 1.3)
+    assert len(calls) == 1
+    eta, g_calls = calls[0]
+    assert np.array_equal(eta, ORACLE_ETAS)
+    assert len(g_calls) == 2
+    assert np.all(g_calls[0] >= 0.0)
+    assert np.array_equal(g_calls[1], -g_calls[0])
+
+
+def test_each_rung_runs_its_own_guards(monkeypatch):
+    # every guard holds one rung's sums, so a poorly resolved rung cannot
+    # hide behind the largest value of the ladder
+    checked = []
+    real = kernels.converged
+
+    def spy(value, other, rtol, what):
+        checked.append((what, np.shape(value), value))
+        return real(value, other, rtol, what)
+
+    monkeypatch.setattr(kernels, "converged", spy)
+    ladder = oracle_value("Delta_over_t2", 0.3, 0.9, ORACLE_ETAS, ORACLE_T_DAMP)
+    names = [what for what, _, _ in checked]
+    for what in ("radial_fourier", "radial_fourier window", "radial_fourier window tails"):
+        assert names.count(what) == len(ORACLE_ETAS)
+    t_sums = [value for what, shape, value in checked if what == "radial_fourier"]
+    assert all(shape == () for what, shape, _ in checked if what != "radial_fourier window tails")
+    assert np.array_equal(t_sums, ladder)
+
+
+def test_window_tails_guard_fires_on_a_one_node_rule(monkeypatch):
+    # one Gauss node per gap misses the window's own panel sums by 7e-6
+    monkeypatch.setattr(kernels, "TAIL_NODES", 1)
+    with pytest.raises(QuadratureNotConverged, match="window tails"):
+        oracle_value("IK0_over_t", 0.4, 1.3, ORACLE_ETAS, ORACLE_T_DAMP)
+
+
 def _decimal_log_kernels(omega, k):
     """Delta_over_t, Delta_over_t2 and the XiXiDelta_over_t3 base at the
     binary values omega and k, from 60-digit decimal logarithms."""
@@ -402,6 +471,36 @@ def test_log_kernels_keep_their_digits_far_from_the_cone():
         for kid, ref in _decimal_log_kernels(omega, k).items():
             value = eval_hat(KernelHat(kid), omega, k)
             assert abs(value - ref) <= 1e-15 * abs(ref), (kid, omega, k)
+
+
+def _decimal_xixi_delta_dk(omega, k):
+    """The first and second k-derivatives of the XiXiDelta_over_t3 base
+    i s/k, s = (omega - k)^2 log|omega - k| - (omega + k)^2 log|omega + k|,
+    at the binary values omega and k, differentiated term by term in
+    60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        w, kk = Decimal(omega), Decimal(k)
+        lm, lp = abs(w - kk).ln(), abs(w + kk).ln()
+        s = (w - kk) ** 2 * lm - (w + kk) ** 2 * lp
+        s_k = -2 * (w - kk) * lm - 2 * (w + kk) * lp - 2 * w
+        s_kk = 2 * (lm - lp)
+        b1 = -s / kk**2 + s_k / kk
+        b2 = 2 * s / kk**3 - 2 * s_k / kk**2 + s_kk / kk
+        return complex(0.0, float(b1)), complex(0.0, float(b2))
+
+
+def test_tensor_derivatives_keep_their_digits_far_from_the_cone():
+    # along k_vec = (k, 0, 0) the (1, 1) component is the base's second
+    # k-derivative b2 and the (2, 2) component is b1/k; both cancel as
+    # k/omega -> 0, and taken from the two logs they were 7e2 relative off
+    # at (1e3, 1e-3) and 2e20 off at (1e6, 1e-6)
+    kern = KernelHat("XiXiDelta_over_t3")
+    for omega, k in ((1e3, 1e-3), (1e6, 1e-6), (-1e6, 1e-6), (2.2, 0.9), (0.4, 1.3)):
+        b1, b2 = _decimal_xixi_delta_dk(omega, k)
+        k_vec = np.array([k, 0.0, 0.0])
+        assert abs(eval_hat_tensor(kern, omega, k_vec, 1, 1) - b2) <= 1e-13 * abs(b2), (omega, k)
+        assert abs(eval_hat_tensor(kern, omega, k_vec, 2, 2) - b1 / k) <= 1e-13 * abs(b1 / k), (omega, k)
 
 
 def test_kernel_table_rows():

@@ -22,7 +22,14 @@ from conftest import (
 from lightcone import quadrature, slayer
 from lightcone.clifford import CHI_L, CHI_R, GAMMA, GAMMA0, sigma_jk
 from lightcone.errors import InvalidMode, OffShellField
-from lightcone.fields import DEFAULT_BOX, DiracMode, FermionicJet, pairing_predicates, time_translate
+from lightcone.fields import (
+    DEFAULT_BOX,
+    DiracMode,
+    FermionicJet,
+    MaxwellField,
+    pairing_predicates,
+    time_translate,
+)
 from lightcone.quadrature import gauss_rule
 from lightcone.slayer import (
     _box_quadrupole_hat,
@@ -93,6 +100,50 @@ def test_ip_bose_conserved_under_time_translation(rng):
     for dt in (0.1, 1.0, 10.0):
         moved = ip_bose(time_translate(u, dt), time_translate(v, dt))
         assert moved == pytest.approx(base, abs=1e-10 * scale)
+
+
+def reference_ip_bose_grid(u, v, n=8):
+    """ip_bose from position space.  Each frequency sign s of each field
+    (the terms with sign(p0) = s, whose sum is the field's positive or
+    negative frequency part) is sampled as A^mu(x) at t = 0 on an n^3 grid
+    over the box.  Spectral derivatives give E = -grad A^0 - dA/dt and
+    B = curl A, with d/dx_j -> i k_j and, for a free wave of frequency sign
+    s, d/dt -> -i s |k|.  The result is (1/L^3) sum over s and k of
+    (conj(E_u) . E_v + conj(B_u) . B_v / 2) / |k|, real part, with the
+    Fourier amplitudes from np.fft.  Exact while every lattice index lies
+    in [-n/2, n/2).  It does not call field_tensor_hat."""
+    box = u.box
+    axis = np.arange(n) * (box / n)
+    x = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"))
+    k = 2.0 * np.pi * np.stack(np.meshgrid(*[np.fft.fftfreq(n, box / n)] * 3, indexing="ij"))
+    k_norm = np.sqrt(np.sum(k**2, axis=0))
+
+    def e_and_b(field, s):
+        a = np.zeros((4, n, n, n), dtype=complex)
+        for mode in field.modes:
+            for eps, p in ((mode.eps_arr, mode.p_arr), (np.conj(mode.eps_arr), -mode.p_arr)):
+                if np.sign(p[0]) == s:
+                    a += eps[:, None, None, None] * np.exp(1j * np.tensordot(p[1:], x, axes=1))
+        a_hat = np.fft.fftn(a, axes=(1, 2, 3)) / n**3
+        return -1j * k * a_hat[0] + 1j * s * k_norm * a_hat[1:], 1j * np.cross(k, a_hat[1:], axis=0)
+
+    total = 0.0
+    for s in (1.0, -1.0):
+        (e_u, b_u), (e_v, b_v) = e_and_b(u, s), e_and_b(v, s)
+        density = np.sum(np.conj(e_u) * e_v + 0.5 * np.conj(b_u) * b_v, axis=0)
+        total += np.sum(density[k_norm > 0] / k_norm[k_norm > 0])
+    return total.real / box**3
+
+
+def test_ip_bose_matches_grid_reference(rng):
+    # v shares u's momenta (u moved in time, so the pairs carry phases)
+    # and adds modes of its own; both frequency signs occur in every field
+    for _ in range(6):
+        u = random_maxwell_field(rng, n_modes=3)
+        v = MaxwellField(time_translate(u, 0.37).modes + random_maxwell_field(rng).modes, u.box)
+        scale = max(ip_bose(u, u), ip_bose(v, v))
+        for a, b in ((u, u), (u, v), (v, u), (v, v)):
+            assert abs(ip_bose(a, b) - reference_ip_bose_grid(a, b)) <= 1e-12 * scale
 
 
 def test_bose_functionals_reject_bad_input(rng):
