@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TailNotNegligible, TooCloseToSingularSet
+from .errors import QuadratureNotConverged, TailNotNegligible, TooCloseToSingularSet
 from .quadrature import converged, extrapolate_to_zero, gauss_rule, kronrod_rule
 
 # Half-plane tags for regions cut by the diagonal.
@@ -236,29 +236,58 @@ def unbounded_line_integral(j, x, direction, cutoff):
     return converged(total, gauss, LINE_INTEGRAL_RTOL, "unbounded line integral")
 
 
-def _half_line_nodes(w, damping):
-    """Panelized Gauss nodes on [0, 40/damping] resolving oscillations of
-    frequency w under exponential damping."""
-    upper = 40.0 / damping
-    npanels = int(np.ceil(upper * max(abs(w), damping, 0.25) / 2.5))
-    npanels = min(max(npanels, 16), 200_000)
+# Relative tolerance of the damped blocks' Kronrod guard, and the most
+# panels their rule may take: one period per panel on [0, 40/damping] is
+# about 6.4 |w|/damping panels, and past the cap the blocks raise rather
+# than build millions of nodes.
+DAMPED_BLOCK_RTOL = 1e-9
+DAMPED_BLOCK_PANELS = 100_000
+
+
+def _damped_blocks(w, ladder):
+    """The damped blocks at frequency w for every damping of `ladder`:
+
+        E(w) = int sign(a) exp(-i a w - eps |a|) da = -2i int_0^inf exp(-eps a) sin(a w) da
+        D(w) = int exp(-i a w - eps |a|) da = 2 int_0^inf exp(-eps a) cos(a w) da
+
+    as two arrays over the rungs.  One rule serves the whole ladder:
+    21-point Kronrod panels, each at most one period of max(|w|, 0.25)
+    wide, on [0, 40/min(ladder)], with sin(a w) and cos(a w) evaluated once
+    and one damping factor per rung.  Each rung's E and D are returned once
+    the embedded 10-point Gauss rule agrees with them to relative
+    DAMPED_BLOCK_RTOL; QuadratureNotConverged otherwise, or when the rule
+    would need more than DAMPED_BLOCK_PANELS panels."""
+    upper = 40.0 / min(ladder)
+    npanels = int(np.ceil(upper * max(abs(w), 0.25) / (2.0 * np.pi)))
+    if npanels > DAMPED_BLOCK_PANELS:
+        raise QuadratureNotConverged(
+            f"damped blocks at w = {w}: {npanels} panels exceed the cap {DAMPED_BLOCK_PANELS}"
+        )
     edges = np.linspace(0.0, upper, npanels + 1)
-    a, wq = gauss_rule(edges[:-1], edges[1:], 12)
-    return a.ravel(), wq.ravel()
+    a, wk, wg = kronrod_rule(edges[:-1], edges[1:])
+    buf = a * w
+    sin, cos = np.sin(buf), np.cos(buf)
+    e, d = np.empty(len(ladder), dtype=complex), np.empty(len(ladder))
+    for r, eps in enumerate(ladder):
+        damp = np.exp(np.multiply(a, -eps, out=buf), out=buf)  # reuses a*w's memory
+        kronrod, gauss = wk * damp, wg * damp[:, 1::2]
+        e[r] = converged(-2j * np.vdot(kronrod, sin), -2j * np.vdot(gauss, sin[:, 1::2]),
+                         DAMPED_BLOCK_RTOL, f"damped sign block at w = {w}, damping {eps}")
+        d[r] = converged(2.0 * np.vdot(kronrod, cos), 2.0 * np.vdot(gauss, cos[:, 1::2]),
+                         DAMPED_BLOCK_RTOL, f"damped delta block at w = {w}, damping {eps}")
+    return e, d
 
 
 def damped_sign_block(w, damping):
     """Quadrature oracle for int sign(a) exp(-i a w - damping |a|) da
     = -2i int_0^inf exp(-damping a) sin(a w) da."""
-    a, wq = _half_line_nodes(w, damping)
-    return -2j * np.sum(wq * np.exp(-damping * a) * np.sin(a * w))
+    return _damped_blocks(w, (damping,))[0][0]
 
 
 def damped_delta_block(w, damping):
     """Quadrature oracle for int exp(-i a w - damping |a|) da
     = 2 int_0^inf exp(-damping a) cos(a w) da = 2 damping/(w^2+damping^2)."""
-    a, wq = _half_line_nodes(w, damping)
-    return 2.0 * np.sum(wq * np.exp(-damping * a) * np.cos(a * w))
+    return _damped_blocks(w, (damping,))[1][0]
 
 
 # Rungs extrapolated to zero damping, and their least distance from the singular set.
@@ -273,9 +302,11 @@ def bidist_A_oracle(u, v, damping=None):
         A_eps(u, v) = E(u) D(v) - D(u) E(v) - 2 E(u) D(u + v)
 
     with E the damped odd block and D the damped delta block, both
-    computed by quadrature.  With damping=None the two rungs 5e-2 and
-    2.5e-2 are evaluated and linearly extrapolated to zero damping; the
-    arguments u, v, u + v and u - v must then stay 1e-1 away from zero.
+    computed by quadrature, on one rule per frequency u, v and u + v that
+    serves every rung (see _damped_blocks).  With damping=None the two
+    rungs 5e-2 and 2.5e-2 are evaluated and linearly extrapolated to zero
+    damping; the arguments u, v, u + v and u - v must then stay 1e-1 away
+    from zero.
     With a damping given, A_eps is returned at that damping, and the
     arguments must stay that far from zero."""
     distance = SINGULAR_DISTANCE if damping is None else damping
@@ -283,14 +314,9 @@ def bidist_A_oracle(u, v, damping=None):
         if abs(w) <= distance:
             raise TooCloseToSingularSet(f"argument {w} within damping of singular set")
 
-    def assemble(eps):
-        eu = damped_sign_block(u, eps)
-        ev = damped_sign_block(v, eps)
-        du = damped_delta_block(u, eps)
-        dv = damped_delta_block(v, eps)
-        duv = damped_delta_block(u + v, eps)
-        return eu * dv - du * ev - 2.0 * eu * duv
-
+    ladder = DAMPING_LADDER if damping is None else (damping,)
+    (eu, du), (ev, dv), (_, duv) = (_damped_blocks(w, ladder) for w in (u, v, u + v))
+    values = eu * dv - du * ev - 2.0 * eu * duv
     if damping is not None:
-        return assemble(damping)
-    return extrapolate_to_zero(DAMPING_LADDER, [assemble(eps) for eps in DAMPING_LADDER])
+        return values[0]
+    return extrapolate_to_zero(DAMPING_LADDER, values)

@@ -12,13 +12,51 @@ import numpy as np
 from .errors import QuadratureNotConverged
 
 
+# Newton's method on the Legendre recurrence stops once a step moves no node
+# by more than NEWTON_TOL, and raises after NEWTON_STEPS steps.  The error
+# left after a step is at most about n^2 times the step squared, so this
+# tolerance leaves the nodes at roundoff; three steps reach it for n >= 5.
+NEWTON_TOL = 1e-12
+NEWTON_STEPS = 10
+
+
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, elementwise on x."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, n):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=64)
 def gauss_legendre(n):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1],
+    nodes ascending.
 
-    Computed once per n and shared by every caller, so both arrays are
-    read-only: map them to a panel by building new arrays."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    The nonnegative nodes are found by Newton's method on the three-term
+    recurrence, started from Tricomi's asymptotic guesses (Hale & Townsend,
+    SIAM J. Sci. Comput. 35, 2013), and mirrored, so nodes and weights are
+    exactly symmetric; QuadratureNotConverged if NEWTON_STEPS steps do not
+    converge.  Computed once per n and shared by every caller, so both
+    arrays are read-only: map them to a panel by building new arrays."""
+    theta = np.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
+    x = np.cos(theta) * (
+        1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n**4)
+    )
+    if n % 2:
+        x[-1] = 0.0  # the middle node, a root of every odd P_n
+    for _ in range(NEWTON_STEPS):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= NEWTON_TOL:
+            break
+    else:
+        raise QuadratureNotConverged(f"Gauss-Legendre nodes, n = {n}: Newton did not converge")
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes = np.concatenate((-x, x[::-1][n % 2 :]))
+    weights = np.concatenate((w, w[::-1][n % 2 :]))
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

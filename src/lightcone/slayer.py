@@ -474,6 +474,21 @@ def current_sli_support_check(modes):
     return total
 
 
+@lru_cache(maxsize=1)
+def _time_average_corner():
+    """The corner t in [-1, 0], t' in [0, 1] on the 200-node rule of [0, 1],
+    with t = -tau_i and t' = tau_j: t' - t = tau_i + tau_j is symmetric in
+    i and j, so the grid folds onto its 20,100 distinct sums sigma, with
+    weights w_i w_j doubled off the diagonal.  Cached, so both arrays are
+    read-only."""
+    tau, w = gauss_rule(0.0, 1.0, 200)
+    i, j = np.triu_indices(len(tau))
+    sigma, weight = tau[i] + tau[j], np.where(i == j, 1.0, 2.0) * w[i] * w[j]
+    sigma.flags.writeable = False
+    weight.flags.writeable = False
+    return sigma, weight
+
+
 def time_average_identity_check(f, t_list=(10.0, 50.0, 100.0), s_max=40.0):
     """For an antisymmetric translation-invariant kernel A(t, t') = f(t'-t)
     with f odd and s*f(s) integrable, compares
@@ -482,13 +497,13 @@ def time_average_identity_check(f, t_list=(10.0, 50.0, 100.0), s_max=40.0):
         rhs_T = (1/2T) Integral_0^T dt Integral dt' (t'-t) A(t,t')
 
     f takes a float array and returns f elementwise (a numpy expression
-    such as `lambda s: s * np.exp(-s * s)`); it is called three times, on
-    the whole node grid at once.  Returns (lhs, [rhs_T for T in t_list])."""
+    such as `lambda s: s * np.exp(-s * s)`); it is called three times,
+    each on a whole array of nodes: once on the folded corner of the lhs
+    (20,100 distinct t' - t) and twice for the refinement check.  Returns
+    (lhs, [rhs_T for T in t_list])."""
     # lhs as a genuine double integral over the decaying corner
-    t_n, t_w = gauss_rule(-s_max, 0.0, 200)
-    tp_n, tp_w = gauss_rule(0.0, s_max, 200)
-    grid = f(tp_n[None, :] - t_n[:, None])
-    lhs = float(t_w @ grid @ tp_w)
+    sigma, weight = _time_average_corner()
+    lhs = s_max * s_max * float(weight @ f(s_max * sigma))
 
     # refinement check on the inner weighted integral: the 200-node rule
     # on [0, 1] against the same rule on each half of it

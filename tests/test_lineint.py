@@ -319,6 +319,45 @@ def test_damped_blocks_match_closed_forms():
             )
 
 
+def test_damped_blocks_are_the_ladder_rule_at_one_rung():
+    for w, eps in ((0.7, 1e-1), (-2.3, 1e-2)):
+        e, d = lineint._damped_blocks(w, (eps,))
+        assert damped_sign_block(w, eps) == e[0]
+        assert damped_delta_block(w, eps) == d[0]
+
+
+def test_damped_blocks_raise_past_their_panel_cap():
+    # one period per panel on [0, 40/damping] would take about 2.5 million
+    # panels here; a clamped rule returned D = -1.4e-6 against 2.5e-9
+    for block in (damped_sign_block, damped_delta_block):
+        with pytest.raises(QuadratureNotConverged, match="panels"):
+            block(2000.0, 0.005)
+
+
+def test_damped_blocks_run_their_guard(monkeypatch):
+    # with a zero tolerance any gap between the Kronrod and Gauss values raises
+    monkeypatch.setattr(lineint, "DAMPED_BLOCK_RTOL", 0.0)
+    with pytest.raises(QuadratureNotConverged, match="damped sign block"):
+        damped_sign_block(1.7, 1e-2)
+    with pytest.raises(QuadratureNotConverged, match="damped"):
+        bidist_A_oracle(1.3, 0.7)
+
+
+@pytest.mark.parametrize("damping", [None, 2.5e-2])
+def test_bidist_makes_one_rule_per_frequency(monkeypatch, damping):
+    # u, v and u + v each get one Kronrod rule, shared by every rung
+    calls = []
+    kronrod_rule = lineint.kronrod_rule
+
+    def recording(lo, hi):
+        calls.append(lo)
+        return kronrod_rule(lo, hi)
+
+    monkeypatch.setattr(lineint, "kronrod_rule", recording)
+    bidist_A_oracle(1.3, 0.7, damping=damping)
+    assert len(calls) == 3
+
+
 def test_bidist_extrapolation_suppresses_delta_blocks():
     # off the singular set the delta blocks vanish in the zero-damping
     # limit, so the extrapolated value is far below any single rung

@@ -83,6 +83,31 @@ def test_extrapolate_to_zero_reproduces_polynomials(xs):
     assert extrapolate_to_zero(xs, [p(x) for x in xs]) == pytest.approx(p(0.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 48, 72, 200])
+def test_gauss_legendre_matches_the_eigenvalue_rule(n):
+    # numpy's eigenvalue rule as the reference: the nodes agree to roundoff;
+    # its weights lose digits as n grows (2e-11 relative at n = 200)
+    x, w = gauss_legendre(n)
+    xr, wr = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - xr)) <= 2.5e-16
+    assert w == pytest.approx(wr, rel=1e-10, abs=0.0)
+
+
+def test_gauss_legendre_is_symmetric_and_exact_to_degree_2n_minus_2():
+    n = 200
+    x, w = gauss_legendre(n)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0.0)
+    # the eigenvalue rule is off by 1.9e-12 relative here
+    assert np.sum(w * x ** (2 * n - 2)) == pytest.approx(2.0 / (2 * n - 1), rel=1e-14, abs=0.0)
+
+
+def test_gauss_legendre_raises_past_its_newton_cap(monkeypatch):
+    monkeypatch.setattr(quadrature, "NEWTON_STEPS", 1)
+    with pytest.raises(QuadratureNotConverged, match="n = 200"):
+        gauss_legendre.__wrapped__(200)
+
+
 def test_only_the_quadrature_layer_builds_gauss_rules():
     # every other module maps its nodes through gauss_rule or kronrod_rule,
     # and none holds the Kronrod constants: their first eight digits
@@ -100,4 +125,12 @@ def test_only_the_quadrature_layer_builds_gauss_rules():
         and re.search(rf"\b(gauss_legendre|leggauss)\b|{digits}", path.read_text())
     ]
     assert offenders == []
+    # no LAPACK eigen-solve builds a rule, in quadrature.py either: it cost
+    # a cold process tens of milliseconds in multithreaded BLAS
+    eigen = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if re.search(r"\b(np|numpy)\.polynomial\b|\bleggauss\b|\beigvalsh\b", path.read_text())
+    ]
+    assert eigen == []
     assert len(constants) == 26 and re.search(digits, (src / "quadrature.py").read_text())

@@ -648,9 +648,27 @@ def test_time_average_identity_calls_f_on_arrays():
         return s * np.exp(-s * s)
 
     time_average_identity_check(f, t_list=(10.0,), s_max=12.0)
-    # the 200 x 200 grid and the two refinement rules (the 200-node rule
-    # on [0, 1] and on its two halves), each in one call
-    assert calls == [(200, 200), (200,), (2, 200)]
+    # the 20,100 distinct arguments of the folded corner and the two
+    # refinement rules (the 200-node rule on [0, 1] and on its two halves),
+    # each in one call
+    assert calls == [(20100,), (200,), (2, 200)]
+
+
+def reference_time_average_lhs(f, s_max):
+    """The lhs corner as the full 200 x 200 tensor sum: the 200-node rule on
+    [-s_max, 0] for t and on [0, s_max] for t', f on every grid point."""
+    t, wt = gauss_rule(-s_max, 0.0, 200)
+    tp, wtp = gauss_rule(0.0, s_max, 200)
+    return float(wt @ f(tp[None, :] - t[:, None]) @ wtp)
+
+
+@pytest.mark.parametrize(
+    "f, s_max",
+    [(lambda s: s * np.exp(-s * s), 12.0), (lambda s: np.sin(s) * np.exp(-abs(s)), 40.0)],
+)
+def test_time_average_folded_corner_matches_the_tensor_sum(f, s_max):
+    lhs, _ = time_average_identity_check(f, t_list=(10.0,), s_max=s_max)
+    assert lhs == pytest.approx(reference_time_average_lhs(f, s_max), rel=1e-14, abs=0.0)
 
 
 def test_time_average_identity_uses_one_node_count(monkeypatch):
