@@ -38,7 +38,7 @@ def main():
 @main.command()
 @click.option("--suites", default="all", help="comma-separated suite names or 'all'")
 @click.option("--config", "config_path", default=None, type=click.Path())
-@click.option("--seed", default=7, type=int)
+@click.option("--seed", default=7, type=click.IntRange(min=0))
 @click.option("--tol", "tols", multiple=True, help="suite=tolerance overrides")
 @click.option("--out", default=None, type=click.Path())
 def verify(suites, config_path, seed, tols, out):
@@ -263,15 +263,43 @@ def slayer_eval(config_path, out):
     sys.exit(0)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _report_problem(entries):
+    """Why `entries` is not a report, or None: a report is a list of objects,
+    each with a string check, a status pass, fail or skipped and a finite
+    value and tolerance (the reader makes every number a float)."""
+    if not isinstance(entries, list):
+        return "not a JSON list"
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            return f"entry {i} is not an object"
+        if not isinstance(entry.get("check"), str):
+            return f"entry {i} has no string check"
+        if entry.get("status") not in ("pass", "fail", "skipped"):
+            return f"entry {i} has no status pass, fail or skipped"
+        for key in ("value", "tolerance"):
+            if not (isinstance(entry.get(key), float) and math.isfinite(entry[key])):
+                return f"entry {i} has no finite number {key}"
+    return None
+
+
 @main.command("report")
 @click.option("--in", "in_path", required=True, type=click.Path())
 def report_cmd(in_path):
-    """Render a JSON report as one line per check."""
+    """Render a JSON report as one line per check.  Exits 2 unless the file
+    is a strict-JSON report (see _report_problem)."""
     try:
         with open(in_path) as fh:
-            entries = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            entries = json.load(fh, parse_int=float, parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and bad UTF-8
         click.echo(f"cannot read report: {exc}", err=True)
+        sys.exit(2)
+    problem = _report_problem(entries)
+    if problem:
+        click.echo(f"malformed report: {problem}", err=True)
         sys.exit(2)
     failed = False
     for entry in entries:

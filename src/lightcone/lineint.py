@@ -238,8 +238,8 @@ def unbounded_line_integral(j, x, direction, cutoff):
 
 # Relative tolerance of the damped blocks' Kronrod guard, and the most
 # panels their rule may take: one period per panel on [0, 40/damping] is
-# about 6.4 |w|/damping panels, and past the cap the blocks raise rather
-# than build millions of nodes.
+# about 6.4 |w|/damping panels, each costing one complex exponential per
+# rung, and past the cap the blocks raise rather than sum millions of terms.
 DAMPED_BLOCK_RTOL = 1e-9
 DAMPED_BLOCK_PANELS = 100_000
 
@@ -252,29 +252,35 @@ def _damped_blocks(w, ladder):
 
     as two arrays over the rungs.  One rule serves the whole ladder:
     21-point Kronrod panels, each at most one period of max(|w|, 0.25)
-    wide, on [0, 40/min(ladder)], with sin(a w) and cos(a w) evaluated once
-    and one damping factor per rung.  Each rung's E and D are returned once
-    the embedded 10-point Gauss rule agrees with them to relative
-    DAMPED_BLOCK_RTOL; QuadratureNotConverged otherwise, or when the rule
-    would need more than DAMPED_BLOCK_PANELS panels."""
+    wide, on [0, 40/min(ladder)].  The P panels are uniform, so node t_j of
+    the panel starting at s_p carries the same weight c_j on every panel,
+    and at each rung the rule's sum of exp((i w - eps) a) factors exactly
+    into sum_p exp((i w - eps) s_p) times sum_j c_j exp((i w - eps) t_j):
+    P + 21 complex exponentials per rung.  The sum over panel starts is
+    taken term by term, not as a geometric series, which loses digits when
+    its ratio is near 1.  E = -2i Im and D = 2 Re of the rule's sum; each
+    rung's E and D are returned once the embedded 10-point Gauss rule,
+    factored the same way, agrees with them to relative DAMPED_BLOCK_RTOL;
+    QuadratureNotConverged otherwise, or when the rule would need more than
+    DAMPED_BLOCK_PANELS panels."""
     upper = 40.0 / min(ladder)
     npanels = int(np.ceil(upper * max(abs(w), 0.25) / (2.0 * np.pi)))
     if npanels > DAMPED_BLOCK_PANELS:
         raise QuadratureNotConverged(
             f"damped blocks at w = {w}: {npanels} panels exceed the cap {DAMPED_BLOCK_PANELS}"
         )
-    edges = np.linspace(0.0, upper, npanels + 1)
-    a, wk, wg = kronrod_rule(edges[:-1], edges[1:])
-    buf = a * w
-    sin, cos = np.sin(buf), np.cos(buf)
-    e, d = np.empty(len(ladder), dtype=complex), np.empty(len(ladder))
+    width = upper / npanels
+    t, wk, wg = kronrod_rule(0.0, width)
+    rate = 1j * w - np.asarray(ladder)
+    over_panels = np.sum(np.exp(np.multiply.outer(rate, width * np.arange(npanels))), axis=1)
+    one_panel = np.exp(np.multiply.outer(rate, t))
+    kronrod, gauss = over_panels * (one_panel @ wk), over_panels * (one_panel[:, 1::2] @ wg)
+    e, d = -2j * kronrod.imag, 2.0 * kronrod.real
     for r, eps in enumerate(ladder):
-        damp = np.exp(np.multiply(a, -eps, out=buf), out=buf)  # reuses a*w's memory
-        kronrod, gauss = wk * damp, wg * damp[:, 1::2]
-        e[r] = converged(-2j * np.vdot(kronrod, sin), -2j * np.vdot(gauss, sin[:, 1::2]),
-                         DAMPED_BLOCK_RTOL, f"damped sign block at w = {w}, damping {eps}")
-        d[r] = converged(2.0 * np.vdot(kronrod, cos), 2.0 * np.vdot(gauss, cos[:, 1::2]),
-                         DAMPED_BLOCK_RTOL, f"damped delta block at w = {w}, damping {eps}")
+        converged(e[r], -2j * gauss[r].imag, DAMPED_BLOCK_RTOL,
+                  f"damped sign block at w = {w}, damping {eps}")
+        converged(d[r], 2.0 * gauss[r].real, DAMPED_BLOCK_RTOL,
+                  f"damped delta block at w = {w}, damping {eps}")
     return e, d
 
 

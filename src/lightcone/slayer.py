@@ -18,7 +18,6 @@ import numpy as np
 from .clifford import CHI_L, CHI_R, ETA, GAMMA, GAMMA0, ID4, sigma_jk
 from .errors import OffShellField, ZeroMomentumMode
 from .fields import common_box, field_tensor_hat
-from .lineint import unbounded_line_integral
 from .quadrature import converged, gauss_rule
 
 _CHI = {"L": CHI_L, "R": CHI_R}
@@ -540,6 +539,20 @@ def positivity_probe(j, x, y, cutoff=8.0):
         direction = np.array([1.0, 0.0, 0.0])
     nrm = np.linalg.norm(direction)
     direction = direction / nrm if nrm > 0 else np.array([1.0, 0.0, 0.0])
-    fx = unbounded_line_integral(j, x, direction, cutoff)
-    fy = unbounded_line_integral(j, y, direction, cutoff)
+    # the module global once set, so a wrapper installed there sees each call
+    line_integral = globals().get("unbounded_line_integral") or __getattr__("unbounded_line_integral")
+    fx = line_integral(j, x, direction, cutoff)
+    fy = line_integral(j, y, direction, cutoff)
     return fx * fy
+
+
+def __getattr__(name):
+    """The module attribute unbounded_line_integral, imported from lineint
+    on first use: positivity_probe is its only caller, so loading slayer
+    does not load lineint."""
+    if name != "unbounded_line_integral":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .lineint import unbounded_line_integral
+
+    globals()[name] = unbounded_line_integral
+    return unbounded_line_integral

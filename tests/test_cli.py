@@ -79,6 +79,13 @@ def test_verify_non_finite_tol_exits_2(runner, override):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("suites", ["fields", "lineint"])
+def test_verify_negative_seed_exits_2(runner, suites):
+    # the fields suite draws no samples: only the option itself can reject the seed there
+    result = runner.invoke(cli.main, ["verify", "--suites", suites, "--seed", "-1"])
+    assert result.exit_code == 2
+
+
 def test_verify_deterministic_reports(runner, tmp_path):
     args = ["verify", "--suites", "clifford,slayer", "--seed", "11"]
     r1 = runner.invoke(cli.main, args + ["--out", str(tmp_path / "a.json")])
@@ -379,14 +386,16 @@ def test_cli_loads_only_what_each_command_needs(runner, tmp_path):
     assert "lightcone.slayer" not in modules and "lightcone.lineint" not in modules
 
 
-def test_slayer_suite_loads_neither_kernels_nor_convolution():
+def test_slayer_suite_loads_no_kernels_convolution_or_lineint():
     # each suite imports its own modules, so the slayer suite, which every
-    # slayer config check runs, pays for neither oracle module
+    # slayer config check runs, pays for no oracle module; slayer itself
+    # loads lineint only when positivity_probe first runs
     script = (
         "import sys\n"
         "from lightcone import checks\n"
         "checks.run_suites(('slayer',), 7)\n"
-        "print(sorted(m for m in ('lightcone.kernels', 'lightcone.convolution') if m in sys.modules))\n"
+        "mods = ('lightcone.kernels', 'lightcone.convolution', 'lightcone.lineint')\n"
+        "print(sorted(m for m in mods if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(lightcone.__file__))
     proc = subprocess.run(
@@ -435,6 +444,33 @@ def test_report_rendering(runner, tmp_path):
     assert result.exit_code == 1
     assert "a: PASS" in result.output
     assert "b: FAIL" in result.output
+
+
+_ENTRY = '"check": "a", "status": "pass", "tolerance": 1e-10'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        "null",
+        "{}",
+        '[{"check": "x"}]',
+        '[{%s, "value": "0.1"}]' % _ENTRY,
+        '[{%s, "value": 1e999}]' % _ENTRY,
+        '[{%s, "value": NaN}]' % _ENTRY,
+        '[{%s, "value": -Infinity}]' % _ENTRY,
+        '[{%s, "value": true}]' % _ENTRY,
+        '[{"check": 3, "status": "pass", "value": 0, "tolerance": 0}]',
+        '[{"check": "a", "status": "PASS", "value": 0, "tolerance": 0}]',
+    ],
+)
+def test_report_rejects_a_malformed_report(runner, tmp_path, text):
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    result = runner.invoke(cli.main, ["report", "--in", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == "" and len(result.stderr.splitlines()) == 1
 
 
 def _jet_config(jets, box=DEFAULT_BOX):

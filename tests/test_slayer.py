@@ -19,7 +19,7 @@ from conftest import (
     random_maxwell_field,
     violating_jet_pair,
 )
-from lightcone import quadrature, slayer
+from lightcone import lineint, quadrature, slayer
 from lightcone.clifford import CHI_L, CHI_R, GAMMA, GAMMA0, sigma_jk
 from lightcone.errors import InvalidMode, OffShellField
 from lightcone.fields import (
@@ -723,3 +723,20 @@ def test_positivity_probe_null_separation(rng):
         values.append(positivity_probe(j, x, y, cutoff=15.0))
     scale = max(abs(v) for v in values)
     assert all(v >= -1e-6 * scale for v in values)
+
+
+def test_positivity_probe_calls_the_line_integral_on_slayer(monkeypatch):
+    # slayer loads lineint on first use, and keeps unbounded_line_integral a
+    # module attribute: a wrapper installed there sees both calls
+    assert slayer.unbounded_line_integral is lineint.unbounded_line_integral
+    calls = []
+
+    def recording(*args):
+        calls.append(args[1])
+        return lineint.unbounded_line_integral(*args)
+
+    monkeypatch.setattr(slayer, "unbounded_line_integral", recording)
+    j = _gaussian_current([1.0, 0.2, -0.1, 0.4])
+    x = np.array([0.2, 0.3, -0.1, 0.5])
+    assert positivity_probe(j, x, x, cutoff=15.0) >= 0.0
+    assert len(calls) == 2
