@@ -227,7 +227,7 @@ def suite_slayer(seed, tol, config=None):
             # residual is reported but not checked
             entry["status"] = "skipped"
         out.append(entry)
-        support = slayer.current_sli_support_check(list(ju.psi) + list(ju.delta_psi))
+        support = slayer.current_sli_support_check(*ju.plane_waves())
         out.append(_entry("current-support", support, 0.0, "cone-support-argument", ok=support == 0.0))
     samples = rng.normal(size=(1000, 6)) * 2.0
     brackets = slayer.definiteness_bracket(samples[:, :3], samples[:, 3:], mass)

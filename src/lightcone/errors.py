@@ -49,10 +49,6 @@ class InvalidMode(LightconeError):
     """Field mode violates its on-shell or transversality constraints."""
 
 
-class ShellViolation(LightconeError):
-    """Fermionic mode on the wrong mass shell for the requested pairing."""
-
-
 class OffShellField(LightconeError):
     """Maxwell field contains an off-shell mode."""
 

@@ -4,8 +4,10 @@ wave functions in a periodic spatial box of side L.
 Conventions: metric (+,-,-,-); a Maxwell mode stores contravariant
 components (p, eps) of a complex plane wave eps * exp(-i p.x); the real
 potential is the mode plus its conjugate, symmetrized on evaluation.
-A Dirac mode is a plane-wave solution a * exp(-i k.x) with
-k0 = shell * omega(kvec), omega(kvec) = sqrt(|kvec|^2 + m^2).
+A fermionic jet holds Dirac plane waves a * exp(-i k.x) as arrays, one mode
+per row: integer lattice indices n, kvec = 2 pi n / L, and amplitudes a, with
+k0 = shell * omega(kvec), omega(kvec) = sqrt(|kvec|^2 + m^2), shell -1 for
+psi and +1 for delta_psi.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .clifford import ETA, minkowski, slash
-from .errors import ConfigInvalid, ConfigMalformed, InvalidMode, ShellViolation
+from .clifford import ETA, GAMMA, minkowski, slash
+from .errors import ConfigInvalid, ConfigMalformed, InvalidMode
 
 ONSHELL_TOL = 1e-9
 FREQUENCY_TOL = 1e-9
@@ -55,9 +57,12 @@ class MaxwellMode:
         eps = np.asarray(self.eps, dtype=complex)
         if p.shape != (4,) or eps.shape != (4,):
             raise InvalidMode("p and eps must be four-vectors")
-        scale = float(np.sum(p * p))
+        with np.errstate(over="ignore"):
+            scale = float(np.sum(p * p))
         if scale == 0.0:
             raise InvalidMode("zero momentum")
+        if not math.isfinite(scale):
+            raise InvalidMode(f"momentum p.p = {scale} is not finite")
         if abs(minkowski(p, p)) > ONSHELL_TOL * scale:
             raise InvalidMode(f"momentum off the light cone: p^2 = {minkowski(p, p):.3e}")
         if abs(minkowski(p, eps)) > ONSHELL_TOL * max(1.0, float(np.sum(np.abs(eps) ** 2))):
@@ -109,55 +114,6 @@ class MaxwellField:
         return out
 
 
-@dataclass(frozen=True)
-class DiracMode:
-    """A plane-wave Dirac solution a * exp(-i(k0 t - kvec.x)) of mass m
-    with k0 = shell * omega(kvec)."""
-
-    shell: int
-    kvec: tuple
-    a: tuple
-    m: float
-
-    def __post_init__(self):
-        if self.shell not in (1, -1):
-            raise InvalidMode("shell must be +1 or -1")
-        if self.m <= 0:
-            raise InvalidMode("mass must be positive")
-        kvec = np.asarray(self.kvec, dtype=float)
-        a = np.asarray(self.a, dtype=complex)
-        if kvec.shape != (3,) or a.shape != (4,):
-            raise InvalidMode("kvec must be a 3-vector and a a 4-spinor")
-        norm = np.linalg.norm(a)
-        if norm == 0.0:
-            raise InvalidMode("zero amplitude")
-        k = np.concatenate(([self.k0], kvec))
-        residual = np.linalg.norm((slash(k) - self.m * np.eye(4)) @ a)
-        # the roundoff of (k_slash - m) a grows with |k0| >= m
-        if residual > ONSHELL_TOL * abs(k[0]) * norm:
-            raise InvalidMode(f"amplitude off the mass shell: residual {residual:.3e}")
-        object.__setattr__(self, "kvec", tuple(float(c) for c in kvec))
-        object.__setattr__(self, "a", tuple(complex(c) for c in a))
-
-    @property
-    def k0(self):
-        return self.shell * np.sqrt(float(np.dot(self.kvec, self.kvec)) + self.m**2)
-
-    @property
-    def kvec_arr(self):
-        return np.asarray(self.kvec, dtype=float)
-
-    @property
-    def a_arr(self):
-        return np.asarray(self.a, dtype=complex)
-
-    def at(self, x):
-        """Value of the mode at a spacetime point x = (t, xvec)."""
-        x = np.asarray(x, dtype=float)
-        phase = np.exp(-1j * (self.k0 * x[0] - np.dot(self.kvec_arr, x[1:])))
-        return self.a_arr * phase
-
-
 def dirac_basis(shell, kvec, m):
     """Two orthonormalized amplitude spinors spanning the solutions of
     (k_slash - m) a = 0 at k0 = shell * omega(kvec)."""
@@ -175,54 +131,97 @@ def dirac_basis(shell, kvec, m):
     return basis
 
 
-@dataclass(frozen=True)
+def lattice_momentum(n, box):
+    """The spatial momenta 2 pi n / box of the integer lattice indices n (rows)."""
+    return 2.0 * np.pi * n / box
+
+
+def _omega(n, box, m):
+    """omega = sqrt(|kvec|^2 + m^2) at the lattice momenta of the rows of n,
+    |kvec|^2 summed per row as np.dot sums it (the matmul of row by row)."""
+    kvec = lattice_momentum(n, box)
+    return np.sqrt((kvec[:, None, :] @ kvec[:, :, None])[:, 0, 0] + m**2)
+
+
+def _mode_rows(side, n, a):
+    """The lattice indices (M, 3) int64 and amplitudes (M, 4) of one side."""
+    n, a = np.array(n), np.array(a, dtype=complex)
+    if n.size == 0 and a.size == 0:
+        n, a = np.zeros((0, 3), dtype=np.int64), a.reshape(0, 4)
+    if n.ndim != 2 or n.shape[1] != 3 or a.shape != (len(n), 4):
+        raise InvalidMode(f"{side}_n must be an (M, 3) and {side}_a an (M, 4) array")
+    if n.dtype.kind != "i":
+        raise InvalidMode(f"{side}_n must hold integers")
+    return n.astype(np.int64), a
+
+
+@dataclass(frozen=True, eq=False)
 class FermionicJet:
     """A fermionic perturbation (delta_psi, psi) of a sea excitation in a box:
-    finite Dirac mode sets of equal mass, psi on the lower and delta_psi on
-    the upper mass shell, with the lattice indices psi_n and delta_psi_n."""
+    Dirac plane waves of one mass m, psi on the lower shell k0 = -omega and
+    delta_psi on the upper shell k0 = omega.  Each side is held as read-only
+    arrays, one mode per row: integer lattice indices psi_n (P, 3) and
+    amplitudes psi_a (P, 4), likewise delta_psi_n and delta_psi_a; the
+    frequencies psi_k0 and delta_psi_k0 derive from n."""
 
-    psi: tuple
-    delta_psi: tuple
+    psi_n: np.ndarray
+    psi_a: np.ndarray
+    delta_psi_n: np.ndarray
+    delta_psi_a: np.ndarray
     m: float
     box: float = DEFAULT_BOX
-    psi_n: tuple = field(init=False, repr=False, compare=False)
-    delta_psi_n: tuple = field(init=False, repr=False, compare=False)
+    psi_k0: np.ndarray = field(init=False, repr=False)
+    delta_psi_k0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.box <= 0:
-            raise InvalidMode("box side must be positive")
-        for mode in tuple(self.psi) + tuple(self.delta_psi):
-            if abs(mode.m - self.m) > 1e-12 * self.m:
-                raise InvalidMode("all modes must share the jet mass")
-        if any(mode.shell != -1 for mode in self.psi):
-            raise ShellViolation("psi modes must lie on the lower mass shell")
-        if any(mode.shell != 1 for mode in self.delta_psi):
-            raise ShellViolation("delta_psi modes must lie on the upper mass shell")
-        for name in ("psi", "delta_psi"):
-            modes = tuple(getattr(self, name))
-            object.__setattr__(self, name, modes)
-            object.__setattr__(self, name + "_n", tuple(lattice_index(m.kvec, self.box) for m in modes))
+        if not (self.box > 0 and self.m > 0):
+            raise InvalidMode("box side and mass must be positive")
+        for side, shell in (("psi", -1), ("delta_psi", 1)):
+            n, a = _mode_rows(side, getattr(self, side + "_n"), getattr(self, side + "_a"))
+            with np.errstate(over="ignore"):
+                k0 = shell * _omega(n, self.box, self.m)
+            if not np.all(np.isfinite(k0)):
+                raise InvalidMode(f"{side} momentum too large: its frequency overflows")
+            norm = np.linalg.norm(a, axis=1)
+            if np.any(norm == 0.0):
+                raise InvalidMode("zero amplitude")
+            k = np.concatenate((k0[:, None], lattice_momentum(n, self.box)), axis=1)
+            residual = np.linalg.norm(np.einsum("mj,jab,mb->ma", k @ ETA, GAMMA, a) - self.m * a, axis=1)
+            # the roundoff of (k_slash - m) a grows with |k0| >= m
+            if not np.all(residual <= ONSHELL_TOL * np.abs(k0) * norm):
+                raise InvalidMode(f"{side} amplitude off the mass shell: residual {np.max(residual):.3e}")
+            for name, value in (("_n", n), ("_a", a), ("_k0", k0)):
+                value.flags.writeable = False
+                object.__setattr__(self, side + name, value)
 
-    def psi_at(self, x):
-        return sum((mode.at(x) for mode in self.psi), np.zeros(4, dtype=complex))
+    def plane_waves(self):
+        """The frequencies k0 (M,), spatial momenta kvec (M, 3) and amplitudes
+        a (M, 4) of all the jet's modes, psi's rows first."""
+        sides = [(getattr(self, "psi_" + s), getattr(self, "delta_psi_" + s)) for s in ("k0", "n", "a")]
+        k0, n, a = map(np.concatenate, sides)
+        return k0, lattice_momentum(n, self.box), a
 
-    def delta_psi_at(self, x):
-        return sum((mode.at(x) for mode in self.delta_psi), np.zeros(4, dtype=complex))
+    def at(self, side, x):
+        """The wave function side ("psi" or "delta_psi") at the point x = (t, xvec)."""
+        k0, n, a = (getattr(self, f"{side}_{s}") for s in ("k0", "n", "a"))
+        return np.exp(-1j * (k0 * x[0] - lattice_momentum(n, self.box) @ x[1:])) @ a
 
 
 def pairing_predicates(jet_u, jet_v):
-    """Enumerate the mode quadruples (du, pu, dv, pv) whose momentum
-    transfers p(du) - p(pu) and p(dv) - p(pv) are equal or opposite (the
-    momentum-conserving quadruples of the conservation residual) and flag
-    those violating the matching frequency relation: equal transfers must
-    carry equal frequency transfers, opposite ones opposite frequency
-    transfers (exact on the lattice, to FREQUENCY_TOL in frequency)."""
+    """Enumerate the mode quadruples (du, pu, dv, pv), rows of delta_psi_u,
+    psi_u, delta_psi_v and psi_v, whose momentum transfers n(du) - n(pu)
+    and n(dv) - n(pv) are equal or opposite (the momentum-conserving
+    quadruples of the conservation residual) and flag those violating the
+    matching frequency relation: equal transfers must carry equal frequency
+    transfers, opposite ones opposite frequency transfers (exact on the
+    lattice, to FREQUENCY_TOL in frequency).  Quadruples come as (Q, 4)
+    integer arrays."""
     common_box(jet_u, jet_v)
 
     def transfers(jet):
-        pairs = [(d, p) for d in jet.delta_psi for p in jet.psi]
-        dn = np.array([np.subtract(a, b) for a in jet.delta_psi_n for b in jet.psi_n]).reshape(-1, 3)
-        return pairs, dn, np.array([d.k0 - p.k0 for d, p in pairs])
+        # the (delta_psi row, psi row) pairs, delta-major
+        d, p = np.indices((len(jet.delta_psi_n), len(jet.psi_n))).reshape(2, -1)
+        return np.stack((d, p), 1), jet.delta_psi_n[d] - jet.psi_n[p], jet.delta_psi_k0[d] - jet.psi_k0[p]
 
     pairs_u, dn_u, dw_u = transfers(jet_u)
     pairs_v, dn_v, dw_v = transfers(jet_v)
@@ -231,12 +230,12 @@ def pairing_predicates(jet_u, jet_v):
     bad = (equal & (np.abs(dw_u[:, None] - dw_v[None, :]) > FREQUENCY_TOL)) | (
         opposite & (np.abs(dw_u[:, None] + dw_v[None, :]) > FREQUENCY_TOL)
     )
-    quadruples = [pairs_u[i] + pairs_v[j] for i, j in zip(*np.nonzero(equal | opposite))]
-    flagged = [pairs_u[i] + pairs_v[j] for i, j in zip(*np.nonzero(bad))]
+    (i, j), (fi, fj) = np.nonzero(equal | opposite), np.nonzero(bad)
+    flagged = np.concatenate((pairs_u[fi], pairs_v[fj]), axis=1)
     return {
-        "quadruples": quadruples,
+        "quadruples": np.concatenate((pairs_u[i], pairs_v[j]), axis=1),
         "flagged": flagged,
-        "implication_holds": not flagged,
+        "implication_holds": len(flagged) == 0,
     }
 
 
@@ -248,14 +247,11 @@ def time_translate(obj, dt):
         return MaxwellMode(obj.p, tuple(phase * e for e in obj.eps))
     if isinstance(obj, MaxwellField):
         return MaxwellField(tuple(time_translate(m, dt) for m in obj.modes), obj.box)
-    if isinstance(obj, DiracMode):
-        phase = np.exp(-1j * obj.k0 * dt)
-        return replace(obj, a=tuple(phase * c for c in obj.a))
     if isinstance(obj, FermionicJet):
         return replace(
             obj,
-            psi=tuple(time_translate(m, dt) for m in obj.psi),
-            delta_psi=tuple(time_translate(m, dt) for m in obj.delta_psi),
+            psi_a=obj.psi_a * np.exp(-1j * obj.psi_k0 * dt)[:, None],
+            delta_psi_a=obj.delta_psi_a * np.exp(-1j * obj.delta_psi_k0 * dt)[:, None],
         )
     raise TypeError(f"cannot time-translate {type(obj).__name__}")
 
@@ -265,22 +261,40 @@ def _require_finite(what, *arrays):
         raise ConfigMalformed(f"non-finite number in a {what}")
 
 
-def _dirac_mode_from_json(entry, box, mass):
-    try:
-        shell = int(entry["shell"])
-        n = np.asarray(entry["n"], dtype=float)
-        a_re = np.asarray(entry["a_re"], dtype=float)
-        a_im = np.asarray(entry["a_im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad Dirac mode entry: {exc}") from exc
-    _require_finite("Dirac mode entry", n, a_re, a_im)
-    if np.any(n != np.round(n)):
-        raise ConfigMalformed(f"lattice index n = {entry['n']} must be integers")
-    kvec = 2.0 * np.pi * n / box
-    try:
-        return DiracMode(shell, tuple(kvec), tuple(a_re + 1j * a_im), mass)
-    except (InvalidMode, ValueError) as exc:
-        raise ConfigInvalid(str(exc)) from exc
+def _objects(what, entries):
+    """entries, checked to be a list of JSON objects."""
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigMalformed(f"{what} must be a list of objects")
+    return entries
+
+
+def _jet_side_from_json(entries, side, shell, box, mass):
+    """The lattice indices and amplitudes of one side of a JSON jet."""
+    n_rows, a_rows = [], []
+    for entry in _objects(f"a jet's {side}", entries):
+        try:
+            mode_shell = int(entry["shell"])
+            n = np.asarray(entry["n"], dtype=float)
+            a_re = np.asarray(entry["a_re"], dtype=float)
+            a_im = np.asarray(entry["a_im"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"bad Dirac mode entry: {exc}") from exc
+        _require_finite("Dirac mode entry", n, a_re, a_im)
+        if (n.shape, a_re.shape, a_im.shape) != ((3,), (4,), (4,)):
+            raise ConfigInvalid("bad Dirac mode entry: n needs 3 components, a_re and a_im 4")
+        if np.any(n != np.round(n)):
+            raise ConfigMalformed(f"lattice index n = {entry['n']} must be integers")
+        if not np.all(np.abs(n) < 2.0**63):
+            raise ConfigMalformed(f"lattice index n = {entry['n']} outside the int64 range")
+        if mode_shell != shell:
+            raise ConfigInvalid(f"{side} modes must have shell {shell}")
+        n_rows.append(n.astype(np.int64))
+        a_rows.append(a_re + 1j * a_im)
+    n = np.array(n_rows, dtype=np.int64).reshape(-1, 3)
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(_omega(n, box, mass))):
+            raise ConfigMalformed(f"a {side} lattice index too large: its frequency overflows")
+    return n, np.array(a_rows, dtype=complex).reshape(-1, 4)
 
 
 def load_config(source):
@@ -290,9 +304,11 @@ def load_config(source):
     { "box": L, "mass": m,
       "maxwell": [{"p": [..4], "eps_re": [..4], "eps_im": [..4]}, ...],
       "jets": [{"psi": [mode...], "delta_psi": [mode...]}, ...] }
-    with Dirac modes {"shell": +-1, "n": [3 ints], "a_re": [..4], "a_im": [..4]}.
-    An unreadable file, a non-integer n or a non-finite number in a mode
-    raises ConfigMalformed.
+    with Dirac modes {"shell": +-1, "n": [3 ints], "a_re": [..4], "a_im": [..4]},
+    shell -1 in psi and +1 in delta_psi.  An unreadable file, a section
+    that is not a list of objects, an n that is not an int64 triple, a
+    non-finite number, and a momentum whose square or frequency overflows
+    raise ConfigMalformed; inadmissible field content ConfigInvalid.
 
     Returns (box, mass, maxwell_fields, jets): each maxwell entry becomes a
     single-mode MaxwellField."""
@@ -312,7 +328,7 @@ def load_config(source):
     if not (np.isfinite(box) and np.isfinite(mass) and box > 0 and mass > 0):
         raise ConfigMalformed(f"box and mass must be finite and positive, got {box} and {mass}")
     fields_out = []
-    for entry in raw.get("maxwell", []):
+    for entry in _objects("maxwell", raw.get("maxwell", [])):
         try:
             p = tuple(float(c) for c in entry["p"])
             eps = tuple(
@@ -322,19 +338,19 @@ def load_config(source):
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(f"bad maxwell entry: {exc}") from exc
         _require_finite("maxwell entry", p, eps)
+        if not math.isfinite(sum(c * c for c in p)):
+            raise ConfigMalformed(f"maxwell momentum {p} too large: p.p overflows")
         try:
             fields_out.append(MaxwellField((MaxwellMode(p, eps),), box))
         except InvalidMode as exc:
             raise ConfigInvalid(str(exc)) from exc
     jets_out = []
-    for entry in raw.get("jets", []):
-        psi = tuple(_dirac_mode_from_json(e, box, mass) for e in entry.get("psi", []))
-        delta = tuple(
-            _dirac_mode_from_json(e, box, mass) for e in entry.get("delta_psi", [])
-        )
+    for entry in _objects("jets", raw.get("jets", [])):
+        psi = _jet_side_from_json(entry.get("psi", []), "psi", -1, box, mass)
+        delta = _jet_side_from_json(entry.get("delta_psi", []), "delta_psi", 1, box, mass)
         try:
-            jets_out.append(FermionicJet(psi, delta, mass, box))
-        except (InvalidMode, ShellViolation) as exc:
+            jets_out.append(FermionicJet(*psi, *delta, mass, box))
+        except InvalidMode as exc:
             raise ConfigInvalid(str(exc)) from exc
     return box, mass, fields_out, jets_out
 

@@ -28,14 +28,14 @@ _CHI_BAR = {"L": CHI_R, "R": CHI_L}
 # (gamma^alpha chi_c | gamma^alpha chi_c), the first matrix of each pair
 # taken between jet u's spinors and the second between jet v's.
 #
-# The scalar vertex: (M_u, M_v, weight) for c = L, R, the chiral term and
-# then the vector terms alpha = 0..3 with weight -eta_{alpha alpha}.
-_SCALAR_VERTEX = [
+# The scalar vertex: stacks M_u, M_v and weights over c = L, R, the chiral
+# term and then the vector terms alpha = 0..3 with weight -eta_{alpha alpha}.
+_SCALAR_VERTEX = tuple(map(np.array, zip(*[
     vertex
     for c in ("L", "R")
     for vertex in [(_CHI[c], _CHI_BAR[c], 1.0)]
     + [(GAMMA[a] @ _CHI[c], GAMMA[a] @ _CHI[c], -ETA[a, a]) for a in range(4)]
-]
+])))
 
 # sigma^{0a}, a = 1, 2, 3
 _SIGMA0 = np.array([sigma_jk(0, a) for a in (1, 2, 3)])
@@ -54,9 +54,11 @@ _SPATIAL_VERTEX_V = np.array(
 )
 
 
-def _bil(bra, mat, ket):
-    """Spin scalar product <bra | mat ket> = bra^dagger gamma0 mat ket."""
-    return complex(np.conj(bra) @ GAMMA0 @ mat @ ket)
+def _braket(bra, mats, ket):
+    """Spin scalar products <bra | M ket> = bra^dagger gamma0 M ket for a
+    matrix M or a stack of them; for stacks of bras and kets (rows), shape
+    (matrix, bra, ket)."""
+    return np.conj(bra) @ GAMMA0 @ mats @ np.transpose(ket)
 
 
 # ---------------------------------------------------------------------------
@@ -151,47 +153,52 @@ def ip_bose(u, v):
 # ---------------------------------------------------------------------------
 
 
-def _hat(modes, indices, sign=1):
-    """Spinor dictionary: lattice index (times sign) -> summed amplitude at t=0."""
-    out = {}
-    for mode, n in zip(modes, indices):
-        key = tuple(sign * c for c in n)
-        out[key] = out.get(key, np.zeros(4, dtype=complex)) + mode.a_arr
-    return out
-
-
 def _kvec(n, box):
     """The spatial momentum 2 pi n / L of lattice index n."""
     return (2.0 * np.pi / box) * np.asarray(n, dtype=float)
 
 
-def _omega(kvec, m):
-    return np.sqrt(np.sum(kvec * kvec, axis=-1) + m * m)
+def _lattice_codes(*keys):
+    """Codes 0..K-1 of the K distinct rows of the (M_i, 3) integer arrays
+    keys: per array, one code per row, equal exactly for equal rows."""
+    rows = np.concatenate(keys)
+    lo, hi = rows.min(axis=0, initial=0), rows.max(axis=0, initial=0)
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if spans[0] * spans[1] * spans[2] < 2**63:
+        # each row as one int64, its offset from the least corner in mixed radix
+        rows = (rows - lo) @ np.array([spans[1] * spans[2], spans[2], 1])
+    codes = np.unique(rows, axis=None if rows.ndim == 1 else 0, return_inverse=True)[1].reshape(-1)
+    ends = np.cumsum([len(k) for k in keys])
+    return [codes[end - len(k) : end] for k, end in zip(keys, ends)]
+
+
+def _matched_sums(codes_a, a_a, codes_b, a_b):
+    """At each lattice code that rows of both sides take: a row of side a
+    there, and each side's amplitudes summed there in row order."""
+    size = max(codes_a.max(initial=-1), codes_b.max(initial=-1)) + 1
+    sums_a, sums_b = np.zeros((2, size, 4), dtype=complex)
+    np.add.at(sums_a, codes_a, a_a)
+    np.add.at(sums_b, codes_b, a_b)
+    row = np.full(size, -1)
+    row[codes_a] = np.arange(len(codes_a))
+    both = (row >= 0) & (np.bincount(codes_b, minlength=size) > 0)
+    return row[both], sums_a[both], sums_b[both]
 
 
 def sigma_fermi(jet_u, jet_v):
     """Fermionic symplectic form (delta = 1): double momentum sum with weight
     (omega(q)^2 + omega(k)^2)/(m^2 L^6) of the scalar J-tensor vertex
-    between the jets' mode amplitudes.  Antisymmetric in (u, v)."""
+    between the jets' amplitudes summed per lattice momentum: delta_psi_u at
+    k with psi_v at -k, delta_psi_v at q with psi_u at -q.  Antisymmetric."""
     m = jet_u.m
     box = common_box(jet_u, jet_v)
-    du, pu_neg = _hat(jet_u.delta_psi, jet_u.delta_psi_n), _hat(jet_u.psi, jet_u.psi_n, -1)
-    dv, pv_neg = _hat(jet_v.delta_psi, jet_v.delta_psi_n), _hat(jet_v.psi, jet_v.psi_n, -1)
-    total = 0.0 + 0.0j
-    for k_key, duk in du.items():
-        pv_mk = pv_neg.get(k_key)
-        if pv_mk is None:
-            continue
-        for q_key, dvq in dv.items():
-            pu_mq = pu_neg.get(q_key)
-            if pu_mq is None:
-                continue
-            weight = (_omega(_kvec(q_key, box), m) ** 2 + _omega(_kvec(k_key, box), m) ** 2) / m**2
-            s = 0.0 + 0.0j
-            for mat_u, mat_v, w in _SCALAR_VERTEX:
-                s += w * _bil(duk, mat_u, pu_mq) * _bil(pv_mk, mat_v, dvq)
-            total += weight * s.imag
-    return total.real / box**6
+    du_c, pv_c, dv_c, pu_c = _lattice_codes(jet_u.delta_psi_n, -jet_v.psi_n, jet_v.delta_psi_n, -jet_u.psi_n)
+    k_row, du, pv = _matched_sums(du_c, jet_u.delta_psi_a, pv_c, jet_v.psi_a)
+    q_row, dv, pu = _matched_sums(dv_c, jet_v.delta_psi_a, pu_c, jet_u.psi_a)
+    weight = (jet_v.delta_psi_k0[q_row] ** 2 + jet_u.delta_psi_k0[k_row, None] ** 2) / m**2
+    mats_u, mats_v, w = _SCALAR_VERTEX
+    s = np.einsum("v,vkq,vkq->kq", w, _braket(du, mats_u, pu), _braket(pv, mats_v, dv))
+    return float(np.sum(weight * s.imag)) / box**6
 
 
 def ip_fermi(jet_u, jet_v):
@@ -201,22 +208,14 @@ def ip_fermi(jet_u, jet_v):
     (minus the chirality sign +1).  Symmetric in (u, v)."""
     m = jet_u.m
     box = common_box(jet_u, jet_v)
-    du, pu = _hat(jet_u.delta_psi, jet_u.delta_psi_n), _hat(jet_u.psi, jet_u.psi_n)
-    dv, pv = _hat(jet_v.delta_psi, jet_v.delta_psi_n), _hat(jet_v.psi, jet_v.psi_n)
-    total = 0.0
-    for k_key, duk in du.items():
-        dvk = dv.get(k_key)
-        if dvk is None:
-            continue
-        for q_key, puq in pu.items():
-            pvq = pv.get(q_key)
-            if pvq is None:
-                continue
-            bracket = definiteness_bracket(_kvec(k_key, box), _kvec(q_key, box), m) / m**3
-            total += (
-                (_bil(duk, ID4, dvk) * _bil(pvq, ID4, puq)).real * bracket
-            )
-    return -total / box**6
+    du_c, dv_c, pu_c, pv_c = _lattice_codes(jet_u.delta_psi_n, jet_v.delta_psi_n, jet_u.psi_n, jet_v.psi_n)
+    k_row, du, dv = _matched_sums(du_c, jet_u.delta_psi_a, dv_c, jet_v.delta_psi_a)
+    q_row, pu, pv = _matched_sums(pu_c, jet_u.psi_a, pv_c, jet_v.psi_a)
+    kvec, qvec = _kvec(jet_u.delta_psi_n[k_row], box), _kvec(jet_u.psi_n[q_row], box)
+    bracket = definiteness_bracket(kvec[:, None], qvec[None, :], m) / m**3
+    d, p = np.diagonal(_braket(du, ID4, dv)), np.diagonal(_braket(pv, ID4, pu))
+    pairs = np.outer(d.real, p.real) - np.outer(d.imag, p.imag)  # Re(d p)
+    return -float(np.sum(pairs * bracket)) / box**6
 
 
 def definiteness_bracket(kvec, qvec, m):
@@ -225,11 +224,10 @@ def definiteness_bracket(kvec, qvec, m):
     Nonnegative, and zero exactly when qvec = -kvec."""
     kvec = np.asarray(kvec, dtype=float)
     qvec = np.asarray(qvec, dtype=float)
-    wk = _omega(kvec, m)
-    wq = _omega(qvec, m)
     kq = np.sum(kvec * qvec, axis=-1)
     k2 = np.sum(kvec * kvec, axis=-1)
     q2 = np.sum(qvec * qvec, axis=-1)
+    wk, wq = np.sqrt(k2 + m * m), np.sqrt(q2 + m * m)
     return kq * (wq + wk) + q2 * wq + k2 * wk
 
 
@@ -248,25 +246,20 @@ def jtensor_components(jet_u, jet_v, x, y):
     satisfies J^{kl}(x,y) = J^{lk}(y,x) exactly."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    du_x, pu_x = jet_u.delta_psi_at(x), jet_u.psi_at(x)
-    du_y, pu_y = jet_u.delta_psi_at(y), jet_u.psi_at(y)
-    dv_x, pv_x = jet_v.delta_psi_at(x), jet_v.psi_at(x)
-    dv_y, pv_y = jet_v.delta_psi_at(y), jet_v.psi_at(y)
-
-    def bils(bra, mats, ket):
-        # <bra | M ket> for a matrix M or a stack of them; for stacks of
-        # bras and kets, shape (matrix, bra, ket)
-        return np.conj(bra) @ GAMMA0 @ mats @ np.transpose(ket)
+    du_x, pu_x = jet_u.at("delta_psi", x), jet_u.at("psi", x)
+    du_y, pu_y = jet_u.at("delta_psi", y), jet_u.at("psi", y)
+    dv_x, pv_x = jet_v.at("delta_psi", x), jet_v.at("psi", x)
+    dv_y, pv_y = jet_v.at("delta_psi", y), jet_v.at("psi", y)
 
     def d_minus_u(mats):
-        return bils(du_x, mats, pu_y) - bils(pu_x, mats, du_y)
+        return _braket(du_x, mats, pu_y) - _braket(pu_x, mats, du_y)
 
     def d_plus_v(mats):
-        return bils(dv_x, mats, pv_y) + bils(pv_x, mats, dv_y)
+        return _braket(dv_x, mats, pv_y) + _braket(pv_x, mats, dv_y)
 
     # J^00 on the scalar vertex, J^ab on the spatial vertex
     j = np.zeros((4, 4))
-    mats_u, mats_v, weights = map(np.array, zip(*_SCALAR_VERTEX))
+    mats_u, mats_v, weights = _SCALAR_VERTEX
     j[0, 0] = np.sum(weights * d_minus_u(mats_u) * d_plus_v(mats_v)).imag
     spatial_u = d_minus_u(_SPATIAL_VERTEX_U).reshape(2, 3, 2)
     spatial_v = d_plus_v(_SPATIAL_VERTEX_V).reshape(2, 3, 2)
@@ -278,8 +271,8 @@ def jtensor_components(jet_u, jet_v, x, y):
     bra_x, ket_x = np.array([du_x, pu_x]), np.array([dv_x, pv_x])
     bra_y, ket_y = np.array([pv_y, dv_y]), np.array([pu_y, du_y])
     sign_u = np.array([1.0, -1.0])
-    mixed = np.einsum("i,aij,ji->a", sign_u, bils(bra_x, _SIGMA0, ket_x), bils(bra_y, ID4, ket_y))
-    mixed -= np.einsum("i,ij,aji->a", sign_u, bils(bra_x, ID4, ket_x), bils(bra_y, _SIGMA0, ket_y))
+    mixed = np.einsum("i,aij,ji->a", sign_u, _braket(bra_x, _SIGMA0, ket_x), _braket(bra_y, ID4, ket_y))
+    mixed -= np.einsum("i,ij,aji->a", sign_u, _braket(bra_x, ID4, ket_x), _braket(bra_y, _SIGMA0, ket_y))
     j[0, 1:] = j[1:, 0] = mixed.real
     return 0.5 * (j + j.T)
 
@@ -344,18 +337,19 @@ def _jet_bilinears(jet, mats, sign_swapped):
     coeff[m, j] e^{i w[j] t} e^{i (k_total[j] - ky[j]).xvec} e^{i ky[j].yvec},
     the momenta k = 2 pi n / L given by their integer lattice indices n.
 
-    Returns (coeff, w, n_total, n_y)."""
-    delta, psi = list(zip(jet.delta_psi, jet.delta_psi_n)), list(zip(jet.psi, jet.psi_n))
-    terms = [(d, p, 1.0) for d in delta for p in psi]
-    terms += [(p, d, sign_swapped) for p in psi for d in delta]
-    bra = np.array([b.a for (b, _), _, _ in terms], dtype=complex).reshape(-1, 4)
-    ket = np.array([k.a for _, (k, _), _ in terms], dtype=complex).reshape(-1, 4)
-    sign = np.array([s for _, _, s in terms])
-    coeff = sign * np.einsum("ji,mik,jk->mj", np.conj(bra) @ GAMMA0, mats, ket)
-    w = np.array([b.k0 - k.k0 for (b, _), (k, _), _ in terms])
-    n_y = np.array([n for _, (_, n), _ in terms], dtype=int).reshape(-1, 3)
-    n_x = -np.array([n for (_, n), _, _ in terms], dtype=int).reshape(-1, 3)
-    return coeff, w, n_x + n_y, n_y
+    Returns (coeff, w, n_total, n_y) over the (delta_psi, psi) row pairs,
+    delta-major, then the (psi, delta_psi) row pairs, psi-major."""
+    n_delta, n_psi = len(jet.delta_psi_n), len(jet.psi_n)
+    # rows of the stacked modes (delta_psi, then psi) as bra and ket
+    d1, p1 = np.indices((n_delta, n_psi)).reshape(2, -1)
+    p2, d2 = np.indices((n_psi, n_delta)).reshape(2, -1)
+    bra, ket = np.concatenate((d1, n_delta + p2)), np.concatenate((n_delta + p1, d2))
+    n = np.concatenate((jet.delta_psi_n, jet.psi_n))
+    a = np.concatenate((jet.delta_psi_a, jet.psi_a))
+    k0 = np.concatenate((jet.delta_psi_k0, jet.psi_k0))
+    sign = np.repeat((1.0, sign_swapped), n_delta * n_psi)
+    coeff = sign * np.einsum("ji,mik,jk->mj", np.conj(a[bra]) @ GAMMA0, mats, a[ket])
+    return coeff, k0[bra] - k0[ket], n[ket] - n[bra], n[ket]
 
 
 def fermi_conservation_residual(jet_u, jet_v, t=0.0):
@@ -448,29 +442,17 @@ def quadrupole_contraction(j_tensor, xi_vec):
 # ---------------------------------------------------------------------------
 
 
-def _cone_kernel_derivative_magnitude(omega, k):
-    """Magnitude of the momentum gradient of the distribution that equals
-    i*omega/k outside the cones and +-i inside: zero inside the closed
-    cones, |grad(i omega/k)| outside."""
-    if abs(omega) >= k:
-        return 0.0
-    d_omega = 1.0 / k
-    d_k = omega / k**2
-    return float(np.hypot(d_omega, d_k))
-
-
-def current_sli_support_check(modes):
-    """Sum over a wave function's modes of |K'(p)| |a|^2, where K' is the
-    differentiated cone kernel above.  Zero for strictly on-shell modes
-    (their momenta lie inside the open cones); positive if a spacelike
-    momentum is injected."""
-    total = 0.0
-    for mode in modes:
-        k = float(np.linalg.norm(mode.kvec_arr))
-        total += _cone_kernel_derivative_magnitude(mode.k0, k) * float(
-            np.sum(np.abs(mode.a_arr) ** 2)
-        )
-    return total
+def current_sli_support_check(k0, kvec, a):
+    """Sum over a wave function's plane waves, the rows of k0 (M,), kvec
+    (M, 3) and a (M, 4), of |K'(p)| |a|^2, where K' is the momentum
+    gradient of the distribution that equals i*omega/k outside the cones
+    and +-i inside: zero inside the closed cones, |grad(i omega/k)|
+    outside.  Zero for strictly on-shell modes (their momenta lie inside
+    the open cones); positive if a spacelike momentum is injected."""
+    k = np.linalg.norm(kvec, axis=-1)
+    outside = np.abs(k0) < k
+    k, omega = k[outside], k0[outside]
+    return float(np.hypot(1.0 / k, omega / k**2) @ np.sum(np.abs(a[outside]) ** 2, axis=-1))
 
 
 @lru_cache(maxsize=1)

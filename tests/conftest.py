@@ -8,7 +8,6 @@ from lightcone import fields
 from lightcone.clifford import closed_chain_projectors, slash
 from lightcone.fields import (
     DEFAULT_BOX,
-    DiracMode,
     FermionicJet,
     MaxwellField,
     MaxwellMode,
@@ -16,12 +15,17 @@ from lightcone.fields import (
 )
 
 
-def random_lattice_vector(rng, box, max_index=3, nonzero=True):
-    """A box-quantized spatial momentum 2 pi n / L with small integer n."""
+def random_lattice_index(rng, max_index=3, nonzero=True):
+    """A small integer lattice index n."""
     while True:
         n = rng.integers(-max_index, max_index + 1, size=3)
         if not nonzero or np.any(n != 0):
-            return 2.0 * np.pi * n.astype(float) / box
+            return n
+
+
+def random_lattice_vector(rng, box, max_index=3, nonzero=True):
+    """A box-quantized spatial momentum 2 pi n / L with small integer n."""
+    return 2.0 * np.pi * random_lattice_index(rng, max_index, nonzero).astype(float) / box
 
 
 def random_maxwell_mode(rng, box=DEFAULT_BOX, gauge=False):
@@ -47,68 +51,71 @@ def random_maxwell_field(rng, box=DEFAULT_BOX, n_modes=2, gauge=False):
     return MaxwellField(modes, box)
 
 
-def random_dirac_mode(rng, shell, box=DEFAULT_BOX, m=1.0, kvec=None):
-    if kvec is None:
-        kvec = random_lattice_vector(rng, box, nonzero=False)
-    basis = dirac_basis(shell, kvec, m)
+def random_amplitude(rng, shell, n, box=DEFAULT_BOX, m=1.0):
+    """A random solution a of (k_slash - m) a = 0 at the lattice momentum
+    kvec = 2 pi n / L on the given mass shell."""
+    basis = dirac_basis(shell, 2.0 * np.pi * np.asarray(n, dtype=float) / box, m)
     c = rng.normal(size=2) + 1j * rng.normal(size=2)
-    a = c[0] * basis[0] + c[1] * basis[1]
-    return DiracMode(shell, tuple(kvec), tuple(a), m)
+    return c[0] * basis[0] + c[1] * basis[1]
+
+
+def jet_at(rng, psi_ns, delta_ns, box=DEFAULT_BOX, m=1.0):
+    """A jet with one random psi mode at each lattice index of psi_ns and one
+    random delta_psi mode at each of delta_ns; an index None is drawn at
+    random, just before that mode's amplitude."""
+    sides = []
+    for shell, ns in ((-1, psi_ns), (1, delta_ns)):
+        n_rows, a_rows = [], []
+        for n in ns:
+            n = random_lattice_index(rng, nonzero=False) if n is None else np.asarray(n)
+            n_rows.append(n)
+            a_rows.append(random_amplitude(rng, shell, n, box, m))
+        sides += [np.array(n_rows, dtype=np.int64).reshape(-1, 3), np.array(a_rows).reshape(-1, 4)]
+    return FermionicJet(*sides, m, box)
 
 
 def random_jet(rng, box=DEFAULT_BOX, m=1.0, n_psi=1, n_delta=1):
-    psi = tuple(random_dirac_mode(rng, -1, box, m) for _ in range(n_psi))
-    delta = tuple(random_dirac_mode(rng, 1, box, m) for _ in range(n_delta))
-    return FermionicJet(psi, delta, m, box)
+    return jet_at(rng, [None] * n_psi, [None] * n_delta, box, m)
 
 
-def jet_at(rng, psi_ks, delta_ks, box=DEFAULT_BOX, m=1.0):
-    """A jet with one random psi mode at each spatial momentum of psi_ks and
-    one random delta_psi mode at each of delta_ks."""
-    psi = tuple(random_dirac_mode(rng, -1, box, m, kvec=np.asarray(k, dtype=float)) for k in psi_ks)
-    delta = tuple(random_dirac_mode(rng, 1, box, m, kvec=np.asarray(k, dtype=float)) for k in delta_ks)
-    return FermionicJet(psi, delta, m, box)
-
-
-def one_mode_jet(rng, k_psi, k_delta, box=DEFAULT_BOX, m=1.0):
-    """A jet with one random psi mode at spatial momentum k_psi and one
-    random delta_psi mode at k_delta."""
-    return jet_at(rng, [k_psi], [k_delta], box, m)
+def one_mode_jet(rng, n_psi, n_delta, box=DEFAULT_BOX, m=1.0):
+    """A jet with one random psi mode at lattice index n_psi and one random
+    delta_psi mode at n_delta."""
+    return jet_at(rng, [n_psi], [n_delta], box, m)
 
 
 def fermi_functional_pair(rng, box=DEFAULT_BOX):
     """Two two-mode jets on which sigma_fermi and ip_fermi are both nonzero:
     delta_psi_u at k with psi_v at -k and delta_psi_v at q with psi_u at -q
     feed sigma_fermi; delta_psi of both jets at d and psi of both at s
-    (s != -d) feed ip_fermi.  The four lattice momenta are distinct."""
+    (s != -d) feed ip_fermi.  The four lattice indices are distinct."""
     while True:
-        k, q, s, d = (random_lattice_vector(rng, box) for _ in range(4))
-        n = [tuple(np.rint(p * box / (2.0 * np.pi)).astype(int)) for p in (k, q, s, d)]
-        if len(set(n)) == 4 and not np.allclose(s, -d):
+        k, q, s, d = (random_lattice_index(rng) for _ in range(4))
+        if len({tuple(n) for n in (k, q, s, d)}) == 4 and not np.array_equal(s, -d):
             break
     return jet_at(rng, [-q, s], [k, d], box), jet_at(rng, [-k, s], [q, d], box)
 
 
-def matched_jet_pair(rng, box=DEFAULT_BOX, m=1.0, k_psi=None, k_delta=None):
-    """Two jets sharing one (psi, delta_psi) momentum pair with nonzero
+def matched_jet_pair(rng, box=DEFAULT_BOX, m=1.0, n_psi=None, n_delta=None):
+    """Two jets sharing one (psi, delta_psi) lattice index pair with nonzero
     transfer: every momentum-conserving quadruple then conserves the
-    frequency transfer, so the conservation residual vanishes.  Momenta
+    frequency transfer, so the conservation residual vanishes.  Indices
     not given are drawn at random."""
-    if k_psi is None:
-        k_psi = random_lattice_vector(rng, box, nonzero=False)
-    if k_delta is None:
-        k_delta = random_lattice_vector(rng, box)
-        while np.allclose(k_delta, k_psi):
-            k_delta = random_lattice_vector(rng, box)
-    return one_mode_jet(rng, k_psi, k_delta, box, m), one_mode_jet(rng, k_psi, k_delta, box, m)
+    if n_psi is None:
+        n_psi = random_lattice_index(rng, nonzero=False)
+    if n_delta is None:
+        n_delta = random_lattice_index(rng)
+        while np.array_equal(n_delta, n_psi):
+            n_delta = random_lattice_index(rng)
+    return one_mode_jet(rng, n_psi, n_delta, box, m), one_mode_jet(rng, n_psi, n_delta, box, m)
 
 
 def violating_jet_pair(rng, box=DEFAULT_BOX, m=1.0):
     """Two jets with equal momentum transfer but unequal frequency gaps:
     the frequency implication fails, so the residual is nonzero."""
-    k1 = 2.0 * np.pi * np.array([1.0, 0.0, 0.0]) / box
-    # both transfers equal k1, but the frequency gaps differ
-    return one_mode_jet(rng, 0.0 * k1, 1.0 * k1, box, m), one_mode_jet(rng, -2.0 * k1, -1.0 * k1, box, m)
+    n1 = np.array([1, 0, 0])
+    # both transfers equal n1, but the frequency gaps differ
+    return one_mode_jet(rng, 0 * n1, n1, box, m), one_mode_jet(rng, -2 * n1, -n1, box, m)
 
 
 def opposite_transfer_pair(rng, box=DEFAULT_BOX, m=1.0):
@@ -117,16 +124,10 @@ def opposite_transfer_pair(rng, box=DEFAULT_BOX, m=1.0):
     opposite: every equal-transfer quadruple conserves the frequency
     transfer, but the four opposite ones carry the sum of two positive
     gaps, so the residual is nonzero."""
-    unit = 2.0 * np.pi / box
-    p0, p1 = np.zeros(3), unit * np.array([0.0, 1.0, 0.0])
-    d0 = unit * np.array([1.0, 0.0, 0.0])
+    p0, p1 = np.array([0, 0, 0]), np.array([0, 1, 0])
+    d0 = np.array([1, 0, 0])
     d1 = p1 - (d0 - p0)
-    jets = []
-    for _ in range(2):
-        psi = tuple(random_dirac_mode(rng, -1, box, m, kvec=k) for k in (p0, p1))
-        delta = tuple(random_dirac_mode(rng, 1, box, m, kvec=k) for k in (d0, d1))
-        jets.append(FermionicJet(psi, delta, m, box))
-    return jets[0], jets[1]
+    return jet_at(rng, [p0, p1], [d0, d1], box, m), jet_at(rng, [p0, p1], [d0, d1], box, m)
 
 
 def ratio_by_least_squares(xi):

@@ -10,7 +10,6 @@ import pytest
 
 from conftest import (
     fermi_functional_pair,
-    random_dirac_mode,
     random_jet,
     random_maxwell_field,
     ratio_by_least_squares,
@@ -28,7 +27,7 @@ from lightcone.clifford import (
     spin_adjoint,
 )
 from lightcone.errors import ChiralityViolated, DegenerateChain
-from lightcone.fields import FermionicJet, pairing_predicates, time_translate
+from lightcone.fields import pairing_predicates, time_translate
 
 
 def _report(n, ok, capsys, detail=""):
@@ -266,15 +265,11 @@ def test_acceptance_8_support_argument(capsys):
     ok = True
     for _ in range(50):
         jet = random_jet(rng, n_psi=2, n_delta=2)
-        modes = list(jet.psi) + list(jet.delta_psi)
-        ok &= slayer.current_sli_support_check(modes) == 0.0
-
-    class Fake:
-        k0 = 0.5
-        kvec_arr = np.array([2.0, 0.0, 0.0])
-        a_arr = np.ones(4, dtype=complex)
-
-    ok &= slayer.current_sli_support_check(modes + [Fake()]) > 0.0
+        k0, kvec, a = jet.plane_waves()
+        ok &= slayer.current_sli_support_check(k0, kvec, a) == 0.0
+    # an injected row with a spacelike momentum
+    k0, kvec, a = np.append(k0, 0.5), np.vstack((kvec, [2.0, 0.0, 0.0])), np.vstack((a, np.ones(4)))
+    ok &= slayer.current_sli_support_check(k0, kvec, a) > 0.0
     _report(8, ok, capsys)
 
 

@@ -116,18 +116,27 @@ def test_verify_failing_config(runner, tmp_path):
     assert report[0]["paper_ref"]
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("box", float("nan")),
-        ("mass", float("nan")),
-        ("box", 0.0),
-        pytest.param("jets.0.psi.0.n", [0.5, 0, 0], id="non-integer-n"),
-        pytest.param("maxwell.0.p.1", float("nan"), id="maxwell-p-nan"),
-        pytest.param("jets.0.delta_psi.0.a_re.0", float("nan"), id="jet-a_re-nan"),
-    ],
-)
-def test_verify_malformed_config_exits_2(runner, tmp_path, key, value):
+_MALFORMED_CONFIGS = [
+    ("box", float("nan")),
+    ("mass", float("nan")),
+    ("box", 0.0),
+    pytest.param("jets.0.psi.0.n", [0.5, 0, 0], id="non-integer-n"),
+    pytest.param("maxwell.0.p.1", float("nan"), id="maxwell-p-nan"),
+    pytest.param("jets.0.delta_psi.0.a_re.0", float("nan"), id="jet-a_re-nan"),
+    pytest.param("jets", 5, id="jets-not-a-list"),
+    pytest.param("maxwell", 5, id="maxwell-not-a-list"),
+    pytest.param("jets", [[1]], id="jet-not-an-object"),
+    pytest.param("maxwell", [[1]], id="maxwell-entry-not-an-object"),
+    pytest.param("jets.0.psi", 3, id="psi-not-a-list"),
+    pytest.param("jets.0.delta_psi", [3], id="delta_psi-mode-not-an-object"),
+    # finite numbers whose squares overflow
+    pytest.param("jets.0.psi.0.n", [1e300, 0, 0], id="n-outside-int64"),
+    pytest.param("box", 1e-300, id="n-frequency-overflows"),
+    pytest.param("maxwell.0.p", [1e200, 1e200, 0.0, 0.0], id="maxwell-p-square-overflows"),
+]
+
+
+def _malformed_config(tmp_path, key, value):
     cfg = fields.default_config()
     *parents, last = (int(k) if k.isdigit() else k for k in key.split("."))
     entry = cfg
@@ -136,7 +145,20 @@ def test_verify_malformed_config_exits_2(runner, tmp_path, key, value):
     entry[last] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    result = runner.invoke(cli.main, ["verify", "--suites", "slayer", "--config", str(path)])
+    return str(path)
+
+
+@pytest.mark.parametrize("key, value", _MALFORMED_CONFIGS)
+def test_verify_malformed_config_exits_2(runner, tmp_path, key, value):
+    path = _malformed_config(tmp_path, key, value)
+    result = runner.invoke(cli.main, ["verify", "--suites", "slayer", "--config", path])
+    assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("key, value", _MALFORMED_CONFIGS)
+def test_slayer_eval_malformed_config_exits_2(runner, tmp_path, key, value):
+    path = _malformed_config(tmp_path, key, value)
+    result = runner.invoke(cli.main, ["slayer", "eval", "--config", path])
     assert result.exit_code == 2
 
 
@@ -186,6 +208,9 @@ def test_kernels_empty_grid_header_only(runner):
         ["lineint", "--fn", "J", "--b-step", "-0.05"],
         ["lineint", "--fn", "J", "--a-step", "inf"],
         ["lineint", "--fn", "J", "--b-min", "nan"],
+        # finite, but too fine a step for numpy to build the axis
+        ["kernels", "--id", "IK0_over_t", "--omega-step", "1e-300"],
+        ["lineint", "--fn", "J", "--a-step", "1e-300"],
     ],
     ids=" ".join,
 )
@@ -336,6 +361,9 @@ def test_convolution_bad_momentum_exits_2(runner):
         ["--q", "2,0,0,0", "--m", "inf"],
         ["--q", "2,0,0,0", "--m", "0"],
         ["--q", "2,0,0,0", "--m", "-1"],
+        # finite, but the square overflows
+        ["--q", "2,0,0,0", "--m", "1e300"],
+        ["--q", "1e308,1e308,0,0"],
     ],
     ids=" ".join,
 )
@@ -474,20 +502,18 @@ def test_report_rejects_a_malformed_report(runner, tmp_path, text):
 
 
 def _jet_config(jets, box=DEFAULT_BOX):
-    def mode(m):
-        return {
-            "shell": m.shell,
-            "n": [int(c) for c in np.rint(m.kvec_arr * box / (2.0 * np.pi))],
-            "a_re": [float(c) for c in m.a_arr.real],
-            "a_im": [float(c) for c in m.a_arr.imag],
-        }
+    def modes(shell, n, a):
+        return [
+            {"shell": shell, "n": n_row.tolist(), "a_re": a_row.real.tolist(), "a_im": a_row.imag.tolist()}
+            for n_row, a_row in zip(n, a)
+        ]
 
     return {
         "box": box,
         "mass": 1.0,
         "maxwell": [],
         "jets": [
-            {"psi": [mode(m) for m in j.psi], "delta_psi": [mode(m) for m in j.delta_psi]}
+            {"psi": modes(-1, j.psi_n, j.psi_a), "delta_psi": modes(1, j.delta_psi_n, j.delta_psi_a)}
             for j in jets
         ],
     }

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import (
+    jet_at,
     opposite_transfer_pair,
-    random_dirac_mode,
+    random_amplitude,
+    random_jet,
     random_maxwell_mode,
     violating_jet_pair,
 )
 from lightcone.clifford import minkowski, slash
-from lightcone.errors import ConfigInvalid, ConfigMalformed, InvalidMode, ShellViolation
+from lightcone.errors import ConfigInvalid, ConfigMalformed, InvalidMode
 from lightcone.fields import (
     DEFAULT_BOX,
-    DiracMode,
     FermionicJet,
     MaxwellField,
     MaxwellMode,
@@ -33,6 +34,9 @@ def test_maxwell_mode_validation():
         MaxwellMode((1.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))  # gauge violated
     with pytest.raises(InvalidMode):
         MaxwellMode((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))  # zero momentum
+    with pytest.raises(InvalidMode):
+        # p.p overflows, so p^2 = inf - inf would pass the light-cone test
+        MaxwellMode((1e200, 1e200, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
 
 
 def test_field_tensor_properties(rng):
@@ -53,25 +57,30 @@ def test_box_quantization_enforced():
 
 def test_jet_keeps_box_and_lattice_indices(rng):
     box = 10.0
-    unit = 2.0 * np.pi / box
-    lower = random_dirac_mode(rng, -1, box, kvec=unit * np.array([2.0, 0.0, -1.0]))
-    upper = random_dirac_mode(rng, 1, box, kvec=unit * np.array([0.0, 3.0, 0.0]))
-    jet = FermionicJet((lower,), (upper,), 1.0, box)
+    jet = jet_at(rng, [(2, 0, -1)], [(0, 3, 0)], box)
     assert jet.box == box
-    assert jet.psi_n == ((2, 0, -1),)
-    assert jet.delta_psi_n == ((0, 3, 0),)
-    # n * box / (2 pi) misses this index by 1.9e-9 after the round trip
-    far = random_dirac_mode(rng, 1, box, kvec=2.0 * np.pi * np.array([9000014, 0, 0]) / box)
-    assert FermionicJet((lower,), (far,), 1.0, box).delta_psi_n == ((9000014, 0, 0),)
-    # the same modes are off the lattice of the default box
+    assert jet.psi_n.dtype == np.int64 and jet.psi_n.tolist() == [[2, 0, -1]]
+    assert jet.delta_psi_n.tolist() == [[0, 3, 0]]
+    assert jet.psi_a.shape == jet.delta_psi_a.shape == (1, 4)
+    for name in ("psi_n", "psi_a", "psi_k0", "delta_psi_n", "delta_psi_a", "delta_psi_k0"):
+        with pytest.raises(ValueError):
+            getattr(jet, name)[0] = 0  # read-only
+    # the index is kept exactly, however far out
+    far = jet_at(rng, [(2, 0, -1)], [(9000014, 0, 0)], box)
+    assert far.delta_psi_n.tolist() == [[9000014, 0, 0]]
     with pytest.raises(InvalidMode):
-        FermionicJet((lower,), (upper,), 1.0)
+        FermionicJet(jet.psi_n, jet.psi_a, jet.delta_psi_n, jet.delta_psi_a, 1.0, 0.0)
     with pytest.raises(InvalidMode):
-        FermionicJet((lower,), (upper,), 1.0, 0.0)
+        FermionicJet((), (), (), (), 1.0, -1.0)
     with pytest.raises(InvalidMode):
-        FermionicJet((), (), 1.0, -1.0)
-
-
+        FermionicJet((), (), (), (), 0.0)
+    with pytest.raises(InvalidMode):  # float indices are not lattice indices
+        FermionicJet(jet.psi_n * 1.0, jet.psi_a, jet.delta_psi_n, jet.delta_psi_a, 1.0, box)
+    with pytest.raises(InvalidMode):  # one index row, two amplitude rows
+        FermionicJet(jet.psi_n, np.vstack((jet.psi_a, jet.psi_a)), jet.delta_psi_n, jet.delta_psi_a, 1.0, box)
+    with pytest.raises(InvalidMode):  # a frequency that overflows
+        FermionicJet(jet.psi_n, jet.psi_a, [[2**62, 0, 0]], jet.delta_psi_a, 1.0, 1e-300)
+    assert len(FermionicJet((), (), (), (), 1.0).psi_n) == 0
 def test_terms_include_conjugates(rng):
     mode = random_maxwell_mode(rng)
     field = MaxwellField((mode,), DEFAULT_BOX)
@@ -84,25 +93,33 @@ def test_terms_include_conjugates(rng):
 
 
 def test_dirac_mode_on_shell(rng):
-    for shell in (1, -1):
-        mode = random_dirac_mode(rng, shell)
-        k = np.concatenate(([mode.k0], mode.kvec_arr))
-        assert np.allclose((slash(k) - mode.m * np.eye(4)) @ mode.a_arr, 0.0, atol=1e-9)
-        assert minkowski(k, k) == pytest.approx(mode.m**2, abs=1e-9)
+    jet = random_jet(rng, n_psi=3, n_delta=3)
+    for shell, n, a, k0 in ((-1, jet.psi_n, jet.psi_a, jet.psi_k0), (1, jet.delta_psi_n, jet.delta_psi_a, jet.delta_psi_k0)):
+        for n_row, a_row, k0_row in zip(n, a, k0):
+            k = np.concatenate(([k0_row], 2.0 * np.pi * n_row / jet.box))
+            assert np.sign(k0_row) == shell
+            assert np.allclose((slash(k) - jet.m * np.eye(4)) @ a_row, 0.0, atol=1e-9)
+            assert minkowski(k, k) == pytest.approx(jet.m**2, abs=1e-9)
 
 
 def test_dirac_mode_rejects_off_shell():
     # at rest the upper shell is spanned by the first two spinor components
+    rest = np.zeros((1, 3), dtype=np.int64)
     with pytest.raises(InvalidMode):
-        DiracMode(1, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), 1.0)
-    DiracMode(1, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), 1.0)
+        FermionicJet((), (), rest, [(0.0, 0.0, 1.0, 0.0)], 1.0)
+    with pytest.raises(InvalidMode):
+        FermionicJet((), (), rest, [(0.0, 0.0, 0.0, 0.0)], 1.0)  # zero amplitude
+    with pytest.raises(InvalidMode):
+        FermionicJet((), (), rest, [(np.nan, 0.0, 0.0, 0.0)], 1.0)
+    FermionicJet((), (), rest, [(1.0, 0.0, 0.0, 0.0)], 1.0)
 
 
 def test_dirac_mode_accepts_exact_spinor_far_out():
     # residual 1.9e-9 from roundoff alone at |k| = 2 pi 3e7 / 10
-    kvec = 2.0 * np.pi * np.array([30000000.0, 0.0, 0.0]) / 10.0
+    n = np.array([[30000000, 0, 0]])
+    kvec = 2.0 * np.pi * n[0] / 10.0
     for a in dirac_basis(1, kvec, 1.0):
-        DiracMode(1, tuple(kvec), tuple(a), 1.0)
+        FermionicJet((), (), n, [a], 1.0, 10.0)
 
 
 def test_dirac_basis_orthonormal(rng):
@@ -114,29 +131,41 @@ def test_dirac_basis_orthonormal(rng):
 
 
 def test_dirac_mode_plane_wave_phase(rng):
-    mode = random_dirac_mode(rng, 1)
+    jet = random_jet(rng, n_psi=2, n_delta=3)
     x = np.array([0.7, 1.0, -2.0, 0.5])
-    expected = mode.a_arr * np.exp(
-        -1j * (mode.k0 * x[0] - mode.kvec_arr @ x[1:])
-    )
-    assert np.allclose(mode.at(x), expected)
+    for at, n, a, k0 in ((lambda x: jet.at("psi", x), jet.psi_n, jet.psi_a, jet.psi_k0),
+                         (lambda x: jet.at("delta_psi", x), jet.delta_psi_n, jet.delta_psi_a, jet.delta_psi_k0)):
+        expected = sum(
+            a_row * np.exp(-1j * (k0_row * x[0] - (2.0 * np.pi * n_row / jet.box) @ x[1:]))
+            for n_row, a_row, k0_row in zip(n, a, k0)
+        )
+        assert np.allclose(at(x), expected)
 
 
 def test_jet_shell_constraints(rng):
-    upper = random_dirac_mode(rng, 1)
-    lower = random_dirac_mode(rng, -1)
-    FermionicJet((lower,), (upper,), 1.0)
-    with pytest.raises(ShellViolation):
-        FermionicJet((upper,), (upper,), 1.0)
-    with pytest.raises(ShellViolation):
-        FermionicJet((lower,), (lower,), 1.0)
+    # psi lies on the lower shell and delta_psi on the upper: an amplitude
+    # of the other shell is off shell there
+    n = np.array([[1, -2, 0]])
+    upper, lower = random_amplitude(rng, 1, n[0]), random_amplitude(rng, -1, n[0])
+    FermionicJet(n, [lower], n, [upper], 1.0)
+    with pytest.raises(InvalidMode):
+        FermionicJet(n, [upper], n, [upper], 1.0)
+    with pytest.raises(InvalidMode):
+        FermionicJet(n, [lower], n, [lower], 1.0)
+    # a config names each mode's shell; the loader checks it against its side
+    for side, shell in (("psi", 1), ("delta_psi", -1)):
+        cfg = _sample_config()
+        cfg["jets"][0][side][0]["shell"] = shell
+        with pytest.raises(ConfigInvalid) as info:
+            load_config(cfg)
+        assert not isinstance(info.value, ConfigMalformed)
 
 
 def test_pairing_predicates(rng):
     ju, jv = violating_jet_pair(rng)
     report = pairing_predicates(ju, jv)
-    assert len(report["quadruples"]) == 1
-    assert len(report["flagged"]) == 1
+    assert report["quadruples"].tolist() == [[0, 0, 0, 0]]
+    assert report["flagged"].tolist() == [[0, 0, 0, 0]]
     assert not report["implication_holds"]
     # a jet paired with itself conserves trivially
     self_report = pairing_predicates(ju, ju)
@@ -147,18 +176,21 @@ def test_pairing_predicates_flags_opposite_transfers(rng):
     ju, jv = opposite_transfer_pair(rng)
     report = pairing_predicates(ju, jv)
     # four equal transfers (each mode pair with itself) and four opposite
-    assert len(report["quadruples"]) == 8
+    assert report["quadruples"].shape == (8, 4)
     assert len(report["flagged"]) == 4
     for du, pu, dv, pv in report["flagged"]:
-        assert np.allclose(du.kvec_arr - pu.kvec_arr, -(dv.kvec_arr - pv.kvec_arr))
+        transfer_u = ju.delta_psi_n[du] - ju.psi_n[pu]
+        assert np.array_equal(transfer_u, -(jv.delta_psi_n[dv] - jv.psi_n[pv]))
     assert not report["implication_holds"]
 
 
 def test_time_translation_phases(rng):
-    mode = random_dirac_mode(rng, 1)
+    jet = random_jet(rng, n_psi=2, n_delta=2)
     dt = 0.7
-    moved = time_translate(mode, dt)
-    assert np.allclose(moved.a_arr, mode.a_arr * np.exp(-1j * mode.k0 * dt))
+    moved = time_translate(jet, dt)
+    assert np.allclose(moved.psi_a, jet.psi_a * np.exp(-1j * jet.psi_k0 * dt)[:, None])
+    assert np.allclose(moved.delta_psi_a, jet.delta_psi_a * np.exp(-1j * jet.delta_psi_k0 * dt)[:, None])
+    assert np.array_equal(moved.psi_n, jet.psi_n) and np.array_equal(moved.delta_psi_k0, jet.delta_psi_k0)
     mmode = random_maxwell_mode(rng)
     mmoved = time_translate(mmode, dt)
     assert np.allclose(mmoved.eps_arr, mmode.eps_arr * np.exp(-1j * mmode.p[0] * dt))

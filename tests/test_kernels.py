@@ -199,7 +199,9 @@ def test_oracle_ratio_constants():
 
 
 def test_k0hat_shell_ratio_constant():
-    for omega, k in ((1.3, 1.3), (0.9, 0.9)):
+    # both shells: at the lower one the reference's second Gaussian carries
+    # the shell, so a sign slip there flips the ratio to +2 pi^2
+    for omega, k in ((1.3, 1.3), (0.9, 0.9), (-1.3, 1.3), (-0.9, 0.9)):
         ratio = k0hat_shell_ratio(omega, k)
         assert abs(ratio - (-2.0 * np.pi**2)) < 0.01 * 2.0 * np.pi**2
 

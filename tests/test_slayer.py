@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import time
+from dataclasses import replace
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -13,9 +14,8 @@ from conftest import (
     matched_jet_pair,
     one_mode_jet,
     opposite_transfer_pair,
-    random_dirac_mode,
     random_jet,
-    random_lattice_vector,
+    random_lattice_index,
     random_maxwell_field,
     violating_jet_pair,
 )
@@ -24,8 +24,6 @@ from lightcone.clifford import CHI_L, CHI_R, GAMMA, GAMMA0, sigma_jk
 from lightcone.errors import InvalidMode, OffShellField
 from lightcone.fields import (
     DEFAULT_BOX,
-    DiracMode,
-    FermionicJet,
     MaxwellField,
     pairing_predicates,
     time_translate,
@@ -191,15 +189,21 @@ def test_fermi_functionals_conserved(rng):
 def test_sigma_fermi_contraction_antisymmetric_and_conserved(rng):
     # delta_psi_u at k with psi_v at -k, delta_psi_v at q with psi_u at -q:
     # the one momentum pairing sigma_fermi contracts
-    unit = 2.0 * np.pi / DEFAULT_BOX
-    k, q = unit * np.array([1.0, 0.0, 0.0]), unit * np.array([0.0, 2.0, -1.0])
-    u = one_mode_jet(rng, k_psi=-q, k_delta=k)
-    v = one_mode_jet(rng, k_psi=-k, k_delta=q)
+    k, q = np.array([1, 0, 0]), np.array([0, 2, -1])
+    u = one_mode_jet(rng, n_psi=-q, n_delta=k)
+    v = one_mode_jet(rng, n_psi=-k, n_delta=q)
     s = sigma_fermi(u, v)
     assert s != 0.0
     assert abs(sigma_fermi(v, u) + s) <= 1e-12 * abs(s)
     for dt in (0.1, 1.0, 10.0):
         assert abs(sigma_fermi(time_translate(u, dt), time_translate(v, dt)) - s) <= 1e-10 * abs(s)
+
+
+def _modes(jet, side):
+    """The modes of one side of a jet as rows (k0, kvec, a), with the float
+    momenta kvec = 2 pi n / L."""
+    rows = zip(getattr(jet, side + "_k0"), getattr(jet, side + "_n"), getattr(jet, side + "_a"))
+    return [(k0, 2.0 * np.pi * n / jet.box, a) for k0, n, a in rows]
 
 
 def reference_sigma_fermi(jet_u, jet_v):
@@ -217,21 +221,20 @@ def reference_sigma_fermi(jet_u, jet_v):
     metric = (1.0, -1.0, -1.0, -1.0)
 
     def bil(a, mat, b):
-        return complex(np.conj(a.a_arr) @ GAMMA0 @ mat @ b.a_arr)
+        return complex(np.conj(a) @ GAMMA0 @ mat @ b)
 
     def same(p, q):
         return np.max(np.abs(p - q)) <= 1e-9
 
     total = scale = 0.0
-    for du in jet_u.delta_psi:
-        for pv in jet_v.psi:
-            if not same(du.kvec_arr, -pv.kvec_arr):
+    for _, k, du in _modes(jet_u, "delta_psi"):
+        for _, kv, pv in _modes(jet_v, "psi"):
+            if not same(k, -kv):
                 continue
-            for dv in jet_v.delta_psi:
-                for pu in jet_u.psi:
-                    if not same(dv.kvec_arr, -pu.kvec_arr):
+            for _, q, dv in _modes(jet_v, "delta_psi"):
+                for _, qu, pu in _modes(jet_u, "psi"):
+                    if not same(q, -qu):
                         continue
-                    k, q = du.kvec_arr, dv.kvec_arr
                     weight = (q @ q + k @ k + 2.0 * m * m) / (m * m)
                     terms = []
                     for chi, chi_bar in ((chi_l, chi_r), (chi_r, chi_l)):
@@ -245,29 +248,80 @@ def reference_sigma_fermi(jet_u, jet_v):
 
 
 def test_sigma_fermi_matches_reference(rng):
-    unit = 2.0 * np.pi / DEFAULT_BOX
-    k, q = unit * np.array([1.0, 0.0, 0.0]), unit * np.array([0.0, 2.0, -1.0])
+    k, q = np.array([1, 0, 0]), np.array([0, 2, -1])
     cases = [("functional pair", *fermi_functional_pair(rng)) for _ in range(5)]
     cases += [("dense", *_dense_pair(rng, n)) for n in (1, 2, 3)]
-    cases.append(("one mode", one_mode_jet(rng, k_psi=-q, k_delta=k), one_mode_jet(rng, k_psi=-k, k_delta=q)))
+    cases.append(("one mode", one_mode_jet(rng, n_psi=-q, n_delta=k), one_mode_jet(rng, n_psi=-k, n_delta=q)))
     # several modes at one momentum, which sigma_fermi sums before contracting
     cases.append(("repeated", jet_at(rng, [-q, -q, k], [k, k, -q]), jet_at(rng, [-k, -k, q], [q, q, -k])))
     cases.append(("box 10", *fermi_functional_pair(rng, box=10.0)))
+    # lattice indices too far apart to pack into one int64 by their offsets
+    k, q = np.array([2**21, 0, -(2**21)]), np.array([0, 2**21, 2**21])
+    cases.append(("far apart", one_mode_jet(rng, n_psi=-q, n_delta=k), one_mode_jet(rng, n_psi=-k, n_delta=q)))
     nonzero = set()
     for name, u, v in cases:
         want, scale = reference_sigma_fermi(u, v)
         assert abs(sigma_fermi(u, v) - want) <= 1e-12 * scale, name
         if want != 0.0:
             nonzero.add(name)
-    assert nonzero >= {"functional pair", "one mode", "repeated", "box 10"}
+    assert nonzero >= {"functional pair", "one mode", "repeated", "box 10", "far apart"}
+
+
+def reference_ip_fermi(jet_u, jet_v):
+    """Mode-by-mode evaluation of ip_fermi: a loop over every
+    (delta_psi_u, delta_psi_v, psi_u, psi_v) mode quadruple with
+    k(delta_psi_u) = k(delta_psi_v) and q(psi_u) = q(psi_v), float momenta
+    matched to 1e-9, and the definiteness bracket written out here.
+
+    Returns (value, scale), scale being the sum of the magnitudes of the
+    contributions."""
+    m, box = jet_u.m, jet_u.box
+
+    def same(p, q):
+        return np.max(np.abs(p - q)) <= 1e-9
+
+    total = scale = 0.0
+    for _, k, du in _modes(jet_u, "delta_psi"):
+        for _, kv, dv in _modes(jet_v, "delta_psi"):
+            if not same(k, kv):
+                continue
+            for _, q, pu in _modes(jet_u, "psi"):
+                for _, qv, pv in _modes(jet_v, "psi"):
+                    if not same(q, qv):
+                        continue
+                    wk, wq = np.sqrt(k @ k + m * m), np.sqrt(q @ q + m * m)
+                    bracket = (k @ q) * (wq + wk) + (q @ q) * wq + (k @ k) * wk
+                    pairing = (np.conj(du) @ GAMMA0 @ dv) * (np.conj(pv) @ GAMMA0 @ pu)
+                    term = -pairing.real * bracket / (m**3 * box**6)
+                    total += term
+                    scale += abs(term)
+    return total, scale
+
+
+def test_ip_fermi_matches_reference(rng):
+    k, q = np.array([1, 0, 0]), np.array([0, 2, -1])
+    cases = [("functional pair", *fermi_functional_pair(rng)) for _ in range(5)]
+    cases += [("dense", *_dense_pair(rng, n)) for n in (1, 2, 3)]
+    cases.append(("one mode", *matched_jet_pair(rng, n_psi=q, n_delta=k)))
+    # several modes at one momentum, which ip_fermi sums before contracting
+    cases.append(("repeated", jet_at(rng, [q, q, k], [k, k, q]), jet_at(rng, [q, k, k], [k, q, q])))
+    cases.append(("box 10", *fermi_functional_pair(rng, box=10.0)))
+    k, q = np.array([2**21, 0, -(2**21)]), np.array([0, 2**21, 2**21])
+    cases.append(("far apart", *matched_jet_pair(rng, n_psi=q, n_delta=k)))
+    nonzero = set()
+    for name, u, v in cases:
+        want, scale = reference_ip_fermi(u, v)
+        assert abs(ip_fermi(u, v) - want) <= 1e-12 * scale, name
+        if want != 0.0:
+            nonzero.add(name)
+    assert nonzero >= {"functional pair", "one mode", "repeated", "box 10", "far apart"}
 
 
 def test_ip_fermi_contraction_symmetric_and_conserved(rng):
     # delta_psi of both jets at k and psi of both at q: the pairing
     # ip_fermi contracts, with a nonzero definiteness bracket (q != -k)
-    unit = 2.0 * np.pi / DEFAULT_BOX
-    k, q = unit * np.array([1.0, 0.0, 0.0]), unit * np.array([0.0, 2.0, -1.0])
-    u, v = matched_jet_pair(rng, k_psi=q, k_delta=k)
+    k, q = np.array([1, 0, 0]), np.array([0, 2, -1])
+    u, v = matched_jet_pair(rng, n_psi=q, n_delta=k)
     ip = ip_fermi(u, v)
     assert ip != 0.0
     assert abs(ip_fermi(v, u) - ip) <= 1e-12 * abs(ip)
@@ -402,16 +456,16 @@ def _reference_bilinear_terms(modes_bra, mat, modes_ket):
     """<w_a(x) | mat w_b(y)> at x0 = y0 = t as a list of (coeff, w, kx, ky),
     meaning coeff e^{i w t} e^{i kx.xvec} e^{i ky.yvec}."""
     out = []
-    for a in modes_bra:
-        row = np.conj(a.a_arr) @ GAMMA0 @ mat
-        for b in modes_ket:
-            out.append((complex(row @ b.a_arr), a.k0 - b.k0, -a.kvec_arr, b.kvec_arr))
+    for k0_a, kvec_a, a in modes_bra:
+        row = np.conj(a) @ GAMMA0 @ mat
+        for k0_b, kvec_b, b in modes_ket:
+            out.append((complex(row @ b), k0_a - k0_b, -kvec_a, kvec_b))
     return out
 
 
 def _reference_d_terms(jet, mat, sign):
-    plus = _reference_bilinear_terms(jet.delta_psi, mat, jet.psi)
-    other = _reference_bilinear_terms(jet.psi, mat, jet.delta_psi)
+    plus = _reference_bilinear_terms(_modes(jet, "delta_psi"), mat, _modes(jet, "psi"))
+    other = _reference_bilinear_terms(_modes(jet, "psi"), mat, _modes(jet, "delta_psi"))
     return plus + [(sign * c, w, kx, ky) for c, w, kx, ky in other]
 
 
@@ -471,7 +525,7 @@ def _dense_pair(rng, n):
     """Two jets with n modes per side drawn from a pool of n + 1 lattice
     momenta, so that equal and opposite momentum transfers between them
     are frequent."""
-    pool = [random_lattice_vector(rng, DEFAULT_BOX, max_index=1) for _ in range(n + 1)]
+    pool = [random_lattice_index(rng, max_index=1) for _ in range(n + 1)]
 
     def jet():
         idx = rng.integers(0, n + 1, size=2 * n)
@@ -533,7 +587,7 @@ def test_functionals_reject_pairs_from_different_boxes(rng):
 
 
 def _distinct_transfer_family(rng, n, max_index):
-    """Lattice momenta of n psi and n delta_psi modes whose n^2 transfers
+    """Lattice indices of n psi and n delta_psi modes whose n^2 transfers
     are nonzero, distinct and free of opposite pairs."""
     def draw():
         return [tuple(rng.integers(-max_index, max_index + 1, size=3)) for _ in range(n)]
@@ -545,15 +599,12 @@ def _distinct_transfer_family(rng, n, max_index):
             continue
         if any(tuple(-c for c in t) in transfers for t in transfers):
             continue
-        scale = 2.0 * np.pi / DEFAULT_BOX
-        return [scale * np.array(p, dtype=float) for p in psi], [
-            scale * np.array(d, dtype=float) for d in delta
-        ]
+        return psi, delta
 
 
 def test_conservation_residual_matched_at_16_modes(rng):
-    psi_ks, delta_ks = _distinct_transfer_family(rng, 16, 16)
-    u, v = jet_at(rng, psi_ks, delta_ks), jet_at(rng, psi_ks, delta_ks)
+    psi_ns, delta_ns = _distinct_transfer_family(rng, 16, 16)
+    u, v = jet_at(rng, psi_ns, delta_ns), jet_at(rng, psi_ns, delta_ns)
     assert pairing_predicates(u, v)["implication_holds"]
     start = time.perf_counter()
     assert fermi_conservation_residual(u, v, t=0.3) == 0.0
@@ -578,9 +629,7 @@ def test_spherical_symmetrization_kills_quadrupole(rng):
     # J-block proportional to the identity, so any trace-free contraction
     # vanishes
     def rest_jet():
-        psi = (random_dirac_mode(rng, -1, kvec=np.zeros(3)),)
-        delta = (random_dirac_mode(rng, 1, kvec=np.zeros(3)),)
-        return FermionicJet(psi, delta, 1.0)
+        return one_mode_jet(rng, np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64))
 
     u0, v0 = rest_jet(), rest_jet()
     x = np.array([0.1, 0.4, -0.2, 0.9])
@@ -588,14 +637,7 @@ def test_spherical_symmetrization_kills_quadrupole(rng):
     xi = y[1:] - x[1:]
 
     def rotate(jet, r):
-        def rot_mode(mode):
-            return DiracMode(mode.shell, mode.kvec, tuple(r @ mode.a_arr), mode.m)
-
-        return FermionicJet(
-            tuple(rot_mode(m) for m in jet.psi),
-            tuple(rot_mode(m) for m in jet.delta_psi),
-            jet.m,
-        )
+        return replace(jet, psi_a=jet.psi_a @ r.T, delta_psi_a=jet.delta_psi_a @ r.T)
 
     total = np.zeros((4, 4))
     singles = []
@@ -619,16 +661,14 @@ def test_spherical_symmetrization_kills_quadrupole(rng):
 def test_support_check_zero_on_shell(rng):
     for _ in range(20):
         jet = random_jet(rng, n_psi=2, n_delta=2)
-        assert current_sli_support_check(list(jet.psi) + list(jet.delta_psi)) == 0.0
+        assert current_sli_support_check(*jet.plane_waves()) == 0.0
 
 
 def test_support_check_flags_spacelike_mode(rng):
-    jet = random_jet(rng)
-    fake = SimpleNamespace(
-        k0=0.5, kvec_arr=np.array([2.0, 0.0, 0.0]), a_arr=np.ones(4, dtype=complex)
-    )
-    modes = list(jet.psi) + list(jet.delta_psi) + [fake]
-    assert current_sli_support_check(modes) > 0.1
+    k0, kvec, a = random_jet(rng).plane_waves()
+    # an injected row with a spacelike momentum
+    k0, kvec, a = np.append(k0, 0.5), np.vstack((kvec, [2.0, 0.0, 0.0])), np.vstack((a, np.ones(4)))
+    assert current_sli_support_check(k0, kvec, a) > 0.1
 
 
 def test_time_average_identity_gaussian():
