@@ -28,11 +28,13 @@ def random_lattice_vector(rng, box, max_index=3, nonzero=True):
     return 2.0 * np.pi * random_lattice_index(rng, max_index, nonzero).astype(float) / box
 
 
-def random_maxwell_mode(rng, box=DEFAULT_BOX, gauge=False):
-    """A random on-shell Lorenz-gauge mode; with gauge=True a pure-gauge
-    mode eps proportional to p."""
-    kvec = random_lattice_vector(rng, box)
-    s = rng.choice([-1.0, 1.0])
+def random_maxwell_mode(rng, box=DEFAULT_BOX, gauge=False, n=None, s=None):
+    """A random on-shell Lorenz-gauge mode at lattice index n with
+    frequency sign s (each drawn at random if None); with gauge=True a
+    pure-gauge mode eps proportional to p."""
+    kvec = random_lattice_vector(rng, box) if n is None else 2.0 * np.pi * np.asarray(n, dtype=float) / box
+    if s is None:
+        s = rng.choice([-1.0, 1.0])
     p = np.concatenate(([s * np.linalg.norm(kvec)], kvec))
     if gauge:
         eps = (rng.normal() + 1j * rng.normal()) * p
@@ -49,6 +51,20 @@ def random_maxwell_mode(rng, box=DEFAULT_BOX, gauge=False):
 def random_maxwell_field(rng, box=DEFAULT_BOX, n_modes=2, gauge=False):
     modes = tuple(random_maxwell_mode(rng, box, gauge=gauge) for _ in range(n_modes))
     return MaxwellField(modes, box)
+
+
+def maxwell_functional_pair(rng, box=DEFAULT_BOX):
+    """Two fields on which sigma_bose and ip_bose are both nonzero: u has two
+    random modes, and for each of them, at lattice index n with frequency
+    sign s, v has one mode at n with sign s and one at -n with sign s, so
+    v's terms at n carry both frequency signs."""
+    u = random_maxwell_field(rng, box)
+    modes = []
+    for mode in u.modes:
+        n = np.round(np.asarray(mode.p[1:]) * box / (2.0 * np.pi))
+        s = np.sign(mode.p[0])
+        modes += [random_maxwell_mode(rng, box, n=n, s=s), random_maxwell_mode(rng, box, n=-n, s=s)]
+    return u, MaxwellField(tuple(modes), box)
 
 
 def random_amplitude(rng, shell, n, box=DEFAULT_BOX, m=1.0):

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     fermi_functional_pair,
+    maxwell_functional_pair,
     random_jet,
     random_maxwell_field,
     ratio_by_least_squares,
@@ -176,10 +177,12 @@ def test_acceptance_4_kernel_catalogue(capsys):
 
 def test_acceptance_5_conservation(capsys):
     rng = np.random.default_rng(505)
-    # jet pairs that meet the pairings sigma_fermi and ip_fermi contract
-    # (random_jet pairs almost never do, and give exact zeros), drawn from
-    # their own generator so that rng's stream stays as it was
+    # field and jet pairs that meet the pairings the functionals contract
+    # (random_maxwell_field and random_jet pairs almost never do, and give
+    # exact zeros), drawn from their own generators so that rng's stream
+    # stays as it was
     paired_rng = np.random.default_rng(5050)
+    bose_rng = np.random.default_rng(5051)
     ok = True
     for _ in range(20):
         u = random_maxwell_field(rng)
@@ -187,16 +190,18 @@ def test_acceptance_5_conservation(capsys):
         ju = random_jet(rng, n_psi=2, n_delta=2)
         jv = random_jet(rng, n_psi=2, n_delta=2)
         pu, pv = fermi_functional_pair(paired_rng)
-        s_b = slayer.sigma_bose(u, v)
-        i_b = slayer.ip_bose(u, v)
-        scale_b = max(1.0, abs(s_b), abs(i_b))
+        bose = [(u, v), maxwell_functional_pair(bose_rng)]
+        values_b = [(slayer.sigma_bose(a, b), slayer.ip_bose(a, b)) for a, b in bose]
+        ok &= values_b[1][0] != 0.0 and values_b[1][1] != 0.0
         fermi = [(ju, jv), (pu, pv)]
         values = [(slayer.sigma_fermi(a, b), slayer.ip_fermi(a, b)) for a, b in fermi]
         ok &= values[1][0] != 0.0 and values[1][1] != 0.0
         for dt in (0.1, 1.0, 10.0):
-            ut, vt = time_translate(u, dt), time_translate(v, dt)
-            ok &= abs(slayer.sigma_bose(ut, vt) - s_b) < 1e-10 * scale_b
-            ok &= abs(slayer.ip_bose(ut, vt) - i_b) < 1e-10 * scale_b
+            for (a, b), (s_b, i_b) in zip(bose, values_b):
+                at, bt = time_translate(a, dt), time_translate(b, dt)
+                scale_b = max(1.0, abs(s_b), abs(i_b))
+                ok &= abs(slayer.sigma_bose(at, bt) - s_b) < 1e-10 * scale_b
+                ok &= abs(slayer.ip_bose(at, bt) - i_b) < 1e-10 * scale_b
             for (a, b), (s_f, i_f) in zip(fermi, values):
                 at, bt = time_translate(a, dt), time_translate(b, dt)
                 ok &= abs(slayer.sigma_fermi(at, bt) - s_f) <= 1e-10 * abs(s_f)

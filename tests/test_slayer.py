@@ -12,6 +12,7 @@ from conftest import (
     fermi_functional_pair,
     jet_at,
     matched_jet_pair,
+    maxwell_functional_pair,
     one_mode_jet,
     opposite_transfer_pair,
     random_jet,
@@ -54,25 +55,25 @@ from lightcone.slayer import (
 
 def test_sigma_bose_matches_grid_oracle(rng):
     for _ in range(5):
-        u = random_maxwell_field(rng)
-        v = random_maxwell_field(rng)
+        u, v = maxwell_functional_pair(rng)
         exact = sigma_bose(u, v, t0=0.3)
         grid = sigma_bose_grid_oracle(u, v, t0=0.3, n=24)
+        assert exact != 0.0
         assert exact == pytest.approx(grid, abs=1e-8 * max(1.0, abs(exact)))
 
 
 def test_sigma_bose_antisymmetric(rng):
-    u = random_maxwell_field(rng)
-    v = random_maxwell_field(rng)
+    u, v = maxwell_functional_pair(rng)
     s = sigma_bose(u, v, t0=0.2)
+    assert s != 0.0
     assert sigma_bose(v, u, t0=0.2) == pytest.approx(-s, abs=1e-10 * max(1.0, abs(s)))
     assert sigma_bose(u, u) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_sigma_bose_time_independent(rng):
-    u = random_maxwell_field(rng)
-    v = random_maxwell_field(rng)
+    u, v = maxwell_functional_pair(rng)
     base = sigma_bose(u, v, t0=0.0)
+    assert base != 0.0
     scale = max(1.0, abs(base))
     for t0 in (0.1, 1.0, 10.0):
         assert sigma_bose(u, v, t0=t0) == pytest.approx(base, abs=1e-10 * scale)
@@ -91,9 +92,9 @@ def test_ip_bose_vanishes_on_gauge_modes(rng):
 
 
 def test_ip_bose_conserved_under_time_translation(rng):
-    u = random_maxwell_field(rng)
-    v = random_maxwell_field(rng)
+    u, v = maxwell_functional_pair(rng)
     base = ip_bose(u, v)
+    assert base != 0.0
     scale = max(1.0, abs(ip_bose(u, u)), abs(ip_bose(v, v)))
     for dt in (0.1, 1.0, 10.0):
         moved = ip_bose(time_translate(u, dt), time_translate(v, dt))
