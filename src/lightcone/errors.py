@@ -49,14 +49,6 @@ class InvalidMode(LightconeError):
     """Field mode violates its on-shell or transversality constraints."""
 
 
-class OffShellField(LightconeError):
-    """Maxwell field contains an off-shell mode."""
-
-
-class ZeroMomentumMode(LightconeError):
-    """Maxwell mode with vanishing spatial momentum where 1/|k| is needed."""
-
-
 class TailNotNegligible(LightconeError):
     """Truncated tail of an unbounded integral exceeds tolerance."""
 

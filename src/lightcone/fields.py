@@ -1,13 +1,13 @@
 """Finite mode-set representations of on-shell Maxwell potentials and Dirac
 wave functions in a periodic spatial box of side L.
 
-Conventions: metric (+,-,-,-); a Maxwell mode stores contravariant
-components (p, eps) of a complex plane wave eps * exp(-i p.x); the real
-potential is the mode plus its conjugate, symmetrized on evaluation.
-A fermionic jet holds Dirac plane waves a * exp(-i k.x) as arrays, one mode
-per row: integer lattice indices n, kvec = 2 pi n / L, and amplitudes a, with
-k0 = shell * omega(kvec), omega(kvec) = sqrt(|kvec|^2 + m^2), shell -1 for
-psi and +1 for delta_psi.
+Conventions: metric (+,-,-,-); a Maxwell field holds its modes as arrays,
+one per row: the contravariant components (p, eps) of a complex plane wave
+eps * exp(-i p.x), and the lattice index n of pvec = 2 pi n / L; the real
+potential is the modes plus their conjugates.  A fermionic jet holds Dirac
+plane waves a * exp(-i k.x) as arrays, one mode per row: integer lattice
+indices n, kvec = 2 pi n / L, and amplitudes a, with k0 = shell * omega(kvec),
+omega(kvec) = sqrt(|kvec|^2 + m^2), shell -1 for psi and +1 for delta_psi.
 """
 
 from __future__ import annotations
@@ -28,14 +28,19 @@ DEFAULT_BOX = 32.0 * np.pi
 
 
 def lattice_index(kvec, box):
-    """The integer n with kvec = 2 pi n / box: the one place lattice
-    membership is decided.  Raises InvalidMode off the lattice; the
+    """The integer indices n (rows, int64) with kvec = 2 pi n / box, for the
+    spatial momenta in the rows of kvec: the one place lattice membership
+    is decided.  Raises InvalidMode off the lattice or outside int64; the
     tolerance grows with |n| as the roundoff of 2 pi n / box does."""
-    n = [c * box / (2.0 * math.pi) for c in kvec]
-    on_lattice = all(math.isfinite(c) and abs(c - round(c)) <= 1e-9 * max(1.0, abs(c)) for c in n)
-    if not (box > 0 and on_lattice):
-        raise InvalidMode(f"spatial momentum {tuple(kvec)} not on the lattice of box {box}")
-    return tuple(round(c) for c in n)
+    kvec = np.asarray(kvec, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = kvec * box / (2.0 * math.pi)
+        n_int = np.rint(n)
+        on_lattice = (np.abs(n) < 2.0**63) & (np.abs(n - n_int) <= 1e-9 * np.maximum(1.0, np.abs(n)))
+    if not (box > 0 and on_lattice.all()):
+        off = kvec[~on_lattice.all(axis=-1)]
+        raise InvalidMode(f"spatial momenta {off.tolist()} not on the lattice of box {box}")
+    return n_int.astype(np.int64)
 
 
 def common_box(u, v):
@@ -45,73 +50,55 @@ def common_box(u, v):
     return u.box
 
 
-@dataclass(frozen=True)
-class MaxwellMode:
-    """A null plane-wave potential mode eps * exp(-i p.x) in Lorenz gauge."""
-
-    p: tuple
-    eps: tuple
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        eps = np.asarray(self.eps, dtype=complex)
-        if p.shape != (4,) or eps.shape != (4,):
-            raise InvalidMode("p and eps must be four-vectors")
-        with np.errstate(over="ignore"):
-            scale = float(np.sum(p * p))
-        if scale == 0.0:
-            raise InvalidMode("zero momentum")
-        if not math.isfinite(scale):
-            raise InvalidMode(f"momentum p.p = {scale} is not finite")
-        if abs(minkowski(p, p)) > ONSHELL_TOL * scale:
-            raise InvalidMode(f"momentum off the light cone: p^2 = {minkowski(p, p):.3e}")
-        if abs(minkowski(p, eps)) > ONSHELL_TOL * max(1.0, float(np.sum(np.abs(eps) ** 2))):
-            raise InvalidMode("polarization violates the Lorenz gauge condition")
-        object.__setattr__(self, "p", tuple(float(c) for c in p))
-        object.__setattr__(self, "eps", tuple(complex(c) for c in eps))
-
-    @property
-    def p_arr(self):
-        return np.asarray(self.p, dtype=float)
-
-    @property
-    def eps_arr(self):
-        return np.asarray(self.eps, dtype=complex)
-
-
 def field_tensor_hat(eps, p):
-    """Covariant field tensor F_{jk} = -i (p_j eps_k - eps_j p_k) of one
-    exponential term eps * exp(-i p.x).
+    """Covariant field tensors F_{jk} = -i (p_j eps_k - eps_j p_k) of the
+    exponential terms eps * exp(-i p.x), one per row of eps and p (or of a
+    single term): shape (..., 4, 4).
 
     Antisymmetric, and F_{ij} p^j = 0 by the null and gauge conditions."""
-    p_low = ETA @ np.asarray(p, dtype=complex)
-    e_low = ETA @ np.asarray(eps, dtype=complex)
-    return -1j * (np.outer(p_low, e_low) - np.outer(e_low, p_low))
+    p_low = np.asarray(p, dtype=complex) @ ETA
+    e_low = np.asarray(eps, dtype=complex) @ ETA
+    return -1j * (p_low[..., :, None] * e_low[..., None, :] - e_low[..., :, None] * p_low[..., None, :])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxwellField:
-    """A real Maxwell field: stored modes, implicitly their conjugates, and
-    the lattice indices n of the modes' spatial momenta."""
+    """A real Maxwell field in a box: null plane-wave potential modes
+    eps * exp(-i p.x) in Lorenz gauge, implicitly with their conjugates.
+    Held as read-only arrays, one mode per row: momenta p (M, 4) float,
+    polarizations eps (M, 4) complex, and the nonzero lattice indices n
+    (M, 3) int64 of the spatial momenta, derived from p."""
 
-    modes: tuple
+    p: np.ndarray
+    eps: np.ndarray
     box: float = DEFAULT_BOX
-    n: tuple = field(init=False, repr=False, compare=False)
+    n: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.box <= 0:
+        if not self.box > 0:
             raise InvalidMode("box side must be positive")
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "n", tuple(lattice_index(m.p[1:], self.box) for m in self.modes))
-
-    def terms(self):
-        """Exponential terms (n, eps, p), n the lattice index of pvec, of the
-        potential A(x) = sum eps * exp(-i(p0 t - pvec.x)); includes conjugates."""
-        out = []
-        for n, mode in zip(self.n, self.modes):
-            out.append((np.array(n), mode.eps_arr, mode.p_arr))
-            out.append((-np.array(n), np.conj(mode.eps_arr), -mode.p_arr))
-        return out
+        p, eps = np.array(self.p, dtype=float), np.array(self.eps, dtype=complex)
+        if p.size == 0 and eps.size == 0:
+            p, eps = p.reshape(0, 4), eps.reshape(0, 4)
+        if p.ndim != 2 or p.shape[1] != 4 or eps.shape != p.shape:
+            raise InvalidMode("p must be an (M, 4) and eps an (M, 4) array")
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale, eps2 = (p * p).sum(axis=1), (np.abs(eps) ** 2).sum(axis=1)
+            if not (np.isfinite(scale).all() and np.isfinite(eps2).all()):
+                raise InvalidMode("momentum or polarization not finite or too large: p.p or |eps|^2 overflows")
+            if (scale == 0.0).any():
+                raise InvalidMode("zero momentum")
+            mass = np.abs(minkowski(p.T, p.T))
+            if not (mass <= ONSHELL_TOL * scale).all():
+                raise InvalidMode(f"momentum off the light cone: |p^2| = {np.max(mass):.3e}")
+            if not (np.abs(minkowski(p.T, eps.T)) <= ONSHELL_TOL * np.maximum(1.0, eps2)).all():
+                raise InvalidMode("polarization violates the Lorenz gauge condition")
+        n = lattice_index(p[:, 1:], self.box)
+        if (n == 0).all(axis=1).any():
+            raise InvalidMode("spatial momentum at lattice index 0, where 1/|k| is undefined")
+        for name, value in (("p", p), ("eps", eps), ("n", n)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def dirac_basis(shell, kvec, m):
@@ -178,18 +165,20 @@ class FermionicJet:
             raise InvalidMode("box side and mass must be positive")
         for side, shell in (("psi", -1), ("delta_psi", 1)):
             n, a = _mode_rows(side, getattr(self, side + "_n"), getattr(self, side + "_a"))
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 k0 = shell * _omega(n, self.box, self.m)
-            if not np.all(np.isfinite(k0)):
-                raise InvalidMode(f"{side} momentum too large: its frequency overflows")
-            norm = np.linalg.norm(a, axis=1)
-            if np.any(norm == 0.0):
-                raise InvalidMode("zero amplitude")
-            k = np.concatenate((k0[:, None], lattice_momentum(n, self.box)), axis=1)
-            residual = np.linalg.norm(np.einsum("mj,jab,mb->ma", k @ ETA, GAMMA, a) - self.m * a, axis=1)
-            # the roundoff of (k_slash - m) a grows with |k0| >= m
-            if not np.all(residual <= ONSHELL_TOL * np.abs(k0) * norm):
-                raise InvalidMode(f"{side} amplitude off the mass shell: residual {np.max(residual):.3e}")
+                if not np.all(np.isfinite(k0)):
+                    raise InvalidMode(f"{side} momentum too large: its frequency overflows")
+                norm = np.linalg.norm(a, axis=1)
+                if not np.all(np.isfinite(norm)):
+                    raise InvalidMode(f"{side} amplitude not finite or too large: |a|^2 overflows")
+                if np.any(norm == 0.0):
+                    raise InvalidMode("zero amplitude")
+                k = np.concatenate((k0[:, None], lattice_momentum(n, self.box)), axis=1)
+                residual = np.linalg.norm(np.einsum("mj,jab,mb->ma", k @ ETA, GAMMA, a) - self.m * a, axis=1)
+                # the roundoff of (k_slash - m) a grows with |k0| >= m
+                if not np.all(residual <= ONSHELL_TOL * np.abs(k0) * norm):
+                    raise InvalidMode(f"{side} amplitude off the mass shell: residual {np.max(residual):.3e}")
             for name, value in (("_n", n), ("_a", a), ("_k0", k0)):
                 value.flags.writeable = False
                 object.__setattr__(self, side + name, value)
@@ -240,13 +229,10 @@ def pairing_predicates(jet_u, jet_v):
 
 
 def time_translate(obj, dt):
-    """Translate a mode, field, or jet forward in time by dt: every mode
+    """Translate a field or jet forward in time by dt: every mode
     amplitude picks up the phase exp(-i p0 dt)."""
-    if isinstance(obj, MaxwellMode):
-        phase = np.exp(-1j * obj.p[0] * dt)
-        return MaxwellMode(obj.p, tuple(phase * e for e in obj.eps))
     if isinstance(obj, MaxwellField):
-        return MaxwellField(tuple(time_translate(m, dt) for m in obj.modes), obj.box)
+        return replace(obj, eps=obj.eps * np.exp(-1j * obj.p[:, 0] * dt)[:, None])
     if isinstance(obj, FermionicJet):
         return replace(
             obj,
@@ -259,6 +245,13 @@ def time_translate(obj, dt):
 def _require_finite(what, *arrays):
     if not all(np.isfinite(a).all() for a in arrays):
         raise ConfigMalformed(f"non-finite number in a {what}")
+
+
+def _require_finite_square(what, x):
+    """Raises ConfigMalformed unless the sum of |x_i|^2 is finite."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum(np.abs(np.asarray(x)) ** 2)):
+            raise ConfigMalformed(f"{what} too large: its square overflows")
 
 
 def _objects(what, entries):
@@ -286,6 +279,7 @@ def _jet_side_from_json(entries, side, shell, box, mass):
             raise ConfigMalformed(f"lattice index n = {entry['n']} must be integers")
         if not np.all(np.abs(n) < 2.0**63):
             raise ConfigMalformed(f"lattice index n = {entry['n']} outside the int64 range")
+        _require_finite_square(f"Dirac amplitude {entry['a_re']} + i {entry['a_im']}", a_re + 1j * a_im)
         if mode_shell != shell:
             raise ConfigInvalid(f"{side} modes must have shell {shell}")
         n_rows.append(n.astype(np.int64))
@@ -307,8 +301,9 @@ def load_config(source):
     with Dirac modes {"shell": +-1, "n": [3 ints], "a_re": [..4], "a_im": [..4]},
     shell -1 in psi and +1 in delta_psi.  An unreadable file, a section
     that is not a list of objects, an n that is not an int64 triple, a
-    non-finite number, and a momentum whose square or frequency overflows
-    raise ConfigMalformed; inadmissible field content ConfigInvalid.
+    non-finite number, and a momentum, polarization or amplitude whose
+    square (or frequency) overflows raise ConfigMalformed; inadmissible
+    field content ConfigInvalid.
 
     Returns (box, mass, maxwell_fields, jets): each maxwell entry becomes a
     single-mode MaxwellField."""
@@ -327,7 +322,7 @@ def load_config(source):
         raise ConfigMalformed(f"missing or bad box/mass: {exc}") from exc
     if not (np.isfinite(box) and np.isfinite(mass) and box > 0 and mass > 0):
         raise ConfigMalformed(f"box and mass must be finite and positive, got {box} and {mass}")
-    fields_out = []
+    maxwell_rows = []
     for entry in _objects("maxwell", raw.get("maxwell", [])):
         try:
             p = tuple(float(c) for c in entry["p"])
@@ -338,20 +333,23 @@ def load_config(source):
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(f"bad maxwell entry: {exc}") from exc
         _require_finite("maxwell entry", p, eps)
-        if not math.isfinite(sum(c * c for c in p)):
-            raise ConfigMalformed(f"maxwell momentum {p} too large: p.p overflows")
-        try:
-            fields_out.append(MaxwellField((MaxwellMode(p, eps),), box))
-        except InvalidMode as exc:
-            raise ConfigInvalid(str(exc)) from exc
-    jets_out = []
-    for entry in _objects("jets", raw.get("jets", [])):
-        psi = _jet_side_from_json(entry.get("psi", []), "psi", -1, box, mass)
-        delta = _jet_side_from_json(entry.get("delta_psi", []), "delta_psi", 1, box, mass)
-        try:
-            jets_out.append(FermionicJet(*psi, *delta, mass, box))
-        except InvalidMode as exc:
-            raise ConfigInvalid(str(exc)) from exc
+        _require_finite_square(f"maxwell momentum {p}", p)
+        _require_finite_square(f"maxwell polarization {eps}", eps)
+        maxwell_rows.append(([p], [eps]))
+    jet_sides = [
+        (
+            _jet_side_from_json(entry.get("psi", []), "psi", -1, box, mass),
+            _jet_side_from_json(entry.get("delta_psi", []), "delta_psi", 1, box, mass),
+        )
+        for entry in _objects("jets", raw.get("jets", []))
+    ]
+    # every entry is read before any is admitted, so a malformed entry
+    # raises ConfigMalformed even after an inadmissible one
+    try:
+        fields_out = [MaxwellField(p, eps, box) for p, eps in maxwell_rows]
+        jets_out = [FermionicJet(*psi, *delta, mass, box) for psi, delta in jet_sides]
+    except InvalidMode as exc:
+        raise ConfigInvalid(str(exc)) from exc
     return box, mass, fields_out, jets_out
 
 

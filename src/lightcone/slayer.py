@@ -11,12 +11,12 @@ defined as integrals from the outset.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .clifford import CHI_L, CHI_R, ETA, GAMMA, GAMMA0, ID4, sigma_jk
-from .errors import OffShellField, ZeroMomentumMode
 from .fields import common_box, field_tensor_hat
 from .quadrature import converged, gauss_rule
 
@@ -62,35 +62,71 @@ def _braket(bra, mats, ket):
 
 
 # ---------------------------------------------------------------------------
+# the join of every mode-sum functional: rows keyed by exact integer codes
+# ---------------------------------------------------------------------------
+
+
+def _lattice_codes(*keys):
+    """Codes 0..K-1 of the K distinct rows of the (M_i, D) integer arrays
+    keys: per array, one code per row, equal exactly for equal rows."""
+    rows = np.concatenate(keys)
+    lo, hi = rows.min(axis=0, initial=0), rows.max(axis=0, initial=0)
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if math.prod(spans) < 2**63:
+        # each row as one int64, its offset from the least corner in mixed radix
+        rows = (rows - lo) @ np.array([math.prod(spans[d + 1 :]) for d in range(len(spans))])
+    codes = np.unique(rows, axis=None if rows.ndim == 1 else 0, return_inverse=True)[1].reshape(-1)
+    ends = np.cumsum([len(k) for k in keys])
+    return [codes[end - len(k) : end] for k, end in zip(keys, ends)]
+
+
+def _matched_sums(codes_a, a_a, codes_b, a_b):
+    """At each code that rows of both sides take: a row of side a there,
+    and each side's amplitudes (rows of any shape) summed there in row
+    order."""
+    size = max(codes_a.max(initial=-1), codes_b.max(initial=-1)) + 1
+    sums_a = np.zeros((size, *a_a.shape[1:]), dtype=complex)
+    sums_b = np.zeros((size, *a_b.shape[1:]), dtype=complex)
+    np.add.at(sums_a, codes_a, a_a)
+    np.add.at(sums_b, codes_b, a_b)
+    row = np.full(size, -1)
+    row[codes_a] = np.arange(len(codes_a))
+    both = (row >= 0) & (np.bincount(codes_b, minlength=size) > 0)
+    return row[both], sums_a[both], sums_b[both]
+
+
+# ---------------------------------------------------------------------------
 # bosonic functionals
 # ---------------------------------------------------------------------------
 
 
-def _check_on_shell(field_obj):
-    for mode in field_obj.modes:
-        p = mode.p_arr
-        if abs(p[0] ** 2 - np.dot(p[1:], p[1:])) > 1e-6 * np.dot(p, p):
-            raise OffShellField(f"mode momentum {mode.p} off the light cone")
+def _term_rows(field_obj):
+    """The exponential terms of a real field's potential
+    A(x) = sum eps exp(-i p.x), the modes and then their conjugates: lattice
+    indices n (2M, 3), momenta p (2M, 4) and polarizations eps (2M, 4)."""
+    n, p, eps = field_obj.n, field_obj.p, field_obj.eps
+    return np.concatenate((n, -n)), np.concatenate((p, -p)), np.concatenate((eps, np.conj(eps)))
 
 
 def sigma_bose(u, v, t0=0.0):
     """Symplectic form of two real Maxwell fields at time t0:
     (c1/delta^4) * Integral_box sum_i (A_u^i F_v_{i0} - A_v^i F_u_{i0}),
-    c1 = delta = 1, by exact mode sums.  Antisymmetric in (u, v)."""
-    _check_on_shell(u)
-    _check_on_shell(v)
+    c1 = delta = 1, by exact mode sums: terms of u at n meet terms of v at
+    -n, and the phase exp(-i p0 t0) factors per term, so A^i and F_{i0}
+    are summed per lattice index before they are contracted.
+    Antisymmetric in (u, v)."""
     box = common_box(u, v)
-    terms_u = [(n, e, p, field_tensor_hat(e, p)) for n, e, p in u.terms()]
-    terms_v = [(n, e, p, field_tensor_hat(e, p)) for n, e, p in v.terms()]
-    total = 0.0 + 0.0j
-    for nu, eu, pu, fu in terms_u:
-        for nv, ev, pv, fv in terms_v:
-            if np.any(nu + nv):
-                continue
-            phase = np.exp(-1j * (pu[0] + pv[0]) * t0)
-            s = sum(eu[i] * fv[i, 0] - ev[i] * fu[i, 0] for i in (1, 2, 3))
-            total += box**3 * phase * s
-    return total.real
+
+    def rows(field_obj):
+        n, p, eps = _term_rows(field_obj)
+        amplitudes = np.stack((eps[:, 1:], field_tensor_hat(eps, p)[:, 1:, 0]), axis=1)
+        return n, np.exp(-1j * p[:, 0] * t0)[:, None, None] * amplitudes  # (2M, (A, F), i)
+
+    (n_u, a_u), (n_v, a_v) = rows(u), rows(v)
+    codes_u, codes_v = _lattice_codes(n_u, -n_v)
+    _, su, sv = _matched_sums(codes_u, a_u, codes_v, a_v)
+    s = np.sum(su[:, 0] * sv[:, 1] - sv[:, 0] * su[:, 1], axis=1)
+    return float((box**3 * np.sum(s)).real)
 
 
 def sigma_bose_grid_oracle(u, v, t0=0.0, n=64):
@@ -100,52 +136,45 @@ def sigma_bose_grid_oracle(u, v, t0=0.0, n=64):
     xg, yg, zg = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
 
     def assemble(field_obj):
-        a = [np.zeros((n, n, n), dtype=complex) for _ in range(4)]
-        f_i0 = [np.zeros((n, n, n), dtype=complex) for _ in range(4)]
-        for _, eps, p in field_obj.terms():
-            f = field_tensor_hat(eps, p)
-            phase = np.exp(
-                -1j * (p[0] * t0 - (p[1] * xg + p[2] * yg + p[3] * zg))
-            )
-            for i in range(4):
-                a[i] += eps[i] * phase
-                f_i0[i] += f[i, 0] * phase
+        a = np.zeros((4, n, n, n), dtype=complex)
+        f_i0 = np.zeros((4, n, n, n), dtype=complex)
+        _, p, eps = _term_rows(field_obj)
+        for q, e, f in zip(p, eps, field_tensor_hat(eps, p)):
+            phase = np.exp(-1j * (q[0] * t0 - (q[1] * xg + q[2] * yg + q[3] * zg)))
+            a += e[:, None, None, None] * phase
+            f_i0 += f[:, 0, None, None, None] * phase
         return a, f_i0
 
     a_u, f_u = assemble(u)
     a_v, f_v = assemble(v)
-    s = sum(a_u[i] * f_v[i] - a_v[i] * f_u[i] for i in (1, 2, 3))
+    s = np.sum(a_u[1:] * f_v[1:] - a_v[1:] * f_u[1:], axis=0)
     return float(np.sum(s.real)) * (box / n) ** 3
 
 
 def ip_bose(u, v):
     """Surface-layer inner product of two real Maxwell fields:
     (c2/delta^4) * (1/L^3) sum over equal-momentum term pairs of
-    (1/|kvec|) (conj(F_u)_{0i} (F_v)_0^i - 1/4 conj(F_u)_{ij} (F_v)^{ij}).
+    (1/|kvec|) (conj(F_u)_{0i} (F_v)_0^i - 1/4 conj(F_u)_{ij} (F_v)^{ij}),
+    each field's F summed per null momentum (lattice index and frequency
+    sign) before the contraction.
 
     With c2 = -1 and delta = 1 the diagonal u = v is nonnegative and
     vanishes exactly on pure-gauge modes."""
-    _check_on_shell(u)
-    _check_on_shell(v)
     box = common_box(u, v)
-    terms_u = [(n, p, field_tensor_hat(e, p)) for n, e, p in u.terms()]
-    terms_v = [(n, p, field_tensor_hat(e, p)) for n, e, p in v.terms()]
-    total = 0.0 + 0.0j
-    for nu, pu, fu in terms_u:
-        knorm = np.linalg.norm(pu[1:])
-        if not np.any(nu):
-            raise ZeroMomentumMode("mode with vanishing spatial momentum")
-        for nv, pv, fv in terms_v:
-            # equal null momenta: equal lattice index, same frequency sign
-            if np.any(nu != nv) or pu[0] * pv[0] < 0:
-                continue
-            fuc = np.conj(fu)
-            # (F_u)_{0i} (F_v)_0^i with the spatial index raised (one sign),
-            # (F_u)_{ij} (F_v)^{ij} with two raised spatial indices (no sign).
-            t1 = -sum(fuc[0, i] * fv[0, i] for i in (1, 2, 3))
-            t2 = sum(fuc[i, j] * fv[i, j] for i in (1, 2, 3) for j in (1, 2, 3))
-            total += (t1 - 0.25 * t2) / knorm
-    return -total.real / box**3
+
+    def rows(field_obj):
+        n, p, eps = _term_rows(field_obj)
+        return np.column_stack((n, np.sign(p[:, 0]).astype(np.int64))), p, field_tensor_hat(eps, p)
+
+    (key_u, p_u, f_u), (key_v, _, f_v) = rows(u), rows(v)
+    codes_u, codes_v = _lattice_codes(key_u, key_v)
+    row, fu, fv = _matched_sums(codes_u, f_u, codes_v, f_v)
+    fu = np.conj(fu)
+    # (F_u)_{0i} (F_v)_0^i with the spatial index raised (one sign),
+    # (F_u)_{ij} (F_v)^{ij} with two raised spatial indices (no sign).
+    t1 = -np.sum(fu[:, 0, 1:] * fv[:, 0, 1:], axis=1)
+    t2 = np.sum(fu[:, 1:, 1:] * fv[:, 1:, 1:], axis=(1, 2))
+    return -float(np.sum((t1 - 0.25 * t2) / np.linalg.norm(p_u[row, 1:], axis=1)).real) / box**3
 
 
 # ---------------------------------------------------------------------------
@@ -156,33 +185,6 @@ def ip_bose(u, v):
 def _kvec(n, box):
     """The spatial momentum 2 pi n / L of lattice index n."""
     return (2.0 * np.pi / box) * np.asarray(n, dtype=float)
-
-
-def _lattice_codes(*keys):
-    """Codes 0..K-1 of the K distinct rows of the (M_i, 3) integer arrays
-    keys: per array, one code per row, equal exactly for equal rows."""
-    rows = np.concatenate(keys)
-    lo, hi = rows.min(axis=0, initial=0), rows.max(axis=0, initial=0)
-    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
-    if spans[0] * spans[1] * spans[2] < 2**63:
-        # each row as one int64, its offset from the least corner in mixed radix
-        rows = (rows - lo) @ np.array([spans[1] * spans[2], spans[2], 1])
-    codes = np.unique(rows, axis=None if rows.ndim == 1 else 0, return_inverse=True)[1].reshape(-1)
-    ends = np.cumsum([len(k) for k in keys])
-    return [codes[end - len(k) : end] for k, end in zip(keys, ends)]
-
-
-def _matched_sums(codes_a, a_a, codes_b, a_b):
-    """At each lattice code that rows of both sides take: a row of side a
-    there, and each side's amplitudes summed there in row order."""
-    size = max(codes_a.max(initial=-1), codes_b.max(initial=-1)) + 1
-    sums_a, sums_b = np.zeros((2, size, 4), dtype=complex)
-    np.add.at(sums_a, codes_a, a_a)
-    np.add.at(sums_b, codes_b, a_b)
-    row = np.full(size, -1)
-    row[codes_a] = np.arange(len(codes_a))
-    both = (row >= 0) & (np.bincount(codes_b, minlength=size) > 0)
-    return row[both], sums_a[both], sums_b[both]
 
 
 def sigma_fermi(jet_u, jet_v):

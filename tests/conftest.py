@@ -10,7 +10,6 @@ from lightcone.fields import (
     DEFAULT_BOX,
     FermionicJet,
     MaxwellField,
-    MaxwellMode,
     dirac_basis,
 )
 
@@ -29,9 +28,9 @@ def random_lattice_vector(rng, box, max_index=3, nonzero=True):
 
 
 def random_maxwell_mode(rng, box=DEFAULT_BOX, gauge=False, n=None, s=None):
-    """A random on-shell Lorenz-gauge mode at lattice index n with
-    frequency sign s (each drawn at random if None); with gauge=True a
-    pure-gauge mode eps proportional to p."""
+    """The rows (p, eps) of a random on-shell Lorenz-gauge mode at lattice
+    index n with frequency sign s (each drawn at random if None); with
+    gauge=True a pure-gauge mode, eps proportional to p."""
     kvec = random_lattice_vector(rng, box) if n is None else 2.0 * np.pi * np.asarray(n, dtype=float) / box
     if s is None:
         s = rng.choice([-1.0, 1.0])
@@ -45,12 +44,12 @@ def random_maxwell_mode(rng, box=DEFAULT_BOX, gauge=False, n=None, s=None):
         r = rng.normal(size=4) + 1j * rng.normal(size=4)
         mink = lambda a, b: a[0] * b[0] - a[1:] @ b[1:]
         eps = r - (mink(p, r) / mink(p, q)) * q
-    return MaxwellMode(tuple(p), tuple(eps))
+    return p, eps
 
 
 def random_maxwell_field(rng, box=DEFAULT_BOX, n_modes=2, gauge=False):
-    modes = tuple(random_maxwell_mode(rng, box, gauge=gauge) for _ in range(n_modes))
-    return MaxwellField(modes, box)
+    p, eps = zip(*(random_maxwell_mode(rng, box, gauge=gauge) for _ in range(n_modes)))
+    return MaxwellField(p, eps, box)
 
 
 def maxwell_functional_pair(rng, box=DEFAULT_BOX):
@@ -59,12 +58,12 @@ def maxwell_functional_pair(rng, box=DEFAULT_BOX):
     sign s, v has one mode at n with sign s and one at -n with sign s, so
     v's terms at n carry both frequency signs."""
     u = random_maxwell_field(rng, box)
-    modes = []
-    for mode in u.modes:
-        n = np.round(np.asarray(mode.p[1:]) * box / (2.0 * np.pi))
-        s = np.sign(mode.p[0])
-        modes += [random_maxwell_mode(rng, box, n=n, s=s), random_maxwell_mode(rng, box, n=-n, s=s)]
-    return u, MaxwellField(tuple(modes), box)
+    rows = []
+    for n, p in zip(u.n, u.p):
+        s = np.sign(p[0])
+        rows += [random_maxwell_mode(rng, box, n=n, s=s), random_maxwell_mode(rng, box, n=-n, s=s)]
+    p, eps = zip(*rows)
+    return u, MaxwellField(p, eps, box)
 
 
 def random_amplitude(rng, shell, n, box=DEFAULT_BOX, m=1.0):

@@ -133,6 +133,7 @@ _MALFORMED_CONFIGS = [
     pytest.param("jets.0.psi.0.n", [1e300, 0, 0], id="n-outside-int64"),
     pytest.param("box", 1e-300, id="n-frequency-overflows"),
     pytest.param("maxwell.0.p", [1e200, 1e200, 0.0, 0.0], id="maxwell-p-square-overflows"),
+    pytest.param("maxwell.0.eps_re", [0.0, 0.0, 1e200, 0.0], id="maxwell-eps-square-overflows"),
 ]
 
 
@@ -160,6 +161,31 @@ def test_slayer_eval_malformed_config_exits_2(runner, tmp_path, key, value):
     path = _malformed_config(tmp_path, key, value)
     result = runner.invoke(cli.main, ["slayer", "eval", "--config", path])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", [["verify", "--suites", "slayer"], ["slayer", "eval"]])
+def test_overflowing_jet_amplitude_exits_2(runner, tmp_path, command):
+    # an on-shell amplitude, scaled until ||a||^2 overflows
+    cfg = fields.default_config()
+    mode = cfg["jets"][0]["psi"][0]
+    for key in ("a_re", "a_im"):
+        mode[key] = [1e200 * c for c in mode[key]]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    result = runner.invoke(cli.main, [*command, "--config", str(path)])
+    assert result.exit_code == 2
+
+
+def test_maxwell_momentum_at_lattice_index_0_is_inadmissible(runner, tmp_path):
+    # p is null and nonzero, but p * box / 2 pi rounds to the index (0, 0, 0)
+    path = _malformed_config(tmp_path, "maxwell.0.p", [1e-12, 1e-12, 0.0, 0.0])
+    result = runner.invoke(cli.main, ["slayer", "eval", "--config", path])
+    assert result.exit_code == 2
+    result = runner.invoke(cli.main, ["verify", "--suites", "slayer", "--config", path])
+    assert result.exit_code == 1
+    (entry,) = json.loads(result.output)
+    assert entry["check"] == "config-admissibility" and entry["status"] == "fail"
+    assert "lattice index 0" in entry["detail"]
 
 
 def test_verify_unreadable_config_exits_2(runner, tmp_path):

@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,51 +11,97 @@ from conftest import (
     opposite_transfer_pair,
     random_amplitude,
     random_jet,
-    random_maxwell_mode,
+    random_maxwell_field,
     violating_jet_pair,
 )
+import lightcone
 from lightcone.clifford import minkowski, slash
 from lightcone.errors import ConfigInvalid, ConfigMalformed, InvalidMode
 from lightcone.fields import (
     DEFAULT_BOX,
     FermionicJet,
     MaxwellField,
-    MaxwellMode,
     dirac_basis,
     field_tensor_hat,
     load_config,
     pairing_predicates,
     time_translate,
 )
+from lightcone.slayer import _term_rows
+
+# a null momentum at lattice index (16, 0, 0) of the default box, and a
+# polarization in its Lorenz-gauge plane
+_P, _EPS = (1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)
 
 
 def test_maxwell_mode_validation():
-    MaxwellMode((1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
-    with pytest.raises(InvalidMode):
-        MaxwellMode((1.0, 0.5, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))  # off shell
-    with pytest.raises(InvalidMode):
-        MaxwellMode((1.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))  # gauge violated
-    with pytest.raises(InvalidMode):
-        MaxwellMode((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))  # zero momentum
-    with pytest.raises(InvalidMode):
+    MaxwellField([_P], [_EPS])
+    for p, eps in (
+        ((1.0, 0.5, 0.0, 0.0), _EPS),  # off shell
+        (_P, (1.0, 0.0, 0.0, 0.0)),  # gauge violated
+        ((0.0, 0.0, 0.0, 0.0), _EPS),  # zero momentum
         # p.p overflows, so p^2 = inf - inf would pass the light-cone test
-        MaxwellMode((1e200, 1e200, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
+        ((1e200, 1e200, 0.0, 0.0), _EPS),
+        (_P, (0.0, 0.0, 1e200, 0.0)),  # |eps|^2 overflows, and so would its gauge test
+        ((np.nan, 1.0, 0.0, 0.0), _EPS),
+        (_P, (0.0, 0.0, np.nan, 0.0)),
+    ):
+        with pytest.raises(InvalidMode):
+            MaxwellField([_P, p], [_EPS, eps])
+
+
+def test_maxwell_field_keeps_box_and_lattice_indices(rng):
+    box = 10.0
+    field = random_maxwell_field(rng, box, n_modes=3)
+    assert field.box == box and field.n.dtype == np.int64 and field.n.shape == (3, 3)
+    assert np.array_equal(2.0 * np.pi * field.n / box, field.p[:, 1:])
+    assert field.p.shape == field.eps.shape == (3, 4)
+    for name in ("p", "eps", "n"):
+        with pytest.raises(ValueError):
+            getattr(field, name)[0] = 0  # read-only
+    # p keeps its input bits, and the caller's arrays stay writable
+    p = np.array([_P])
+    kept = MaxwellField(p, [_EPS])
+    assert kept.p is not p and np.array_equal(kept.p, p) and p.flags.writeable
+    assert kept.n.tolist() == [[16, 0, 0]]
+    # a far index is kept exactly
+    far = 2.0 * np.pi * 9000014 / box
+    assert MaxwellField([(far, far, 0.0, 0.0)], [_EPS], box).n.tolist() == [[9000014, 0, 0]]
+    with pytest.raises(InvalidMode):  # rounds to lattice index 0, where 1/|k| is undefined
+        MaxwellField([(1e-12, 1e-12, 0.0, 0.0)], [_EPS])
+    with pytest.raises(InvalidMode):  # one momentum row, two polarization rows
+        MaxwellField(field.p[:1], field.eps[:2], box)
+    with pytest.raises(InvalidMode):
+        MaxwellField([_P[:3]], [_EPS[:3]])
+    for bad_box in (0.0, -1.0, np.nan):
+        with pytest.raises(InvalidMode):
+            MaxwellField(field.p, field.eps, bad_box)
+    # replace re-validates
+    with pytest.raises(InvalidMode):
+        replace(field, p=field.p * (2.0, 1.0, 1.0, 1.0))  # off the light cone
+    with pytest.raises(InvalidMode):
+        replace(field, eps=np.outer(np.ones(3), (1.0, 0.0, 0.0, 0.0)))  # p.eps = p0, not 0
+    with pytest.raises(InvalidMode):
+        replace(field, box=np.sqrt(2.0) * box)  # off that box's lattice
+    assert len(MaxwellField((), ()).n) == 0
 
 
 def test_field_tensor_properties(rng):
-    for _ in range(20):
-        mode = random_maxwell_mode(rng)
-        f = field_tensor_hat(mode.eps_arr, mode.p_arr)
-        assert np.allclose(f, -f.T)
-        # F_{jk} p^k = 0 by the null and Lorenz conditions
-        assert np.allclose(f @ mode.p_arr, 0.0, atol=1e-9)
+    field = random_maxwell_field(rng, n_modes=20)
+    f = field_tensor_hat(field.eps, field.p)
+    assert f.shape == (20, 4, 4)
+    assert np.allclose(f, -np.swapaxes(f, 1, 2))
+    # F_{jk} p^k = 0 by the null and Lorenz conditions
+    assert np.allclose(np.einsum("mjk,mk->mj", f, field.p), 0.0, atol=1e-9)
+    # rows broadcast: each is the tensor of its own term
+    for eps, p, f_row in zip(field.eps, field.p, f):
+        assert np.array_equal(field_tensor_hat(eps, p), f_row)
 
 
 def test_box_quantization_enforced():
-    mode = MaxwellMode((1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
     with pytest.raises(InvalidMode):
-        MaxwellField((mode,), box=10.0)  # 1 * 10 / 2pi is not an integer
-    MaxwellField((mode,), box=2.0 * np.pi)
+        MaxwellField([_P], [_EPS], box=10.0)  # 1 * 10 / 2pi is not an integer
+    MaxwellField([_P], [_EPS], box=2.0 * np.pi)
 
 
 def test_jet_keeps_box_and_lattice_indices(rng):
@@ -82,14 +131,12 @@ def test_jet_keeps_box_and_lattice_indices(rng):
         FermionicJet(jet.psi_n, jet.psi_a, [[2**62, 0, 0]], jet.delta_psi_a, 1.0, 1e-300)
     assert len(FermionicJet((), (), (), (), 1.0).psi_n) == 0
 def test_terms_include_conjugates(rng):
-    mode = random_maxwell_mode(rng)
-    field = MaxwellField((mode,), DEFAULT_BOX)
-    terms = field.terms()
-    assert len(terms) == 2
-    (n1, e1, p1), (n2, e2, p2) = terms
-    assert np.array_equal(n2, -n1)
-    assert np.allclose(p2, -p1)
-    assert np.allclose(e2, np.conj(e1))
+    field = random_maxwell_field(rng, n_modes=3)
+    n, p, eps = _term_rows(field)
+    assert n.shape == (6, 3) and p.shape == eps.shape == (6, 4)
+    assert np.array_equal(n, np.concatenate((field.n, -field.n)))
+    assert np.array_equal(p, np.concatenate((field.p, -field.p)))
+    assert np.array_equal(eps, np.concatenate((field.eps, np.conj(field.eps))))
 
 
 def test_dirac_mode_on_shell(rng):
@@ -111,6 +158,8 @@ def test_dirac_mode_rejects_off_shell():
         FermionicJet((), (), rest, [(0.0, 0.0, 0.0, 0.0)], 1.0)  # zero amplitude
     with pytest.raises(InvalidMode):
         FermionicJet((), (), rest, [(np.nan, 0.0, 0.0, 0.0)], 1.0)
+    with pytest.raises(InvalidMode):  # on shell, but ||a||^2 overflows
+        FermionicJet((), (), rest, [(1e200, 0.0, 0.0, 0.0)], 1.0)
     FermionicJet((), (), rest, [(1.0, 0.0, 0.0, 0.0)], 1.0)
 
 
@@ -191,9 +240,10 @@ def test_time_translation_phases(rng):
     assert np.allclose(moved.psi_a, jet.psi_a * np.exp(-1j * jet.psi_k0 * dt)[:, None])
     assert np.allclose(moved.delta_psi_a, jet.delta_psi_a * np.exp(-1j * jet.delta_psi_k0 * dt)[:, None])
     assert np.array_equal(moved.psi_n, jet.psi_n) and np.array_equal(moved.delta_psi_k0, jet.delta_psi_k0)
-    mmode = random_maxwell_mode(rng)
-    mmoved = time_translate(mmode, dt)
-    assert np.allclose(mmoved.eps_arr, mmode.eps_arr * np.exp(-1j * mmode.p[0] * dt))
+    field = random_maxwell_field(rng, n_modes=3)
+    fmoved = time_translate(field, dt)
+    assert np.allclose(fmoved.eps, field.eps * np.exp(-1j * field.p[:, 0] * dt)[:, None])
+    assert np.array_equal(fmoved.p, field.p) and np.array_equal(fmoved.n, field.n)
     with pytest.raises(TypeError):
         time_translate("not a field", 1.0)
 
@@ -244,7 +294,8 @@ def test_load_config_roundtrip(tmp_path):
     path.write_text(json.dumps(cfg))
     box2, _, fields2, jets2 = load_config(str(path))
     assert box2 == box
-    assert fields2[0].modes[0].p == maxwell_fields[0].modes[0].p
+    assert np.array_equal(fields2[0].p, maxwell_fields[0].p)
+    assert maxwell_fields[0].p.tolist() == [cfg["maxwell"][0]["p"]]
 
 
 def test_load_config_rejects_bad_content(tmp_path):
@@ -283,3 +334,16 @@ def test_load_config_rejects_bad_content(tmp_path):
         load_config(bad2)
     with pytest.raises(ConfigInvalid):
         load_config(str(tmp_path / "missing.json"))
+
+
+def test_src_holds_no_per_mode_maxwell_layer():
+    # Maxwell fields are row arrays like jets: no per-mode type, no term
+    # list, and no second on-shell check or zero-momentum error beside the
+    # constructor's
+    src = pathlib.Path(lightcone.__file__).parent
+    offenders = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if re.search(r"\b(MaxwellMode|OffShellField|ZeroMomentumMode)\b|\.terms\(", path.read_text())
+    ]
+    assert offenders == []
