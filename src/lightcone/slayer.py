@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import CHI_L, CHI_R, ETA, GAMMA, GAMMA0, ID4, sigma_jk
-from .fields import common_box, field_tensor_hat
+from .fields import common_box, field_tensor_hat, lattice_momentum
 from .quadrature import converged, gauss_rule
 
 _CHI = {"L": CHI_L, "R": CHI_R}
@@ -156,7 +156,7 @@ def ip_bose(u, v):
     (c2/delta^4) * (1/L^3) sum over equal-momentum term pairs of
     (1/|kvec|) (conj(F_u)_{0i} (F_v)_0^i - 1/4 conj(F_u)_{ij} (F_v)^{ij}),
     each field's F summed per null momentum (lattice index and frequency
-    sign) before the contraction.
+    sign) before the contraction, |kvec| that of the lattice index.
 
     With c2 = -1 and delta = 1 the diagonal u = v is nonnegative and
     vanishes exactly on pure-gauge modes."""
@@ -164,9 +164,9 @@ def ip_bose(u, v):
 
     def rows(field_obj):
         n, p, eps = _term_rows(field_obj)
-        return np.column_stack((n, np.sign(p[:, 0]).astype(np.int64))), p, field_tensor_hat(eps, p)
+        return np.column_stack((n, np.sign(p[:, 0]).astype(np.int64))), field_tensor_hat(eps, p)
 
-    (key_u, p_u, f_u), (key_v, _, f_v) = rows(u), rows(v)
+    (key_u, f_u), (key_v, f_v) = rows(u), rows(v)
     codes_u, codes_v = _lattice_codes(key_u, key_v)
     row, fu, fv = _matched_sums(codes_u, f_u, codes_v, f_v)
     fu = np.conj(fu)
@@ -174,7 +174,8 @@ def ip_bose(u, v):
     # (F_u)_{ij} (F_v)^{ij} with two raised spatial indices (no sign).
     t1 = -np.sum(fu[:, 0, 1:] * fv[:, 0, 1:], axis=1)
     t2 = np.sum(fu[:, 1:, 1:] * fv[:, 1:, 1:], axis=(1, 2))
-    return -float(np.sum((t1 - 0.25 * t2) / np.linalg.norm(p_u[row, 1:], axis=1)).real) / box**3
+    kvec = lattice_momentum(key_u[row, :3], box)
+    return -float(np.sum((t1 - 0.25 * t2) / np.linalg.norm(kvec, axis=1)).real) / box**3
 
 
 # ---------------------------------------------------------------------------

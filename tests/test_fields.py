@@ -1,6 +1,4 @@
 import json
-import pathlib
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +12,6 @@ from conftest import (
     random_maxwell_field,
     violating_jet_pair,
 )
-import lightcone
 from lightcone.clifford import minkowski, slash
 from lightcone.errors import ConfigInvalid, ConfigMalformed, InvalidMode
 from lightcone.fields import (
@@ -334,16 +331,3 @@ def test_load_config_rejects_bad_content(tmp_path):
         load_config(bad2)
     with pytest.raises(ConfigInvalid):
         load_config(str(tmp_path / "missing.json"))
-
-
-def test_src_holds_no_per_mode_maxwell_layer():
-    # Maxwell fields are row arrays like jets: no per-mode type, no term
-    # list, and no second on-shell check or zero-momentum error beside the
-    # constructor's
-    src = pathlib.Path(lightcone.__file__).parent
-    offenders = [
-        path.name
-        for path in sorted(src.glob("*.py"))
-        if re.search(r"\b(MaxwellMode|OffShellField|ZeroMomentumMode)\b|\.terms\(", path.read_text())
-    ]
-    assert offenders == []

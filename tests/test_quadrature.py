@@ -108,6 +108,12 @@ def test_gauss_legendre_raises_past_its_newton_cap(monkeypatch):
         gauss_legendre.__wrapped__(200)
 
 
+def _src_modules_matching(pattern):
+    """The file names of the package's modules whose source matches pattern."""
+    src = pathlib.Path(lightcone.__file__).parent
+    return [path.name for path in sorted(src.glob("*.py")) if re.search(pattern, path.read_text())]
+
+
 def test_only_the_quadrature_layer_builds_gauss_rules():
     # every other module maps its nodes through gauss_rule or kronrod_rule,
     # and none holds the Kronrod constants: their first eight digits
@@ -117,20 +123,16 @@ def test_only_the_quadrature_layer_builds_gauss_rules():
         *quadrature._QK21_GAUSS_WEIGHTS,
     )
     digits = "|".join(f"{c:.17e}".replace(".", "")[:8] for c in constants)
-    src = pathlib.Path(lightcone.__file__).parent
-    offenders = [
-        path.name
-        for path in sorted(src.glob("*.py"))
-        if path.name != "quadrature.py"
-        and re.search(rf"\b(gauss_legendre|leggauss)\b|{digits}", path.read_text())
-    ]
-    assert offenders == []
+    offenders = _src_modules_matching(rf"\b(gauss_legendre|leggauss)\b|{digits}")
+    assert [name for name in offenders if name != "quadrature.py"] == []
     # no LAPACK eigen-solve builds a rule, in quadrature.py either: it cost
     # a cold process tens of milliseconds in multithreaded BLAS
-    eigen = [
-        path.name
-        for path in sorted(src.glob("*.py"))
-        if re.search(r"\b(np|numpy)\.polynomial\b|\bleggauss\b|\beigvalsh\b", path.read_text())
-    ]
-    assert eigen == []
-    assert len(constants) == 26 and re.search(digits, (src / "quadrature.py").read_text())
+    assert _src_modules_matching(r"\b(np|numpy)\.polynomial\b|\bleggauss\b|\beigvalsh\b") == []
+    assert len(constants) == 26 and "quadrature.py" in _src_modules_matching(digits)
+
+
+def test_src_holds_no_per_mode_maxwell_layer():
+    # Maxwell fields are row arrays like jets: no per-mode type, no term
+    # list, and no second on-shell check or zero-momentum error beside the
+    # constructor's
+    assert _src_modules_matching(r"\b(MaxwellMode|OffShellField|ZeroMomentumMode)\b|\.terms\(") == []

@@ -136,6 +136,22 @@ def test_bose_functionals_match_the_pair_loop(rng):
         assert abs(ip_bose(u, v) - ip) <= 1e-12 * max(ip_bose(u, u), ip_bose(v, v))
 
 
+def test_ip_bose_weights_by_the_lattice_momentum_of_the_key():
+    # two modes of one field at one lattice index, their float momenta
+    # 3e-10 apart (inside the lattice tolerance): every term is weighted by
+    # 1 / |2 pi n / L|, not by one row's |p|, so the row order is immaterial
+    k = 2.0 * np.pi / DEFAULT_BOX
+    p = np.array([[k, k, 0.0, 0.0], [k, k, 0.0, 0.0]]) * np.array([[1.0], [1.0 + 3e-10]])
+    eps = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.5, 1j]])
+    u, w = MaxwellField(p, eps), MaxwellField(p[::-1], eps[::-1])
+    assert np.array_equal(u.n, [[1, 0, 0], [1, 0, 0]])
+    # the keys (n, +) and (-n, -) each carry the summed F or its conjugate
+    f = field_tensor_hat(eps, p).sum(axis=0)
+    expected = 2.0 * (np.sum(np.abs(f[0, 1:]) ** 2) + 0.25 * np.sum(np.abs(f[1:, 1:]) ** 2)) / (k * DEFAULT_BOX**3)
+    for field in (u, w):
+        assert abs(ip_bose(field, field) - expected) <= 1e-14 * expected
+
+
 def reference_ip_bose_grid(u, v, n=8):
     """ip_bose from position space.  Each frequency sign s of each field
     (the terms with sign(p0) = s, whose sum is the field's positive or
