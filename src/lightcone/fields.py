@@ -43,6 +43,53 @@ def lattice_index(kvec, box):
     return n_int.astype(np.int64)
 
 
+def lattice_momentum(n, box):
+    """The spatial momenta 2 pi n / box of the integer lattice indices n (rows)."""
+    return 2.0 * np.pi * n / box
+
+
+def _lattice_codes(*keys):
+    """Codes 0..K-1 of the K distinct rows of the (M_i, D) integer arrays
+    keys: per array, one code per row, equal exactly for equal rows."""
+    rows = np.concatenate(keys)
+    lo, hi = rows.min(axis=0, initial=0), rows.max(axis=0, initial=0)
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if math.prod(spans) < 2**63:
+        # each row as one int64, its offset from the least corner in mixed radix
+        rows = (rows - lo) @ np.array([math.prod(spans[d + 1 :]) for d in range(len(spans))])
+    codes = np.unique(rows, axis=None if rows.ndim == 1 else 0, return_inverse=True)[1].reshape(-1)
+    ends = np.cumsum([len(k) for k in keys])
+    return [codes[end - len(k) : end] for k, end in zip(keys, ends)]
+
+
+def _matched_sums(codes_a, a_a, codes_b, a_b):
+    """At each code that rows of both sides take: a row of side a there,
+    and each side's amplitudes (rows of any shape) summed there in row
+    order."""
+    size = max(codes_a.max(initial=-1), codes_b.max(initial=-1)) + 1
+    sums_a = np.zeros((size, *a_a.shape[1:]), dtype=complex)
+    sums_b = np.zeros((size, *a_b.shape[1:]), dtype=complex)
+    np.add.at(sums_a, codes_a, a_a)
+    np.add.at(sums_b, codes_b, a_b)
+    row = np.full(size, -1)
+    row[codes_a] = np.arange(len(codes_a))
+    both = (row >= 0) & (np.bincount(codes_b, minlength=size) > 0)
+    return row[both], sums_a[both], sums_b[both]
+
+
+def _matched_pairs(codes_a, codes_b):
+    """The row pairs (i, j) with codes_a[i] == codes_b[j], ordered by i and
+    then by j, as np.nonzero orders them on the equality mask; the memory
+    grows with the matches, not with len(codes_a) * len(codes_b)."""
+    order = np.argsort(codes_b, kind="stable")
+    lo = np.searchsorted(codes_b[order], codes_a, "left")
+    counts = np.searchsorted(codes_b[order], codes_a, "right") - lo
+    i = np.repeat(np.arange(len(codes_a)), counts)
+    # the t-th match lies at lo[i] + (t - matches before row i) in sorted order
+    j = order[np.arange(len(i)) + np.repeat(lo + counts - np.cumsum(counts), counts)]
+    return i, j
+
+
 def common_box(u, v):
     """The box side of two fields or jets; raises InvalidMode if they differ."""
     if u.box != v.box:
@@ -118,11 +165,6 @@ def dirac_basis(shell, kvec, m):
     return basis
 
 
-def lattice_momentum(n, box):
-    """The spatial momenta 2 pi n / box of the integer lattice indices n (rows)."""
-    return 2.0 * np.pi * n / box
-
-
 def _omega(n, box, m):
     """omega = sqrt(|kvec|^2 + m^2) at the lattice momenta of the rows of n,
     |kvec|^2 summed per row as np.dot sums it (the matmul of row by row)."""
@@ -139,7 +181,11 @@ def _mode_rows(side, n, a):
         raise InvalidMode(f"{side}_n must be an (M, 3) and {side}_a an (M, 4) array")
     if n.dtype.kind != "i":
         raise InvalidMode(f"{side}_n must hold integers")
-    return n.astype(np.int64), a
+    n = n.astype(np.int64)
+    # so every difference or sum of two indices fits in int64 (np.abs wraps at -2^63)
+    if not np.all((n > -(2**62)) & (n < 2**62)):
+        raise InvalidMode(f"{side}_n must lie strictly between -2^62 and 2^62")
+    return n, a
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,12 +260,12 @@ def pairing_predicates(jet_u, jet_v):
 
     pairs_u, dn_u, dw_u = transfers(jet_u)
     pairs_v, dn_v, dw_v = transfers(jet_v)
-    equal = np.all(dn_u[:, None] == dn_v[None, :], axis=-1)
-    opposite = np.all(dn_u[:, None] == -dn_v[None, :], axis=-1)
-    bad = (equal & (np.abs(dw_u[:, None] - dw_v[None, :]) > FREQUENCY_TOL)) | (
-        opposite & (np.abs(dw_u[:, None] + dw_v[None, :]) > FREQUENCY_TOL)
-    )
-    (i, j), (fi, fj) = np.nonzero(equal | opposite), np.nonzero(bad)
+    codes_u, codes_v, codes_opposite = _lattice_codes(dn_u, dn_v, -dn_v)
+    (ie, je), (io, jo) = _matched_pairs(codes_u, codes_v), _matched_pairs(codes_u, codes_opposite)
+    bad = np.concatenate((np.abs(dw_u[ie] - dw_v[je]), np.abs(dw_u[io] + dw_v[jo]))) > FREQUENCY_TOL
+    # a zero transfer matches both ways: one quadruple, flagged if either relation fails
+    pair = np.concatenate((ie, io)) * len(dn_v) + np.concatenate((je, jo))
+    (i, j), (fi, fj) = (np.divmod(np.unique(p), len(dn_v)) for p in (pair, pair[bad]))
     flagged = np.concatenate((pairs_u[fi], pairs_v[fj]), axis=1)
     return {
         "quadruples": np.concatenate((pairs_u[i], pairs_v[j]), axis=1),
@@ -385,8 +431,7 @@ def _jet_entry(n_psi, n_delta, seed):
     box = DEFAULT_BOX
 
     def mode(shell, n):
-        kvec = 2.0 * np.pi * np.asarray(n, dtype=float) / box
-        basis = dirac_basis(shell, kvec, 1.0)
+        basis = dirac_basis(shell, lattice_momentum(np.asarray(n), box), 1.0)
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
         a = c[0] * basis[0] + c[1] * basis[1]
         return {

@@ -11,13 +11,12 @@ defined as integrals from the outset.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from .clifford import CHI_L, CHI_R, ETA, GAMMA, GAMMA0, ID4, sigma_jk
-from .fields import common_box, field_tensor_hat, lattice_momentum
+from .fields import _lattice_codes, _matched_pairs, _matched_sums, common_box, field_tensor_hat, lattice_momentum
 from .quadrature import converged, gauss_rule
 
 _CHI = {"L": CHI_L, "R": CHI_R}
@@ -59,40 +58,6 @@ def _braket(bra, mats, ket):
     matrix M or a stack of them; for stacks of bras and kets (rows), shape
     (matrix, bra, ket)."""
     return np.conj(bra) @ GAMMA0 @ mats @ np.transpose(ket)
-
-
-# ---------------------------------------------------------------------------
-# the join of every mode-sum functional: rows keyed by exact integer codes
-# ---------------------------------------------------------------------------
-
-
-def _lattice_codes(*keys):
-    """Codes 0..K-1 of the K distinct rows of the (M_i, D) integer arrays
-    keys: per array, one code per row, equal exactly for equal rows."""
-    rows = np.concatenate(keys)
-    lo, hi = rows.min(axis=0, initial=0), rows.max(axis=0, initial=0)
-    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
-    if math.prod(spans) < 2**63:
-        # each row as one int64, its offset from the least corner in mixed radix
-        rows = (rows - lo) @ np.array([math.prod(spans[d + 1 :]) for d in range(len(spans))])
-    codes = np.unique(rows, axis=None if rows.ndim == 1 else 0, return_inverse=True)[1].reshape(-1)
-    ends = np.cumsum([len(k) for k in keys])
-    return [codes[end - len(k) : end] for k, end in zip(keys, ends)]
-
-
-def _matched_sums(codes_a, a_a, codes_b, a_b):
-    """At each code that rows of both sides take: a row of side a there,
-    and each side's amplitudes (rows of any shape) summed there in row
-    order."""
-    size = max(codes_a.max(initial=-1), codes_b.max(initial=-1)) + 1
-    sums_a = np.zeros((size, *a_a.shape[1:]), dtype=complex)
-    sums_b = np.zeros((size, *a_b.shape[1:]), dtype=complex)
-    np.add.at(sums_a, codes_a, a_a)
-    np.add.at(sums_b, codes_b, a_b)
-    row = np.full(size, -1)
-    row[codes_a] = np.arange(len(codes_a))
-    both = (row >= 0) & (np.bincount(codes_b, minlength=size) > 0)
-    return row[both], sums_a[both], sums_b[both]
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +148,6 @@ def ip_bose(u, v):
 # ---------------------------------------------------------------------------
 
 
-def _kvec(n, box):
-    """The spatial momentum 2 pi n / L of lattice index n."""
-    return (2.0 * np.pi / box) * np.asarray(n, dtype=float)
-
-
 def sigma_fermi(jet_u, jet_v):
     """Fermionic symplectic form (delta = 1): double momentum sum with weight
     (omega(q)^2 + omega(k)^2)/(m^2 L^6) of the scalar J-tensor vertex
@@ -214,7 +174,7 @@ def ip_fermi(jet_u, jet_v):
     du_c, dv_c, pu_c, pv_c = _lattice_codes(jet_u.delta_psi_n, jet_v.delta_psi_n, jet_u.psi_n, jet_v.psi_n)
     k_row, du, dv = _matched_sums(du_c, jet_u.delta_psi_a, dv_c, jet_v.delta_psi_a)
     q_row, pu, pv = _matched_sums(pu_c, jet_u.psi_a, pv_c, jet_v.psi_a)
-    kvec, qvec = _kvec(jet_u.delta_psi_n[k_row], box), _kvec(jet_u.psi_n[q_row], box)
+    kvec, qvec = lattice_momentum(jet_u.delta_psi_n[k_row], box), lattice_momentum(jet_u.psi_n[q_row], box)
     bracket = definiteness_bracket(kvec[:, None], qvec[None, :], m) / m**3
     d, p = np.diagonal(_braket(du, ID4, dv)), np.diagonal(_braket(pv, ID4, pu))
     pairs = np.outer(d.real, p.real) - np.outer(d.imag, p.imag)  # Re(d p)
@@ -318,7 +278,7 @@ def _box_quadrupole_hat(keys, box):
     xs, ws, inv_r2 = _box_quadrupole_table(box)
     values, idx = np.unique(keys, return_inverse=True)
     idx = idx.reshape(keys.shape)
-    phase = np.exp(1j * np.outer(_kvec(values, box), xs))
+    phase = np.exp(1j * np.outer(lattice_momentum(values, box), xs))
     moments = np.array([phase * (ws * xs**p) for p in range(3)])  # (p, value, node)
     # contract z, then y, over every pair of distinct values; x per key
     n = len(xs)
@@ -374,13 +334,13 @@ def fermi_conservation_residual(jet_u, jet_v, t=0.0):
     cu[1] *= -1.0  # the vector-contracted part enters with a minus sign
     cv = cv.reshape(2, 3, 2, -1)
 
-    w = wu[:, None] + wv[None, :]
-    keep = np.all(su[:, None, :] + sv[None, :, :] == 0, axis=-1)
+    iu, iv = _matched_pairs(*_lattice_codes(su, -sv))
+    w = wu[iu] + wv[iv]
     # pairs with vanishing frequency transfer carry no time dependence
-    iu, iv = np.nonzero(keep & (np.abs(w) >= 1e-12))
+    live = np.abs(w) >= 1e-12
+    iu, iv, w = iu[live], iv[live], w[live]
     if iu.size == 0:
         return 0.0
-    w = w[iu, iv]
     coeff = np.einsum("kacp,kbcp->pab", cu[..., iu], cv[..., iv])
 
     # Im(z) = (z - conj z)/(2i): each pair contributes at ky and, conjugated,

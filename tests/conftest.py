@@ -145,6 +145,30 @@ def opposite_transfer_pair(rng, box=DEFAULT_BOX, m=1.0):
     return jet_at(rng, [p0, p1], [d0, d1], box, m), jet_at(rng, [p0, p1], [d0, d1], box, m)
 
 
+def dense_jet_pair(rng, n):
+    """Two jets with n modes per side drawn from a pool of n + 1 lattice
+    momenta, so that equal and opposite momentum transfers between them
+    are frequent."""
+    pool = [random_lattice_index(rng, max_index=1) for _ in range(n + 1)]
+
+    def jet():
+        idx = rng.integers(0, n + 1, size=2 * n)
+        return jet_at(rng, [pool[i] for i in idx[:n]], [pool[i] for i in idx[n:]])
+
+    return jet(), jet()
+
+
+def distinct_momentum_pair(rng, n, max_index=4):
+    """Two jets whose psi and delta_psi sides both hold one mode at each of
+    the same n distinct lattice momenta in [-max_index, max_index]^3: every
+    psi momentum is also a delta_psi momentum, so matched transfers are
+    many."""
+    side = 2 * max_index + 1
+    flat = rng.choice(side**3, size=n, replace=False)
+    ns = np.stack(np.unravel_index(flat, (side,) * 3), axis=1) - max_index
+    return jet_at(rng, ns, ns), jet_at(rng, ns, ns)
+
+
 def ratio_by_least_squares(xi):
     """The c of F_minus xi_slash = c F_minus xibar_slash, solved by least
     squares from closed_chain_projectors: no formula in common with

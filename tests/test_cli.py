@@ -188,6 +188,19 @@ def test_maxwell_momentum_at_lattice_index_0_is_inadmissible(runner, tmp_path):
     assert "lattice index 0" in entry["detail"]
 
 
+@pytest.mark.parametrize("index", [2**62, -(2**62)])
+def test_lattice_index_outside_2_62_is_inadmissible(runner, tmp_path, index):
+    # beyond +-2^62 the difference of two indices can wrap in int64
+    path = _malformed_config(tmp_path, "jets.0.psi.0.n", [index, 0, 0])
+    result = runner.invoke(cli.main, ["slayer", "eval", "--config", path])
+    assert result.exit_code == 2
+    result = runner.invoke(cli.main, ["verify", "--suites", "slayer", "--config", path])
+    assert result.exit_code == 1
+    (entry,) = json.loads(result.output)
+    assert entry["check"] == "config-admissibility" and entry["status"] == "fail"
+    assert "2^62" in entry["detail"]
+
+
 def test_verify_unreadable_config_exits_2(runner, tmp_path):
     result = runner.invoke(cli.main, ["verify", "--config", str(tmp_path / "none.json")])
     assert result.exit_code == 2

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_jet_pair,
     jet_at,
+    matched_jet_pair,
     opposite_transfer_pair,
     random_amplitude,
     random_jet,
@@ -18,6 +20,7 @@ from lightcone.fields import (
     DEFAULT_BOX,
     FermionicJet,
     MaxwellField,
+    _matched_pairs,
     dirac_basis,
     field_tensor_hat,
     load_config,
@@ -127,6 +130,20 @@ def test_jet_keeps_box_and_lattice_indices(rng):
     with pytest.raises(InvalidMode):  # a frequency that overflows
         FermionicJet(jet.psi_n, jet.psi_a, [[2**62, 0, 0]], jet.delta_psi_a, 1.0, 1e-300)
     assert len(FermionicJet((), (), (), (), 1.0).psi_n) == 0
+
+
+def test_jet_rejects_indices_whose_transfers_overflow(rng):
+    # psi at -2^62 and delta_psi at 2^62 + 2 would make the transfer 2^63 + 2,
+    # which wraps in int64; -2^63 itself wraps under np.abs
+    for bad in (2**62, -(2**62), 2**62 + 2, 2**63 - 1, -(2**63)):
+        with pytest.raises(InvalidMode):
+            jet_at(rng, [(0, 0, 0)], [(bad, 0, 0)])
+        with pytest.raises(InvalidMode):
+            jet_at(rng, [(0, 0, bad)], [(0, 0, 0)])
+    far = jet_at(rng, [(-(2**62 - 1), 0, 0)], [(2**62 - 1, 0, 0)])
+    assert (far.delta_psi_n - far.psi_n).tolist() == [[2**63 - 2, 0, 0]]
+
+
 def test_terms_include_conjugates(rng):
     field = random_maxwell_field(rng, n_modes=3)
     n, p, eps = _term_rows(field)
@@ -228,6 +245,73 @@ def test_pairing_predicates_flags_opposite_transfers(rng):
         transfer_u = ju.delta_psi_n[du] - ju.psi_n[pu]
         assert np.array_equal(transfer_u, -(jv.delta_psi_n[dv] - jv.psi_n[pv]))
     assert not report["implication_holds"]
+
+
+def reference_pairing_predicates(jet_u, jet_v):
+    """Quadruple-by-quadruple evaluation of pairing_predicates: a loop over
+    every (du, pu, dv, pv), row-major, with the transfers compared as
+    tuples of Python ints.  Returns (quadruples, flagged) as lists."""
+    def transfers(jet):
+        return [
+            ((d, p), tuple(int(a) - int(b) for a, b in zip(jet.delta_psi_n[d], jet.psi_n[p])),
+             jet.delta_psi_k0[d] - jet.psi_k0[p])
+            for d in range(len(jet.delta_psi_n))
+            for p in range(len(jet.psi_n))
+        ]
+
+    quadruples, flagged = [], []
+    for pair_u, dn_u, dw_u in transfers(jet_u):
+        for pair_v, dn_v, dw_v in transfers(jet_v):
+            equal, opposite = dn_u == dn_v, dn_u == tuple(-c for c in dn_v)
+            if equal or opposite:
+                quadruples.append([*pair_u, *pair_v])
+                if (equal and abs(dw_u - dw_v) > 1e-9) or (opposite and abs(dw_u + dw_v) > 1e-9):
+                    flagged.append([*pair_u, *pair_v])
+    return quadruples, flagged
+
+
+def test_pairing_predicates_matches_reference(rng):
+    cases = [("violating", *violating_jet_pair(rng)), ("opposite", *opposite_transfer_pair(rng))]
+    cases += [("matched", *matched_jet_pair(rng)) for _ in range(2)]
+    # zero transfers, which are equal and opposite at once, are frequent here
+    cases += [("dense", *dense_jet_pair(rng, n)) for n in (1, 2, 3, 4, 6) for _ in range(2)]
+    u = random_jet(rng, n_psi=2, n_delta=2)
+    empty = FermionicJet((), (), (), (), 1.0)
+    cases += [("empty", empty, u), ("empty", u, empty), ("empty", jet_at(rng, [], [(1, 0, 0)]), u)]
+    # transfers of +-(2^63 - 2), opposite, and rows too far apart to pack into one int64
+    far = 2**62 - 1
+    cases.append(("far", jet_at(rng, [(-far, 0, 0)], [(far, 0, 0)]), jet_at(rng, [(far, 0, 0)], [(-far, 0, 0)])))
+    seen = set()
+    for name, u, v in cases:
+        want_quadruples, want_flagged = reference_pairing_predicates(u, v)
+        report = pairing_predicates(u, v)
+        assert report["quadruples"].shape == (len(want_quadruples), 4), name
+        assert report["quadruples"].tolist() == want_quadruples, name
+        assert report["flagged"].shape == (len(want_flagged), 4), name
+        assert report["flagged"].tolist() == want_flagged, name
+        assert report["implication_holds"] == (not want_flagged), name
+        if want_flagged:
+            seen.add(name + " flagged")
+        if any(not np.any(u.delta_psi_n[du] - u.psi_n[pu]) for du, pu, _, _ in want_quadruples):
+            seen.add(name + " zero transfer")
+    assert seen >= {"dense flagged", "dense zero transfer", "far flagged", "opposite flagged", "violating flagged"}
+
+
+def test_matched_pairs_orders_as_the_broadcast_mask(rng):
+    none = np.zeros(0, dtype=np.int64)
+    cases = [
+        (rng.integers(0, 4, size=30), rng.integers(0, 4, size=25)),  # repeated codes
+        (rng.integers(0, 40, size=30), rng.integers(0, 40, size=25)),
+        (np.arange(5), np.arange(5, 9)),  # disjoint
+        (none, rng.integers(0, 3, size=4)),
+        (rng.integers(0, 3, size=4), none),
+        (none, none),
+    ]
+    for a, b in cases:
+        i, j = _matched_pairs(a, b)
+        want_i, want_j = np.nonzero(a[:, None] == b[None, :])
+        assert i.tolist() == want_i.tolist() and j.tolist() == want_j.tolist()
+    assert len(_matched_pairs(*cases[0])[0]) > 30
 
 
 def test_time_translation_phases(rng):

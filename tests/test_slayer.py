@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import time
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_jet_pair,
+    distinct_momentum_pair,
     fermi_functional_pair,
     jet_at,
     matched_jet_pair,
@@ -15,7 +18,6 @@ from conftest import (
     one_mode_jet,
     opposite_transfer_pair,
     random_jet,
-    random_lattice_index,
     random_maxwell_field,
     violating_jet_pair,
 )
@@ -293,7 +295,7 @@ def reference_sigma_fermi(jet_u, jet_v):
 def test_sigma_fermi_matches_reference(rng):
     k, q = np.array([1, 0, 0]), np.array([0, 2, -1])
     cases = [("functional pair", *fermi_functional_pair(rng)) for _ in range(5)]
-    cases += [("dense", *_dense_pair(rng, n)) for n in (1, 2, 3)]
+    cases += [("dense", *dense_jet_pair(rng, n)) for n in (1, 2, 3)]
     cases.append(("one mode", one_mode_jet(rng, n_psi=-q, n_delta=k), one_mode_jet(rng, n_psi=-k, n_delta=q)))
     # several modes at one momentum, which sigma_fermi sums before contracting
     cases.append(("repeated", jet_at(rng, [-q, -q, k], [k, k, -q]), jet_at(rng, [-k, -k, q], [q, q, -k])))
@@ -344,7 +346,7 @@ def reference_ip_fermi(jet_u, jet_v):
 def test_ip_fermi_matches_reference(rng):
     k, q = np.array([1, 0, 0]), np.array([0, 2, -1])
     cases = [("functional pair", *fermi_functional_pair(rng)) for _ in range(5)]
-    cases += [("dense", *_dense_pair(rng, n)) for n in (1, 2, 3)]
+    cases += [("dense", *dense_jet_pair(rng, n)) for n in (1, 2, 3)]
     cases.append(("one mode", *matched_jet_pair(rng, n_psi=q, n_delta=k)))
     # several modes at one momentum, which ip_fermi sums before contracting
     cases.append(("repeated", jet_at(rng, [q, q, k], [k, k, q]), jet_at(rng, [q, k, k], [k, q, q])))
@@ -479,7 +481,7 @@ def test_conservation_residual_computes_weights_in_one_call(rng, monkeypatch):
         return weights(keys, box)
 
     monkeypatch.setattr(slayer, "_box_quadrupole_hat", counted)
-    pairs = [_dense_pair(rng, 3), violating_jet_pair(rng), opposite_transfer_pair(rng), matched_jet_pair(rng)]
+    pairs = [dense_jet_pair(rng, 3), violating_jet_pair(rng), opposite_transfer_pair(rng), matched_jet_pair(rng)]
     counts = []
     for u, v in pairs:
         before = len(calls)
@@ -564,25 +566,12 @@ def reference_conservation_residual(jet_u, jet_v, t=0.0):
     return float(total.real), scale
 
 
-def _dense_pair(rng, n):
-    """Two jets with n modes per side drawn from a pool of n + 1 lattice
-    momenta, so that equal and opposite momentum transfers between them
-    are frequent."""
-    pool = [random_lattice_index(rng, max_index=1) for _ in range(n + 1)]
-
-    def jet():
-        idx = rng.integers(0, n + 1, size=2 * n)
-        return jet_at(rng, [pool[i] for i in idx[:n]], [pool[i] for i in idx[n:]])
-
-    return jet(), jet()
-
-
 def test_conservation_residual_matches_reference(rng):
     cases = []
     for n in (1, 2, 3):
         pair = [random_jet(rng, n_psi=n, n_delta=n) for _ in range(2)]
         cases.append(("random", *pair))
-        cases += [("dense", *_dense_pair(rng, n)) for _ in range(2)]
+        cases += [("dense", *dense_jet_pair(rng, n)) for _ in range(2)]
     cases.append(("matched", *matched_jet_pair(rng)))
     cases.append(("violating", *violating_jet_pair(rng)))
     cases.append(("opposite", *opposite_transfer_pair(rng)))
@@ -652,6 +641,20 @@ def test_conservation_residual_matched_at_16_modes(rng):
     start = time.perf_counter()
     assert fermi_conservation_residual(u, v, t=0.3) == 0.0
     assert time.perf_counter() - start < 2.0
+
+
+def test_momentum_matches_grow_with_the_matches(rng):
+    # 32 distinct momenta per side: a match by an n^4 broadcast mask peaks
+    # at about 141 MB (residual) and 19 MB (pairing_predicates) here
+    u, v = distinct_momentum_pair(rng, 32)
+    for call in (lambda: fermi_conservation_residual(u, v, t=0.3), lambda: pairing_predicates(u, v)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 def test_cube_spin_rotation_group():
