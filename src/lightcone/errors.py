@@ -49,6 +49,12 @@ class InvalidMode(LightconeError):
     """Field mode violates its on-shell or transversality constraints."""
 
 
+class MalformedMode(InvalidMode):
+    """Field mode given a number outside its domain (not finite, an index
+    that is not an integer, a square or frequency that overflows): malformed
+    input rather than inadmissible field content."""
+
+
 class TailNotNegligible(LightconeError):
     """Truncated tail of an unbounded integral exceeds tolerance."""
 

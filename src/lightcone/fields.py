@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .clifford import ETA, GAMMA, minkowski, slash
-from .errors import ConfigInvalid, ConfigMalformed, InvalidMode
+from .errors import ConfigInvalid, ConfigMalformed, InvalidMode, MalformedMode
 
 ONSHELL_TOL = 1e-9
 FREQUENCY_TOL = 1e-9
@@ -132,7 +132,7 @@ class MaxwellField:
         with np.errstate(over="ignore", invalid="ignore"):
             scale, eps2 = (p * p).sum(axis=1), (np.abs(eps) ** 2).sum(axis=1)
             if not (np.isfinite(scale).all() and np.isfinite(eps2).all()):
-                raise InvalidMode("momentum or polarization not finite or too large: p.p or |eps|^2 overflows")
+                raise MalformedMode("momentum or polarization not finite or too large: p.p or |eps|^2 overflows")
             if (scale == 0.0).any():
                 raise InvalidMode("zero momentum")
             mass = np.abs(minkowski(p.T, p.T))
@@ -180,12 +180,8 @@ def _mode_rows(side, n, a):
     if n.ndim != 2 or n.shape[1] != 3 or a.shape != (len(n), 4):
         raise InvalidMode(f"{side}_n must be an (M, 3) and {side}_a an (M, 4) array")
     if n.dtype.kind != "i":
-        raise InvalidMode(f"{side}_n must hold integers")
-    n = n.astype(np.int64)
-    # so every difference or sum of two indices fits in int64 (np.abs wraps at -2^63)
-    if not np.all((n > -(2**62)) & (n < 2**62)):
-        raise InvalidMode(f"{side}_n must lie strictly between -2^62 and 2^62")
-    return n, a
+        raise MalformedMode(f"{side}_n must hold integers")
+    return n.astype(np.int64), a
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,15 +205,21 @@ class FermionicJet:
     def __post_init__(self):
         if not (self.box > 0 and self.m > 0):
             raise InvalidMode("box side and mass must be positive")
-        for side, shell in (("psi", -1), ("delta_psi", 1)):
-            n, a = _mode_rows(side, getattr(self, side + "_n"), getattr(self, side + "_a"))
-            with np.errstate(over="ignore", invalid="ignore"):
-                k0 = shell * _omega(n, self.box, self.m)
+        sides = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            # both sides' malformed checks first: one is reported as such beside an inadmissible one
+            for side, shell in (("psi", -1), ("delta_psi", 1)):
+                n, a = _mode_rows(side, getattr(self, side + "_n"), getattr(self, side + "_a"))
+                k0, norm = shell * _omega(n, self.box, self.m), np.linalg.norm(a, axis=1)
                 if not np.all(np.isfinite(k0)):
-                    raise InvalidMode(f"{side} momentum too large: its frequency overflows")
-                norm = np.linalg.norm(a, axis=1)
+                    raise MalformedMode(f"{side} momentum too large: its frequency overflows")
                 if not np.all(np.isfinite(norm)):
-                    raise InvalidMode(f"{side} amplitude not finite or too large: |a|^2 overflows")
+                    raise MalformedMode(f"{side} amplitude not finite or too large: |a|^2 overflows")
+                sides.append((side, n, a, k0, norm))
+            for side, n, a, k0, norm in sides:
+                # so every difference or sum of two indices fits in int64 (np.abs wraps at -2^63)
+                if not np.all((n > -(2**62)) & (n < 2**62)):
+                    raise InvalidMode(f"{side}_n must lie strictly between -2^62 and 2^62")
                 if np.any(norm == 0.0):
                     raise InvalidMode("zero amplitude")
                 k = np.concatenate((k0[:, None], lattice_momentum(n, self.box)), axis=1)
@@ -225,9 +227,9 @@ class FermionicJet:
                 # the roundoff of (k_slash - m) a grows with |k0| >= m
                 if not np.all(residual <= ONSHELL_TOL * np.abs(k0) * norm):
                     raise InvalidMode(f"{side} amplitude off the mass shell: residual {np.max(residual):.3e}")
-            for name, value in (("_n", n), ("_a", a), ("_k0", k0)):
-                value.flags.writeable = False
-                object.__setattr__(self, side + name, value)
+                for name, value in (("_n", n), ("_a", a), ("_k0", k0)):
+                    value.flags.writeable = False
+                    object.__setattr__(self, side + name, value)
 
     def plane_waves(self):
         """The frequencies k0 (M,), spatial momenta kvec (M, 3) and amplitudes
@@ -265,7 +267,8 @@ def pairing_predicates(jet_u, jet_v):
     bad = np.concatenate((np.abs(dw_u[ie] - dw_v[je]), np.abs(dw_u[io] + dw_v[jo]))) > FREQUENCY_TOL
     # a zero transfer matches both ways: one quadruple, flagged if either relation fails
     pair = np.concatenate((ie, io)) * len(dn_v) + np.concatenate((je, jo))
-    (i, j), (fi, fj) = (np.divmod(np.unique(p), len(dn_v)) for p in (pair, pair[bad]))
+    # the sorting np.unique: without return_index it imports numpy.ma
+    (i, j), (fi, fj) = (np.divmod(np.unique(p, return_index=True)[0], len(dn_v)) for p in (pair, pair[bad]))
     flagged = np.concatenate((pairs_u[fi], pairs_v[fj]), axis=1)
     return {
         "quadruples": np.concatenate((pairs_u[i], pairs_v[j]), axis=1),
@@ -288,18 +291,6 @@ def time_translate(obj, dt):
     raise TypeError(f"cannot time-translate {type(obj).__name__}")
 
 
-def _require_finite(what, *arrays):
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ConfigMalformed(f"non-finite number in a {what}")
-
-
-def _require_finite_square(what, x):
-    """Raises ConfigMalformed unless the sum of |x_i|^2 is finite."""
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.sum(np.abs(np.asarray(x)) ** 2)):
-            raise ConfigMalformed(f"{what} too large: its square overflows")
-
-
 def _objects(what, entries):
     """entries, checked to be a list of JSON objects."""
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
@@ -307,34 +298,25 @@ def _objects(what, entries):
     return entries
 
 
-def _jet_side_from_json(entries, side, shell, box, mass):
-    """The lattice indices and amplitudes of one side of a JSON jet."""
+def _jet_side_from_json(jet, side, shell):
+    """One side of a JSON jet: lattice indices (exact int64 for JSON integers) and amplitudes."""
     n_rows, a_rows = [], []
-    for entry in _objects(f"a jet's {side}", entries):
+    for entry in _objects(f"a jet's {side}", jet.get(side, [])):
         try:
             mode_shell = int(entry["shell"])
-            n = np.asarray(entry["n"], dtype=float)
+            n = np.asarray(entry["n"])
             a_re = np.asarray(entry["a_re"], dtype=float)
             a_im = np.asarray(entry["a_im"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(f"bad Dirac mode entry: {exc}") from exc
-        _require_finite("Dirac mode entry", n, a_re, a_im)
         if (n.shape, a_re.shape, a_im.shape) != ((3,), (4,), (4,)):
             raise ConfigInvalid("bad Dirac mode entry: n needs 3 components, a_re and a_im 4")
-        if np.any(n != np.round(n)):
-            raise ConfigMalformed(f"lattice index n = {entry['n']} must be integers")
-        if not np.all(np.abs(n) < 2.0**63):
-            raise ConfigMalformed(f"lattice index n = {entry['n']} outside the int64 range")
-        _require_finite_square(f"Dirac amplitude {entry['a_re']} + i {entry['a_im']}", a_re + 1j * a_im)
         if mode_shell != shell:
             raise ConfigInvalid(f"{side} modes must have shell {shell}")
-        n_rows.append(n.astype(np.int64))
-        a_rows.append(a_re + 1j * a_im)
-    n = np.array(n_rows, dtype=np.int64).reshape(-1, 3)
-    with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(_omega(n, box, mass))):
-            raise ConfigMalformed(f"a {side} lattice index too large: its frequency overflows")
-    return n, np.array(a_rows, dtype=complex).reshape(-1, 4)
+        n_rows.append(n)
+        a_rows.append(a_re.astype(complex))
+        a_rows[-1].imag = a_im  # a_re + 1j * a_im would warn on an infinite a_im
+    return np.array(n_rows).reshape(-1, 3), np.array(a_rows, dtype=complex).reshape(-1, 4)
 
 
 def load_config(source):
@@ -345,11 +327,10 @@ def load_config(source):
       "maxwell": [{"p": [..4], "eps_re": [..4], "eps_im": [..4]}, ...],
       "jets": [{"psi": [mode...], "delta_psi": [mode...]}, ...] }
     with Dirac modes {"shell": +-1, "n": [3 ints], "a_re": [..4], "a_im": [..4]},
-    shell -1 in psi and +1 in delta_psi.  An unreadable file, a section
-    that is not a list of objects, an n that is not an int64 triple, a
-    non-finite number, and a momentum, polarization or amplitude whose
-    square (or frequency) overflows raise ConfigMalformed; inadmissible
-    field content ConfigInvalid.
+    shell -1 in psi and +1 in delta_psi.  An unreadable file, a bad box or
+    mass, a section that is not a list of objects, and a mode that
+    MaxwellField or FermionicJet rejects as MalformedMode raise
+    ConfigMalformed; any other bad entry raises ConfigInvalid.
 
     Returns (box, mass, maxwell_fields, jets): each maxwell entry becomes a
     single-mode MaxwellField."""
@@ -368,35 +349,31 @@ def load_config(source):
         raise ConfigMalformed(f"missing or bad box/mass: {exc}") from exc
     if not (np.isfinite(box) and np.isfinite(mass) and box > 0 and mass > 0):
         raise ConfigMalformed(f"box and mass must be finite and positive, got {box} and {mass}")
-    maxwell_rows = []
+    rows = []
     for entry in _objects("maxwell", raw.get("maxwell", [])):
         try:
-            p = tuple(float(c) for c in entry["p"])
-            eps = tuple(
-                float(r) + 1j * float(i)
-                for r, i in zip(entry["eps_re"], entry["eps_im"])
-            )
+            p = [float(c) for c in entry["p"]]
+            eps = [float(r) + 1j * float(i) for r, i in zip(entry["eps_re"], entry["eps_im"])]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(f"bad maxwell entry: {exc}") from exc
-        _require_finite("maxwell entry", p, eps)
-        _require_finite_square(f"maxwell momentum {p}", p)
-        _require_finite_square(f"maxwell polarization {eps}", eps)
-        maxwell_rows.append(([p], [eps]))
-    jet_sides = [
-        (
-            _jet_side_from_json(entry.get("psi", []), "psi", -1, box, mass),
-            _jet_side_from_json(entry.get("delta_psi", []), "delta_psi", 1, box, mass),
-        )
-        for entry in _objects("jets", raw.get("jets", []))
-    ]
-    # every entry is read before any is admitted, so a malformed entry
+        rows.append((MaxwellField, [p], [eps], box))
+    n_fields = len(rows)
+    for entry in _objects("jets", raw.get("jets", [])):
+        psi, delta = _jet_side_from_json(entry, "psi", -1), _jet_side_from_json(entry, "delta_psi", 1)
+        rows.append((FermionicJet, *psi, *delta, mass, box))
+    # every entry is read, then every one is built, so a malformed mode
     # raises ConfigMalformed even after an inadmissible one
-    try:
-        fields_out = [MaxwellField(p, eps, box) for p, eps in maxwell_rows]
-        jets_out = [FermionicJet(*psi, *delta, mass, box) for psi, delta in jet_sides]
-    except InvalidMode as exc:
-        raise ConfigInvalid(str(exc)) from exc
-    return box, mass, fields_out, jets_out
+    built, rejected = [], []
+    for make, *args in rows:
+        try:
+            built.append(make(*args))
+        except InvalidMode as exc:
+            rejected.append(exc)
+    malformed = [exc for exc in rejected if isinstance(exc, MalformedMode)]
+    if rejected:
+        exc = (malformed or rejected)[0]
+        raise (ConfigMalformed if malformed else ConfigInvalid)(str(exc)) from exc
+    return box, mass, built[:n_fields], built[n_fields:]
 
 
 def default_config():

@@ -121,6 +121,9 @@ _MALFORMED_CONFIGS = [
     ("mass", float("nan")),
     ("box", 0.0),
     pytest.param("jets.0.psi.0.n", [0.5, 0, 0], id="non-integer-n"),
+    # n is read as JSON integers, so an integral float or a string is malformed too
+    pytest.param("jets.0.psi.0.n", [1.0, 0, 0], id="float-n"),
+    pytest.param("jets.0.psi.0.n", ["1", 0, 0], id="string-n"),
     pytest.param("maxwell.0.p.1", float("nan"), id="maxwell-p-nan"),
     pytest.param("jets.0.delta_psi.0.a_re.0", float("nan"), id="jet-a_re-nan"),
     pytest.param("jets", 5, id="jets-not-a-list"),
@@ -137,13 +140,16 @@ _MALFORMED_CONFIGS = [
 ]
 
 
-def _malformed_config(tmp_path, key, value):
+def _malformed_config(tmp_path, key, value, *more):
+    """The default config with value at the dotted key (and each further
+    key, value pair of more), written to a file."""
     cfg = fields.default_config()
-    *parents, last = (int(k) if k.isdigit() else k for k in key.split("."))
-    entry = cfg
-    for k in parents:
-        entry = entry[k]
-    entry[last] = value
+    for key, value in ((key, value), *zip(more[::2], more[1::2])):
+        *parents, last = (int(k) if k.isdigit() else k for k in key.split("."))
+        entry = cfg
+        for k in parents:
+            entry = entry[k]
+        entry[last] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -174,6 +180,47 @@ def test_overflowing_jet_amplitude_exits_2(runner, tmp_path, command):
     path.write_text(json.dumps(cfg))
     result = runner.invoke(cli.main, [*command, "--config", str(path)])
     assert result.exit_code == 2
+
+
+_DELTA_PSI = fields.default_config()["jets"][0]["delta_psi"][0]
+
+
+@pytest.mark.parametrize("command", [["verify", "--suites", "slayer"], ["slayer", "eval"]])
+@pytest.mark.parametrize(
+    "edits",
+    [
+        pytest.param(
+            ("maxwell.0.p", [1.0, 0.5, 0.0, 0.0], "jets.0.delta_psi.0.a_re.0", float("nan")),
+            id="off-cone-maxwell-then-nan-amplitude",
+        ),
+        pytest.param(
+            (
+                "jets.0.psi.0.n", [2**62, 0, 0],
+                "jets.0.delta_psi.0.a_re", [1e200 * c for c in _DELTA_PSI["a_re"]],
+                "jets.0.delta_psi.0.a_im", [1e200 * c for c in _DELTA_PSI["a_im"]],
+            ),
+            id="index-2^62-then-overflowing-amplitude",
+        ),
+    ],
+)
+def test_malformed_mode_wins_over_an_inadmissible_one(runner, tmp_path, command, edits):
+    # the loader builds every entry, and a malformed mode anywhere makes the
+    # config malformed, whichever entry or side is rejected first
+    path = _malformed_config(tmp_path, *edits)
+    result = runner.invoke(cli.main, [*command, "--config", path])
+    assert result.exit_code == 2
+
+
+def test_lattice_index_beyond_2_53_is_read_exactly(runner, tmp_path):
+    # a float64 holds integers exactly only up to 2^53
+    cfg = fields.default_config()
+    cfg["jets"][0] = fields._jet_entry([2**53 + 1, 0, 0], [0, 1, 0], 101)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    _, _, _, jets = load_config(str(path))
+    assert jets[0].psi_n.tolist() == [[2**53 + 1, 0, 0]]
+    result = runner.invoke(cli.main, ["slayer", "eval", "--config", str(path)])
+    assert result.exit_code == 0
 
 
 def test_maxwell_momentum_at_lattice_index_0_is_inadmissible(runner, tmp_path):
@@ -456,12 +503,13 @@ def test_cli_loads_only_what_each_command_needs(runner, tmp_path):
 def test_slayer_suite_loads_no_kernels_convolution_or_lineint():
     # each suite imports its own modules, so the slayer suite, which every
     # slayer config check runs, pays for no oracle module; slayer itself
-    # loads lineint only when positivity_probe first runs
+    # loads lineint only when positivity_probe first runs.  Nor does it pay
+    # for numpy.ma, which a plain np.unique imports
     script = (
         "import sys\n"
         "from lightcone import checks\n"
         "checks.run_suites(('slayer',), 7)\n"
-        "mods = ('lightcone.kernels', 'lightcone.convolution', 'lightcone.lineint')\n"
+        "mods = ('lightcone.kernels', 'lightcone.convolution', 'lightcone.lineint', 'numpy.ma')\n"
         "print(sorted(m for m in mods if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(lightcone.__file__))

@@ -1,4 +1,5 @@
 import json
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from conftest import (
     violating_jet_pair,
 )
 from lightcone.clifford import minkowski, slash
-from lightcone.errors import ConfigInvalid, ConfigMalformed, InvalidMode
+from lightcone.errors import ConfigInvalid, ConfigMalformed, InvalidMode, MalformedMode
 from lightcone.fields import (
     DEFAULT_BOX,
     FermionicJet,
@@ -34,19 +35,32 @@ from lightcone.slayer import _term_rows
 _P, _EPS = (1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)
 
 
+@contextmanager
+def inadmissible():
+    """Expect an InvalidMode that is not a MalformedMode: field content the
+    constraints reject, not a number outside its domain."""
+    with pytest.raises(InvalidMode) as info:
+        yield
+    assert not isinstance(info.value, MalformedMode)
+
+
 def test_maxwell_mode_validation():
     MaxwellField([_P], [_EPS])
     for p, eps in (
         ((1.0, 0.5, 0.0, 0.0), _EPS),  # off shell
         (_P, (1.0, 0.0, 0.0, 0.0)),  # gauge violated
         ((0.0, 0.0, 0.0, 0.0), _EPS),  # zero momentum
+    ):
+        with inadmissible():
+            MaxwellField([_P, p], [_EPS, eps])
+    for p, eps in (
         # p.p overflows, so p^2 = inf - inf would pass the light-cone test
         ((1e200, 1e200, 0.0, 0.0), _EPS),
         (_P, (0.0, 0.0, 1e200, 0.0)),  # |eps|^2 overflows, and so would its gauge test
         ((np.nan, 1.0, 0.0, 0.0), _EPS),
         (_P, (0.0, 0.0, np.nan, 0.0)),
     ):
-        with pytest.raises(InvalidMode):
+        with pytest.raises(MalformedMode):
             MaxwellField([_P, p], [_EPS, eps])
 
 
@@ -67,7 +81,7 @@ def test_maxwell_field_keeps_box_and_lattice_indices(rng):
     # a far index is kept exactly
     far = 2.0 * np.pi * 9000014 / box
     assert MaxwellField([(far, far, 0.0, 0.0)], [_EPS], box).n.tolist() == [[9000014, 0, 0]]
-    with pytest.raises(InvalidMode):  # rounds to lattice index 0, where 1/|k| is undefined
+    with inadmissible():  # rounds to lattice index 0, where 1/|k| is undefined
         MaxwellField([(1e-12, 1e-12, 0.0, 0.0)], [_EPS])
     with pytest.raises(InvalidMode):  # one momentum row, two polarization rows
         MaxwellField(field.p[:1], field.eps[:2], box)
@@ -123,12 +137,17 @@ def test_jet_keeps_box_and_lattice_indices(rng):
         FermionicJet((), (), (), (), 1.0, -1.0)
     with pytest.raises(InvalidMode):
         FermionicJet((), (), (), (), 0.0)
-    with pytest.raises(InvalidMode):  # float indices are not lattice indices
+    with pytest.raises(MalformedMode):  # float indices are not lattice indices
         FermionicJet(jet.psi_n * 1.0, jet.psi_a, jet.delta_psi_n, jet.delta_psi_a, 1.0, box)
     with pytest.raises(InvalidMode):  # one index row, two amplitude rows
         FermionicJet(jet.psi_n, np.vstack((jet.psi_a, jet.psi_a)), jet.delta_psi_n, jet.delta_psi_a, 1.0, box)
-    with pytest.raises(InvalidMode):  # a frequency that overflows
+    with pytest.raises(MalformedMode):  # a frequency that overflows
         FermionicJet(jet.psi_n, jet.psi_a, [[2**62, 0, 0]], jet.delta_psi_a, 1.0, 1e-300)
+    with pytest.raises(MalformedMode):  # an index list that does not fit in int64
+        FermionicJet(jet.psi_n, jet.psi_a, [[2**64, 0, 0]], jet.delta_psi_a, 1.0, box)
+    # every malformed check of both sides comes before any admissibility check
+    with pytest.raises(MalformedMode):
+        FermionicJet([[2**62, 0, 0]], jet.psi_a, jet.delta_psi_n, jet.delta_psi_a * 1e200, 1.0, box)
     assert len(FermionicJet((), (), (), (), 1.0).psi_n) == 0
 
 
@@ -136,9 +155,9 @@ def test_jet_rejects_indices_whose_transfers_overflow(rng):
     # psi at -2^62 and delta_psi at 2^62 + 2 would make the transfer 2^63 + 2,
     # which wraps in int64; -2^63 itself wraps under np.abs
     for bad in (2**62, -(2**62), 2**62 + 2, 2**63 - 1, -(2**63)):
-        with pytest.raises(InvalidMode):
+        with inadmissible():
             jet_at(rng, [(0, 0, 0)], [(bad, 0, 0)])
-        with pytest.raises(InvalidMode):
+        with inadmissible():
             jet_at(rng, [(0, 0, bad)], [(0, 0, 0)])
     far = jet_at(rng, [(-(2**62 - 1), 0, 0)], [(2**62 - 1, 0, 0)])
     assert (far.delta_psi_n - far.psi_n).tolist() == [[2**63 - 2, 0, 0]]
@@ -166,13 +185,13 @@ def test_dirac_mode_on_shell(rng):
 def test_dirac_mode_rejects_off_shell():
     # at rest the upper shell is spanned by the first two spinor components
     rest = np.zeros((1, 3), dtype=np.int64)
-    with pytest.raises(InvalidMode):
+    with inadmissible():
         FermionicJet((), (), rest, [(0.0, 0.0, 1.0, 0.0)], 1.0)
-    with pytest.raises(InvalidMode):
+    with inadmissible():
         FermionicJet((), (), rest, [(0.0, 0.0, 0.0, 0.0)], 1.0)  # zero amplitude
-    with pytest.raises(InvalidMode):
+    with pytest.raises(MalformedMode):
         FermionicJet((), (), rest, [(np.nan, 0.0, 0.0, 0.0)], 1.0)
-    with pytest.raises(InvalidMode):  # on shell, but ||a||^2 overflows
+    with pytest.raises(MalformedMode):  # on shell, but ||a||^2 overflows
         FermionicJet((), (), rest, [(1e200, 0.0, 0.0, 0.0)], 1.0)
     FermionicJet((), (), rest, [(1.0, 0.0, 0.0, 0.0)], 1.0)
 
@@ -413,5 +432,13 @@ def test_load_config_rejects_bad_content(tmp_path):
     bad2["jets"][0]["psi"][0]["shell"] = 1
     with pytest.raises(ConfigInvalid):
         load_config(bad2)
+    # every entry is read before any mode is built: an entry the loader
+    # cannot read wins over a malformed number in an earlier entry
+    bad3 = _sample_config()
+    bad3["jets"][0]["delta_psi"][0]["a_re"][0] = float("nan")
+    bad3["jets"].append({"psi": [dict(bad3["jets"][0]["psi"][0], shell=1)]})
+    with pytest.raises(ConfigInvalid) as info:
+        load_config(bad3)
+    assert not isinstance(info.value, ConfigMalformed)
     with pytest.raises(ConfigInvalid):
         load_config(str(tmp_path / "missing.json"))
