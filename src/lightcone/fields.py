@@ -313,7 +313,8 @@ def _jet_side_from_json(jet, side, shell):
             raise ConfigInvalid("bad Dirac mode entry: n needs 3 components, a_re and a_im 4")
         if mode_shell != shell:
             raise ConfigInvalid(f"{side} modes must have shell {shell}")
-        n_rows.append(n)
+        # np.asarray reads true/false as 1/0 beside integers: an object row keeps the side non-integer
+        n_rows.append(n.astype(object) if any(isinstance(c, (bool, np.bool_)) for c in entry["n"]) else n)
         a_rows.append(a_re.astype(complex))
         a_rows[-1].imag = a_im  # a_re + 1j * a_im would warn on an infinite a_im
     return np.array(n_rows).reshape(-1, 3), np.array(a_rows, dtype=complex).reshape(-1, 4)
@@ -369,10 +370,9 @@ def load_config(source):
             built.append(make(*args))
         except InvalidMode as exc:
             rejected.append(exc)
-    malformed = [exc for exc in rejected if isinstance(exc, MalformedMode)]
     if rejected:
-        exc = (malformed or rejected)[0]
-        raise (ConfigMalformed if malformed else ConfigInvalid)(str(exc)) from exc
+        exc = next((e for e in rejected if isinstance(e, MalformedMode)), rejected[0])
+        raise (ConfigMalformed if isinstance(exc, MalformedMode) else ConfigInvalid)(str(exc)) from exc
     return box, mass, built[:n_fields], built[n_fields:]
 
 

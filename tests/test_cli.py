@@ -116,6 +116,8 @@ def test_verify_failing_config(runner, tmp_path):
     assert report[0]["paper_ref"]
 
 
+_PSI = fields.default_config()["jets"][0]["psi"][0]
+
 _MALFORMED_CONFIGS = [
     ("box", float("nan")),
     ("mass", float("nan")),
@@ -124,6 +126,9 @@ _MALFORMED_CONFIGS = [
     # n is read as JSON integers, so an integral float or a string is malformed too
     pytest.param("jets.0.psi.0.n", [1.0, 0, 0], id="float-n"),
     pytest.param("jets.0.psi.0.n", ["1", 0, 0], id="string-n"),
+    pytest.param("jets.0.psi.0.n", [True, 0, 0], id="bool-n"),
+    # a boolean row stays malformed when its side also holds an integer row
+    pytest.param("jets.0.psi", [{**_PSI, "n": [True, True, True]}, _PSI], id="bool-n-beside-int-n"),
     pytest.param("maxwell.0.p.1", float("nan"), id="maxwell-p-nan"),
     pytest.param("jets.0.delta_psi.0.a_re.0", float("nan"), id="jet-a_re-nan"),
     pytest.param("jets", 5, id="jets-not-a-list"),
@@ -211,14 +216,15 @@ def test_malformed_mode_wins_over_an_inadmissible_one(runner, tmp_path, command,
     assert result.exit_code == 2
 
 
-def test_lattice_index_beyond_2_53_is_read_exactly(runner, tmp_path):
-    # a float64 holds integers exactly only up to 2^53
+@pytest.mark.parametrize("index", [2**53 + 1, 2**62 - 1, -(2**62) + 1])
+def test_lattice_index_beyond_2_53_is_read_exactly(runner, tmp_path, index):
+    # a float64 holds integers exactly only up to 2^53; +-(2^62 - 1) would round to the inadmissible +-2^62
     cfg = fields.default_config()
-    cfg["jets"][0] = fields._jet_entry([2**53 + 1, 0, 0], [0, 1, 0], 101)
+    cfg["jets"][0] = fields._jet_entry([index, 0, 0], [0, 1, 0], 101)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     _, _, _, jets = load_config(str(path))
-    assert jets[0].psi_n.tolist() == [[2**53 + 1, 0, 0]]
+    assert jets[0].psi_n.tolist() == [[index, 0, 0]]
     result = runner.invoke(cli.main, ["slayer", "eval", "--config", str(path)])
     assert result.exit_code == 0
 
@@ -235,7 +241,7 @@ def test_maxwell_momentum_at_lattice_index_0_is_inadmissible(runner, tmp_path):
     assert "lattice index 0" in entry["detail"]
 
 
-@pytest.mark.parametrize("index", [2**62, -(2**62)])
+@pytest.mark.parametrize("index", [2**62, -(2**62), 2**63 - 1, -(2**63)])
 def test_lattice_index_outside_2_62_is_inadmissible(runner, tmp_path, index):
     # beyond +-2^62 the difference of two indices can wrap in int64
     path = _malformed_config(tmp_path, "jets.0.psi.0.n", [index, 0, 0])

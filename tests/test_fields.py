@@ -139,6 +139,8 @@ def test_jet_keeps_box_and_lattice_indices(rng):
         FermionicJet((), (), (), (), 0.0)
     with pytest.raises(MalformedMode):  # float indices are not lattice indices
         FermionicJet(jet.psi_n * 1.0, jet.psi_a, jet.delta_psi_n, jet.delta_psi_a, 1.0, box)
+    with pytest.raises(MalformedMode):  # nor are booleans
+        FermionicJet(jet.psi_n != 0, jet.psi_a, jet.delta_psi_n, jet.delta_psi_a, 1.0, box)
     with pytest.raises(InvalidMode):  # one index row, two amplitude rows
         FermionicJet(jet.psi_n, np.vstack((jet.psi_a, jet.psi_a)), jet.delta_psi_n, jet.delta_psi_a, 1.0, box)
     with pytest.raises(MalformedMode):  # a frequency that overflows
