@@ -296,7 +296,7 @@ def report_cmd(in_path):
     try:
         with open(in_path) as fh:
             entries = json.load(fh, parse_int=float, parse_constant=_reject_constant)
-    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError and bad UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
         click.echo(f"cannot read report: {exc}", err=True)
         sys.exit(2)
     problem = _report_problem(entries)

@@ -298,26 +298,43 @@ def _objects(what, entries):
     return entries
 
 
-def _jet_side_from_json(jet, side, shell):
-    """One side of a JSON jet: lattice indices (exact int64 for JSON integers) and amplitudes."""
+def _numbers(entry, key, what, length=None, integer=False):
+    """entry[key], the one reader of configuration numbers: a JSON number as
+    a float64, or with length a list of that many as a float64 array; with
+    integer, JSON integers only, as exact int64.  A missing key, a bool,
+    string, null, object or list of another length, and an integer outside
+    the target type raise ConfigMalformed."""
+    items = [entry.get(key)] if length is None else entry.get(key)
+    kinds = int if integer else (int, float)
+    shaped = isinstance(items, list) and len(items) == (length or 1)
+    if not (shaped and all(isinstance(x, kinds) and not isinstance(x, bool) for x in items)):
+        kind = "JSON integer" if integer else "JSON number"
+        raise ConfigMalformed(f"{what}{key} must be a {kind}" + (f" list of length {length}" if length else ""))
+    try:
+        numbers = np.array(items, dtype=np.int64 if integer else np.float64)
+    except OverflowError as exc:
+        raise ConfigMalformed(f"{what}{key} holds an integer out of range") from exc
+    return numbers if length else numbers[0]
+
+
+def _complex(entry, key, what, length):
+    """entry's key_re and key_im as one complex vector: .imag is set, not added,
+    so a -0.0 real part stays and an infinite key_im makes no NaN or warning."""
+    z = _numbers(entry, key + "_re", what, length).astype(complex)
+    z.imag = _numbers(entry, key + "_im", what, length)
+    return z
+
+
+def _jet_side_from_json(jet, j, side, shell):
+    """One side of the JSON jet j: its modes' lattice indices and amplitudes, as lists."""
     n_rows, a_rows = [], []
-    for entry in _objects(f"a jet's {side}", jet.get(side, [])):
-        try:
-            mode_shell = int(entry["shell"])
-            n = np.asarray(entry["n"])
-            a_re = np.asarray(entry["a_re"], dtype=float)
-            a_im = np.asarray(entry["a_im"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"bad Dirac mode entry: {exc}") from exc
-        if (n.shape, a_re.shape, a_im.shape) != ((3,), (4,), (4,)):
-            raise ConfigInvalid("bad Dirac mode entry: n needs 3 components, a_re and a_im 4")
-        if mode_shell != shell:
+    for i, mode in enumerate(_objects(f"jets[{j}].{side}", jet.get(side, []))):
+        where = f"jets[{j}].{side}[{i}]."
+        if _numbers(mode, "shell", where, integer=True) != shell:
             raise ConfigInvalid(f"{side} modes must have shell {shell}")
-        # np.asarray reads true/false as 1/0 beside integers: an object row keeps the side non-integer
-        n_rows.append(n.astype(object) if any(isinstance(c, (bool, np.bool_)) for c in entry["n"]) else n)
-        a_rows.append(a_re.astype(complex))
-        a_rows[-1].imag = a_im  # a_re + 1j * a_im would warn on an infinite a_im
-    return np.array(n_rows).reshape(-1, 3), np.array(a_rows, dtype=complex).reshape(-1, 4)
+        n_rows.append(_numbers(mode, "n", where, 3, integer=True))
+        a_rows.append(_complex(mode, "a", where, 4))
+    return n_rows, a_rows
 
 
 def load_config(source):
@@ -328,39 +345,32 @@ def load_config(source):
       "maxwell": [{"p": [..4], "eps_re": [..4], "eps_im": [..4]}, ...],
       "jets": [{"psi": [mode...], "delta_psi": [mode...]}, ...] }
     with Dirac modes {"shell": +-1, "n": [3 ints], "a_re": [..4], "a_im": [..4]},
-    shell -1 in psi and +1 in delta_psi.  An unreadable file, a bad box or
-    mass, a section that is not a list of objects, and a mode that
-    MaxwellField or FermionicJet rejects as MalformedMode raise
-    ConfigMalformed; any other bad entry raises ConfigInvalid.
-
-    Returns (box, mass, maxwell_fields, jets): each maxwell entry becomes a
-    single-mode MaxwellField."""
+    shell -1 in psi and +1 in delta_psi, every number read by _numbers.  An
+    unreadable file, a missing key or non-number, a bad box or mass, a
+    section that is not a list of objects, and a mode that MaxwellField or
+    FermionicJet rejects as MalformedMode raise ConfigMalformed; a wrong
+    shell or any other rejected mode raises ConfigInvalid.  Returns (box,
+    mass, maxwell_fields, jets), a single-mode MaxwellField per maxwell entry."""
     if isinstance(source, dict):
         raw = source
     else:
         try:
             with open(source) as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
             raise ConfigMalformed(f"cannot read configuration: {exc}") from exc
-    try:
-        box = float(raw["box"])
-        mass = float(raw["mass"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigMalformed(f"missing or bad box/mass: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigMalformed("a configuration must be a JSON object")
+    box, mass = _numbers(raw, "box", ""), _numbers(raw, "mass", "")
     if not (np.isfinite(box) and np.isfinite(mass) and box > 0 and mass > 0):
         raise ConfigMalformed(f"box and mass must be finite and positive, got {box} and {mass}")
     rows = []
-    for entry in _objects("maxwell", raw.get("maxwell", [])):
-        try:
-            p = [float(c) for c in entry["p"]]
-            eps = [float(r) + 1j * float(i) for r, i in zip(entry["eps_re"], entry["eps_im"])]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"bad maxwell entry: {exc}") from exc
+    for i, entry in enumerate(_objects("maxwell", raw.get("maxwell", []))):
+        p, eps = _numbers(entry, "p", f"maxwell[{i}].", 4), _complex(entry, "eps", f"maxwell[{i}].", 4)
         rows.append((MaxwellField, [p], [eps], box))
     n_fields = len(rows)
-    for entry in _objects("jets", raw.get("jets", [])):
-        psi, delta = _jet_side_from_json(entry, "psi", -1), _jet_side_from_json(entry, "delta_psi", 1)
+    for i, entry in enumerate(_objects("jets", raw.get("jets", []))):
+        psi, delta = _jet_side_from_json(entry, i, "psi", -1), _jet_side_from_json(entry, i, "delta_psi", 1)
         rows.append((FermionicJet, *psi, *delta, mass, box))
     # every entry is read, then every one is built, so a malformed mode
     # raises ConfigMalformed even after an inadmissible one
@@ -379,43 +389,33 @@ def load_config(source):
 def default_config():
     """The shipped default field configuration: one opposite-momentum
     Maxwell mode pair and one momentum-matched jet pair in the default box."""
-    box = DEFAULT_BOX
-    k = 2.0 * np.pi / box
+    k = 2.0 * np.pi / DEFAULT_BOX
     return {
-        "box": box,
+        "box": DEFAULT_BOX,
         "mass": 1.0,
         "maxwell": [
-            {
-                "p": [k, k, 0.0, 0.0],
-                "eps_re": [0.0, 0.0, 1.0, 0.0],
-                "eps_im": [0.0, 0.0, 0.0, 1.0],
-            },
-            {
-                "p": [-k, -k, 0.0, 0.0],
-                "eps_re": [0.0, 0.0, 0.5, 0.0],
-                "eps_im": [0.0, 0.0, 0.0, -0.25],
-            },
+            {"p": [k, k, 0.0, 0.0], "eps_re": [0.0, 0.0, 1.0, 0.0], "eps_im": [0.0, 0.0, 0.0, 1.0]},
+            {"p": [-k, -k, 0.0, 0.0], "eps_re": [0.0, 0.0, 0.5, 0.0], "eps_im": [0.0, 0.0, 0.0, -0.25]},
         ],
         "jets": [
-            _jet_entry([1, 0, 0], [0, 1, 0], 101),
-            _jet_entry([1, 0, 0], [0, 1, 0], 202),
+            {"psi": [_mode_entry(-1, [1, 0, 0], c_psi)], "delta_psi": [_mode_entry(1, [0, 1, 0], c_delta)]}
+            for c_psi, c_delta in _JET_COEFFICIENTS
         ],
     }
 
 
-def _jet_entry(n_psi, n_delta, seed):
-    rng = np.random.default_rng(seed)
-    box = DEFAULT_BOX
+# The default jets' (psi, delta_psi) coefficient pairs on dirac_basis, as
+# normal(size=2) + 1j * normal(size=2) drew them from default_rng(101) and (202)
+_JET_COEFFICIENTS = (
+    ((-0.7901524999630146 + 0.6033017469247647j, -2.0346254818318728 + 0.7442945298799118j),
+     (-0.30968679986627135 + 1.7103942914776449j, 0.36732137294554024 + 1.0607978400658138j)),
+    ((1.8117203538153117 - 1.085626486216842j, -0.7290535593099604 - 0.4019110540118985j),
+     (-1.1525924202528666 + 0.8799003751433262j, 1.5082245979543178 + 0.6376331108390758j)),
+)
 
-    def mode(shell, n):
-        basis = dirac_basis(shell, lattice_momentum(np.asarray(n), box), 1.0)
-        c = rng.normal(size=2) + 1j * rng.normal(size=2)
-        a = c[0] * basis[0] + c[1] * basis[1]
-        return {
-            "shell": shell,
-            "n": list(int(i) for i in n),
-            "a_re": [float(x) for x in a.real],
-            "a_im": [float(x) for x in a.imag],
-        }
 
-    return {"psi": [mode(-1, n_psi)], "delta_psi": [mode(1, n_delta)]}
+def _mode_entry(shell, n, c):
+    """A JSON Dirac mode at the lattice index n: c's combination of dirac_basis."""
+    basis = dirac_basis(shell, lattice_momentum(np.asarray(n), DEFAULT_BOX), 1.0)
+    a = c[0] * basis[0] + c[1] * basis[1]
+    return {"shell": shell, "n": list(n), "a_re": a.real.tolist(), "a_im": a.imag.tolist()}

@@ -142,6 +142,21 @@ _MALFORMED_CONFIGS = [
     pytest.param("box", 1e-300, id="n-frequency-overflows"),
     pytest.param("maxwell.0.p", [1e200, 1e200, 0.0, 0.0], id="maxwell-p-square-overflows"),
     pytest.param("maxwell.0.eps_re", [0.0, 0.0, 1e200, 0.0], id="maxwell-eps-square-overflows"),
+    # every config number is a JSON number, and shell and n JSON integers
+    pytest.param("box", str(DEFAULT_BOX), id="string-box"),
+    pytest.param("mass", True, id="bool-mass"),
+    pytest.param("maxwell.0.p.1", str(2.0 * np.pi / DEFAULT_BOX), id="string-p"),
+    pytest.param("jets.0.psi.0.a_re.0", str(_PSI["a_re"][0]), id="string-a_re"),
+    pytest.param("jets.0.psi.0.shell", "-1", id="string-shell"),
+    pytest.param("jets.0.psi.0.shell", -1.5, id="fractional-shell"),
+    pytest.param("jets.0.psi.0.shell", -1.0, id="float-shell"),
+    # lists of the wrong length, and integers no float64 holds
+    pytest.param("maxwell.0.eps_re", [0.0, 0.0, 1.0, 0.0, 0.0], id="eps_re-of-length-5"),
+    pytest.param("box", 10**400, id="box-10^400"),
+    pytest.param("maxwell.0.p.1", 10**400, id="p-10^400"),
+    pytest.param("jets.0.psi.0.a_re.0", 10**400, id="a_re-10^400"),
+    # m^2 overflows: a Python float power would raise instead of giving inf
+    pytest.param("mass", 1e200, id="mass-square-overflows"),
 ]
 
 
@@ -164,14 +179,35 @@ def _malformed_config(tmp_path, key, value, *more):
 def test_verify_malformed_config_exits_2(runner, tmp_path, key, value):
     path = _malformed_config(tmp_path, key, value)
     result = runner.invoke(cli.main, ["verify", "--suites", "slayer", "--config", path])
-    assert result.exit_code == 2
+    assert result.exit_code == 2 and result.stderr.startswith("config error:")
 
 
 @pytest.mark.parametrize("key, value", _MALFORMED_CONFIGS)
 def test_slayer_eval_malformed_config_exits_2(runner, tmp_path, key, value):
     path = _malformed_config(tmp_path, key, value)
     result = runner.invoke(cli.main, ["slayer", "eval", "--config", path])
-    assert result.exit_code == 2
+    assert result.exit_code == 2 and result.stderr.startswith("config error:")
+
+
+# config files as written: a shell of 1e400 (a float too large, read as
+# inf), and files json.load cannot read: bad UTF-8, an integer past Python's
+# 4300-digit conversion limit, and nesting deeper than the recursion limit
+_DEFAULT_TEXT = json.dumps(fields.default_config())
+_UNREADABLE_CONFIGS = {
+    "shell-1e400": _DEFAULT_TEXT.replace('"shell": -1', '"shell": 1e400', 1).encode(),
+    "non-utf-8": b"\xff\xfe{}",
+    "mass-of-5000-digits": _DEFAULT_TEXT.replace('"mass": 1.0', '"mass": ' + "1" * 5000, 1).encode(),
+    "nested-100000": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", [["verify", "--suites", "slayer"], ["slayer", "eval"]])
+@pytest.mark.parametrize("name", _UNREADABLE_CONFIGS)
+def test_unreadable_or_raw_config_exits_2(runner, tmp_path, command, name):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(_UNREADABLE_CONFIGS[name])
+    result = runner.invoke(cli.main, [*command, "--config", str(path)])
+    assert result.exit_code == 2 and result.stderr.startswith("config error:")
 
 
 @pytest.mark.parametrize("command", [["verify", "--suites", "slayer"], ["slayer", "eval"]])
@@ -220,7 +256,7 @@ def test_malformed_mode_wins_over_an_inadmissible_one(runner, tmp_path, command,
 def test_lattice_index_beyond_2_53_is_read_exactly(runner, tmp_path, index):
     # a float64 holds integers exactly only up to 2^53; +-(2^62 - 1) would round to the inadmissible +-2^62
     cfg = fields.default_config()
-    cfg["jets"][0] = fields._jet_entry([index, 0, 0], [0, 1, 0], 101)
+    cfg["jets"][0]["psi"][0] = fields._mode_entry(-1, [index, 0, 0], fields._JET_COEFFICIENTS[0][0])
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     _, _, _, jets = load_config(str(path))
@@ -584,6 +620,7 @@ _ENTRY = '"check": "a", "status": "pass", "tolerance": 1e-10'
         '[{%s, "value": true}]' % _ENTRY,
         '[{"check": 3, "status": "pass", "value": 0, "tolerance": 0}]',
         '[{"check": "a", "status": "PASS", "value": 0, "tolerance": 0}]',
+        pytest.param("[" * 100_000, id="nested-deeper-than-the-recursion-limit"),
     ],
 )
 def test_report_rejects_a_malformed_report(runner, tmp_path, text):

@@ -1,9 +1,16 @@
+import ast
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     dense_jet_pair,
@@ -15,6 +22,7 @@ from conftest import (
     random_maxwell_field,
     violating_jet_pair,
 )
+from lightcone import fields
 from lightcone.clifford import minkowski, slash
 from lightcone.errors import ConfigInvalid, ConfigMalformed, InvalidMode, MalformedMode
 from lightcone.fields import (
@@ -444,3 +452,99 @@ def test_load_config_rejects_bad_content(tmp_path):
     assert not isinstance(info.value, ConfigMalformed)
     with pytest.raises(ConfigInvalid):
         load_config(str(tmp_path / "missing.json"))
+
+
+def _number_paths(value, path=()):
+    """The paths of every number and list of numbers in value, and of each
+    such list's elements."""
+    if isinstance(value, dict):
+        return [p for key, item in value.items() for p in _number_paths(item, (*path, key))]
+    if isinstance(value, list) and value and all(isinstance(x, (int, float)) for x in value):
+        return [path, *((*path, i) for i in range(len(value)))]
+    if isinstance(value, list):
+        return [p for i, item in enumerate(value) for p in _number_paths(item, (*path, i))]
+    return [path]
+
+
+_NON_NUMBERS = st.one_of(
+    st.sampled_from([10**400, -(10**400), 2**63, -(2**63), float("nan"), float("inf"), float("-inf"), -0.0, 1e308]),
+    st.text(max_size=8),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([0, 3, 5]).flatmap(
+        lambda size: st.lists(st.integers(-3, 3) | st.floats(-2.0, 2.0), min_size=size, max_size=size)
+    ),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_number_paths(fields.default_config())), _NON_NUMBERS)
+def test_load_config_is_total(path, value):
+    # any value at any number of the default config loads or is rejected as
+    # ConfigInvalid (ConfigMalformed among them): no other exception and,
+    # by the warning filters, no RuntimeWarning
+    cfg = fields.default_config()
+    entry = cfg
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    try:
+        load_config(cfg)
+    except ConfigInvalid:
+        pass
+
+
+def test_config_numbers_have_one_reader():
+    # of load_config and the module-level functions of fields.py it reaches,
+    # only _numbers converts values: none other calls float, int, complex or
+    # a numpy array constructor, so "what counts as a number" is decided
+    # once.  The classes MaxwellField and FermionicJet are not scanned: their
+    # constructors take the arrays _numbers made and only fix their dtype
+    tree = ast.parse(pathlib.Path(fields.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    converters = {"float", "int", "complex", "np.asarray", "np.asanyarray", "np.array", "np.float64", "np.int64"}
+
+    def calls(fn):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                yield node.func.id
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                yield f"{getattr(node.func.value, 'id', '')}.{node.func.attr}"
+
+    readers, todo = set(), ["load_config"]
+    while todo:
+        name = todo.pop()
+        if name not in readers:
+            readers.add(name)
+            todo.extend(set(calls(functions[name])) & functions.keys())
+    assert {"_objects", "_numbers", "_complex", "_jet_side_from_json"} < readers
+    assert {name for name in readers if converters & set(calls(functions[name]))} == {"_numbers"}
+
+
+def test_default_jet_coefficients_are_the_seeded_draws():
+    # written out so that no run imports numpy.random, they stay the draws
+    # normal(size=2) + 1j * normal(size=2), psi's then delta_psi's, bit for bit
+    for seed, pairs in zip((101, 202), fields._JET_COEFFICIENTS):
+        rng = np.random.default_rng(seed)
+        for pair in pairs:
+            assert (rng.normal(size=2) + 1j * rng.normal(size=2)).tolist() == list(pair)
+
+
+def test_default_config_imports_no_numpy_random():
+    script = (
+        "import sys\n"
+        "from lightcone import fields\n"
+        "fields.load_config(fields.default_config())\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(fields.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "False"
