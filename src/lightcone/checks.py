@@ -1,6 +1,8 @@
 """The verification suites that `lightcone verify` runs: one function per
 suite, each returning its report entries.  Each suite imports the modules
-it checks, so a run loads only what its suites need."""
+it checks, so a run loads only what its suites need.  A check that the
+acceptance tests also make is one function here of one sample (or none),
+returning its residual; each caller keeps its count, range and tolerance."""
 
 import numpy as np
 
@@ -19,7 +21,22 @@ def _entry(check, value, tolerance, paper_ref, ok=None):
     }
 
 
-def _random_xi(rng):
+def _size(m):
+    return float(np.max(np.abs(m)))
+
+
+def clifford_relations_residual():
+    """max over j, k of |{gamma^j, gamma^k} - 2 eta^{jk}|, zero in exact
+    arithmetic."""
+    from . import clifford
+
+    g, eta = clifford.GAMMA, clifford.ETA
+    return max(_size(g[j] @ g[k] + g[k] @ g[j] - 2.0 * eta[j, k] * np.eye(4)) for j in range(4) for k in range(4))
+
+
+def random_xi(rng):
+    """The first complex four-vector with standard normal parts whose closed
+    chain has projectors and an attainable ratio constant."""
     from . import clifford
 
     while True:
@@ -32,45 +49,61 @@ def _random_xi(rng):
             continue
 
 
-def suite_clifford(seed, tol):
+def projector_residuals(xi):
+    """The residuals of the closed-chain projector identities at xi, by
+    name: F_+ and F_- idempotent, F_+ + F_- = 1 and F_+ F_- = 0."""
     from . import clifford
 
+    f_plus, f_minus, _ = clifford.closed_chain_projectors(xi)
+    return {
+        "plus_idempotent": _size(f_plus @ f_plus - f_plus),
+        "minus_idempotent": _size(f_minus @ f_minus - f_minus),
+        "complete": _size(f_plus + f_minus - np.eye(4)),
+        "orthogonal": _size(f_plus @ f_minus),
+    }
+
+
+def projector_ratio_residual(xi):
+    """|F_- xi_slash - c F_- xibar_slash| with c = projector_ratio_constant(xi)."""
+    from . import clifford
+
+    _, f_minus, _ = clifford.closed_chain_projectors(xi)
+    c = clifford.projector_ratio_constant(xi)
+    return _size(f_minus @ clifford.slash(xi) - c * (f_minus @ clifford.slash(np.conj(xi))))
+
+
+def random_chiral_jet(rng):
+    """(jet, sign): a chirally symmetric jet of that random sign, with
+    standard normal complex coefficients."""
+    from . import clifford
+
+    sign = int(rng.choice([-1, 1]))
+    g, h, a_vec, alpha, beta = (rng.normal(size=n) + 1j * rng.normal(size=n) for n in (None, None, 3, None, None))
+    return clifford.chiral_jet(g, h, a_vec, alpha, beta, sign), sign
+
+
+def trace_insertion_residual(jet, sign):
+    """max_a |Tr(sigma^{0a} {P, P*}) + sign Tr(gamma^a {P, P*})| for the jet P
+    and its spin adjoint P*; ChiralityViolated unless P is chirally
+    symmetric with that sign."""
+    from . import clifford
+
+    lhs, rhs = clifford.anticomm_trace_equiv(jet, clifford.spin_adjoint(jet), sign)
+    return _size(lhs - rhs)
+
+
+def suite_clifford(seed, tol):
     rng = np.random.default_rng(seed)
-    out = []
-    worst = 0.0
-    eta = clifford.ETA
-    for j in range(4):
-        for k in range(4):
-            anti = clifford.GAMMA[j] @ clifford.GAMMA[k] + clifford.GAMMA[k] @ clifford.GAMMA[j]
-            worst = max(worst, float(np.max(np.abs(anti - 2.0 * eta[j, k] * np.eye(4)))))
-    out.append(_entry("clifford-relations", worst, tol, "dirac-algebra"))
+    out = [_entry("clifford-relations", clifford_relations_residual(), tol, "dirac-algebra")]
     worst_proj = worst_fpp = 0.0
     for _ in range(20):
-        xi = _random_xi(rng)
-        f_plus, f_minus, d = clifford.closed_chain_projectors(xi)
-        worst_proj = max(
-            worst_proj,
-            float(np.max(np.abs(f_plus @ f_plus - f_plus))),
-            float(np.max(np.abs(f_plus + f_minus - np.eye(4)))),
-            float(np.max(np.abs(f_plus @ f_minus))),
-        )
-        c = clifford.projector_ratio_constant(xi)
-        lhs = f_minus @ clifford.slash(xi)
-        rhs = c * (f_minus @ clifford.slash(np.conj(xi)))
-        worst_fpp = max(worst_fpp, float(np.max(np.abs(lhs - rhs))))
+        xi = random_xi(rng)
+        res = projector_residuals(xi)
+        worst_proj = max(worst_proj, res["plus_idempotent"], res["complete"], res["orthogonal"])
+        worst_fpp = max(worst_fpp, projector_ratio_residual(xi))
     out.append(_entry("projector-idempotency", worst_proj, tol, "closed-chain-spectral"))
     out.append(_entry("projector-ratio", worst_fpp, tol, "closed-chain-ratio"))
-    worst_h = 0.0
-    for _ in range(10):
-        sign = int(rng.choice([-1, 1]))
-        jet = clifford.chiral_jet(
-            *(rng.normal() + 1j * rng.normal() for _ in range(2)),
-            rng.normal(size=3) + 1j * rng.normal(size=3),
-            *(rng.normal() + 1j * rng.normal() for _ in range(2)),
-            sign,
-        )
-        lhs, rhs = clifford.anticomm_trace_equiv(jet, clifford.spin_adjoint(jet), sign)
-        worst_h = max(worst_h, float(np.max(np.abs(lhs - rhs))))
+    worst_h = max(trace_insertion_residual(*random_chiral_jet(rng)) for _ in range(10))
     out.append(_entry("trace-insertion-equivalence", worst_h, tol, "chiral-jet-traces"))
     return out
 
@@ -109,6 +142,16 @@ def suite_lineint(seed, tol):
     return out
 
 
+def parity_residual(kid, omega, k):
+    """|K(omega, k) - s K(-omega, k)| for the kernel id, with s its PARITY
+    sign, flipped once per spatial index of a tensor id."""
+    from . import kernels
+
+    kern = kernels.KernelHat(kid)
+    sign = float(kernels.PARITY[kid]) * (-1.0) ** kernels.TENSOR_INDEX_COUNT.get(kid, 0)
+    return abs(kernels.eval_hat(kern, omega, k) - sign * kernels.eval_hat(kern, -omega, k))
+
+
 def suite_kernels(seed, tol):
     from . import kernels
 
@@ -116,19 +159,11 @@ def suite_kernels(seed, tol):
     out = []
     worst = 0.0
     for kid in kernels.KERNEL_IDS:
-        kern = kernels.KernelHat(kid)
         for _ in range(30):
             omega = float(rng.uniform(-3.0, 3.0))
             k = float(rng.uniform(0.1, 3.0))
-            if abs(abs(omega) - k) < 1e-2:
-                continue
-            try:
-                v1 = kernels.eval_hat(kern, omega, k)
-                v2 = kernels.eval_hat(kern, -omega, k)
-            except LightconeError:
-                continue
-            sign = float(kernels.PARITY[kid]) * (-1.0) ** kernels.TENSOR_INDEX_COUNT.get(kid, 0)
-            worst = max(worst, abs(v1 - sign * v2))
+            if abs(abs(omega) - k) >= 1e-2:
+                worst = max(worst, parity_residual(kid, omega, k))
     out.append(_entry("kernel-parity", worst, tol, "momentum-space-parity"))
     worst_h = 0.0
     for kid in ("Delta_over_t", "Delta_over_t2"):
@@ -139,29 +174,29 @@ def suite_kernels(seed, tol):
     return out
 
 
-def suite_convolution(seed, tol):
+def k0_shell_anchor_error():
+    """|conv_K0_shell - 3/(128 pi^3)| at the rest-frame anchor q = (2, 0), m = 1."""
     from . import convolution
 
-    rng = np.random.default_rng(seed)
-    out = []
     q = convolution.ShellIntegralQuery((2.0, 0.0, 0.0, 0.0), 1.0)
-    anchor = convolution.conv_K0_shell(q)
-    out.append(
-        _entry(
-            "shell-convolution-anchor",
-            abs(anchor - 3.0 / (128.0 * np.pi**3)),
-            1e-14,
-            "shell-convolution-value",
-        )
-    )
+    return abs(convolution.conv_K0_shell(q) - 3.0 / (128.0 * np.pi**3))
+
+
+def k0_shell_oracle_error(big_omega):
+    """Relative error of the delta-reduction oracle against conv_K0_shell
+    at the rest-frame momentum q = (Omega, 0), m = 1."""
+    from . import convolution
+
+    closed = convolution.conv_K0_shell(convolution.ShellIntegralQuery((big_omega, 0.0, 0.0, 0.0), 1.0))
+    return abs(closed - convolution.conv_K0_shell_oracle(big_omega, 1.0)) / abs(closed)
+
+
+def suite_convolution(seed, tol):
+    rng = np.random.default_rng(seed)
+    out = [_entry("shell-convolution-anchor", k0_shell_anchor_error(), 1e-14, "shell-convolution-value")]
     worst = 0.0
     for _ in range(20):
-        big_omega = float(rng.uniform(1.2, 6.0) * rng.choice([-1.0, 1.0]))
-        closed = convolution.conv_K0_shell(
-            convolution.ShellIntegralQuery((big_omega, 0.0, 0.0, 0.0), 1.0)
-        )
-        oracle = convolution.conv_K0_shell_oracle(big_omega, 1.0)
-        worst = max(worst, abs(closed - oracle) / abs(closed))
+        worst = max(worst, k0_shell_oracle_error(float(rng.uniform(1.2, 6.0) * rng.choice([-1.0, 1.0]))))
     out.append(_entry("shell-convolution-oracle", worst, tol, "shell-convolution-reduction"))
     return out
 
@@ -172,7 +207,7 @@ def suite_fields(seed, tol):
     out = []
     u = fields.MaxwellField([(1.0, 1.0, 0.0, 0.0)], [(0.0, 0.0, 1.0, 0.0)])
     f = fields.field_tensor_hat(u.eps[0], u.p[0])
-    resid = float(np.max(np.abs(f + f.T))) + float(np.max(np.abs(f @ u.p[0])))
+    resid = _size(f + f.T) + _size(f @ u.p[0])
     out.append(_entry("field-tensor", resid, tol, "plane-wave-field-tensor"))
     rejected = True
     try:
@@ -257,17 +292,8 @@ _SUITES = {
 
 def run_suites(names, seed, tolerances=None, config=None):
     tolerances = tolerances or {}
-    results = {}
-    for name in names:
-        tol = float(tolerances.get(name, 1e-10))
-        if name == "slayer":
-            results[name] = _SUITES[name](seed, tol, config=config)
-        else:
-            results[name] = _SUITES[name](seed, tol)
     report = []
-    for name in sorted(results):
-        for entry in sorted(results[name], key=lambda e: e["check"]):
-            entry = dict(entry)
-            entry["suite"] = name
-            report.append(entry)
+    for name in sorted(set(names)):
+        args = (seed, float(tolerances.get(name, 1e-10))) + ((config,) if name == "slayer" else ())
+        report += [dict(e, suite=name) for e in sorted(_SUITES[name](*args), key=lambda e: e["check"])]
     return report

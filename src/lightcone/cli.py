@@ -3,9 +3,9 @@ tables, convolution evaluation, surface-layer evaluation from a JSON field
 configuration, and report rendering.
 
 Exit codes: 0 no check failed, 1 at least one check failed, 2 configuration
-error.  A check whose hypothesis does not hold is reported as skipped and
-does not fail the run.  Reports are strict JSON and deterministic for a
-fixed (config, seed).
+or usage error, or an --out that cannot be written.  A check whose
+hypothesis does not hold is reported as skipped and does not fail the run.
+Reports are strict JSON and deterministic for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -20,13 +20,23 @@ import click
 from .errors import ConfigInvalid, ConfigMalformed, LightconeError
 
 
+def _write(out, emit, newline=None):
+    """Call emit on the file --out names, or on stdout without --out.  An
+    --out that cannot be opened or written exits 2."""
+    if not out:
+        emit(sys.stdout)
+        return
+    try:
+        with open(out, "w", newline=newline) as fh:
+            emit(fh)
+    except OSError as exc:
+        click.echo(f"cannot write output: {exc}", err=True)
+        sys.exit(2)
+
+
 def _write_json(report, out):
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(out, lambda fh: fh.write(text))
 
 
 @click.group()
@@ -160,11 +170,7 @@ def _write_csv(out, header, rows):
         writer.writerow(header)
         writer.writerows(rows)
 
-    if out:
-        with open(out, "w", newline="") as fh:
-            emit(fh)
-    else:
-        emit(sys.stdout)
+    _write(out, emit, newline="")
 
 
 # Largest relative error between a convolution closed form and its oracle.

@@ -94,7 +94,10 @@ def conv_K0_shell_oracle(big_omega, m):
 
         k_hi = 10.0 * (abs(big_omega) + m) + 1.0
         eps = 1e-12
-        g_lo, g_hi = g(eps), g(k_hi)
+        try:
+            g_lo, g_hi = g(eps), g(k_hi)
+        except OverflowError:  # a Python float's ** raises where numpy's gives inf
+            g_lo = g_hi = np.inf
         if not (np.isfinite(g_lo) and np.isfinite(g_hi)):
             raise LightconeError(f"non-finite root bracket at Omega = {big_omega}, m = {m}")
         if g_lo * g_hi > 0:
@@ -144,18 +147,24 @@ def conv_masscone_shell(query):
             [log((q0 - |q| - l)/(q0 + |q| - l))]_0^{l_max}
 
     with l_max = q0 - sqrt(|q|^2 + m^2); the |q| -> 0 limit of the
-    bracket is -2/(q0 - l).  The bracket difference is evaluated as one
-    log1p in l_max and q0 - l_max = sqrt(|q|^2 + m^2), which cancels neither
-    near the shell (l_max -> 0) nor far out (l_max -> q0)."""
+    bracket is -2/(q0 - l).  The bracket difference is log1p(x) with
+    x = -2|q| l_max / ((r + |q|)(q0 - |q|)), r = sqrt(|q|^2 + m^2), which
+    cancels neither near the shell (l_max -> 0) nor far out (l_max -> q0).
+    Below x = -1/2, as at small m, 1 + x cancels (to 0 at m = 1e-8,
+    q = (2, 0.5, 0, 0)), so its exact form m^2 (q0 + |q|) / ((r + |q|)^2
+    (q0 - |q|)) is taken, as a sum of logs so that nothing underflows."""
     lmax = _ell_max(query)
     m = query.m
     qn = query.qvec_norm
     q0 = query.q0
     r_min = np.sqrt(qn**2 + m**2)
+    x = -2.0 * qn * lmax / ((r_min + qn) * (q0 - qn))
     if qn < 1e-6 * m:
         diff = -2.0 * lmax / (r_min * q0)
+    elif x >= -0.5:
+        diff = np.log1p(x) / qn
     else:
-        diff = np.log1p(-2.0 * qn * lmax / ((r_min + qn) * (q0 - qn))) / qn
+        diff = (2.0 * (np.log(m) - np.log(r_min + qn)) + np.log((q0 + qn) / (q0 - qn))) / qn
     return lmax / PI3_16 + (m**2 / PI3_32) * diff
 
 

@@ -6,7 +6,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from conftest import (
     fermi_functional_pair,
@@ -16,17 +15,8 @@ from conftest import (
     ratio_by_least_squares,
     violating_jet_pair,
 )
-from lightcone import clifford, convolution, kernels, lineint, quadrature, slayer
-from lightcone.clifford import (
-    ETA,
-    GAMMA,
-    anticomm_trace_equiv,
-    chiral_jet,
-    closed_chain_projectors,
-    minkowski,
-    projector_ratio_constant,
-    spin_adjoint,
-)
+from lightcone import checks, convolution, kernels, lineint, quadrature, slayer
+from lightcone.clifford import GAMMA, closed_chain_projectors, minkowski, projector_ratio_constant
 from lightcone.errors import ChiralityViolated, DegenerateChain
 from lightcone.fields import pairing_predicates, time_translate
 
@@ -45,11 +35,7 @@ def test_acceptance_1_convolution_closed_forms(capsys):
     # rest-frame queries against the delta-reduction oracle
     for _ in range(100):
         big_omega = float(rng.uniform(1.2, 8.0) * rng.choice([-1.0, 1.0]))
-        closed = convolution.conv_K0_shell(
-            convolution.ShellIntegralQuery((big_omega, 0.0, 0.0, 0.0), 1.0)
-        )
-        oracle = convolution.conv_K0_shell_oracle(big_omega, 1.0)
-        ok &= abs(closed - oracle) <= 1e-10 * abs(closed)
+        ok &= checks.k0_shell_oracle_error(big_omega) <= 1e-10
     # general upper-cone queries against the 1D quadrature oracle
     for _ in range(100):
         qvec = rng.uniform(-1.5, 1.5, size=3)
@@ -60,10 +46,7 @@ def test_acceptance_1_convolution_closed_forms(capsys):
         closed = convolution.conv_masscone_shell(query)
         oracle = convolution.conv_masscone_shell_oracle(query)
         ok &= abs(closed - oracle) <= 1e-10 * max(1e-8, abs(closed))
-    anchor = convolution.conv_K0_shell(
-        convolution.ShellIntegralQuery((2.0, 0.0, 0.0, 0.0), 1.0)
-    )
-    ok &= abs(anchor - 3.0 / (128.0 * np.pi**3)) < 1e-12
+    ok &= checks.k0_shell_anchor_error() < 1e-12
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0
     _report(1, ok, capsys, f"runtime {elapsed:.2f}s")
@@ -99,10 +82,7 @@ def test_acceptance_3_piecewise_identities(capsys):
             for p in lineint.SUBTRACTIONS:
                 chain -= p(a, b)
             ok &= chain == lineint.JTILDE(a, b)
-        # chi indicates the half-open unit square [0,1)^2, matching the
-        # closed-below / open-above region convention
-        chi = 1 if (0 <= a < 1 and 0 <= b < 1) else 0
-        ok &= lineint.JTILDE(a, b) - lineint.U(a, b) == lineint.V(a, b) * chi
+        ok &= lineint.compact_identity_residual([(a, b)]) == 0
         if off_boundaries:
             ok &= lineint.J(1 - a, 1 - b) == -lineint.J(a, b)
             ok &= lineint.U(b, a) == -lineint.U(a, b)
@@ -118,16 +98,11 @@ def test_acceptance_4_kernel_catalogue(capsys):
     ok = True
     # parity at 100 random points per id
     for kid in kernels.KERNEL_IDS:
-        kern = kernels.KernelHat(kid)
-        sign = kernels.PARITY[kid] * (-1) ** kernels.TENSOR_INDEX_COUNT.get(kid, 0)
         for _ in range(100):
             omega = float(rng.uniform(-3.0, 3.0))
             k = float(rng.uniform(0.1, 3.0))
-            if abs(abs(omega) - k) < 1e-3:
-                continue
-            v1 = kernels.eval_hat(kern, omega, k)
-            v2 = kernels.eval_hat(kern, -omega, k)
-            ok &= abs(v1 - sign * v2) < 1e-12
+            if abs(abs(omega) - k) >= 1e-3:
+                ok &= checks.parity_residual(kid, omega, k) < 1e-12
     # harmonicity residual is O(h^2) off the singular set
     for kid, (omega, k) in (
         ("Delta_over_t", (0.4, 1.7)),
@@ -244,21 +219,11 @@ def test_acceptance_7_trace_equivalence(capsys):
     rng = np.random.default_rng(707)
     ok = True
     for _ in range(100):
-        sign = int(rng.choice([-1, 1]))
-        jet = chiral_jet(
-            rng.normal() + 1j * rng.normal(),
-            rng.normal() + 1j * rng.normal(),
-            rng.normal(size=3) + 1j * rng.normal(size=3),
-            rng.normal() + 1j * rng.normal(),
-            rng.normal() + 1j * rng.normal(),
-            sign,
-        )
-        lhs, rhs = anticomm_trace_equiv(jet, spin_adjoint(jet), sign)
-        ok &= bool(np.max(np.abs(lhs - rhs)) < 1e-10)
+        ok &= checks.trace_insertion_residual(*checks.random_chiral_jet(rng)) < 1e-10
     # a non-chiral control jet must be rejected
     control = GAMMA[1] @ GAMMA[2] + 0.3 * GAMMA[1]
     try:
-        anticomm_trace_equiv(control, spin_adjoint(control), 1)
+        checks.trace_insertion_residual(control, 1)
         ok = False
     except ChiralityViolated:
         pass
@@ -339,27 +304,12 @@ def _projectors_in_rep(gammas, xi):
 
 def test_acceptance_11_clifford_layer(capsys):
     rng = np.random.default_rng(1111)
-    ok = True
-    for j in range(4):
-        for k in range(4):
-            anti = GAMMA[j] @ GAMMA[k] + GAMMA[k] @ GAMMA[j]
-            ok &= bool(np.max(np.abs(anti - 2.0 * ETA[j, k] * np.eye(4))) < 1e-10)
-    checked = 0
-    while checked < 100:
-        xi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        try:
-            f_plus, f_minus, _ = closed_chain_projectors(xi)
-        except DegenerateChain:
-            continue
-        checked += 1
-        ok &= bool(np.max(np.abs(f_plus @ f_plus - f_plus)) < 1e-10)
-        ok &= bool(np.max(np.abs(f_minus @ f_minus - f_minus)) < 1e-10)
-        ok &= bool(np.max(np.abs(f_plus + f_minus - np.eye(4))) < 1e-10)
-        c = projector_ratio_constant(xi)
-        ok &= abs(c - ratio_by_least_squares(xi)) < 1e-10
-        lhs = f_minus @ clifford.slash(xi)
-        rhs = c * (f_minus @ clifford.slash(np.conj(xi)))
-        ok &= bool(np.max(np.abs(lhs - rhs)) < 1e-10)
+    ok = checks.clifford_relations_residual() < 1e-10
+    for _ in range(100):
+        xi = checks.random_xi(rng)
+        ok &= max(checks.projector_residuals(xi).values()) < 1e-10
+        ok &= abs(projector_ratio_constant(xi) - ratio_by_least_squares(xi)) < 1e-10
+        ok &= checks.projector_ratio_residual(xi) < 1e-10
     # representation independence under a change of spinor basis
     for _ in range(5):
         while True:

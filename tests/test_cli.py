@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from conftest import opposite_transfer_pair, violating_jet_pair
 import lightcone
-from lightcone import checks, cli, convolution, fields, lineint, slayer
+from lightcone import checks, cli, clifford, convolution, fields, kernels, lineint, slayer
 from lightcone.errors import OnLightCone
 from lightcone.fields import DEFAULT_BOX, load_config
 
@@ -61,6 +61,36 @@ def test_lineint_suite_catches_a_wrong_V(monkeypatch, seed):
     monkeypatch.setattr(lineint, "V", wrong)
     report = {e["check"]: e for e in checks.suite_lineint(seed, 1e-10)}
     assert report["piecewise-identities"]["status"] == "fail"
+
+
+def _wrap(module, name, change):
+    real = getattr(module, name)
+    return module, name, lambda *args: change(real(*args))
+
+
+# one planted defect per report entry that a shared check function gives, as
+# (suite, module, attribute, planted value).  A wrong metric sign stands in
+# for a wrong gamma matrix, which would make every closed chain degenerate,
+# so that random_xi would draw forever
+_PLANTED = {
+    "clifford-relations": ("clifford", clifford, "ETA", np.diag([1.0, -1.0, -1.0, 1.0])),
+    "projector-idempotency": ("clifford", *_wrap(clifford, "closed_chain_projectors", lambda r: (r[0], 2 * r[1], r[2]))),
+    "projector-ratio": ("clifford", *_wrap(clifford, "projector_ratio_constant", lambda c: 2 * c)),
+    "trace-insertion-equivalence": ("clifford", *_wrap(clifford, "sigma_jk", lambda s: 2 * s)),
+    "kernel-parity": ("kernels", kernels, "PARITY", {**kernels.PARITY, "IK0_over_t2": 1}),
+    "shell-convolution-anchor": ("convolution", *_wrap(convolution, "conv_K0_shell", lambda v: (1 + 1e-10) * v)),
+    "shell-convolution-oracle": ("convolution", *_wrap(convolution, "conv_K0_shell_oracle", lambda v: (1 + 1e-8) * v)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_PLANTED))
+def test_suite_catches_a_planted_defect(monkeypatch, check):
+    # so no shared check function can pass both verify and the acceptance
+    # gate by returning 0
+    suite, module, name, planted = _PLANTED[check]
+    monkeypatch.setattr(module, name, planted)
+    report = {e["check"]: e for e in checks.run_suites((suite,), 7)}
+    assert report[check]["status"] == "fail"
 
 
 def test_verify_unknown_suite_exits_2(runner):
@@ -429,17 +459,25 @@ def test_convolution_csv(runner):
 
 
 def test_convolution_far_out_leaves_oracle_cells_empty(runner):
-    result = runner.invoke(cli.main, ["convolution", "--q", "1e150,0,0,0"])
-    assert result.exit_code == 0
-    row = next(r for r in result.output.splitlines() if ",conv_K0_shell," in r)
-    assert row.endswith(",conv_K0_shell,0.0010078604510374842,,")
-    # the mass-cone closed form stays finite where q0 - l_max would cancel
-    for q in ("1e16,0,0,0", "1e150,0,0,0"):
+    # the K0 oracle raises from 1e16 on, and at 1e154 its root bracket
+    # overflows; the mass-cone closed form stays finite where q0 - l_max
+    # would cancel
+    for q in ("1e16,0,0,0", "1e150,0,0,0", "1e154,0,0,0"):
         result = runner.invoke(cli.main, ["convolution", "--q", q])
         assert result.exit_code == 0 and result.stderr == ""
-        row = next(r for r in csv.reader(io.StringIO(result.stdout)) if r[2] == "conv_masscone_shell")
-        closed, oracle, rel = (float(c) for c in row[3:])
+        rows = {r[2]: r[3:] for r in csv.reader(io.StringIO(result.stdout))}
+        assert rows["conv_K0_shell"] == ["0.0010078604510374842", "", ""]
+        closed, oracle, rel = (float(c) for c in rows["conv_masscone_shell"])
         assert np.isfinite(closed) and np.isfinite(oracle) and rel <= 1e-10
+
+
+def test_convolution_small_mass_stays_finite(runner):
+    # at m = 1e-8 the mass-cone closed form's log1p argument rounds to -1
+    result = runner.invoke(cli.main, ["convolution", "--q", "2,0.5,0,0", "--m", "1e-8"])
+    assert result.exit_code == 0 and result.stderr == ""
+    row = next(r for r in csv.reader(io.StringIO(result.stdout)) if r[2] == "conv_masscone_shell")
+    closed, oracle, rel = (float(c) for c in row[3:])
+    assert np.isfinite(closed) and np.isfinite(oracle) and rel <= 1e-10
 
 
 @pytest.mark.parametrize("q0", ["1e8", "1e10", "1e12"])
@@ -473,6 +511,24 @@ def test_convolution_omits_the_masscone_row_below_the_shell(runner):
     assert result.exit_code == 0
     rows = list(csv.DictReader(io.StringIO(result.stdout)))
     assert [r["name"] for r in rows] == ["conv_K0_shell"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suites", "fields"],
+        ["slayer", "eval"],
+        ["kernels", "--id", "K0Hat"],
+        ["lineint", "--fn", "J"],
+        ["convolution", "--q", "2,0,0,0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_2(runner, tmp_path, argv):
+    result = runner.invoke(cli.main, [*argv, "--out", str(tmp_path / "missing" / "out")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("cannot write output: ")
+    assert result.stdout == ""
 
 
 def test_convolution_bad_momentum_exits_2(runner):

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from lightcone import checks
 from lightcone.convolution import (
     ShellIntegralQuery,
     conv_K0_shell,
@@ -15,8 +16,7 @@ from lightcone.errors import LightconeError, OutsideUpperCone, SpacelikeQ
 
 
 def test_anchor_value():
-    q = ShellIntegralQuery((2.0, 0.0, 0.0, 0.0), 1.0)
-    assert conv_K0_shell(q) == pytest.approx(3.0 / (128.0 * np.pi**3), abs=1e-14)
+    assert checks.k0_shell_anchor_error() <= 1e-14
 
 
 def test_sign_odd_in_q0():
@@ -37,14 +37,6 @@ def test_spacelike_rejected():
         conv_K0_shell(ShellIntegralQuery((0.5, 1.0, 0.0, 0.0), 1.0))
 
 
-def test_k0_shell_oracle_agreement(rng):
-    for _ in range(40):
-        big_omega = float(rng.uniform(1.2, 6.0) * rng.choice([-1.0, 1.0]))
-        closed = conv_K0_shell(ShellIntegralQuery((big_omega, 0.0, 0.0, 0.0), 1.0))
-        oracle = conv_K0_shell_oracle(big_omega, 1.0)
-        assert abs(closed - oracle) <= 1e-10 * abs(closed)
-
-
 @pytest.mark.parametrize("big_omega, m", [(np.nan, 1.0), (2.0, np.nan), (np.inf, 1.0), (2.0, np.inf)])
 def test_k0_shell_oracle_rejects_non_finite_input(big_omega, m):
     start = time.perf_counter()
@@ -63,13 +55,13 @@ def test_k0_shell_oracle_raises_on_a_roundoff_dominated_jacobian(big_omega):
 
 def test_k0_shell_oracle_agreement_up_to_its_guard():
     for big_omega in (10.0, -30.0, 100.0):
-        closed = conv_K0_shell(ShellIntegralQuery((big_omega, 0.0, 0.0, 0.0), 1.0))
-        assert abs(conv_K0_shell_oracle(big_omega, 1.0) - closed) <= 1e-10 * abs(closed)
+        assert checks.k0_shell_oracle_error(big_omega) <= 1e-10
 
 
-@pytest.mark.parametrize("big_omega", [1e16, 1e150])
+@pytest.mark.parametrize("big_omega", [1e16, 1e150, 1e154])
 def test_k0_shell_oracle_raises_on_vanishing_jacobian(big_omega):
-    # the central difference at step 1e-3 rounds to zero this far out
+    # the central difference at step 1e-3 rounds to zero this far out, and
+    # from about 1.34e153 on the square of the root bracket overflows
     with pytest.raises(LightconeError):
         conv_K0_shell_oracle(big_omega, 1.0)
 
@@ -84,6 +76,16 @@ def test_masscone_oracle_agreement(rng):
         closed = conv_masscone_shell(query)
         oracle = conv_masscone_shell_oracle(query)
         assert abs(closed - oracle) <= 1e-10 * max(1e-6, abs(closed))
+
+
+@pytest.mark.parametrize("m", [1e-8, 1e-12, 1e-100, 5e-324])
+@pytest.mark.parametrize("q", [(2.0, 0.5, 0.0, 0.0), (3.0, 1.0, -1.0, 0.5), (1e6, 3.0, 0.0, 0.0)])
+def test_masscone_small_mass(q, m):
+    # the log1p argument -2|q| l_max / ((r + |q|)(q0 - |q|)) tends to -1 as
+    # m -> 0, and rounds to it at m = 1e-8, q = (2, 0.5, 0, 0)
+    query = ShellIntegralQuery(q, m)
+    closed = conv_masscone_shell(query)
+    assert abs(closed - conv_masscone_shell_oracle(query)) <= 1e-10 * abs(closed)
 
 
 @pytest.mark.parametrize("q", [(1e8, 0.0, 0.0, 0.0), (1e10, 3.0, 0.0, 0.0), (1e12, 1e6, -2.0, 0.5)])

@@ -12,7 +12,6 @@ from lightcone.errors import (
     ZeroMomentum,
 )
 from lightcone.kernels import (
-    KERNEL_IDS,
     ORACLE_ETAS,
     ORACLE_T_DAMP,
     PARITY,
@@ -67,20 +66,6 @@ def test_zero_momentum_rejected():
 def test_log_singular_on_cone():
     with pytest.raises(OnLightCone):
         eval_hat(KernelHat("Delta_over_t"), 1.0, 1.0)
-
-
-def test_parity_annotations(rng):
-    for kid in KERNEL_IDS:
-        kern = KernelHat(kid)
-        sign = PARITY[kid] * (-1) ** TENSOR_INDEX_COUNT.get(kid, 0)
-        for _ in range(100):
-            omega = float(rng.uniform(-3.0, 3.0))
-            k = float(rng.uniform(0.1, 3.0))
-            if abs(abs(omega) - k) < 1e-3:
-                continue
-            v1 = eval_hat(kern, omega, k)
-            v2 = eval_hat(kern, -omega, k)
-            assert v1 == pytest.approx(sign * v2, abs=1e-12)
 
 
 def test_tensor_parity(rng):

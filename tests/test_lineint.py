@@ -57,10 +57,8 @@ def test_subtraction_chain_exact(a, b):
 @settings(max_examples=300, deadline=None)
 @given(rational, rational)
 def test_compactified_difference_exact(a, b):
-    # chi is the indicator of the half-open unit square, matching the
-    # closed-below / open-above region convention
-    chi = 1 if (0 <= a < 1 and 0 <= b < 1) else 0
-    assert JTILDE(a, b) - U(a, b) == V(a, b) * chi
+    # JTILDE - U is V on the half-open unit square [0,1)^2 and 0 elsewhere
+    assert compact_identity_residual([(a, b)]) == 0
 
 
 def test_compact_identity_residual_bulk(rng):

@@ -396,15 +396,6 @@ def test_definiteness_bracket_anchors():
     assert definiteness_bracket(k, -k, 1.0) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_definiteness_bracket_nonnegative(rng):
-    samples = rng.normal(size=(20000, 6)) * 3.0
-    vals = definiteness_bracket(samples[:, :3], samples[:, 3:], 1.0)
-    assert np.all(vals >= -1e-12)
-    # equality only at q = -k
-    small = samples[vals < 1e-6]
-    assert np.all(np.linalg.norm(small[:, :3] + small[:, 3:], axis=-1) < 1e-2)
-
-
 # ---------------------------------------------------------------------------
 # J-tensor and conservation residual
 # ---------------------------------------------------------------------------
@@ -702,12 +693,6 @@ def test_spherical_symmetrization_kills_quadrupole(rng):
 # ---------------------------------------------------------------------------
 # support check, time averaging, positivity
 # ---------------------------------------------------------------------------
-
-
-def test_support_check_zero_on_shell(rng):
-    for _ in range(20):
-        jet = random_jet(rng, n_psi=2, n_delta=2)
-        assert current_sli_support_check(*jet.plane_waves()) == 0.0
 
 
 def test_support_check_flags_spacelike_mode(rng):
