@@ -6,7 +6,7 @@ returning its residual; each caller keeps its count, range and tolerance."""
 
 import numpy as np
 
-from .errors import LightconeError
+from .errors import DegenerateChain, LightconeError
 
 
 def _entry(check, value, tolerance, paper_ref, ok=None):
@@ -34,12 +34,18 @@ def clifford_relations_residual():
     return max(_size(g[j] @ g[k] + g[k] @ g[j] - 2.0 * eta[j, k] * np.eye(4)) for j in range(4) for k in range(4))
 
 
+# Draws before random_xi gives up: none of 2000 seeds x 20 draws was rejected,
+# so only a degenerate algebra, as under a wrong gamma matrix, reaches it.
+RANDOM_XI_DRAWS = 100
+
+
 def random_xi(rng):
     """The first complex four-vector with standard normal parts whose closed
-    chain has projectors and an attainable ratio constant."""
+    chain has projectors and an attainable ratio constant; DegenerateChain
+    if none of RANDOM_XI_DRAWS draws has."""
     from . import clifford
 
-    while True:
+    for _ in range(RANDOM_XI_DRAWS):
         xi = rng.normal(size=4) + 1j * rng.normal(size=4)
         try:
             clifford.closed_chain_projectors(xi)
@@ -47,6 +53,7 @@ def random_xi(rng):
             return xi
         except LightconeError:
             continue
+    raise DegenerateChain(f"no nondegenerate closed chain in {RANDOM_XI_DRAWS} draws")
 
 
 def projector_residuals(xi):
@@ -95,14 +102,17 @@ def trace_insertion_residual(jet, sign):
 def suite_clifford(seed, tol):
     rng = np.random.default_rng(seed)
     out = [_entry("clifford-relations", clifford_relations_residual(), tol, "dirac-algebra")]
-    worst_proj = worst_fpp = 0.0
-    for _ in range(20):
-        xi = random_xi(rng)
-        res = projector_residuals(xi)
-        worst_proj = max(worst_proj, res["plus_idempotent"], res["complete"], res["orthogonal"])
-        worst_fpp = max(worst_fpp, projector_ratio_residual(xi))
-    out.append(_entry("projector-idempotency", worst_proj, tol, "closed-chain-spectral"))
-    out.append(_entry("projector-ratio", worst_fpp, tol, "closed-chain-ratio"))
+    worst_proj, worst_fpp, ok = 0.0, 0.0, None
+    try:
+        for _ in range(20):
+            xi = random_xi(rng)
+            res = projector_residuals(xi)
+            worst_proj = max(worst_proj, res["plus_idempotent"], res["complete"], res["orthogonal"])
+            worst_fpp = max(worst_fpp, projector_ratio_residual(xi))
+    except DegenerateChain:  # no closed chain to check the projectors on
+        worst_proj, worst_fpp, ok = 1.0, 1.0, False
+    out.append(_entry("projector-idempotency", worst_proj, tol, "closed-chain-spectral", ok=ok))
+    out.append(_entry("projector-ratio", worst_fpp, tol, "closed-chain-ratio", ok=ok))
     worst_h = max(trace_insertion_residual(*random_chiral_jet(rng)) for _ in range(10))
     out.append(_entry("trace-insertion-equivalence", worst_h, tol, "chiral-jet-traces"))
     return out
@@ -120,10 +130,7 @@ def suite_lineint(seed, tol):
     # and 500 inside the unit square [0,1)^2, the one place V enters
     qa1, qb1 = rng.integers(1, 40, size=(2, 500))
     pa1, pb1 = rng.integers(0, qa1), rng.integers(0, qb1)
-    worst = max(
-        lineint.compact_identity_residual_homogeneous(pa, qa, pb, qb),
-        lineint.compact_identity_residual_homogeneous(pa1, qa1, pb1, qb1),
-    )
+    worst = max(lineint.compact_identity_residual(*s) for s in ((pa, qa, pb, qb), (pa1, qa1, pb1, qb1)))
     out.append(_entry("piecewise-identities", float(worst), 0.0, "nested-integral-regions", ok=worst == 0))
     val = lineint.nested_line_integral(
         lambda z: 1.0, lambda z: 1.0, np.zeros(4), np.ones(4), (0, 0, 0), (0, 0, 0)

@@ -83,6 +83,7 @@ def conv_K0_shell_oracle(big_omega, m):
     numerical Jacobian.  Raises LightconeError where that Jacobian, a
     central difference at step 1e-3 of terms of size Omega^2, carries a
     roundoff above 1e-11 of itself (from |Omega| of about 180 on)."""
+    big_omega, m = float(big_omega), float(m)  # a float's ** raises where numpy's warns
     if big_omega == 0:
         raise SpacelikeQ("Omega = 0")
     total = 0.0
@@ -96,7 +97,7 @@ def conv_K0_shell_oracle(big_omega, m):
         eps = 1e-12
         try:
             g_lo, g_hi = g(eps), g(k_hi)
-        except OverflowError:  # a Python float's ** raises where numpy's gives inf
+        except OverflowError:
             g_lo = g_hi = np.inf
         if not (np.isfinite(g_lo) and np.isfinite(g_hi)):
             raise LightconeError(f"non-finite root bracket at Omega = {big_omega}, m = {m}")

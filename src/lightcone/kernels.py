@@ -485,7 +485,7 @@ def kernel_table(kid, omega_values, k_values):
             try:
                 v = complex(eval_hat(kernel, omega, k))
                 rows.append((omega, k, region.value, v.real, v.imag))
-            except (OnLightCone, ZeroMomentum):
+            except OnLightCone:
                 rows.append((omega, k, region.value, float("nan"), float("nan")))
     return rows
 

@@ -4,8 +4,8 @@ integrals, and the damped oracle for the antisymmetric bi-distribution.
 
 The piecewise functions are bilinear polynomials c0 + c1*a + c2*b + c3*a*b
 on finitely many regions (interval x interval, optionally cut by the
-diagonal).  All region coefficients are integers, so evaluation on
-rational inputs is exact: on Fractions, or on int arrays via PiecewisePoly2.scaled.
+diagonal).  All region coefficients are integers, so evaluation is exact
+through PiecewisePoly2.scaled on integer numerators and denominators.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ BELOW = "a>b"
 class Region:
     """One region: alpha-interval x beta-interval, optional diagonal cut,
     and the bilinear polynomial (c0, c1, c2, c3).  Intervals are
-    closed-below / open-above; None means unbounded.  Interval endpoints
-    may also reference the other variable via the diagonal cut only."""
+    closed-below / open-above; None means unbounded."""
 
     a_lo: object
     a_hi: object
@@ -44,8 +43,6 @@ class Region:
                 inside = inside & (p >= lo * q)
             if hi is not None:
                 inside = inside & (p < hi * q)
-            if inside is False:  # a scalar outside: skip the remaining tests
-                return False
         if self.halfplane == ABOVE:
             inside = inside & (pb * qa > pa * qb)
         if self.halfplane == BELOW:
@@ -63,66 +60,58 @@ class PiecewisePoly2:
     regions: tuple
 
     def scaled(self, pa, qa, pb, qb):
-        """qa*qb times the function at a = pa/qa, b = pb/qb (qa, qb > 0),
-        elementwise and exact on int64 arrays.  f(a, b) is the case
-        qa = qb = 1, exact on Fractions and bit for bit on floats; a cell in
+        """qa*qb times the function at a = pa/qa, b = pb/qb (qa, qb > 0), as
+        an array, elementwise: exact on integer numerators and denominators.
+        f(a, b) is the case qa = qb = 1, which float tables take; a cell in
         no region keeps the sign of 0 * pa."""
         total = 0 * pa
         for r in self.regions:
-            inside = r.contains(pa, qa, pb, qb)
-            if isinstance(inside, np.ndarray):  # scalars skip np.where, which boxes Fractions
-                total = np.where(inside, total + r.value(pa, qa, pb, qb), total)
-            elif inside:
-                total = total + r.value(pa, qa, pb, qb)
+            total = np.where(r.contains(pa, qa, pb, qb), total + r.value(pa, qa, pb, qb), total)
         return total
 
     def __call__(self, a, b):
         return self.scaled(a, 1, b, 1)
 
 
-def _r(a_lo, a_hi, b_lo, b_hi, halfplane, coeffs):
-    return Region(a_lo, a_hi, b_lo, b_hi, halfplane, tuple(coeffs))
-
-
 # Sawtooth-type weight with four regions around the unit square.
 J = PiecewisePoly2((
-    _r(1, None, 0, 1, None, (0, 1, 3, -4)),
-    _r(None, 0, 0, 1, None, (0, -3, -1, 4)),
-    _r(1, None, 1, None, BELOW, (0, 4, 4, -8)),
-    _r(None, 0, None, 0, ABOVE, (0, -4, -4, 8)),
+    Region(1, None, 0, 1, None, (0, 1, 3, -4)),
+    Region(None, 0, 0, 1, None, (0, -3, -1, 4)),
+    Region(1, None, 1, None, BELOW, (0, 4, 4, -8)),
+    Region(None, 0, None, 0, ABOVE, (0, -4, -4, 8)),
 ))
 
 # Odd companion weight supported left/right of the unit square.
 I = PiecewisePoly2((
-    _r(1, None, 0, 1, None, (-1, 1, 1, 0)),
-    _r(None, 0, 0, 1, None, (1, -1, -1, 0)),
+    Region(1, None, 0, 1, None, (-1, 1, 1, 0)),
+    Region(None, 0, 0, 1, None, (1, -1, -1, 0)),
 ))
 
 # 2*(a + b - 2ab) * Theta(ab) * sign(a - b): same-sign quadrants cut by
 # the diagonal.
 U = PiecewisePoly2((
-    _r(0, None, 0, None, BELOW, (0, 2, 2, -4)),
-    _r(0, None, 0, None, ABOVE, (0, -2, -2, 4)),
-    _r(None, 0, None, 0, BELOW, (0, 2, 2, -4)),
-    _r(None, 0, None, 0, ABOVE, (0, -2, -2, 4)),
+    Region(0, None, 0, None, BELOW, (0, 2, 2, -4)),
+    Region(0, None, 0, None, ABOVE, (0, -2, -2, 4)),
+    Region(None, 0, None, 0, BELOW, (0, 2, 2, -4)),
+    Region(None, 0, None, 0, ABOVE, (0, -2, -2, 4)),
 ))
 
 # Compactified weight: (a - b) on the unit square plus
 # (4ab - 2a - 2b) * sign(b - a) on the rest of the same-sign quadrants.
 JTILDE = PiecewisePoly2((
-    _r(0, 1, 0, 1, None, (0, 1, -1, 0)),
-    _r(1, None, 0, 1, None, (0, 2, 2, -4)),
-    _r(1, None, 1, None, BELOW, (0, 2, 2, -4)),
-    _r(1, None, 1, None, ABOVE, (0, -2, -2, 4)),
-    _r(0, 1, 1, None, None, (0, -2, -2, 4)),
-    _r(None, 0, None, 0, BELOW, (0, 2, 2, -4)),
-    _r(None, 0, None, 0, ABOVE, (0, -2, -2, 4)),
+    Region(0, 1, 0, 1, None, (0, 1, -1, 0)),
+    Region(1, None, 0, 1, None, (0, 2, 2, -4)),
+    Region(1, None, 1, None, BELOW, (0, 2, 2, -4)),
+    Region(1, None, 1, None, ABOVE, (0, -2, -2, 4)),
+    Region(0, 1, 1, None, None, (0, -2, -2, 4)),
+    Region(None, 0, None, 0, BELOW, (0, 2, 2, -4)),
+    Region(None, 0, None, 0, ABOVE, (0, -2, -2, 4)),
 ))
 
 # Odd difference weight: JTILDE - U restricted to the unit square.
 V = PiecewisePoly2((
-    _r(None, None, None, None, BELOW, (0, -1, -3, 4)),
-    _r(None, None, None, None, ABOVE, (0, 3, 1, -4)),
+    Region(None, None, None, None, BELOW, (0, -1, -3, 4)),
+    Region(None, None, None, None, ABOVE, (0, 3, 1, -4)),
 ))
 
 _FUNCTIONS = {"J": J, "I": I, "U": U, "Jtilde": JTILDE, "V": V}
@@ -131,37 +120,26 @@ _FUNCTIONS = {"J": J, "I": I, "U": U, "Jtilde": JTILDE, "V": V}
 # piecewise polynomial; their sum differs from J - JTILDE on a null set
 # only).
 SUBTRACTIONS = (
-    PiecewisePoly2((_r(None, None, 0, 1, None, (0, -3, -1, 4)),)),
-    PiecewisePoly2((_r(None, 0, None, None, None, (0, -2, -2, 4)),)),
-    PiecewisePoly2((_r(None, None, 0, None, None, (0, 2, 2, -4)),)),
+    PiecewisePoly2((Region(None, None, 0, 1, None, (0, -3, -1, 4)),)),
+    PiecewisePoly2((Region(None, 0, None, None, None, (0, -2, -2, 4)),)),
+    PiecewisePoly2((Region(None, None, 0, None, None, (0, 2, 2, -4)),)),
 )
 
 
 def eval_piecewise(fn, a, b):
     """Evaluate one of the named piecewise functions J, I, U, Jtilde, V,
-    elementwise on float arrays and exactly on Fraction/int inputs; region
-    boundaries follow the closed-below / open-above convention."""
+    elementwise on float arrays (exact values come from
+    PiecewisePoly2.scaled on integers); region boundaries follow the
+    closed-below / open-above convention."""
     return _FUNCTIONS[fn](a, b)
 
 
-def compact_identity_residual(samples):
-    """Max over samples of |JTILDE(a,b) - U(a,b) - V(a,b)*chi(a,b)| with chi
-    the indicator of the half-open unit square [0,1)^2 (matching the
-    closed-below / open-above region convention); zero in exact
-    arithmetic."""
-    worst = 0
-    for a, b in samples:
-        chi = 1 if (0 <= a < 1 and 0 <= b < 1) else 0
-        res = abs(JTILDE(a, b) - U(a, b) - V(a, b) * chi)
-        if res > worst:
-            worst = res
-    return worst
-
-
-def compact_identity_residual_homogeneous(pa, qa, pb, qb):
-    """compact_identity_residual over a = pa/qa, b = pb/qb (integer arrays,
-    qa, qb > 0, all below a few thousand) in one exact int64 pass: the
-    correctly rounded float of the exact worst residual, 0.0 iff none."""
+def compact_identity_residual(pa, qa, pb, qb):
+    """Max over a = pa/qa, b = pb/qb (integer arrays, qa, qb > 0, all below
+    a few thousand) of |JTILDE(a,b) - U(a,b) - V(a,b)*chi(a,b)| with chi the
+    indicator of the half-open unit square [0,1)^2 (matching the
+    closed-below / open-above region convention), in one exact int64 pass:
+    the correctly rounded float of the exact worst residual, 0.0 iff none."""
     chi = (pa >= 0) & (pa < qa) & (pb >= 0) & (pb < qb)
     res = JTILDE.scaled(pa, qa, pb, qb) - U.scaled(pa, qa, pb, qb) - V.scaled(pa, qa, pb, qb) * chi
     return float(np.max(np.abs(res) / (qa * qb)))

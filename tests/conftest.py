@@ -4,7 +4,6 @@ reference values computed on paths independent of the library's."""
 import numpy as np
 import pytest
 
-from lightcone import fields
 from lightcone.clifford import closed_chain_projectors, slash
 from lightcone.fields import (
     DEFAULT_BOX,

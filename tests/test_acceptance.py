@@ -3,7 +3,6 @@ PASS/FAIL line.  Tolerances and sample counts are part of the contract and
 must not be weakened."""
 
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -70,25 +69,23 @@ def test_acceptance_2_scaling_exponents(capsys):
 
 def test_acceptance_3_piecewise_identities(capsys):
     rng = np.random.default_rng(303)
-    ok = True
-    for _ in range(10_000):
-        a = Fraction(int(rng.integers(-400, 400)), int(rng.integers(1, 64)))
-        b = Fraction(int(rng.integers(-400, 400)), int(rng.integers(1, 64)))
-        off_boundaries = a not in (0, 1) and b not in (0, 1) and a != b
-        if off_boundaries:
-            # the subtraction chain agrees with the compactified weight away
-            # from the (null) region boundaries
-            chain = lineint.J(a, b)
-            for p in lineint.SUBTRACTIONS:
-                chain -= p(a, b)
-            ok &= chain == lineint.JTILDE(a, b)
-        ok &= lineint.compact_identity_residual([(a, b)]) == 0
-        if off_boundaries:
-            ok &= lineint.J(1 - a, 1 - b) == -lineint.J(a, b)
-            ok &= lineint.U(b, a) == -lineint.U(a, b)
-            ok &= lineint.V(b, a) == -lineint.V(a, b)
-        if not ok:
-            break
+    # 10,000 samples a = pa/qa, b = pb/qb; one draw with per-element bounds
+    # takes the same values, in the same order, as 40,000 scalar draws
+    lo, hi = np.tile([-400, 1, -400, 1], 10_000), np.tile([400, 64, 400, 64], 10_000)
+    pa, qa, pb, qb = rng.integers(lo, hi).reshape(10_000, 4).T
+    # away from the (null) region boundaries a, b in {0, 1} and a = b, the
+    # subtraction chain agrees with the compactified weight, J is odd under
+    # the point reflection through (1/2, 1/2), and U and V under the swap
+    off = (pa != 0) & (pa != qa) & (pb != 0) & (pb != qb) & (pa * qb != pb * qa)
+    # each weight exactly, times qa*qb, at (a, b), (1 - a, 1 - b) and (b, a)
+    at, reflected, swapped = (pa, qa, pb, qb), (qa - pa, qa, qb - pb, qb), (pb, qb, pa, qa)
+    value = lambda f, point: f.scaled(*point)[off]
+    chain = value(lineint.J, at) - sum(value(p, at) for p in lineint.SUBTRACTIONS)
+    ok = np.array_equal(chain, value(lineint.JTILDE, at))
+    ok &= lineint.compact_identity_residual(*at) == 0
+    ok &= np.array_equal(value(lineint.J, reflected), -value(lineint.J, at))
+    for f in (lineint.U, lineint.V):
+        ok &= np.array_equal(value(f, swapped), -value(f, at))
     _report(3, ok, capsys)
 
 

@@ -54,11 +54,8 @@ def test_verify_convolution_tol_is_applied(runner):
 @pytest.mark.parametrize("seed", [7, 11, 123])
 def test_lineint_suite_catches_a_wrong_V(monkeypatch, seed):
     # V enters the compactification identity only on the unit square
-    wrong = lineint.PiecewisePoly2((
-        lineint.Region(None, None, None, None, lineint.BELOW, (0, -1, -3, 5)),
-        lineint.V.regions[1],
-    ))
-    monkeypatch.setattr(lineint, "V", wrong)
+    wrong = lineint.Region(None, None, None, None, lineint.BELOW, (0, -1, -3, 5))
+    monkeypatch.setattr(lineint, "V", lineint.PiecewisePoly2((wrong, lineint.V.regions[1])))
     report = {e["check"]: e for e in checks.suite_lineint(seed, 1e-10)}
     assert report["piecewise-identities"]["status"] == "fail"
 
@@ -69,9 +66,9 @@ def _wrap(module, name, change):
 
 
 # one planted defect per report entry that a shared check function gives, as
-# (suite, module, attribute, planted value).  A wrong metric sign stands in
-# for a wrong gamma matrix, which would make every closed chain degenerate,
-# so that random_xi would draw forever
+# (suite, module, attribute, planted value).  A wrong metric sign plants the
+# clifford-relations defect; a wrong gamma matrix, which fails the projector
+# checks too, has its own test below
 _PLANTED = {
     "clifford-relations": ("clifford", clifford, "ETA", np.diag([1.0, -1.0, -1.0, 1.0])),
     "projector-idempotency": ("clifford", *_wrap(clifford, "closed_chain_projectors", lambda r: (r[0], 2 * r[1], r[2]))),
@@ -93,6 +90,17 @@ def test_suite_catches_a_planted_defect(monkeypatch, check):
     assert report[check]["status"] == "fail"
 
 
+def test_verify_reports_a_wrong_gamma_matrix(monkeypatch, runner):
+    # gamma^2 in place of gamma^1 makes every closed chain degenerate:
+    # random_xi gives up after its capped draws, and both projector checks fail
+    monkeypatch.setattr(clifford, "GAMMA", [clifford.GAMMA[i] for i in (0, 2, 2, 3)])
+    report = {e["check"]: e["status"] for e in checks.run_suites(("clifford",), 7)}
+    assert report["clifford-relations"] == report["projector-idempotency"] == report["projector-ratio"] == "fail"
+    result = runner.invoke(cli.main, ["verify", "--suites", "clifford"])
+    assert result.exit_code == 1
+    assert {e["check"]: e["status"] for e in json.loads(result.output, parse_constant=_reject_constant)} == report
+
+
 def test_verify_unknown_suite_exits_2(runner):
     result = runner.invoke(cli.main, ["verify", "--suites", "bogus"])
     assert result.exit_code == 2
@@ -103,7 +111,7 @@ def test_verify_bad_tol_exits_2(runner):
     assert result.exit_code == 2
 
 
-@pytest.mark.parametrize("override", ["clifford=nan", "slayer=inf", "kernls=1e-8", "clifford=-1"])
+@pytest.mark.parametrize("override", ["clifford=nan", "slayer=inf", "kernls=1e-8", "clifford=-1", "clifford=abc"])
 def test_verify_non_finite_tol_exits_2(runner, override):
     result = runner.invoke(cli.main, ["verify", "--suites", "clifford", "--tol", override])
     assert result.exit_code == 2
@@ -353,6 +361,12 @@ def test_kernels_empty_grid_header_only(runner):
     )
     assert result.exit_code == 0
     assert result.output.strip() == "omega,k,region,re,im"
+
+
+def test_kernels_skips_rows_at_k_not_positive(runner):
+    result = runner.invoke(cli.main, ["kernels", "--id", "K0Hat", "--k-min", "-0.5", "--k-max", "0.5", "--k-step", "0.25"])
+    assert result.exit_code == 0
+    assert {row["k"] for row in csv.DictReader(io.StringIO(result.output))} == {"0.25", "0.5"}
 
 
 @pytest.mark.parametrize(

@@ -58,12 +58,14 @@ def test_k0_shell_oracle_agreement_up_to_its_guard():
         assert checks.k0_shell_oracle_error(big_omega) <= 1e-10
 
 
-@pytest.mark.parametrize("big_omega", [1e16, 1e150, 1e154])
+@pytest.mark.parametrize("big_omega", [1e16, 1e150, 1e154, 1e200])
 def test_k0_shell_oracle_raises_on_vanishing_jacobian(big_omega):
     # the central difference at step 1e-3 rounds to zero this far out, and
-    # from about 1.34e153 on the square of the root bracket overflows
-    with pytest.raises(LightconeError):
-        conv_K0_shell_oracle(big_omega, 1.0)
+    # from about 1.34e153 on the square of the root bracket overflows; a
+    # numpy Omega of either sign raises the same error, not an overflow warning
+    for omega in (big_omega, np.float64(big_omega), np.float64(-big_omega)):
+        with pytest.raises(LightconeError):
+            conv_K0_shell_oracle(omega, 1.0)
 
 
 def test_masscone_oracle_agreement(rng):

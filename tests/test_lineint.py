@@ -18,7 +18,6 @@ from lightcone.lineint import (
     V,
     bidist_A_oracle,
     compact_identity_residual,
-    compact_identity_residual_homogeneous,
     damped_delta_block,
     damped_sign_block,
     eval_piecewise,
@@ -30,15 +29,20 @@ from lightcone.quadrature import gauss_rule, kronrod_rule
 rational = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 
 
+def _exact(f, a, b):
+    """f(a, b) at Fractions a, b, through f.scaled on their numerators and denominators."""
+    return Fraction(int(f.scaled(a.numerator, a.denominator, b.numerator, b.denominator)), a.denominator * b.denominator)
+
+
 def test_frozen_point_values():
-    assert J(Fraction(2), Fraction(1, 2)) == Fraction(-1, 2)
-    assert I(Fraction(2), Fraction(1, 2)) == Fraction(3, 2)
-    assert U(Fraction(2), Fraction(1)) == Fraction(-2)
-    assert JTILDE(Fraction(1, 2), Fraction(1, 4)) == Fraction(1, 4)
-    assert V(Fraction(1, 2), Fraction(1, 4)) == Fraction(-3, 4)
+    assert _exact(J, Fraction(2), Fraction(1, 2)) == Fraction(-1, 2)
+    assert _exact(I, Fraction(2), Fraction(1, 2)) == Fraction(3, 2)
+    assert _exact(U, Fraction(2), Fraction(1)) == Fraction(-2)
+    assert _exact(JTILDE, Fraction(1, 2), Fraction(1, 4)) == Fraction(1, 4)
+    assert _exact(V, Fraction(1, 2), Fraction(1, 4)) == Fraction(-3, 4)
     # outside all regions
-    assert U(Fraction(1), Fraction(-1)) == 0
-    assert I(Fraction(1, 2), Fraction(1, 2)) == 0
+    assert _exact(U, Fraction(1), Fraction(-1)) == 0
+    assert _exact(I, Fraction(1, 2), Fraction(1, 2)) == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -48,29 +52,20 @@ def test_subtraction_chain_exact(a, b):
     # region boundaries
     if a == b or a in (0, 1) or b in (0, 1):
         return
-    total = J(a, b)
-    for p in SUBTRACTIONS:
-        total -= p(a, b)
-    assert total == JTILDE(a, b)
+    assert _exact(J, a, b) - sum(_exact(p, a, b) for p in SUBTRACTIONS) == _exact(JTILDE, a, b)
 
 
 @settings(max_examples=300, deadline=None)
 @given(rational, rational)
 def test_compactified_difference_exact(a, b):
     # JTILDE - U is V on the half-open unit square [0,1)^2 and 0 elsewhere
-    assert compact_identity_residual([(a, b)]) == 0
+    assert compact_identity_residual(a.numerator, a.denominator, b.numerator, b.denominator) == 0
 
 
 def test_compact_identity_residual_bulk(rng):
-    samples = []
-    for _ in range(2000):
-        samples.append(
-            (
-                Fraction(int(rng.integers(-200, 200)), int(rng.integers(1, 32))),
-                Fraction(int(rng.integers(-200, 200)), int(rng.integers(1, 32))),
-            )
-        )
-    assert compact_identity_residual(samples) == 0
+    pa, pb = rng.integers(-200, 200, size=(2, 2000))
+    qa, qb = rng.integers(1, 32, size=(2, 2000))
+    assert compact_identity_residual(pa, qa, pb, qb) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -79,72 +74,56 @@ def test_antisymmetries(a, b):
     # J is odd under the point reflection through (1/2, 1/2); U and V are
     # odd under swapping the arguments (away from null boundary sets)
     if a not in (0, 1) and b not in (0, 1) and a != b:
-        assert J(1 - a, 1 - b) == -J(a, b)
-        assert U(b, a) == -U(a, b)
-        assert V(b, a) == -V(a, b)
-
-
-def _bits(values):
-    return np.asarray(values, dtype=float).view(np.int64)
+        assert _exact(J, 1 - a, 1 - b) == -_exact(J, a, b)
+        assert _exact(U, b, a) == -_exact(U, a, b)
+        assert _exact(V, b, a) == -_exact(V, a, b)
 
 
 @pytest.mark.parametrize("fn", ["J", "I", "U", "Jtilde", "V"])
 def test_array_evaluation_matches_scalar_bit_for_bit(fn):
-    # the CLI's default grid, plus the region boundaries a, b in {0, 1}
-    # with both signs of zero, and the diagonal a = b
-    axis = np.concatenate((np.arange(-2.0, 3.0 + 0.025, 0.05), [-0.0, 0.0, 1.0]))
+    # a dyadic grid, where every float is exact: multiples of 1/64 on
+    # [-2, 3], which hold the region boundaries a, b in {0, 1} and the
+    # diagonal a = b, and -0.0.  Each float value is the exact value
+    # scaled(64 a, 64, 64 b, 64) / 64^2, and a cell in no region is 0 * a
+    steps = np.append(np.arange(-128, 193), 0)
+    axis = np.append(steps[:-1] / 64.0, -0.0)
     a, b = np.meshgrid(axis, axis, indexing="ij")
-    a, b = np.append(a.ravel(), axis), np.append(b.ravel(), axis)
+    pa, pb = np.meshgrid(steps, steps, indexing="ij")
+    f = lineint._FUNCTIONS[fn]
+    covered = np.any([r.contains(pa, 64, pb, 64) for r in f.regions], axis=0)
+    expected = np.where(covered, f.scaled(pa, 64, pb, 64) / 64**2, 0 * a)
     values = eval_piecewise(fn, a, b)
-    scalar = [eval_piecewise(fn, float(x), float(y)) for x, y in zip(a, b)]
-    assert np.array_equal(_bits(values), _bits(scalar))
+    assert np.array_equal(values.view(np.int64), expected.view(np.int64))
     assert np.signbit(values).any()  # -0.0 cells are kept, not turned into 0.0
 
 
-def _identity_samples(rng, n):
-    """(pa, qa, pb, qb) drawn one scalar at a time, as the Fraction samples
-    of the verify suite were."""
-    draws = [
-        [int(rng.integers(-400, 400)), int(rng.integers(1, 40)), int(rng.integers(-400, 400)), int(rng.integers(1, 40))]
-        for _ in range(n)
-    ]
-    return np.array(draws).T
-
-
 def test_identity_draw_matches_scalar_draws():
-    # the verify suite draws its 2000 integers in one call with per-element
-    # bounds; that takes the same values as the scalar draws
-    for seed in (7, 11, 123):
-        lo, hi = np.tile([-400, 1, -400, 1], 500), np.tile([400, 40, 400, 40], 500)
-        vectorised = np.random.default_rng(seed).integers(lo, hi).reshape(500, 4).T
-        assert np.array_equal(vectorised, _identity_samples(np.random.default_rng(seed), 500))
-
-
-def _fraction_residual(pa, qa, pb, qb):
-    samples = [(Fraction(int(w), int(x)), Fraction(int(y), int(z))) for w, x, y, z in zip(pa, qa, pb, qb)]
-    return compact_identity_residual(samples)
-
-
-def test_homogeneous_identity_matches_fraction_residual(rng):
-    samples = _identity_samples(rng, 2000)
-    assert compact_identity_residual_homogeneous(*samples) == 0.0
-    assert _fraction_residual(*samples) == 0
+    # the verify suite (denominators below 40) and acceptance criterion 3
+    # (below 64) draw their integers in one call with per-element bounds;
+    # that takes the same values, in the same order, as one draw per element
+    for seed, q_hi in ((7, 40), (11, 40), (123, 40), (303, 64), (7, 64)):
+        lo, hi = np.tile([-400, 1, -400, 1], 500), np.tile([400, q_hi, 400, q_hi], 500)
+        scalar = np.random.default_rng(seed)
+        draws = [int(scalar.integers(low, high)) for low, high in zip(lo, hi)]
+        assert np.random.default_rng(seed).integers(lo, hi).tolist() == draws
 
 
 def test_homogeneous_identity_catches_a_wrong_coefficient(rng, monkeypatch):
     # samples around the unit square, where V enters the identity
     pa, pb = rng.integers(-40, 80, size=(2, 500))
     qa, qb = rng.integers(1, 40, size=(2, 500))
-    samples = (pa, qa, pb, qb)
+    # c3 = 5 in place of 4 adds a*b to V below the diagonal, which the
+    # identity sees on [0,1)^2 only
     wrong = dataclasses.replace(lineint.V.regions[0], coeffs=(0, -1, -3, 5))
     monkeypatch.setattr(lineint, "V", dataclasses.replace(lineint.V, regions=(wrong, lineint.V.regions[1])))
-    worst = compact_identity_residual_homogeneous(*samples)
+    worst = compact_identity_residual(pa, qa, pb, qb)
+    below = (pa >= 0) & (pa < qa) & (pb >= 0) & (pb < qb) & (pa * qb > pb * qa)
     assert worst > 0.0
-    assert worst == float(_fraction_residual(*samples))
+    assert worst == np.max(np.abs(pa * pb) / (qa * qb), where=below, initial=0.0)
 
 
 def test_eval_piecewise_dispatch():
-    assert eval_piecewise("J", Fraction(2), Fraction(1, 2)) == Fraction(-1, 2)
+    assert eval_piecewise("J", 2.0, 0.5) == -0.5
     with pytest.raises(KeyError):
         eval_piecewise("nope", 0, 0)
 

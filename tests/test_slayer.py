@@ -28,6 +28,7 @@ from lightcone.fields import (
     DEFAULT_BOX,
     MaxwellField,
     field_tensor_hat,
+    lattice_momentum,
     pairing_predicates,
     time_translate,
 )
@@ -429,6 +430,27 @@ def test_conservation_residual_nonzero_for_opposite_transfers(rng):
     u, v = opposite_transfer_pair(rng)
     assert not pairing_predicates(u, v)["implication_holds"]
     assert abs(fermi_conservation_residual(u, v, t=0.3)) > 1e3
+
+
+def space_translate(obj, x0):
+    """A field or jet moved by the spatial vector x0: each mode amplitude
+    picks up the phase exp(-i kvec . x0)."""
+    phase = lambda n: np.exp(-1j * (lattice_momentum(n, obj.box) @ x0))[:, None]
+    if isinstance(obj, MaxwellField):
+        return replace(obj, eps=obj.eps * phase(obj.n))
+    return replace(obj, psi_a=obj.psi_a * phase(obj.psi_n), delta_psi_a=obj.delta_psi_a * phase(obj.delta_psi_n))
+
+
+def test_functionals_invariant_under_space_translation(rng):
+    # the functionals integrate over the whole box, so moving both of
+    # their arguments by the same x0 changes none of them
+    (u, v), (ju, jv), (wu, wv) = maxwell_functional_pair(rng), fermi_functional_pair(rng), violating_jet_pair(rng)
+    residual = lambda a, b: fermi_conservation_residual(a, b, t=0.3)
+    for f, a, b in ((sigma_bose, u, v), (ip_bose, u, v), (sigma_fermi, ju, jv), (ip_fermi, ju, jv), (residual, wu, wv)):
+        before = f(a, b)
+        assert before != 0.0
+        for x0 in rng.uniform(-DEFAULT_BOX, DEFAULT_BOX, size=(20, 3)):
+            assert abs(f(space_translate(a, x0), space_translate(b, x0)) - before) <= 1e-10 * abs(before)
 
 
 def reference_box_quadrupole_hat(n_key, box):
