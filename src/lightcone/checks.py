@@ -242,8 +242,9 @@ def suite_slayer(seed, tol, config=None):
     out = []
     if len(maxwell_fields) >= 2:
         u, v = maxwell_fields[0], maxwell_fields[1]
-        anti = abs(slayer.sigma_bose(u, v, 0.2) + slayer.sigma_bose(v, u, 0.2))
-        scale = max(1.0, abs(slayer.sigma_bose(u, v, 0.2)))
+        ut, vt = (fields.time_translate(f, 0.2) for f in (u, v))
+        anti = abs(slayer.sigma_bose(ut, vt) + slayer.sigma_bose(vt, ut))
+        scale = max(1.0, abs(slayer.sigma_bose(ut, vt)))
         out.append(_entry("symplectic-antisymmetry", anti / scale, tol, "bose-symplectic"))
         diag = slayer.ip_bose(u, u)
         out.append(
@@ -260,7 +261,7 @@ def suite_slayer(seed, tol, config=None):
         s = slayer.sigma_fermi(ju, jv)
         anti = abs(slayer.sigma_fermi(jv, ju) + s)
         out.append(_entry("fermi-antisymmetry", anti / max(1e-30, abs(s)), tol, "fermi-symplectic"))
-        resid = abs(slayer.fermi_conservation_residual(ju, jv, 0.3))
+        resid = abs(slayer.fermi_conservation_residual(*(fields.time_translate(j, 0.3) for j in (ju, jv))))
         entry = _entry("fermi-conservation", resid, tol, "fermi-conservation-residual")
         if not fields.pairing_predicates(ju, jv)["implication_holds"]:
             # outside the hypothesis of the conservation statement the

@@ -5,7 +5,8 @@ configuration, and report rendering.
 Exit codes: 0 no check failed, 1 at least one check failed, 2 configuration
 or usage error, or an --out that cannot be written.  A check whose
 hypothesis does not hold is reported as skipped and does not fail the run.
-Reports are strict JSON and deterministic for a fixed (config, seed).
+Reports are strict JSON and deterministic for a fixed (config, seed); a
+value that is not finite on the given configuration exits 2 instead.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ def _write(out, emit, newline=None):
 
 
 def _write_json(report, out):
+    """Write the report as strict JSON.  A value or tolerance that is not
+    finite is a config error (exit 2, no report): a finite box or mass can
+    still underflow or overflow inside a functional, where numpy's
+    floating-point warnings are therefore off."""
+    for entry in report:
+        if not (math.isfinite(entry["value"]) and math.isfinite(entry["tolerance"])):
+            click.echo(f"config error: {entry['check']} is not finite on this configuration", err=True)
+            sys.exit(2)
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _write(out, lambda fh: fh.write(text))
 
@@ -53,6 +62,8 @@ def main():
 @click.option("--out", default=None, type=click.Path())
 def verify(suites, config_path, seed, tols, out):
     """Run verification suites and write a JSON report."""
+    import numpy as np
+
     from . import checks, fields
 
     names = tuple(checks._SUITES) if suites == "all" else tuple(s.strip() for s in suites.split(","))
@@ -88,7 +99,8 @@ def verify(suites, config_path, seed, tols, out):
             entry = checks._entry("config-admissibility", 1.0, 0.0, "on-shell-constraints", ok=False)
             _write_json([dict(entry, suite="fields", detail=str(exc))], out)
             sys.exit(1)
-    report = checks.run_suites(names, seed, tolerances, config)
+    with np.errstate(all="ignore"):
+        report = checks.run_suites(names, seed, tolerances, config)
     _write_json(report, out)
     sys.exit(1 if any(e["status"] == "fail" for e in report) else 0)
 
@@ -246,6 +258,8 @@ def slayer_group():
 @click.option("--out", default=None, type=click.Path())
 def slayer_eval(config_path, out):
     """Evaluate the surface-layer functionals on a field configuration."""
+    import numpy as np
+
     from . import checks, fields, slayer
 
     try:
@@ -261,12 +275,14 @@ def slayer_eval(config_path, out):
         ("sigma_fermi", slayer.sigma_fermi, "fermi-symplectic"),
         ("ip_fermi", slayer.ip_fermi, "fermi-inner-product"),
     )
-    report = []
-    for items, functionals in ((maxwell_fields, bose), (jets, fermi)):
-        for i, u in enumerate(items):
-            for j in range(i, len(items)):
-                for name, fn, paper_ref in functionals:
-                    report.append(checks._entry(f"{name}[{i},{j}]", fn(u, items[j]), 0.0, paper_ref, ok=True))
+    with np.errstate(all="ignore"):
+        report = [
+            checks._entry(f"{name}[{i},{j}]", fn(items[i], items[j]), 0.0, paper_ref, ok=True)
+            for items, functionals in ((maxwell_fields, bose), (jets, fermi))
+            for i in range(len(items))
+            for j in range(i, len(items))
+            for name, fn, paper_ref in functionals
+        ]
     _write_json(report, out)
     sys.exit(0)
 

@@ -26,21 +26,6 @@ class ConeRegion(Enum):
     Boundary = "boundary"
 
 
-KERNEL_IDS = (
-    "K0Hat",
-    "IK0_over_t",
-    "IK0_over_t2",
-    "Delta_over_t",
-    "Delta_over_t2",
-    "XiK0_over_t3",
-    "XiXiK0_over_t4",
-    "XiXiDelta_over_t3",
-    "K0_et",
-    "K0_zm",
-    "K0c_et",
-    "K0c_zm",
-)
-
 # Ids whose formula involves log|omega -+ k| and blows up on the cone.
 LOG_SINGULAR = {"Delta_over_t", "Delta_over_t2", "XiXiDelta_over_t3"}
 
@@ -59,6 +44,9 @@ PARITY = {
     "K0c_et": +1,
     "K0c_zm": +1,
 }
+
+# Every kernel id, in the order verify draws them.
+KERNEL_IDS = tuple(PARITY)
 
 # Number of spatial indices carried by the tensor ids.  eval_hat returns
 # their scalar base, whose parity under p -> -p differs from PARITY by one

@@ -11,11 +11,12 @@ defined as integrals from the outset.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
 
-from .clifford import CHI_L, CHI_R, ETA, GAMMA, GAMMA0, ID4, sigma_jk
+from .clifford import _SIGMA, CHI_L, CHI_R, ETA, GAMMA, GAMMA0, ID4, sigma_jk
 from .fields import _lattice_codes, _matched_pairs, _matched_sums, common_box, field_tensor_hat, lattice_momentum
 from .quadrature import converged, gauss_rule
 
@@ -73,19 +74,18 @@ def _term_rows(field_obj):
     return np.concatenate((n, -n)), np.concatenate((p, -p)), np.concatenate((eps, np.conj(eps)))
 
 
-def sigma_bose(u, v, t0=0.0):
-    """Symplectic form of two real Maxwell fields at time t0:
+def sigma_bose(u, v):
+    """Symplectic form of two real Maxwell fields at time 0 (for another
+    time, evolve both fields with fields.time_translate first):
     (c1/delta^4) * Integral_box sum_i (A_u^i F_v_{i0} - A_v^i F_u_{i0}),
     c1 = delta = 1, by exact mode sums: terms of u at n meet terms of v at
-    -n, and the phase exp(-i p0 t0) factors per term, so A^i and F_{i0}
-    are summed per lattice index before they are contracted.
-    Antisymmetric in (u, v)."""
+    -n, so A^i and F_{i0} are summed per lattice index before they are
+    contracted.  Antisymmetric in (u, v)."""
     box = common_box(u, v)
 
     def rows(field_obj):
         n, p, eps = _term_rows(field_obj)
-        amplitudes = np.stack((eps[:, 1:], field_tensor_hat(eps, p)[:, 1:, 0]), axis=1)
-        return n, np.exp(-1j * p[:, 0] * t0)[:, None, None] * amplitudes  # (2M, (A, F), i)
+        return n, np.stack((eps[:, 1:], field_tensor_hat(eps, p)[:, 1:, 0]), axis=1)  # (2M, (A, F), i)
 
     (n_u, a_u), (n_v, a_v) = rows(u), rows(v)
     codes_u, codes_v = _lattice_codes(n_u, -n_v)
@@ -94,8 +94,9 @@ def sigma_bose(u, v, t0=0.0):
     return float((box**3 * np.sum(s)).real)
 
 
-def sigma_bose_grid_oracle(u, v, t0=0.0, n=64):
-    """Position-space Riemann-sum evaluation of sigma_bose on an n^3 grid."""
+def sigma_bose_grid_oracle(u, v, n=64):
+    """Position-space Riemann-sum evaluation of sigma_bose at time 0 on an
+    n^3 grid."""
     box = common_box(u, v)
     axis = np.arange(n) * (box / n)
     xg, yg, zg = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
@@ -105,13 +106,12 @@ def sigma_bose_grid_oracle(u, v, t0=0.0, n=64):
         f_i0 = np.zeros((4, n, n, n), dtype=complex)
         _, p, eps = _term_rows(field_obj)
         for q, e, f in zip(p, eps, field_tensor_hat(eps, p)):
-            phase = np.exp(-1j * (q[0] * t0 - (q[1] * xg + q[2] * yg + q[3] * zg)))
+            phase = np.exp(1j * (q[1] * xg + q[2] * yg + q[3] * zg))
             a += e[:, None, None, None] * phase
             f_i0 += f[:, 0, None, None, None] * phase
         return a, f_i0
 
-    a_u, f_u = assemble(u)
-    a_v, f_v = assemble(v)
+    (a_u, f_u), (a_v, f_v) = assemble(u), assemble(v)
     s = np.sum(a_u[1:] * f_v[1:] - a_v[1:] * f_u[1:], axis=0)
     return float(np.sum(s.real)) * (box / n) ** 3
 
@@ -296,9 +296,10 @@ def _box_quadrupole_hat(keys, box):
 
 def _jet_bilinears(jet, mats, sign_swapped):
     """<delta_psi(x) | M psi(y)> + sign_swapped <psi(x) | M delta_psi(y)> at
-    x0 = y0 = t for a stack of matrices M, as exponential terms
-    coeff[m, j] e^{i w[j] t} e^{i (k_total[j] - ky[j]).xvec} e^{i ky[j].yvec},
-    the momenta k = 2 pi n / L given by their integer lattice indices n.
+    x0 = y0 = 0 for a stack of matrices M, as exponential terms
+    coeff[m, j] e^{i (k_total[j] - ky[j]).xvec} e^{i ky[j].yvec} of
+    frequency w[j] (their time derivative is i w[j] times the term), the
+    momenta k = 2 pi n / L given by their integer lattice indices n.
 
     Returns (coeff, w, n_total, n_y) over the (delta_psi, psi) row pairs,
     delta-major, then the (psi, delta_psi) row pairs, psi-major."""
@@ -315,10 +316,11 @@ def _jet_bilinears(jet, mats, sign_swapped):
     return coeff, k0[bra] - k0[ket], n[ket] - n[bra], n[ket]
 
 
-def fermi_conservation_residual(jet_u, jet_v, t=0.0):
-    """The time derivative (analytic in the mode phases) of
+def fermi_conservation_residual(jet_u, jet_v):
+    """The time derivative (analytic in the mode phases) at time 0 of
     -1/2 Integral d^3x d^3y J^{alpha beta}((t,x),(t,y))
-    (xi_a xi_b/|xi|^2 - delta_ab/3) over the box.
+    (xi_a xi_b/|xi|^2 - delta_ab/3) over the box; for another time, evolve
+    both jets with fields.time_translate first.
 
     Vanishes when every momentum-conserving mode quadruple also conserves
     the frequency transfer, and for mode families whose summed J^{alpha
@@ -348,47 +350,35 @@ def fermi_conservation_residual(jet_u, jet_v, t=0.0):
     ky = kyu[iu] + kyv[iv]
     keys, inv = np.unique(np.concatenate((ky, -ky)), axis=0, return_inverse=True)
     w_hat = _box_quadrupole_hat(keys, box)[inv.reshape(2, -1)]
-    z = np.exp(1j * w * t) * np.einsum("pab,pab->p", coeff, w_hat[0])
-    z += np.exp(-1j * w * t) * np.einsum("pab,pab->p", np.conj(coeff), w_hat[1])
+    z = np.einsum("pab,pab->p", coeff, w_hat[0]) + np.einsum("pab,pab->p", np.conj(coeff), w_hat[1])
     return float((-0.25 * box**3 * np.sum(w * z)).real)
 
 
 def cube_spin_rotations():
-    """The spinor representations of the proper cube rotation group (as the
-    48-element double cover, each spatial rotation appearing with both
-    signs; the sign drops out of every bilinear product used here).
+    """The proper cube rotation group as 48 pairs (R, S), acting on modes as
+    n -> R n, a -> S a: one per unit quaternion q of the binary octahedral
+    group (+-1 on one axis, +-1/2 on all four, +-sqrt(1/2) on two), with
+    U = q0 - i q.sigma, S = U on both spinor blocks and the int64 rotation
+    R_ij = (1/2) tr(sigma_i U sigma_j U^dagger).  q and -q give the same R;
+    the sign of S drops out of every bilinear product used here.
 
-    Applying these to all mode amplitudes of rest-frame jets and summing
+    Applying the S to all mode amplitudes of rest-frame jets and summing
     makes the spatial block of the J-tensor proportional to the identity,
     so its contraction with any trace-free weight vanishes."""
-    sig_x = np.array([[0, 1], [1, 0]], dtype=complex)
-    sig_z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-    def spin_half(sig):
-        # rotation by pi/2: exp(-i (pi/2) sigma / 2) = cos(pi/4) 1 - i sin(pi/4) sigma
-        # on both spinor blocks, exact because sigma^2 = 1
-        blk = np.cos(0.25 * np.pi) * np.eye(2) - 1j * np.sin(0.25 * np.pi) * sig
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = blk
-        out[2:, 2:] = blk
-        return out
-
-    gens = [spin_half(sig_z), spin_half(sig_x)]
-    mats = {tuple(np.round(np.eye(4, dtype=complex).ravel(), 8)): np.eye(
-        4, dtype=complex
-    )}
-    frontier = list(mats.values())
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                cand = g @ m
-                key = tuple(np.round(cand.ravel(), 8))
-                if key not in mats:
-                    mats[key] = cand
-                    new.append(cand)
-        frontier = new
-    return list(mats.values())
+    axis, root = np.eye(4), np.sqrt(0.5)
+    quaternions = [s * axis[i] for i in range(4) for s in (1.0, -1.0)]
+    quaternions += [np.array(q) for q in itertools.product((0.5, -0.5), repeat=4)]
+    quaternions += [
+        a * axis[i] + b * axis[j]
+        for i, j in itertools.combinations(range(4), 2)
+        for a, b in itertools.product((root, -root), repeat=2)
+    ]
+    pairs = []
+    for q in quaternions:
+        u = q[0] * np.eye(2) - 1j * np.einsum("i,ijk->jk", q[1:], _SIGMA)
+        r = 0.5 * np.einsum("iab,bc,jcd,da->ij", _SIGMA, u, _SIGMA, u.conj().T).real
+        pairs.append((np.rint(r).astype(np.int64), np.kron(np.eye(2), u)))
+    return pairs
 
 
 def quadrupole_contraction(j_tensor, xi_vec):
@@ -440,6 +430,9 @@ def time_average_identity_check(f, t_list=(10.0, 50.0, 100.0), s_max=40.0):
         lhs = Integral_{-inf}^0 dt Integral_0^inf dt' A(t,t')
         rhs_T = (1/2T) Integral_0^T dt Integral dt' (t'-t) A(t,t')
 
+    The inner integral over t' is the same at every t, so rhs_T equals
+    i2/2 for every T, i2 the integral of s f(s) over [-s_max, s_max].
+
     f takes a float array and returns f elementwise (a numpy expression
     such as `lambda s: s * np.exp(-s * s)`); it is called three times,
     each on a whole array of nodes: once on the folded corner of the lhs
@@ -460,13 +453,7 @@ def time_average_identity_check(f, t_list=(10.0, 50.0, 100.0), s_max=40.0):
 
     i1 = inner(0.0, 1.0)
     i2 = converged(inner([0.0, 0.5], [0.5, 1.0]), i1, 1e-9, "time-average inner integral")
-
-    rhs = []
-    for t_total in t_list:
-        _, t_w2 = gauss_rule(0.0, t_total, 200)
-        # (t'-t) A(t,t') integrated over t' is translation invariant
-        rhs.append(float(np.sum(t_w2)) * i2 / (2.0 * t_total))
-    return lhs, rhs
+    return lhs, [0.5 * i2 for _ in t_list]
 
 
 def positivity_probe(j, x, y, cutoff=8.0):

@@ -181,7 +181,7 @@ def test_acceptance_5_conservation(capsys):
     # counterexample: equal momentum transfer, unequal frequency gaps
     cu, cv = violating_jet_pair(rng)
     ok &= not pairing_predicates(cu, cv)["implication_holds"]
-    residual = slayer.fermi_conservation_residual(cu, cv, t=0.3)
+    residual = slayer.fermi_conservation_residual(time_translate(cu, 0.3), time_translate(cv, 0.3))
     ok &= abs(residual) > 1e-8
     _report(5, ok, capsys, f"counterexample residual {residual:.3e}")
 

@@ -261,6 +261,49 @@ def test_overflowing_jet_amplitude_exits_2(runner, tmp_path, command):
     assert result.exit_code == 2
 
 
+def _default_jets_at(box, mass):
+    """The default config's two jets, rebuilt on shell with dirac_basis in
+    a box of that side at that mass, and no Maxwell fields."""
+    cfg = dict(fields.default_config(), box=box, mass=mass, maxwell=[])
+    for jet, coefficients in zip(cfg["jets"], fields._JET_COEFFICIENTS):
+        for (side, shell), c in zip((("psi", -1), ("delta_psi", 1)), coefficients):
+            mode = jet[side][0]
+            basis = fields.dirac_basis(shell, fields.lattice_momentum(np.array(mode["n"]), box), mass)
+            a = c[0] * basis[0] + c[1] * basis[1]
+            mode.update(a_re=a.real.tolist(), a_im=a.imag.tolist())
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "box, mass, command, check",
+    [
+        # box^6 underflows: sigma_fermi is NaN
+        (1e-56, 1.0, ["slayer", "eval"], "sigma_fermi[0,0]"),
+        (1e-56, 1.0, ["verify", "--suites", "slayer"], "fermi-antisymmetry"),
+        # m^3 underflows: ip_fermi is not finite
+        (DEFAULT_BOX, 1e-120, ["slayer", "eval"], "ip_fermi[0,0]"),
+    ],
+)
+def test_non_finite_functional_exits_2(runner, tmp_path, box, mass, command, check):
+    # a finite, positive box or mass can still make a functional non-finite:
+    # a config error, named by its entry, and no report
+    path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    path.write_text(json.dumps(_default_jets_at(box, mass)))
+    result = runner.invoke(cli.main, [*command, "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 2 and not out.exists()
+    assert result.stderr == f"config error: {check} is not finite on this configuration\n"
+
+
+def test_verify_at_a_mass_of_1e_120_writes_its_finite_report(runner, tmp_path):
+    # verify calls no ip_fermi, and every value it reports stays finite
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_default_jets_at(DEFAULT_BOX, 1e-120)))
+    result = runner.invoke(cli.main, ["verify", "--suites", "slayer", "--config", str(path)])
+    assert result.exit_code == 0
+    report = json.loads(result.stdout, parse_constant=_reject_constant)
+    assert {e["status"] for e in report} == {"pass"}
+
+
 _DELTA_PSI = fields.default_config()["jets"][0]["delta_psi"][0]
 
 

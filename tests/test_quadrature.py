@@ -1,3 +1,4 @@
+import ast
 import pathlib
 import re
 
@@ -7,7 +8,7 @@ from numpy.polynomial import Polynomial
 
 import lightcone
 from lightcone.errors import QuadratureNotConverged
-from lightcone import quadrature
+from lightcone import quadrature, slayer
 from lightcone.quadrature import converged, extrapolate_to_zero, gauss_legendre, gauss_rule, kronrod_rule
 
 
@@ -112,6 +113,22 @@ def _src_modules_matching(pattern):
     """The file names of the package's modules whose source matches pattern."""
     src = pathlib.Path(lightcone.__file__).parent
     return [path.name for path in sorted(src.glob("*.py")) if re.search(pattern, path.read_text())]
+
+
+def test_time_and_the_cube_group_act_from_outside_the_functionals():
+    # a mode's phase at time t is written by fields.time_translate (and
+    # FermionicJet.at), so no slayer function takes a time argument; and the
+    # cube group is enumerated exactly, so no module keys on rounded floats
+    tree = ast.parse(pathlib.Path(slayer.__file__).read_text())
+    timed = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        if arg.arg in ("t", "t0")
+    ]
+    assert timed == []
+    assert _src_modules_matching(r"\b(np|numpy)\.(round|around|round_)\b") == []
 
 
 def test_only_the_quadrature_layer_builds_gauss_rules():

@@ -7,6 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     dense_jet_pair,
@@ -56,30 +58,35 @@ from lightcone.slayer import (
 # ---------------------------------------------------------------------------
 
 
+def evolved(t, *objs):
+    """The fields or jets objs, each evolved to time t by time_translate."""
+    return [time_translate(obj, t) for obj in objs]
+
+
 def test_sigma_bose_matches_grid_oracle(rng):
     for _ in range(5):
-        u, v = maxwell_functional_pair(rng)
-        exact = sigma_bose(u, v, t0=0.3)
-        grid = sigma_bose_grid_oracle(u, v, t0=0.3, n=24)
+        u, v = evolved(0.3, *maxwell_functional_pair(rng))
+        exact = sigma_bose(u, v)
+        grid = sigma_bose_grid_oracle(u, v, n=24)
         assert exact != 0.0
         assert exact == pytest.approx(grid, abs=1e-8 * max(1.0, abs(exact)))
 
 
 def test_sigma_bose_antisymmetric(rng):
-    u, v = maxwell_functional_pair(rng)
-    s = sigma_bose(u, v, t0=0.2)
+    u, v = evolved(0.2, *maxwell_functional_pair(rng))
+    s = sigma_bose(u, v)
     assert s != 0.0
-    assert sigma_bose(v, u, t0=0.2) == pytest.approx(-s, abs=1e-10 * max(1.0, abs(s)))
+    assert sigma_bose(v, u) == pytest.approx(-s, abs=1e-10 * max(1.0, abs(s)))
     assert sigma_bose(u, u) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_sigma_bose_time_independent(rng):
     u, v = maxwell_functional_pair(rng)
-    base = sigma_bose(u, v, t0=0.0)
+    base = sigma_bose(u, v)
     assert base != 0.0
     scale = max(1.0, abs(base))
-    for t0 in (0.1, 1.0, 10.0):
-        assert sigma_bose(u, v, t0=t0) == pytest.approx(base, abs=1e-10 * scale)
+    for t in (0.1, 1.0, 10.0):
+        assert sigma_bose(*evolved(t, u, v)) == pytest.approx(base, abs=1e-10 * scale)
 
 
 def test_ip_bose_nonnegative_diagonal(rng):
@@ -105,8 +112,9 @@ def test_ip_bose_conserved_under_time_translation(rng):
 
 
 def reference_bose_pair_loop(u, v, t0=0.0):
-    """sigma_bose(u, v, t0) and ip_bose(u, v) as one loop over every pair of
-    exponential terms (each mode and its conjugate) of u and v."""
+    """sigma_bose of u and v evolved to time t0, and ip_bose(u, v), as one
+    loop over every pair of exponential terms (each mode and its
+    conjugate) of u and v, with the time phase of each term written here."""
     box = u.box
 
     def terms(field):
@@ -135,7 +143,7 @@ def test_bose_functionals_match_the_pair_loop(rng):
         u, v = maxwell_functional_pair(rng)
         sigma, ip = reference_bose_pair_loop(u, v, t0=0.4)
         assert sigma != 0.0 and ip != 0.0
-        assert abs(sigma_bose(u, v, t0=0.4) - sigma) <= 1e-12 * max(1.0, abs(sigma))
+        assert abs(sigma_bose(*evolved(0.4, u, v)) - sigma) <= 1e-12 * max(1.0, abs(sigma))
         assert abs(ip_bose(u, v) - ip) <= 1e-12 * max(ip_bose(u, u), ip_bose(v, v))
 
 
@@ -417,19 +425,19 @@ def test_conservation_residual_vanishes_for_matched_jets(rng):
     for _ in range(3):
         u, v = matched_jet_pair(rng)
         assert pairing_predicates(u, v)["implication_holds"]
-        assert fermi_conservation_residual(u, v, t=0.3) == 0.0
+        assert fermi_conservation_residual(*evolved(0.3, u, v)) == 0.0
 
 
 def test_conservation_residual_nonzero_for_violating_jets(rng):
     u, v = violating_jet_pair(rng)
     assert not pairing_predicates(u, v)["implication_holds"]
-    assert abs(fermi_conservation_residual(u, v, t=0.3)) > 1e3
+    assert abs(fermi_conservation_residual(*evolved(0.3, u, v))) > 1e3
 
 
 def test_conservation_residual_nonzero_for_opposite_transfers(rng):
     u, v = opposite_transfer_pair(rng)
     assert not pairing_predicates(u, v)["implication_holds"]
-    assert abs(fermi_conservation_residual(u, v, t=0.3)) > 1e3
+    assert abs(fermi_conservation_residual(*evolved(0.3, u, v))) > 1e3
 
 
 def space_translate(obj, x0):
@@ -445,7 +453,7 @@ def test_functionals_invariant_under_space_translation(rng):
     # the functionals integrate over the whole box, so moving both of
     # their arguments by the same x0 changes none of them
     (u, v), (ju, jv), (wu, wv) = maxwell_functional_pair(rng), fermi_functional_pair(rng), violating_jet_pair(rng)
-    residual = lambda a, b: fermi_conservation_residual(a, b, t=0.3)
+    residual = lambda a, b: fermi_conservation_residual(*evolved(0.3, a, b))
     for f, a, b in ((sigma_bose, u, v), (ip_bose, u, v), (sigma_fermi, ju, jv), (ip_fermi, ju, jv), (residual, wu, wv)):
         before = f(a, b)
         assert before != 0.0
@@ -498,7 +506,7 @@ def test_conservation_residual_computes_weights_in_one_call(rng, monkeypatch):
     counts = []
     for u, v in pairs:
         before = len(calls)
-        fermi_conservation_residual(u, v, t=0.3)
+        fermi_conservation_residual(*evolved(0.3, u, v))
         counts.append(len(calls) - before)
     # every key of one residual in one call; none where no pair survives
     assert counts == [1, 1, 1, 0]
@@ -528,9 +536,10 @@ def _reference_d_terms(jet, mat, sign):
 
 
 def reference_conservation_residual(jet_u, jet_v, t=0.0):
-    """Term-by-term evaluation of fermi_conservation_residual: a loop over
-    every pair of exponential terms of the two jets' bilinears, for each
-    (alpha, beta), chirality and contraction, with float momenta.
+    """Term-by-term evaluation of fermi_conservation_residual on the jets
+    evolved to time t: a loop over every pair of exponential terms of the
+    two jets' bilinears, for each (alpha, beta), chirality and contraction,
+    with float momenta and the time phase of each term written here.
 
     Returns (value, scale), scale being the sum of the magnitudes of the
     contributions: the roundoff of any summation order is a multiple of
@@ -594,7 +603,7 @@ def test_conservation_residual_matches_reference(rng):
     for name, u, v in cases:
         for t in (0.0, 0.3):
             want, scale = reference_conservation_residual(u, v, t)
-            got = fermi_conservation_residual(u, v, t)
+            got = fermi_conservation_residual(*evolved(t, u, v))
             assert abs(got - want) <= 1e-12 * scale, name
             if want != 0.0:
                 nonzero.add(name)
@@ -652,7 +661,7 @@ def test_conservation_residual_matched_at_16_modes(rng):
     u, v = jet_at(rng, psi_ns, delta_ns), jet_at(rng, psi_ns, delta_ns)
     assert pairing_predicates(u, v)["implication_holds"]
     start = time.perf_counter()
-    assert fermi_conservation_residual(u, v, t=0.3) == 0.0
+    assert fermi_conservation_residual(*evolved(0.3, u, v)) == 0.0
     assert time.perf_counter() - start < 2.0
 
 
@@ -660,7 +669,7 @@ def test_momentum_matches_grow_with_the_matches(rng):
     # 32 distinct momenta per side: a match by an n^4 broadcast mask peaks
     # at about 141 MB (residual) and 19 MB (pairing_predicates) here
     u, v = distinct_momentum_pair(rng, 32)
-    for call in (lambda: fermi_conservation_residual(u, v, t=0.3), lambda: pairing_predicates(u, v)):
+    for call in (lambda: fermi_conservation_residual(*evolved(0.3, u, v)), lambda: pairing_predicates(u, v)):
         tracemalloc.start()
         try:
             call()
@@ -671,16 +680,89 @@ def test_momentum_matches_grow_with_the_matches(rng):
 
 
 def test_cube_spin_rotation_group():
-    mats = cube_spin_rotations()
-    assert len(mats) == 48
-    # closed under multiplication
-    keys = {tuple(np.round(m.ravel(), 8)) for m in mats}
-    a, b = mats[3], mats[7]
-    assert tuple(np.round((a @ b).ravel(), 8)) in keys
-    # each is unitary and block-diagonal
-    for m in mats[:8]:
-        assert np.allclose(m @ m.conj().T, np.eye(4), atol=1e-12)
-        assert np.allclose(m[:2, 2:], 0.0)
+    pairs = cube_spin_rotations()
+    assert len(pairs) == 48
+    # 24 integer rotations, each with S and -S
+    assert len({r.tobytes() for r, _ in pairs}) == 24
+    for r, s in pairs:
+        assert r.dtype == np.int64 and np.array_equal(r @ r.T, np.eye(3)) and round(np.linalg.det(r)) == 1
+        # S is unitary, the same 2x2 block twice, and rotates the spatial
+        # gammas by R: S gamma^j S^dagger = sum_i R_ij gamma^i
+        assert np.allclose(s @ s.conj().T, np.eye(4), atol=1e-12)
+        assert np.array_equal(s[:2, 2:], np.zeros((2, 2))) and np.array_equal(s[:2, :2], s[2:, 2:])
+        for j in range(3):
+            assert np.allclose(s @ GAMMA[j + 1] @ s.conj().T, np.einsum("i,iab->ab", r[:, j], GAMMA[1:]), atol=1e-12)
+    # closed under multiplication, and R follows S: the product of two pairs'
+    # S is a third pair's S, whose R is the product of theirs
+    spins = np.array([s for _, s in pairs])
+    products = np.einsum("aij,bjk->abik", spins, spins)
+    distance = np.max(np.abs(products[:, :, None] - spins[None, None]), axis=(3, 4))
+    assert np.all(np.sum(distance < 1e-12, axis=2) == 1)
+    for a, b in np.ndindex(48, 48):
+        c = np.argmin(distance[a, b])
+        assert np.array_equal(pairs[a][0] @ pairs[b][0], pairs[c][0])
+
+
+def rotated(obj, r, s):
+    """A field or jet moved by the cube-group pair (R, S): lattice indices
+    n -> R n, with jet amplitudes a -> S a and Maxwell momenta and
+    polarizations (p0, pvec) -> (p0, R pvec), (eps0, epsvec) -> (eps0, R epsvec)."""
+    if isinstance(obj, MaxwellField):
+        spatial = np.eye(4, dtype=np.int64)
+        spatial[1:, 1:] = r
+        return replace(obj, p=obj.p @ spatial.T, eps=obj.eps @ spatial.T)
+    return replace(
+        obj,
+        psi_n=obj.psi_n @ r.T,
+        psi_a=obj.psi_a @ s.T,
+        delta_psi_n=obj.delta_psi_n @ r.T,
+        delta_psi_a=obj.delta_psi_a @ s.T,
+    )
+
+
+_JET_PAIRS = {
+    "fermi_functional": fermi_functional_pair,
+    "matched": matched_jet_pair,
+    "violating": violating_jet_pair,
+    "opposite": opposite_transfer_pair,
+    "dense": lambda rng: dense_jet_pair(rng, 2),
+}
+
+
+def _assert_cube_invariant(functional, u, v, scale=0.0):
+    """functional(u, v) is unchanged, to 1e-12 of the larger of its size
+    and scale, when both arguments are moved by any pair (R, S)."""
+    before = functional(u, v)
+    for r, s in cube_spin_rotations():
+        moved = functional(rotated(u, r, s), rotated(v, r, s))
+        assert abs(moved - before) <= 1e-12 * max(abs(before), scale)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(_JET_PAIRS)))
+def test_jet_functionals_invariant_under_the_cube_group(seed, builder):
+    # the box and its quadrupole weight are cube-symmetric, and S rotates
+    # the vertex as R rotates the momenta, so every functional of a pair
+    # moved by the same (R, S) is unchanged.  ip_fermi and the residual can
+    # cancel far below their terms, so their roundoff is bounded by the
+    # Cauchy-Schwarz bound and by the reference loop's sum of magnitudes
+    u, v = _JET_PAIRS[builder](np.random.default_rng(seed))
+    _assert_cube_invariant(sigma_fermi, u, v)
+    _assert_cube_invariant(ip_fermi, u, v, np.sqrt(abs(ip_fermi(u, u) * ip_fermi(v, v))))
+    _assert_cube_invariant(fermi_conservation_residual, u, v, reference_conservation_residual(u, v)[1])
+    before = pairing_predicates(u, v)
+    for r, s in cube_spin_rotations():
+        after = pairing_predicates(rotated(u, r, s), rotated(v, r, s))
+        assert np.array_equal(after["quadruples"], before["quadruples"])
+        assert np.array_equal(after["flagged"], before["flagged"])
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_maxwell_functionals_invariant_under_the_cube_group(seed):
+    u, v = maxwell_functional_pair(np.random.default_rng(seed))
+    for functional in (sigma_bose, ip_bose):
+        _assert_cube_invariant(functional, u, v)
 
 
 def test_spherical_symmetrization_kills_quadrupole(rng):
@@ -695,13 +777,10 @@ def test_spherical_symmetrization_kills_quadrupole(rng):
     y = np.array([0.1, -0.3, 0.8, 0.2])
     xi = y[1:] - x[1:]
 
-    def rotate(jet, r):
-        return replace(jet, psi_a=jet.psi_a @ r.T, delta_psi_a=jet.delta_psi_a @ r.T)
-
     total = np.zeros((4, 4))
     singles = []
-    for r in cube_spin_rotations():
-        j = jtensor_components(rotate(u0, r), rotate(v0, r), x, y)
+    for r, s in cube_spin_rotations():
+        j = jtensor_components(rotated(u0, r, s), rotated(v0, r, s), x, y)
         singles.append(abs(quadrupole_contraction(j, xi)))
         total += j
     scale = max(singles)
@@ -729,8 +808,9 @@ def test_time_average_identity_gaussian():
         lambda s: s * np.exp(-s * s), t_list=(10.0, 50.0, 100.0), s_max=12.0
     )
     assert lhs == pytest.approx(np.sqrt(np.pi) / 4.0, abs=1e-12)
-    for r in rhs:
-        assert r == pytest.approx(lhs, abs=1e-12)
+    # rhs_T is i2/2 for every T
+    assert len(rhs) == 3 and len(set(rhs)) == 1
+    assert rhs[0] == pytest.approx(lhs, abs=1e-12)
 
 
 def test_time_average_identity_calls_f_on_arrays():
