@@ -11,14 +11,22 @@ value that is not finite on the given configuration exits 2 instead.
 
 from __future__ import annotations
 
+import argparse
 import csv
+import gc
+import itertools
 import json
 import math
+import os
 import sys
 
-import click
-
 from .errors import ConfigInvalid, ConfigMalformed, LightconeError
+
+
+def _abort(message):
+    """Write message to stderr and exit 2: a usage, config or output error."""
+    print(message, file=sys.stderr)
+    sys.exit(2)
 
 
 def _write(out, emit, newline=None):
@@ -31,8 +39,7 @@ def _write(out, emit, newline=None):
         with open(out, "w", newline=newline) as fh:
             emit(fh)
     except OSError as exc:
-        click.echo(f"cannot write output: {exc}", err=True)
-        sys.exit(2)
+        _abort(f"cannot write output: {exc}")
 
 
 def _write_json(report, out):
@@ -42,24 +49,11 @@ def _write_json(report, out):
     floating-point warnings are therefore off."""
     for entry in report:
         if not (math.isfinite(entry["value"]) and math.isfinite(entry["tolerance"])):
-            click.echo(f"config error: {entry['check']} is not finite on this configuration", err=True)
-            sys.exit(2)
+            _abort(f"config error: {entry['check']} is not finite on this configuration")
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _write(out, lambda fh: fh.write(text))
 
 
-@click.group()
-def main():
-    """Verification tools for light-cone kernels, line integrals,
-    convolutions, and surface-layer functionals."""
-
-
-@main.command()
-@click.option("--suites", default="all", help="comma-separated suite names or 'all'")
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.option("--seed", default=7, type=click.IntRange(min=0))
-@click.option("--tol", "tols", multiple=True, help="suite=tolerance overrides")
-@click.option("--out", default=None, type=click.Path())
 def verify(suites, config_path, seed, tols, out):
     """Run verification suites and write a JSON report."""
     import numpy as np
@@ -69,13 +63,11 @@ def verify(suites, config_path, seed, tols, out):
     names = tuple(checks._SUITES) if suites == "all" else tuple(s.strip() for s in suites.split(","))
     for name in names:
         if name not in checks._SUITES:
-            click.echo(f"unknown suite: {name}", err=True)
-            sys.exit(2)
+            _abort(f"unknown suite: {name}")
     tolerances = {}
     for item in tols:
         if "=" not in item:
-            click.echo(f"bad --tol override: {item}", err=True)
-            sys.exit(2)
+            _abort(f"bad --tol override: {item}")
         key, _, val = item.partition("=")
         try:
             tolerances[key] = float(val)
@@ -85,15 +77,13 @@ def verify(suites, config_path, seed, tols, out):
         # report; a negative one fails every check; an unknown suite name
         # would be ignored
         if key not in checks._SUITES or not (math.isfinite(tolerances[key]) and tolerances[key] >= 0):
-            click.echo(f"bad --tol override: {item}", err=True)
-            sys.exit(2)
+            _abort(f"bad --tol override: {item}")
     config = None
     if config_path is not None:
         try:
             config = fields.load_config(config_path)
         except ConfigMalformed as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(2)
+            _abort(f"config error: {exc}")
         except ConfigInvalid as exc:
             # Inadmissible field content is a failing check, not a usage error.
             entry = checks._entry("config-admissibility", 1.0, 0.0, "on-shell-constraints", ok=False)
@@ -105,22 +95,12 @@ def verify(suites, config_path, seed, tols, out):
     sys.exit(1 if any(e["status"] == "fail" for e in report) else 0)
 
 
-@main.command("kernels")
-@click.option("--id", "kid", required=True)
-@click.option("--omega-min", default=-3.0, type=float)
-@click.option("--omega-max", default=3.0, type=float)
-@click.option("--omega-step", default=0.1, type=float)
-@click.option("--k-min", default=0.1, type=float)
-@click.option("--k-max", default=3.0, type=float)
-@click.option("--k-step", default=0.1, type=float)
-@click.option("--out", default=None, type=click.Path())
 def kernels_cmd(kid, omega_min, omega_max, omega_step, k_min, k_max, k_step, out):
     """Tabulate a momentum-space kernel on an (omega, k) grid as CSV."""
     from . import kernels
 
     if kid not in kernels.KERNEL_IDS:
-        click.echo(f"unknown kernel id: {kid}", err=True)
-        sys.exit(2)
+        _abort(f"unknown kernel id: {kid}")
     omegas = _grid("omega", omega_min, omega_max, omega_step)
     ks = _grid("k", k_min, k_max, k_step)
     rows = kernels.kernel_table(kid, omegas.tolist(), ks.tolist())
@@ -128,20 +108,10 @@ def kernels_cmd(kid, omega_min, omega_max, omega_step, k_min, k_max, k_step, out
     sys.exit(0)
 
 
-@main.command("lineint")
-@click.option("--fn", required=True)
-@click.option("--a-min", default=-2.0, type=float)
-@click.option("--a-max", default=3.0, type=float)
-@click.option("--a-step", default=0.05, type=float)
-@click.option("--b-min", default=-2.0, type=float)
-@click.option("--b-max", default=3.0, type=float)
-@click.option("--b-step", default=0.05, type=float)
-@click.option("--out", default=None, type=click.Path())
 def lineint_cmd(fn, a_min, a_max, a_step, b_min, b_max, b_step, out):
     """Tabulate a piecewise line-integral function on an (alpha, beta) grid."""
     if fn not in ("J", "I", "U", "Jtilde", "V"):
-        click.echo(f"unknown function: {fn}", err=True)
-        sys.exit(2)
+        _abort(f"unknown function: {fn}")
     import numpy as np
 
     from . import lineint
@@ -150,9 +120,10 @@ def lineint_cmd(fn, a_min, a_max, a_step, b_min, b_max, b_step, out):
     betas = _grid("b", b_min, b_max, b_step)
     a, b = np.meshgrid(alphas, betas, indexing="ij")
     values = lineint.eval_piecewise(fn, a, b)
+    # each axis value formatted once, paired in the meshgrid's 'ij' order;
     # Python floats: csv formats them faster than numpy scalars, to the same text
-    columns = (a.ravel().tolist(), b.ravel().tolist(), values.ravel().tolist())
-    rows = [(x, y, fn, v) for x, y, v in zip(*columns)]
+    points = itertools.product(map(repr, alphas.tolist()), map(repr, betas.tolist()))
+    rows = [(x, y, fn, v) for (x, y), v in zip(points, values.ravel().tolist())]
     _write_csv(out, ("alpha", "beta", "fn", "value"), rows)
     sys.exit(0)
 
@@ -168,12 +139,10 @@ def _grid(axis, lo, hi, step):
             return np.arange(lo, hi + 0.5 * step, step)
     except (ValueError, MemoryError):  # too many points
         pass
-    click.echo(
+    _abort(
         f"bad {axis} grid: --{axis}-min {lo} and --{axis}-max {hi} must be finite,"
-        f" --{axis}-step {step} finite, positive and not too small",
-        err=True,
+        f" --{axis}-step {step} finite, positive and not too small"
     )
-    sys.exit(2)
 
 
 def _write_csv(out, header, rows):
@@ -189,10 +158,6 @@ def _write_csv(out, header, rows):
 CONVOLUTION_ORACLE_RTOL = 1e-10
 
 
-@main.command("convolution")
-@click.option("--q", required=True, help="comma-separated four-vector")
-@click.option("--m", default=1.0, type=float)
-@click.option("--out", default=None, type=click.Path())
 def convolution_cmd(q, m, out):
     """Evaluate the shell convolutions and their oracles at a momentum,
     as CSV rows (query, closed form, oracle, relative error).  Exits 1,
@@ -206,11 +171,9 @@ def convolution_cmd(q, m, out):
         if not all(math.isfinite(c * c) for c in qv):
             raise ValueError("components must have finite squares")
     except ValueError as exc:
-        click.echo(f"bad momentum: {exc}", err=True)
-        sys.exit(2)
+        _abort(f"bad momentum: {exc}")
     if not (math.isfinite(m * m) and m > 0):
-        click.echo(f"bad mass: {m} must be positive with a finite square", err=True)
-        sys.exit(2)
+        _abort(f"bad mass: {m} must be positive with a finite square")
     from . import convolution
 
     query = convolution.ShellIntegralQuery(qv, m)
@@ -248,14 +211,6 @@ def convolution_cmd(q, m, out):
     sys.exit(1 if any(rel != "" and not rel <= CONVOLUTION_ORACLE_RTOL for *_, rel in rows) else 0)
 
 
-@main.group("slayer")
-def slayer_group():
-    """Surface-layer functional evaluation."""
-
-
-@slayer_group.command("eval")
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.option("--out", default=None, type=click.Path())
 def slayer_eval(config_path, out):
     """Evaluate the surface-layer functionals on a field configuration."""
     import numpy as np
@@ -265,8 +220,7 @@ def slayer_eval(config_path, out):
     try:
         _, _, maxwell_fields, jets = fields.load_config(config_path or fields.default_config())
     except ConfigInvalid as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+        _abort(f"config error: {exc}")
     bose = (
         ("sigma_bose", slayer.sigma_bose, "bose-symplectic"),
         ("ip_bose", slayer.ip_bose, "bose-inner-product"),
@@ -310,8 +264,6 @@ def _report_problem(entries):
     return None
 
 
-@main.command("report")
-@click.option("--in", "in_path", required=True, type=click.Path())
 def report_cmd(in_path):
     """Render a JSON report as one line per check.  Exits 2 unless the file
     is a strict-JSON report (see _report_problem)."""
@@ -319,21 +271,142 @@ def report_cmd(in_path):
         with open(in_path) as fh:
             entries = json.load(fh, parse_int=float, parse_constant=_reject_constant)
     except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
-        click.echo(f"cannot read report: {exc}", err=True)
-        sys.exit(2)
+        _abort(f"cannot read report: {exc}")
     problem = _report_problem(entries)
     if problem:
-        click.echo(f"malformed report: {problem}", err=True)
-        sys.exit(2)
+        _abort(f"malformed report: {problem}")
     failed = False
     for entry in entries:
         line = (
             f"{entry.get('suite', '-')}/{entry['check']}: {entry['status'].upper()}"
             f" (value {entry['value']:.3e}, tol {entry['tolerance']:.3e})"
         )
-        click.echo(line)
+        print(line)
         failed = failed or entry["status"] == "fail"
     sys.exit(1 if failed else 0)
+
+
+def _seed(text):
+    """--seed: an integer >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return seed
+
+
+def _parser():
+    """The argument parser: one subcommand per command function, which
+    each parsed namespace names as `run`.  A usage error exits 2, and no
+    option may be abbreviated."""
+
+    def command(subparsers, name, run):
+        doc = run.__doc__.split(".")[0] + "."
+        parser = subparsers.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        parser.set_defaults(run=run)
+        return parser
+
+    def grid(parser, axis, lo, hi, step):
+        for key, value in (("min", lo), ("max", hi), ("step", step)):
+            parser.add_argument(f"--{axis}-{key}", type=float, default=value)
+
+    parser = argparse.ArgumentParser(
+        prog="lightcone",
+        description="Verification tools for light-cone kernels, line integrals,"
+        " convolutions, and surface-layer functionals.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(metavar="command", required=True)
+
+    sub = command(commands, "verify", verify)
+    sub.add_argument("--suites", default="all", help="comma-separated suite names or 'all'")
+    sub.add_argument("--config", dest="config_path", metavar="PATH")
+    sub.add_argument("--seed", type=_seed, default=7)
+    sub.add_argument("--tol", dest="tols", action="append", default=[], metavar="SUITE=TOL",
+                     help="per-suite tolerance override; may repeat")
+    sub.add_argument("--out")
+
+    sub = command(commands, "kernels", kernels_cmd)
+    sub.add_argument("--id", dest="kid", metavar="ID", required=True)
+    grid(sub, "omega", -3.0, 3.0, 0.1)
+    grid(sub, "k", 0.1, 3.0, 0.1)
+    sub.add_argument("--out")
+
+    sub = command(commands, "lineint", lineint_cmd)
+    sub.add_argument("--fn", required=True)
+    grid(sub, "a", -2.0, 3.0, 0.05)
+    grid(sub, "b", -2.0, 3.0, 0.05)
+    sub.add_argument("--out")
+
+    sub = command(commands, "convolution", convolution_cmd)
+    sub.add_argument("--q", required=True, help="comma-separated four-vector")
+    sub.add_argument("--m", type=float, default=1.0)
+    sub.add_argument("--out")
+
+    slayer = commands.add_parser("slayer", help="Surface-layer functional evaluation.", allow_abbrev=False)
+    sub = command(slayer.add_subparsers(metavar="command", required=True), "eval", slayer_eval)
+    sub.add_argument("--config", dest="config_path", metavar="PATH")
+    sub.add_argument("--out")
+
+    sub = command(commands, "report", report_cmd)
+    sub.add_argument("--in", dest="in_path", metavar="PATH", required=True)
+    return parser
+
+
+def _attach_values(argv):
+    """argv with each `--option value` pair written as `--option=value`.
+    Every option but --help takes one value, and the argument after it is
+    that value whatever it looks like; argparse alone would read a value
+    such as -1e-3 or -2,0,0,0 as an option.  A `--` ends the options."""
+    out, rest = [], list(argv)
+    while rest:
+        arg = rest.pop(0)
+        if arg == "--":
+            return [*out, arg, *rest]
+        if arg.startswith("--") and "=" not in arg and arg != "--help" and rest:
+            arg = f"{arg}={rest.pop(0)}"
+        out.append(arg)
+    return out
+
+
+def _run(argv):
+    options = vars(_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv)))
+    options.pop("run")(**options)
+
+
+def main(argv=None, standalone_mode=True):
+    """Run the command that argv (default sys.argv[1:]) names.  Every
+    command and every usage error ends in SystemExit with the exit code.
+
+    standalone_mode=True, the console script's and `python -m
+    lightcone.cli`'s call, means main owns its process.  numpy, which the
+    commands import later, then runs one OpenBLAS thread unless
+    OPENBLAS_NUM_THREADS is set, since no BLAS call here is large enough to
+    pay for a worker.  Cyclic garbage collection is off, and every object
+    is frozen before exit, so the interpreter's final collections skip
+    them while stdout still flushes and atexit still runs.  A reader that
+    closes stdout early exits 1 quietly.  standalone_mode=False is for a
+    caller's process, such as a test's: main then touches neither the
+    environment nor gc."""
+    if not standalone_mode:
+        _run(argv)
+        return
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    gc.disable()
+    try:
+        try:
+            _run(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # as under `| head`: point stdout at devnull so the final flush
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -291,6 +291,9 @@ def _box_quadrupole_hat(keys, box):
         )
     # subtract the delta/3 part as trace/3 so the result is trace-free to roundoff
     out -= (np.trace(out, axis1=1, axis2=2) / 3.0)[:, None, None] * np.eye(3)
+    # cube symmetry makes W(0) exactly zero, where the rule leaves ~1e-10 of
+    # roundoff that the residual's box^3 would scale up
+    out[~keys.any(axis=1)] = 0.0
     return out
 
 
@@ -440,7 +443,9 @@ def time_average_identity_check(f, t_list=(10.0, 50.0, 100.0), s_max=40.0):
     (lhs, [rhs_T for T in t_list])."""
     # lhs as a genuine double integral over the decaying corner
     sigma, weight = _time_average_corner()
-    lhs = s_max * s_max * float(weight @ f(s_max * sigma))
+    # numpy's pairwise sum, not a BLAS dot product, whose value would depend
+    # on how many threads OpenBLAS splits its 20,100 terms over
+    lhs = s_max * s_max * float(np.sum(weight * f(s_max * sigma)))
 
     # refinement check on the inner weighted integral: the 200-node rule
     # on [0, 1] against the same rule on each half of it

@@ -1,4 +1,7 @@
+import collections
+import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -7,7 +10,6 @@ import sys
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from conftest import opposite_transfer_pair, violating_jet_pair
 import lightcone
@@ -16,17 +18,26 @@ from lightcone.errors import OnLightCone
 from lightcone.fields import DEFAULT_BOX, load_config
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
+Result = collections.namedtuple("Result", "exit_code stdout stderr")
 
 
-def test_verify_fast_suites_pass(runner):
-    result = runner.invoke(
-        cli.main, ["verify", "--suites", "clifford,lineint,fields", "--seed", "7"]
-    )
+def invoke(argv):
+    """Run the CLI on argv in this process, as main(argv,
+    standalone_mode=False): its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(argv, standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code
+    return Result(code, out.getvalue(), err.getvalue())
+
+
+def test_verify_fast_suites_pass():
+    result = invoke(["verify", "--suites", "clifford,lineint,fields", "--seed", "7"])
     assert result.exit_code == 0
-    report = json.loads(result.output)
+    report = json.loads(result.stdout)
     assert all(e["status"] == "pass" for e in report)
     assert all(
         set(e) >= {"check", "status", "value", "tolerance", "paper_ref", "suite"}
@@ -34,19 +45,19 @@ def test_verify_fast_suites_pass(runner):
     )
 
 
-def test_verify_all_suites_pass(runner):
-    result = runner.invoke(cli.main, ["verify", "--suites", "all", "--seed", "7"])
+def test_verify_all_suites_pass():
+    result = invoke(["verify", "--suites", "all", "--seed", "7"])
     assert result.exit_code == 0
-    report = json.loads(result.output)
+    report = json.loads(result.stdout)
     assert len(report) == 22
     assert {e["suite"] for e in report} == set(checks._SUITES)
     assert all(e["status"] == "pass" for e in report)
 
 
-def test_verify_convolution_tol_is_applied(runner):
-    result = runner.invoke(cli.main, ["verify", "--suites", "convolution", "--tol", "convolution=1e-20"])
+def test_verify_convolution_tol_is_applied():
+    result = invoke(["verify", "--suites", "convolution", "--tol", "convolution=1e-20"])
     assert result.exit_code == 1
-    report = {e["check"]: e for e in json.loads(result.output)}
+    report = {e["check"]: e for e in json.loads(result.stdout)}
     assert report["shell-convolution-oracle"]["tolerance"] == 1e-20
     assert report["shell-convolution-oracle"]["status"] == "fail"
 
@@ -90,49 +101,49 @@ def test_suite_catches_a_planted_defect(monkeypatch, check):
     assert report[check]["status"] == "fail"
 
 
-def test_verify_reports_a_wrong_gamma_matrix(monkeypatch, runner):
+def test_verify_reports_a_wrong_gamma_matrix(monkeypatch):
     # gamma^2 in place of gamma^1 makes every closed chain degenerate:
     # random_xi gives up after its capped draws, and both projector checks fail
     monkeypatch.setattr(clifford, "GAMMA", [clifford.GAMMA[i] for i in (0, 2, 2, 3)])
     report = {e["check"]: e["status"] for e in checks.run_suites(("clifford",), 7)}
     assert report["clifford-relations"] == report["projector-idempotency"] == report["projector-ratio"] == "fail"
-    result = runner.invoke(cli.main, ["verify", "--suites", "clifford"])
+    result = invoke(["verify", "--suites", "clifford"])
     assert result.exit_code == 1
-    assert {e["check"]: e["status"] for e in json.loads(result.output, parse_constant=_reject_constant)} == report
+    assert {e["check"]: e["status"] for e in json.loads(result.stdout, parse_constant=_reject_constant)} == report
 
 
-def test_verify_unknown_suite_exits_2(runner):
-    result = runner.invoke(cli.main, ["verify", "--suites", "bogus"])
+def test_verify_unknown_suite_exits_2():
+    result = invoke(["verify", "--suites", "bogus"])
     assert result.exit_code == 2
 
 
-def test_verify_bad_tol_exits_2(runner):
-    result = runner.invoke(cli.main, ["verify", "--tol", "nonsense"])
+def test_verify_bad_tol_exits_2():
+    result = invoke(["verify", "--tol", "nonsense"])
     assert result.exit_code == 2
 
 
 @pytest.mark.parametrize("override", ["clifford=nan", "slayer=inf", "kernls=1e-8", "clifford=-1", "clifford=abc"])
-def test_verify_non_finite_tol_exits_2(runner, override):
-    result = runner.invoke(cli.main, ["verify", "--suites", "clifford", "--tol", override])
+def test_verify_non_finite_tol_exits_2(override):
+    result = invoke(["verify", "--suites", "clifford", "--tol", override])
     assert result.exit_code == 2
 
 
 @pytest.mark.parametrize("suites", ["fields", "lineint"])
-def test_verify_negative_seed_exits_2(runner, suites):
+def test_verify_negative_seed_exits_2(suites):
     # the fields suite draws no samples: only the option itself can reject the seed there
-    result = runner.invoke(cli.main, ["verify", "--suites", suites, "--seed", "-1"])
+    result = invoke(["verify", "--suites", suites, "--seed", "-1"])
     assert result.exit_code == 2
 
 
-def test_verify_deterministic_reports(runner, tmp_path):
+def test_verify_deterministic_reports(tmp_path):
     args = ["verify", "--suites", "clifford,slayer", "--seed", "11"]
-    r1 = runner.invoke(cli.main, args + ["--out", str(tmp_path / "a.json")])
-    r2 = runner.invoke(cli.main, args + ["--out", str(tmp_path / "b.json")])
+    r1 = invoke(args + ["--out", str(tmp_path / "a.json")])
+    r2 = invoke(args + ["--out", str(tmp_path / "b.json")])
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-def test_verify_failing_config(runner, tmp_path):
+def test_verify_failing_config(tmp_path):
     cfg = {
         "box": 100.53096491487338,
         "mass": 1.0,
@@ -147,9 +158,9 @@ def test_verify_failing_config(runner, tmp_path):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    result = runner.invoke(cli.main, ["verify", "--config", str(path)])
+    result = invoke(["verify", "--config", str(path)])
     assert result.exit_code == 1
-    report = json.loads(result.output)
+    report = json.loads(result.stdout)
     assert report[0]["status"] == "fail"
     assert report[0]["paper_ref"]
 
@@ -214,16 +225,16 @@ def _malformed_config(tmp_path, key, value, *more):
 
 
 @pytest.mark.parametrize("key, value", _MALFORMED_CONFIGS)
-def test_verify_malformed_config_exits_2(runner, tmp_path, key, value):
+def test_verify_malformed_config_exits_2(tmp_path, key, value):
     path = _malformed_config(tmp_path, key, value)
-    result = runner.invoke(cli.main, ["verify", "--suites", "slayer", "--config", path])
+    result = invoke(["verify", "--suites", "slayer", "--config", path])
     assert result.exit_code == 2 and result.stderr.startswith("config error:")
 
 
 @pytest.mark.parametrize("key, value", _MALFORMED_CONFIGS)
-def test_slayer_eval_malformed_config_exits_2(runner, tmp_path, key, value):
+def test_slayer_eval_malformed_config_exits_2(tmp_path, key, value):
     path = _malformed_config(tmp_path, key, value)
-    result = runner.invoke(cli.main, ["slayer", "eval", "--config", path])
+    result = invoke(["slayer", "eval", "--config", path])
     assert result.exit_code == 2 and result.stderr.startswith("config error:")
 
 
@@ -241,15 +252,15 @@ _UNREADABLE_CONFIGS = {
 
 @pytest.mark.parametrize("command", [["verify", "--suites", "slayer"], ["slayer", "eval"]])
 @pytest.mark.parametrize("name", _UNREADABLE_CONFIGS)
-def test_unreadable_or_raw_config_exits_2(runner, tmp_path, command, name):
+def test_unreadable_or_raw_config_exits_2(tmp_path, command, name):
     path = tmp_path / "cfg.json"
     path.write_bytes(_UNREADABLE_CONFIGS[name])
-    result = runner.invoke(cli.main, [*command, "--config", str(path)])
+    result = invoke([*command, "--config", str(path)])
     assert result.exit_code == 2 and result.stderr.startswith("config error:")
 
 
 @pytest.mark.parametrize("command", [["verify", "--suites", "slayer"], ["slayer", "eval"]])
-def test_overflowing_jet_amplitude_exits_2(runner, tmp_path, command):
+def test_overflowing_jet_amplitude_exits_2(tmp_path, command):
     # an on-shell amplitude, scaled until ||a||^2 overflows
     cfg = fields.default_config()
     mode = cfg["jets"][0]["psi"][0]
@@ -257,7 +268,7 @@ def test_overflowing_jet_amplitude_exits_2(runner, tmp_path, command):
         mode[key] = [1e200 * c for c in mode[key]]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    result = runner.invoke(cli.main, [*command, "--config", str(path)])
+    result = invoke([*command, "--config", str(path)])
     assert result.exit_code == 2
 
 
@@ -284,21 +295,21 @@ def _default_jets_at(box, mass):
         (DEFAULT_BOX, 1e-120, ["slayer", "eval"], "ip_fermi[0,0]"),
     ],
 )
-def test_non_finite_functional_exits_2(runner, tmp_path, box, mass, command, check):
+def test_non_finite_functional_exits_2(tmp_path, box, mass, command, check):
     # a finite, positive box or mass can still make a functional non-finite:
     # a config error, named by its entry, and no report
     path, out = tmp_path / "cfg.json", tmp_path / "report.json"
     path.write_text(json.dumps(_default_jets_at(box, mass)))
-    result = runner.invoke(cli.main, [*command, "--config", str(path), "--out", str(out)])
+    result = invoke([*command, "--config", str(path), "--out", str(out)])
     assert result.exit_code == 2 and not out.exists()
     assert result.stderr == f"config error: {check} is not finite on this configuration\n"
 
 
-def test_verify_at_a_mass_of_1e_120_writes_its_finite_report(runner, tmp_path):
+def test_verify_at_a_mass_of_1e_120_writes_its_finite_report(tmp_path):
     # verify calls no ip_fermi, and every value it reports stays finite
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_default_jets_at(DEFAULT_BOX, 1e-120)))
-    result = runner.invoke(cli.main, ["verify", "--suites", "slayer", "--config", str(path)])
+    result = invoke(["verify", "--suites", "slayer", "--config", str(path)])
     assert result.exit_code == 0
     report = json.loads(result.stdout, parse_constant=_reject_constant)
     assert {e["status"] for e in report} == {"pass"}
@@ -325,16 +336,16 @@ _DELTA_PSI = fields.default_config()["jets"][0]["delta_psi"][0]
         ),
     ],
 )
-def test_malformed_mode_wins_over_an_inadmissible_one(runner, tmp_path, command, edits):
+def test_malformed_mode_wins_over_an_inadmissible_one(tmp_path, command, edits):
     # the loader builds every entry, and a malformed mode anywhere makes the
     # config malformed, whichever entry or side is rejected first
     path = _malformed_config(tmp_path, *edits)
-    result = runner.invoke(cli.main, [*command, "--config", path])
+    result = invoke([*command, "--config", path])
     assert result.exit_code == 2
 
 
 @pytest.mark.parametrize("index", [2**53 + 1, 2**62 - 1, -(2**62) + 1])
-def test_lattice_index_beyond_2_53_is_read_exactly(runner, tmp_path, index):
+def test_lattice_index_beyond_2_53_is_read_exactly(tmp_path, index):
     # a float64 holds integers exactly only up to 2^53; +-(2^62 - 1) would round to the inadmissible +-2^62
     cfg = fields.default_config()
     cfg["jets"][0]["psi"][0] = fields._mode_entry(-1, [index, 0, 0], fields._JET_COEFFICIENTS[0][0])
@@ -342,74 +353,70 @@ def test_lattice_index_beyond_2_53_is_read_exactly(runner, tmp_path, index):
     path.write_text(json.dumps(cfg))
     _, _, _, jets = load_config(str(path))
     assert jets[0].psi_n.tolist() == [[index, 0, 0]]
-    result = runner.invoke(cli.main, ["slayer", "eval", "--config", str(path)])
+    result = invoke(["slayer", "eval", "--config", str(path)])
     assert result.exit_code == 0
 
 
-def test_maxwell_momentum_at_lattice_index_0_is_inadmissible(runner, tmp_path):
+def test_maxwell_momentum_at_lattice_index_0_is_inadmissible(tmp_path):
     # p is null and nonzero, but p * box / 2 pi rounds to the index (0, 0, 0)
     path = _malformed_config(tmp_path, "maxwell.0.p", [1e-12, 1e-12, 0.0, 0.0])
-    result = runner.invoke(cli.main, ["slayer", "eval", "--config", path])
+    result = invoke(["slayer", "eval", "--config", path])
     assert result.exit_code == 2
-    result = runner.invoke(cli.main, ["verify", "--suites", "slayer", "--config", path])
+    result = invoke(["verify", "--suites", "slayer", "--config", path])
     assert result.exit_code == 1
-    (entry,) = json.loads(result.output)
+    (entry,) = json.loads(result.stdout)
     assert entry["check"] == "config-admissibility" and entry["status"] == "fail"
     assert "lattice index 0" in entry["detail"]
 
 
 @pytest.mark.parametrize("index", [2**62, -(2**62), 2**63 - 1, -(2**63)])
-def test_lattice_index_outside_2_62_is_inadmissible(runner, tmp_path, index):
+def test_lattice_index_outside_2_62_is_inadmissible(tmp_path, index):
     # beyond +-2^62 the difference of two indices can wrap in int64
     path = _malformed_config(tmp_path, "jets.0.psi.0.n", [index, 0, 0])
-    result = runner.invoke(cli.main, ["slayer", "eval", "--config", path])
+    result = invoke(["slayer", "eval", "--config", path])
     assert result.exit_code == 2
-    result = runner.invoke(cli.main, ["verify", "--suites", "slayer", "--config", path])
+    result = invoke(["verify", "--suites", "slayer", "--config", path])
     assert result.exit_code == 1
-    (entry,) = json.loads(result.output)
+    (entry,) = json.loads(result.stdout)
     assert entry["check"] == "config-admissibility" and entry["status"] == "fail"
     assert "2^62" in entry["detail"]
 
 
-def test_verify_unreadable_config_exits_2(runner, tmp_path):
-    result = runner.invoke(cli.main, ["verify", "--config", str(tmp_path / "none.json")])
+def test_verify_unreadable_config_exits_2(tmp_path):
+    result = invoke(["verify", "--config", str(tmp_path / "none.json")])
     assert result.exit_code == 2
 
 
-def test_kernels_csv(runner):
-    result = runner.invoke(
-        cli.main,
+def test_kernels_csv():
+    result = invoke(
         [
             "kernels", "--id", "IK0_over_t2",
             "--omega-min", "-1", "--omega-max", "1", "--omega-step", "1",
             "--k-min", "0.5", "--k-max", "0.5", "--k-step", "1",
-        ],
+        ]
     )
     assert result.exit_code == 0
-    lines = result.output.strip().splitlines()
+    lines = result.stdout.strip().splitlines()
     assert lines[0] == "omega,k,region,re,im"
     assert len(lines) == 4
     assert "inside_lower" in lines[1]
 
 
-def test_kernels_unknown_id_exits_2(runner):
-    result = runner.invoke(cli.main, ["kernels", "--id", "nope"])
+def test_kernels_unknown_id_exits_2():
+    result = invoke(["kernels", "--id", "nope"])
     assert result.exit_code == 2
 
 
-def test_kernels_empty_grid_header_only(runner):
-    result = runner.invoke(
-        cli.main,
-        ["kernels", "--id", "IK0_over_t", "--omega-min", "1", "--omega-max", "0"],
-    )
+def test_kernels_empty_grid_header_only():
+    result = invoke(["kernels", "--id", "IK0_over_t", "--omega-min", "1", "--omega-max", "0"])
     assert result.exit_code == 0
-    assert result.output.strip() == "omega,k,region,re,im"
+    assert result.stdout.strip() == "omega,k,region,re,im"
 
 
-def test_kernels_skips_rows_at_k_not_positive(runner):
-    result = runner.invoke(cli.main, ["kernels", "--id", "K0Hat", "--k-min", "-0.5", "--k-max", "0.5", "--k-step", "0.25"])
+def test_kernels_skips_rows_at_k_not_positive():
+    result = invoke(["kernels", "--id", "K0Hat", "--k-min", "-0.5", "--k-max", "0.5", "--k-step", "0.25"])
     assert result.exit_code == 0
-    assert {row["k"] for row in csv.DictReader(io.StringIO(result.output))} == {"0.25", "0.5"}
+    assert {row["k"] for row in csv.DictReader(io.StringIO(result.stdout))} == {"0.25", "0.5"}
 
 
 @pytest.mark.parametrize(
@@ -429,32 +436,31 @@ def test_kernels_skips_rows_at_k_not_positive(runner):
     ],
     ids=" ".join,
 )
-def test_table_bad_grid_exits_2(runner, args):
-    result = runner.invoke(cli.main, args)
+def test_table_bad_grid_exits_2(args):
+    result = invoke(args)
     assert result.exit_code == 2
 
 
-def test_lineint_csv(runner):
-    result = runner.invoke(
-        cli.main,
+def test_lineint_csv():
+    result = invoke(
         [
             "lineint", "--fn", "J",
             "--a-min", "2", "--a-max", "2", "--a-step", "1",
             "--b-min", "0.5", "--b-max", "0.5", "--b-step", "1",
-        ],
+        ]
     )
     assert result.exit_code == 0
-    lines = result.output.strip().splitlines()
+    lines = result.stdout.strip().splitlines()
     assert lines[0] == "alpha,beta,fn,value"
     assert lines[1] == "2.0,0.5,J,-0.5"
 
 
-def _csv_bytes(header, rows):
+def _csv_text(header, rows):
     fh = io.StringIO()
     writer = csv.writer(fh)
     writer.writerow(header)
     writer.writerows(rows)
-    return fh.getvalue().encode()
+    return fh.getvalue()
 
 
 def _axis_args(name, lo, hi, step):
@@ -470,23 +476,23 @@ KERNELS_GRIDS = (((-3.0, 3.0, 0.1), (0.1, 3.0, 0.1)), (NEAR_1E_7, NEAR_1E_7), (N
 
 
 @pytest.mark.parametrize("a_axis, b_axis", LINEINT_GRIDS)
-def test_lineint_csv_matches_rows_of_numpy_scalars(runner, a_axis, b_axis):
+def test_lineint_csv_matches_rows_of_numpy_scalars(a_axis, b_axis):
     args = ["lineint", "--fn", "V", *_axis_args("a", *a_axis), *_axis_args("b", *b_axis)]
-    result = runner.invoke(cli.main, args)
+    result = invoke(args)
     assert result.exit_code == 0
     a, b = np.meshgrid(cli._grid("a", *a_axis), cli._grid("b", *b_axis), indexing="ij")
     values = lineint.eval_piecewise("V", a, b)
     rows = [(x, y, "V", float(v)) for x, y, v in zip(a.flat, b.flat, values.flat)]
-    assert result.stdout_bytes == _csv_bytes(("alpha", "beta", "fn", "value"), rows)
+    assert result.stdout == _csv_text(("alpha", "beta", "fn", "value"), rows)
 
 
 @pytest.mark.parametrize("kid", ["Delta_over_t", "Delta_over_t2"])
 @pytest.mark.parametrize("omega_axis, k_axis", KERNELS_GRIDS)
-def test_kernels_csv_matches_rows_of_numpy_scalars(runner, kid, omega_axis, k_axis):
+def test_kernels_csv_matches_rows_of_numpy_scalars(kid, omega_axis, k_axis):
     from lightcone.kernels import KernelHat, classify, eval_hat
 
     args = ["kernels", "--id", kid, *_axis_args("omega", *omega_axis), *_axis_args("k", *k_axis)]
-    result = runner.invoke(cli.main, args)
+    result = invoke(args)
     assert result.exit_code == 0
     rows = []
     for omega in cli._grid("omega", *omega_axis):
@@ -497,30 +503,30 @@ def test_kernels_csv_matches_rows_of_numpy_scalars(runner, kid, omega_axis, k_ax
                 rows.append((omega, k, region, v.real, v.imag))
             except OnLightCone:
                 rows.append((omega, k, region, float("nan"), float("nan")))
-    assert result.stdout_bytes == _csv_bytes(("omega", "k", "region", "re", "im"), rows)
+    assert result.stdout == _csv_text(("omega", "k", "region", "re", "im"), rows)
 
 
-def test_lineint_unknown_fn_exits_2(runner):
-    result = runner.invoke(cli.main, ["lineint", "--fn", "nope"])
+def test_lineint_unknown_fn_exits_2():
+    result = invoke(["lineint", "--fn", "nope"])
     assert result.exit_code == 2
 
 
-def test_convolution_csv(runner):
-    result = runner.invoke(cli.main, ["convolution", "--q", "2,0,0,0", "--m", "1"])
+def test_convolution_csv():
+    result = invoke(["convolution", "--q", "2,0,0,0", "--m", "1"])
     assert result.exit_code == 0
-    lines = result.output.strip().splitlines()
+    lines = result.stdout.strip().splitlines()
     assert lines[0] == "q,m,name,closed,oracle,rel_err"
     assert len(lines) == 3
     rel = float(lines[1].split(",")[-1])
     assert rel < 1e-10
 
 
-def test_convolution_far_out_leaves_oracle_cells_empty(runner):
+def test_convolution_far_out_leaves_oracle_cells_empty():
     # the K0 oracle raises from 1e16 on, and at 1e154 its root bracket
     # overflows; the mass-cone closed form stays finite where q0 - l_max
     # would cancel
     for q in ("1e16,0,0,0", "1e150,0,0,0", "1e154,0,0,0"):
-        result = runner.invoke(cli.main, ["convolution", "--q", q])
+        result = invoke(["convolution", "--q", q])
         assert result.exit_code == 0 and result.stderr == ""
         rows = {r[2]: r[3:] for r in csv.reader(io.StringIO(result.stdout))}
         assert rows["conv_K0_shell"] == ["0.0010078604510374842", "", ""]
@@ -528,9 +534,9 @@ def test_convolution_far_out_leaves_oracle_cells_empty(runner):
         assert np.isfinite(closed) and np.isfinite(oracle) and rel <= 1e-10
 
 
-def test_convolution_small_mass_stays_finite(runner):
+def test_convolution_small_mass_stays_finite():
     # at m = 1e-8 the mass-cone closed form's log1p argument rounds to -1
-    result = runner.invoke(cli.main, ["convolution", "--q", "2,0.5,0,0", "--m", "1e-8"])
+    result = invoke(["convolution", "--q", "2,0.5,0,0", "--m", "1e-8"])
     assert result.exit_code == 0 and result.stderr == ""
     row = next(r for r in csv.reader(io.StringIO(result.stdout)) if r[2] == "conv_masscone_shell")
     closed, oracle, rel = (float(c) for c in row[3:])
@@ -538,8 +544,8 @@ def test_convolution_small_mass_stays_finite(runner):
 
 
 @pytest.mark.parametrize("q0", ["1e8", "1e10", "1e12"])
-def test_convolution_oracle_cells_far_out_are_empty_or_right(runner, q0):
-    result = runner.invoke(cli.main, ["convolution", "--q", f"{q0},0,0,0"])
+def test_convolution_oracle_cells_far_out_are_empty_or_right(q0):
+    result = invoke(["convolution", "--q", f"{q0},0,0,0"])
     assert result.exit_code == 0 and result.stderr == ""
     rows = list(csv.DictReader(io.StringIO(result.stdout)))
     assert [r["name"] for r in rows] == ["conv_K0_shell", "conv_masscone_shell"]
@@ -549,22 +555,22 @@ def test_convolution_oracle_cells_far_out_are_empty_or_right(runner, q0):
             assert abs(oracle - closed) <= 1e-10 * abs(closed), r
 
 
-def test_convolution_oracle_mismatch_exits_1_with_rows(runner, tmp_path, monkeypatch):
+def test_convolution_oracle_mismatch_exits_1_with_rows(tmp_path, monkeypatch):
     # a mass-cone oracle that disagrees with the closed form: the rows are
     # still written
     closed = convolution.conv_masscone_shell
     monkeypatch.setattr(convolution, "conv_masscone_shell_oracle", lambda query: 2.0 * closed(query))
     out = tmp_path / "conv.csv"
-    result = runner.invoke(cli.main, ["convolution", "--q", "2,0.5,0,0", "--out", str(out)])
+    result = invoke(["convolution", "--q", "2,0.5,0,0", "--out", str(out)])
     assert result.exit_code == 1
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert [r["name"] for r in rows] == ["conv_K0_shell", "conv_masscone_shell"]
     assert float(rows[1]["rel_err"]) > cli.CONVOLUTION_ORACLE_RTOL
 
 
-def test_convolution_omits_the_masscone_row_below_the_shell(runner):
+def test_convolution_omits_the_masscone_row_below_the_shell():
     # the mass-cone convolution has no support below the shell (q^2 < m^2)
-    result = runner.invoke(cli.main, ["convolution", "--q", "0.9,0.5,0,0"])
+    result = invoke(["convolution", "--q", "0.9,0.5,0,0"])
     assert result.exit_code == 0
     rows = list(csv.DictReader(io.StringIO(result.stdout)))
     assert [r["name"] for r in rows] == ["conv_K0_shell"]
@@ -581,15 +587,15 @@ def test_convolution_omits_the_masscone_row_below_the_shell(runner):
     ],
     ids=lambda argv: argv[0],
 )
-def test_unwritable_out_exits_2(runner, tmp_path, argv):
-    result = runner.invoke(cli.main, [*argv, "--out", str(tmp_path / "missing" / "out")])
+def test_unwritable_out_exits_2(tmp_path, argv):
+    result = invoke([*argv, "--out", str(tmp_path / "missing" / "out")])
     assert result.exit_code == 2
     assert result.stderr.startswith("cannot write output: ")
     assert result.stdout == ""
 
 
-def test_convolution_bad_momentum_exits_2(runner):
-    result = runner.invoke(cli.main, ["convolution", "--q", "1,2"])
+def test_convolution_bad_momentum_exits_2():
+    result = invoke(["convolution", "--q", "1,2"])
     assert result.exit_code == 2
 
 
@@ -608,19 +614,29 @@ def test_convolution_bad_momentum_exits_2(runner):
     ],
     ids=" ".join,
 )
-def test_convolution_non_finite_or_non_positive_exits_2(runner, args):
-    result = runner.invoke(cli.main, ["convolution", *args])
+def test_convolution_non_finite_or_non_positive_exits_2(args):
+    result = invoke(["convolution", *args])
     assert result.exit_code == 2
 
 
+def _python(args, check=True, **env):
+    """Run a fresh interpreter on args with the package on its path and
+    env added to the environment (a None value unsets the variable)."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(lightcone.__file__)), **env}
+    env = {key: value for key, value in env.items() if value is not None}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60, check=check
+    )
+
+
 # Run in a fresh interpreter: imports lightcone.cli, then runs `report` and
-# `kernels` in-process, and prints the numpy, scipy and lightcone modules
-# loaded after each step as the last line.
+# `kernels` in-process, and prints the click, numpy, scipy and lightcone
+# modules loaded after each step as the last line.
 _FOOTPRINT = """
 import json, sys
 import lightcone.cli as cli
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "lightcone"))
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("click", "numpy", "scipy", "lightcone"))
 stages = {"import": [loaded(), None]}
 for name, argv in (("report", ["report", "--in", sys.argv[1]]),
                    ("kernels", ["kernels", "--id", "K0Hat", "--out", sys.argv[2]])):
@@ -632,20 +648,13 @@ print(json.dumps(stages))
 """
 
 
-def test_cli_loads_only_what_each_command_needs(runner, tmp_path):
+def test_cli_loads_only_what_each_command_needs(tmp_path):
     report = tmp_path / "report.json"
-    assert runner.invoke(cli.main, ["verify", "--suites", "fields", "--out", str(report)]).exit_code == 0
-    src = os.path.dirname(os.path.dirname(lightcone.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT, str(report), str(tmp_path / "k.csv")],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-    )
+    assert invoke(["verify", "--suites", "fields", "--out", str(report)]).exit_code == 0
+    proc = _python(["-c", _FOOTPRINT, str(report), str(tmp_path / "k.csv")])
     stages = json.loads(proc.stdout.splitlines()[-1])
-    # the CLI module needs only the standard library, click and errors
+    # the CLI module needs only the standard library and errors: neither
+    # click nor numpy
     assert stages["import"][0] == ["lightcone", "lightcone.cli", "lightcone.errors"]
     # rendering a report never imports numpy (nor scipy)
     assert stages["report"] == [["lightcone", "lightcone.cli", "lightcone.errors"], 0]
@@ -667,28 +676,121 @@ def test_slayer_suite_loads_no_kernels_convolution_or_lineint():
         "mods = ('lightcone.kernels', 'lightcone.convolution', 'lightcone.lineint', 'numpy.ma')\n"
         "print(sorted(m for m in mods if m in sys.modules))\n"
     )
-    src = os.path.dirname(os.path.dirname(lightcone.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
+    assert _python(["-c", script]).stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--suites", "all", "--seed", "7"], ["slayer", "eval"]], ids=lambda argv: argv[0]
+)
+def test_a_cli_process_writes_what_main_writes_in_process(tmp_path, argv):
+    # the process runs one OpenBLAS thread and no cyclic GC, this one keeps
+    # numpy's threads and gc: no report byte may depend on either
+    process, in_process = tmp_path / "process.json", tmp_path / "in-process.json"
+    _python(["-m", "lightcone.cli", *argv, "--out", str(process)], OPENBLAS_NUM_THREADS=None)
+    assert invoke([*argv, "--out", str(in_process)]).exit_code == 0
+    assert process.read_bytes() == in_process.read_bytes()
+
+
+def test_main_in_process_leaves_gc_and_the_environment_alone(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    environ = dict(os.environ)
+    for argv, code in (
+        (["verify", "--suites", "fields"], 0),
+        (["verify", "--sui", "fields"], 2),
+        (["report", "--in", str(tmp_path / "none.json")], 2),
+    ):
+        assert invoke(argv).exit_code == code
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        assert dict(os.environ) == environ
+
+
+# Run in a fresh interpreter: a standalone main call that loads numpy, then
+# prints its exit code, OPENBLAS_NUM_THREADS, and whether gc is on and
+# anything is frozen.
+_STANDALONE = """
+import gc, json, os, sys
+import lightcone.cli as cli
+try:
+    cli.main(["kernels", "--id", "K0Hat", "--out", sys.argv[1]])
+except SystemExit as exc:
+    print(json.dumps([exc.code, os.environ.get("OPENBLAS_NUM_THREADS"), gc.isenabled(), gc.get_freeze_count() > 0]))
+"""
+
+
+@pytest.mark.parametrize("preset, threads", [(None, "1"), ("3", "3")])
+def test_main_standalone_runs_one_blas_thread_unless_set(tmp_path, preset, threads):
+    proc = _python(["-c", _STANDALONE, str(tmp_path / "k.csv")], OPENBLAS_NUM_THREADS=preset)
+    assert json.loads(proc.stdout) == [0, threads, False, True]
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suites", "fields"], ["lineint", "--fn", "J"]], ids=lambda argv: argv[0])
+def test_a_reader_closing_stdout_early_exits_1_quietly(argv):
+    # as under `| head`; lineint's table fills the pipe before it ends,
+    # verify's report is written at the final flush
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(lightcone.__file__))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lightcone.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
     )
-    assert proc.stdout.splitlines()[-1] == "[]"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and err == b""
 
 
-def test_slayer_eval_default_config(runner):
-    result = runner.invoke(cli.main, ["slayer", "eval"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convolution", "--q", "-2,0,0,0"],
+        ["kernels", "--id", "K0Hat", "--omega-min", "-1e-3", "--omega-max", "1e-3", "--omega-step", "1e-3"],
+        ["lineint", "--fn", "J", "--a-min", "-1.5e0", "--a-step", "0.5", "--b-min=-.5", "--b-step", "0.5"],
+        ["verify", "--suites", "fields", "--seed", " +3"],
+    ],
+    ids=" ".join,
+)
+def test_an_option_value_may_look_like_an_option_or_a_number(argv):
+    # the argument after an option is its value, whatever it looks like
+    assert invoke(argv).exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["slayer"],
+        ["slayer", "eval", "extra"],
+        ["verify", "--sui", "fields"],
+        ["verify", "--suites"],
+        ["verify", "--seed", "1.5"],
+        ["verify", "--bogus", "1"],
+        ["verify", "--", "x"],
+        ["kernels"],
+        ["kernels", "--id", "K0Hat", "--omega-min", "--out"],
+        ["report", "--i", "r.json"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-command",
+)
+def test_usage_errors_exit_2(argv):
+    result = invoke(argv)
+    assert result.exit_code == 2 and result.stdout == "" and result.stderr
+
+
+def test_tol_may_repeat():
+    result = invoke(["verify", "--suites", "clifford,lineint", "--tol", "clifford=1e-3", "--tol", "lineint=1e-4"])
     assert result.exit_code == 0
-    report = json.loads(result.output)
+    tolerances = {e["check"]: e["tolerance"] for e in json.loads(result.stdout)}
+    assert tolerances["clifford-relations"] == 1e-3 and tolerances["nested-line-anchor"] == 1e-4
+
+
+def test_slayer_eval_default_config():
+    result = invoke(["slayer", "eval"])
+    assert result.exit_code == 0
+    report = json.loads(result.stdout)
     names = {e["check"] for e in report}
     assert "sigma_bose[0,1]" in names
     assert "ip_fermi[0,1]" in names
 
 
-def test_report_rendering(runner, tmp_path):
+def test_report_rendering(tmp_path):
     path = tmp_path / "r.json"
     path.write_text(
         json.dumps(
@@ -710,10 +812,10 @@ def test_report_rendering(runner, tmp_path):
             ]
         )
     )
-    result = runner.invoke(cli.main, ["report", "--in", str(path)])
+    result = invoke(["report", "--in", str(path)])
     assert result.exit_code == 1
-    assert "a: PASS" in result.output
-    assert "b: FAIL" in result.output
+    assert "a: PASS" in result.stdout
+    assert "b: FAIL" in result.stdout
 
 
 _ENTRY = '"check": "a", "status": "pass", "tolerance": 1e-10'
@@ -736,10 +838,10 @@ _ENTRY = '"check": "a", "status": "pass", "tolerance": 1e-10'
         pytest.param("[" * 100_000, id="nested-deeper-than-the-recursion-limit"),
     ],
 )
-def test_report_rejects_a_malformed_report(runner, tmp_path, text):
+def test_report_rejects_a_malformed_report(tmp_path, text):
     path = tmp_path / "r.json"
     path.write_text(text)
-    result = runner.invoke(cli.main, ["report", "--in", str(path)])
+    result = invoke(["report", "--in", str(path)])
     assert result.exit_code == 2
     assert result.stdout == "" and len(result.stderr.splitlines()) == 1
 
@@ -762,12 +864,12 @@ def _jet_config(jets, box=DEFAULT_BOX):
     }
 
 
-def test_slayer_eval_reads_the_jets_box(runner, tmp_path, rng):
+def test_slayer_eval_reads_the_jets_box(tmp_path, rng):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_jet_config(violating_jet_pair(rng, box=10.0), box=10.0)))
-    result = runner.invoke(cli.main, ["slayer", "eval", "--config", str(path)])
+    result = invoke(["slayer", "eval", "--config", str(path)])
     assert result.exit_code == 0
-    report = {e["check"]: e["value"] for e in json.loads(result.output)}
+    report = {e["check"]: e["value"] for e in json.loads(result.stdout)}
     _, _, _, jets = load_config(str(path))
     assert report["ip_fermi[0,0]"] == slayer.ip_fermi(jets[0], jets[0])
     assert report["ip_fermi[0,0]"] != 0.0
@@ -778,13 +880,11 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize("pair", [violating_jet_pair, opposite_transfer_pair])
-def test_verify_skips_conservation_outside_its_hypothesis(runner, tmp_path, rng, pair):
+def test_verify_skips_conservation_outside_its_hypothesis(tmp_path, rng, pair):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_jet_config(pair(rng))))
     out = tmp_path / "report.json"
-    result = runner.invoke(
-        cli.main, ["verify", "--suites", "slayer", "--config", str(path), "--out", str(out)]
-    )
+    result = invoke(["verify", "--suites", "slayer", "--config", str(path), "--out", str(out)])
     assert result.exit_code == 0
     report = json.loads(out.read_text(), parse_constant=_reject_constant)
     entry = next(e for e in report if e["check"] == "fermi-conservation")
@@ -792,6 +892,6 @@ def test_verify_skips_conservation_outside_its_hypothesis(runner, tmp_path, rng,
     assert entry["value"] > 1e3
     assert entry["tolerance"] == 1e-10
     assert all(e["status"] == "pass" for e in report if e is not entry)
-    rendered = runner.invoke(cli.main, ["report", "--in", str(out)])
+    rendered = invoke(["report", "--in", str(out)])
     assert rendered.exit_code == 0
-    assert "slayer/fermi-conservation: SKIPPED" in rendered.output
+    assert "slayer/fermi-conservation: SKIPPED" in rendered.stdout
