@@ -154,9 +154,8 @@ def parity_residual(kid, omega, k):
     sign, flipped once per spatial index of a tensor id."""
     from . import kernels
 
-    kern = kernels.KernelHat(kid)
     sign = float(kernels.PARITY[kid]) * (-1.0) ** kernels.TENSOR_INDEX_COUNT.get(kid, 0)
-    return abs(kernels.eval_hat(kern, omega, k) - sign * kernels.eval_hat(kern, -omega, k))
+    return abs(kernels.eval_hat(kid, omega, k) - sign * kernels.eval_hat(kid, -omega, k))
 
 
 def suite_kernels(seed, tol):
@@ -174,9 +173,8 @@ def suite_kernels(seed, tol):
     out.append(_entry("kernel-parity", worst, tol, "momentum-space-parity"))
     worst_h = 0.0
     for kid in ("Delta_over_t", "Delta_over_t2"):
-        kern = kernels.KernelHat(kid)
         for omega, k in ((0.4, 1.7), (2.6, 1.2)):
-            worst_h = max(worst_h, abs(kernels.harmonicity_residual(kern, omega, k)))
+            worst_h = max(worst_h, abs(kernels.harmonicity_residual(kid, omega, k)))
     out.append(_entry("kernel-harmonicity", worst_h, 1e-4, "wave-operator-kernel"))
     return out
 

@@ -22,7 +22,7 @@ from .clifford import ETA, GAMMA, minkowski, slash
 from .errors import ConfigInvalid, ConfigMalformed, InvalidMode, MalformedMode
 
 ONSHELL_TOL = 1e-9
-FREQUENCY_TOL = 1e-9
+FREQUENCY_TOL = 1e-12
 
 DEFAULT_BOX = 32.0 * np.pi
 

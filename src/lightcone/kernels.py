@@ -10,7 +10,6 @@ unit-prefactor closed formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -48,22 +47,13 @@ PARITY = {
 # Every kernel id, in the order verify draws them.
 KERNEL_IDS = tuple(PARITY)
 
-# Number of spatial indices carried by the tensor ids.  eval_hat returns
-# their scalar base, whose parity under p -> -p differs from PARITY by one
-# khat sign flip per index.
+# Number of spatial indices carried by the tensor ids, which eval_hat_tensor
+# takes one each.  eval_hat returns their scalar base, whose parity under
+# p -> -p differs from PARITY by one khat sign flip per index.
 TENSOR_INDEX_COUNT = {"XiK0_over_t3": 1, "XiXiK0_over_t4": 2, "XiXiDelta_over_t3": 2}
 
 # Homogeneity degree of the differentiated tensor forms.
 TENSOR_HOMOGENEITY_DEGREE = {"XiXiDelta_over_t3": -1, "XiXiK0_over_t4": 0}
-
-
-@dataclass(frozen=True)
-class KernelHat:
-    id: str
-
-    def __post_init__(self):
-        if self.id not in KERNEL_IDS:
-            raise UnsupportedKernel(self.id)
 
 
 def classify(omega, k):
@@ -125,14 +115,15 @@ def _xixi_delta_base_dk(omega, k):
     return b1, b2
 
 
-def eval_hat(kernel, omega, k):
-    """Scalar closed-form value of the kernel at (omega, k).  For the
-    tensor ids this returns the spherically symmetric base function whose
-    k-derivatives build the tensor (see eval_hat_tensor)."""
+def eval_hat(kid, omega, k):
+    """Scalar closed-form value of the kernel id kid at (omega, k).  For
+    the tensor ids this returns the spherically symmetric base function
+    whose k-derivatives build the tensor (see eval_hat_tensor)."""
+    if kid not in PARITY:
+        raise UnsupportedKernel(kid)
     if k == 0:
         raise ZeroMomentum("k = 0")
     region = classify(omega, k)
-    kid = kernel.id
     if region is ConeRegion.Boundary and kid in LOG_SINGULAR:
         raise OnLightCone(f"{kid} at |omega| = k")
     inside = region in (ConeRegion.InsideUpper, ConeRegion.InsideLower)
@@ -171,37 +162,32 @@ def eval_hat(kernel, omega, k):
         return 0.0j
     if kid == "K0c_et":
         return 1.0 / k + 0.0j
-    if kid == "K0c_zm":
-        return -1.0 / k + 0.0j if inside else 0.0j
-    raise UnsupportedKernel(kid)
+    return -1.0 / k + 0.0j if inside else 0.0j  # K0c_zm
 
 
-def eval_hat_tensor(kernel, omega, k_vec, alpha, beta=None):
-    """Spatial tensor components built from the base via the spherical
-    decomposition d_a g = khat_a g', d_a d_b g = khat_a khat_b g''
-    + (delta_ab - khat_a khat_b) g'/k.  Spatial indices alpha, beta are
-    1-based (1, 2, 3)."""
+def eval_hat_tensor(kid, omega, k_vec, *index):
+    """Spatial tensor components of the id kid built from its base via
+    d_a g = khat_a g', d_a d_b g = khat_a khat_b g'' + (delta_ab - khat_a
+    khat_b) g'/k.  index holds one 1-based spatial index (1, 2, 3) per
+    tensor index of kid (TENSOR_INDEX_COUNT)."""
+    if len(index) != TENSOR_INDEX_COUNT.get(kid):
+        raise UnsupportedKernel(f"{kid} with {len(index)} spatial indices")
     k_vec = np.asarray(k_vec, dtype=float)
     k = float(np.linalg.norm(k_vec))
     if k == 0:
         raise ZeroMomentum("|k_vec| = 0")
     khat = k_vec / k
     region = classify(omega, k)
-    kid = kernel.id
-    a = alpha - 1
+    a = index[0] - 1
     inside = region in (ConeRegion.InsideUpper, ConeRegion.InsideLower)
     sign = 1.0 if region is ConeRegion.InsideUpper else -1.0
 
     if kid == "XiK0_over_t3":
-        if beta is not None:
-            raise UnsupportedKernel("XiK0_over_t3 carries one index")
         if inside:
             return 0.0j
         g1 = -(omega**2) / (2.0 * k**2) + 0.5
         return 1j * khat[a] * g1
-    if beta is None:
-        raise UnsupportedKernel(f"{kid} carries two indices")
-    b = beta - 1
+    b = index[1] - 1
     delta = 1.0 if a == b else 0.0
     if kid == "XiXiK0_over_t4":
         if inside:
@@ -209,15 +195,14 @@ def eval_hat_tensor(kernel, omega, k_vec, alpha, beta=None):
         g1 = -(omega**3) / (6.0 * k**2) + omega / 2.0
         g2 = omega**3 / (3.0 * k**3)
         return khat[a] * khat[b] * g2 + (delta - khat[a] * khat[b]) * g1 / k + 0.0j
-    if kid == "XiXiDelta_over_t3":
-        if region is ConeRegion.Boundary:
-            raise OnLightCone("XiXiDelta_over_t3 at |omega| = k")
-        b1, b2 = _xixi_delta_base_dk(omega, k)
-        return khat[a] * khat[b] * b2 + (delta - khat[a] * khat[b]) * b1 / k
-    raise UnsupportedKernel(f"{kid} is not a tensor kernel")
+    # XiXiDelta_over_t3
+    if region is ConeRegion.Boundary:
+        raise OnLightCone("XiXiDelta_over_t3 at |omega| = k")
+    b1, b2 = _xixi_delta_base_dk(omega, k)
+    return khat[a] * khat[b] * b2 + (delta - khat[a] * khat[b]) * b1 / k
 
 
-def harmonicity_residual(kernel, omega, k, h=1e-3):
+def harmonicity_residual(kid, omega, k, h=1e-3):
     """Central finite-difference residual of
     (d^2/domega^2 - d^2/dk^2 - (2/k) d/dk) applied to the scalar closed
     form; O(h^2) off the singular set where the integration constants are
@@ -226,7 +211,7 @@ def harmonicity_residual(kernel, omega, k, h=1e-3):
         raise TooCloseToSingularSet(f"(omega, k) = ({omega}, {k}) with h = {h}")
 
     def f(w, kk):
-        return eval_hat(kernel, w, kk)
+        return eval_hat(kid, w, kk)
 
     d2w = (f(omega + h, k) - 2.0 * f(omega, k) + f(omega - h, k)) / h**2
     d2k = (f(omega, k + h) - 2.0 * f(omega, k) + f(omega, k - h)) / h**2
@@ -234,19 +219,19 @@ def harmonicity_residual(kernel, omega, k, h=1e-3):
     return d2w - d2k - (2.0 / k) * d1k
 
 
-def homogeneity_check(kernel, omega, k, R):
+def homogeneity_check(kid, omega, k, R):
     """Max over tensor components of |K(p) - R^{-deg} K(R p)| for the
     differentiated tensor forms; deg = -1 for XiXiDelta_over_t3 and 0 for
     XiXiK0_over_t4."""
-    if kernel.id not in TENSOR_HOMOGENEITY_DEGREE:
-        raise UnsupportedKernel(kernel.id)
-    deg = TENSOR_HOMOGENEITY_DEGREE[kernel.id]
+    if kid not in TENSOR_HOMOGENEITY_DEGREE:
+        raise UnsupportedKernel(kid)
+    deg = TENSOR_HOMOGENEITY_DEGREE[kid]
     k_vec = np.array([k, 0.0, 0.0])
     worst = 0.0
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            v = eval_hat_tensor(kernel, omega, k_vec, a, b)
-            vs = eval_hat_tensor(kernel, R * omega, R * k_vec, a, b)
+            v = eval_hat_tensor(kid, omega, k_vec, a, b)
+            vs = eval_hat_tensor(kid, R * omega, R * k_vec, a, b)
             worst = max(worst, abs(v - R ** (-deg) * vs))
     return worst
 
@@ -436,8 +421,7 @@ def oracle_ratio(kid, omega, k):
     whole ladder ORACLE_ETAS is one oracle_value call, so one
     radial_fourier call.  The limit is an (omega, k)-independent constant
     per kernel id."""
-    kernel = KernelHat(kid)
-    closed = eval_hat(kernel, omega, k)
+    closed = eval_hat(kid, omega, k)
     if abs(closed) < 1e-14:
         raise TooCloseToSingularSet("closed form vanishes; ratio undefined")
     return extrapolate_to_zero(ORACLE_ETAS, oracle_value(kid, omega, k, ORACLE_ETAS, ORACLE_T_DAMP) / closed)
@@ -463,7 +447,8 @@ def k0hat_shell_ratio(omega, k):
 def kernel_table(kid, omega_values, k_values):
     """Rows (omega, k, region, re, im) of the closed form on a grid;
     singular points are reported with empty values."""
-    kernel = KernelHat(kid)
+    if kid not in PARITY:
+        raise UnsupportedKernel(kid)
     rows = []
     for omega in omega_values:
         for k in k_values:
@@ -471,19 +456,19 @@ def kernel_table(kid, omega_values, k_values):
                 continue
             region = classify(omega, k)
             try:
-                v = complex(eval_hat(kernel, omega, k))
+                v = complex(eval_hat(kid, omega, k))
                 rows.append((omega, k, region.value, v.real, v.imag))
             except OnLightCone:
                 rows.append((omega, k, region.value, float("nan"), float("nan")))
     return rows
 
 
-def et_zm_split(kernel):
-    """Equal-time / zero-momentum split K = K_et + K_zm, with K_et
-    polynomial in omega and K_zm supported in the closed mass cones.
-    Defined for the two split source ids."""
-    if kernel.id == "IK0_over_t2":
-        return KernelHat("K0_et"), KernelHat("K0_zm")
-    if kernel.id == "IK0_over_t":
-        return KernelHat("K0c_et"), KernelHat("K0c_zm")
-    raise UnsupportedKernel(f"no equal-time split for {kernel.id}")
+def et_zm_split(kid):
+    """The ids of the equal-time / zero-momentum split K = K_et + K_zm,
+    with K_et polynomial in omega and K_zm supported in the closed mass
+    cones.  Defined for the two split source ids."""
+    if kid == "IK0_over_t2":
+        return "K0_et", "K0_zm"
+    if kid == "IK0_over_t":
+        return "K0c_et", "K0c_zm"
+    raise UnsupportedKernel(f"no equal-time split for {kid}")

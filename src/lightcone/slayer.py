@@ -17,7 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import _SIGMA, CHI_L, CHI_R, ETA, GAMMA, GAMMA0, ID4, sigma_jk
-from .fields import _lattice_codes, _matched_pairs, _matched_sums, common_box, field_tensor_hat, lattice_momentum
+from .fields import FREQUENCY_TOL, _lattice_codes, _matched_pairs, _matched_sums, common_box
+from .fields import field_tensor_hat, lattice_momentum
 from .quadrature import converged, gauss_rule
 
 _CHI = {"L": CHI_L, "R": CHI_R}
@@ -341,8 +342,9 @@ def fermi_conservation_residual(jet_u, jet_v):
 
     iu, iv = _matched_pairs(*_lattice_codes(su, -sv))
     w = wu[iu] + wv[iv]
-    # pairs with vanishing frequency transfer carry no time dependence
-    live = np.abs(w) >= 1e-12
+    # pairs whose frequency transfer vanishes, to the FREQUENCY_TOL that
+    # pairing_predicates flags at, carry no time dependence
+    live = np.abs(w) > FREQUENCY_TOL
     iu, iv, w = iu[live], iv[live], w[live]
     if iu.size == 0:
         return 0.0

@@ -106,9 +106,8 @@ def test_acceptance_4_kernel_catalogue(capsys):
         ("Delta_over_t2", (2.6, 1.2)),
         ("IK0_over_t2", (0.4, 1.3)),
     ):
-        kern = kernels.KernelHat(kid)
-        r1 = abs(kernels.harmonicity_residual(kern, omega, k, h=2e-3))
-        r2 = abs(kernels.harmonicity_residual(kern, omega, k, h=1e-3))
+        r1 = abs(kernels.harmonicity_residual(kid, omega, k, h=2e-3))
+        r2 = abs(kernels.harmonicity_residual(kid, omega, k, h=1e-3))
         ok &= r1 < 1e-4 and r2 < 0.5 * r1 + 1e-8
     # mollified oracle vs closed forms, one global constant per kernel
     constants = {}
@@ -123,7 +122,6 @@ def test_acceptance_4_kernel_catalogue(capsys):
     # Delta_over_t2 closed form carries an integration constant; the global
     # ratio is read off from value differences
     etas = (0.08, 0.04, 0.02)
-    kern = kernels.KernelHat("Delta_over_t2")
 
     def extrapolated(w, k):
         return quadrature.extrapolate_to_zero(
@@ -133,7 +131,7 @@ def test_acceptance_4_kernel_catalogue(capsys):
     diffs = []
     for (w1, k), (w2, _) in (((0.4, 1.3), (2.2, 1.3)), ((0.3, 0.9), (2.6, 0.9))):
         num = extrapolated(w1, k) - extrapolated(w2, k)
-        den = kernels.eval_hat(kern, w1, k) - kernels.eval_hat(kern, w2, k)
+        den = kernels.eval_hat("Delta_over_t2", w1, k) - kernels.eval_hat("Delta_over_t2", w2, k)
         diffs.append(num / den)
     constants["Delta_over_t2"] = diffs[0]
     ok &= abs(diffs[0] - diffs[1]) < 0.01 * abs(diffs[0])

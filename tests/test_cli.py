@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import opposite_transfer_pair, violating_jet_pair
+from conftest import jet_at, opposite_transfer_pair, violating_jet_pair
 import lightcone
 from lightcone import checks, cli, clifford, convolution, fields, kernels, lineint, slayer
 from lightcone.errors import OnLightCone
@@ -489,7 +489,7 @@ def test_lineint_csv_matches_rows_of_numpy_scalars(a_axis, b_axis):
 @pytest.mark.parametrize("kid", ["Delta_over_t", "Delta_over_t2"])
 @pytest.mark.parametrize("omega_axis, k_axis", KERNELS_GRIDS)
 def test_kernels_csv_matches_rows_of_numpy_scalars(kid, omega_axis, k_axis):
-    from lightcone.kernels import KernelHat, classify, eval_hat
+    from lightcone.kernels import classify, eval_hat
 
     args = ["kernels", "--id", kid, *_axis_args("omega", *omega_axis), *_axis_args("k", *k_axis)]
     result = invoke(args)
@@ -499,7 +499,7 @@ def test_kernels_csv_matches_rows_of_numpy_scalars(kid, omega_axis, k_axis):
         for k in cli._grid("k", *k_axis):
             region = classify(omega, k).value
             try:
-                v = eval_hat(KernelHat(kid), omega, k)
+                v = eval_hat(kid, omega, k)
                 rows.append((omega, k, region, v.real, v.imag))
             except OnLightCone:
                 rows.append((omega, k, region, float("nan"), float("nan")))
@@ -895,3 +895,21 @@ def test_verify_skips_conservation_outside_its_hypothesis(tmp_path, rng, pair):
     rendered = invoke(["report", "--in", str(out)])
     assert rendered.exit_code == 0
     assert "slayer/fermi-conservation: SKIPPED" in rendered.stdout
+
+
+@pytest.mark.parametrize("big_n", [3000, 10**4, 10**5])
+def test_verify_skips_conservation_at_a_small_frequency_transfer_gap(tmp_path, rng, big_n):
+    # both transfers are (2N, 0, 0), and the frequency transfers differ by
+    # 5.9e-10, 1.6e-11 and 1.8e-12: the residual counts the quadruple as
+    # time dependent exactly when pairing_predicates flags it, so the check
+    # is skipped, not failed
+    jets = (
+        jet_at(rng, [(-big_n, 0, 0)], [(big_n, 0, 0)]),
+        jet_at(rng, [(1 - big_n, 0, 0)], [(big_n + 1, 0, 0)]),
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_jet_config(jets)))
+    result = invoke(["verify", "--suites", "slayer", "--config", str(path)])
+    entry = next(e for e in json.loads(result.stdout) if e["check"] == "fermi-conservation")
+    assert (result.exit_code, entry["status"]) == (0, "skipped"), entry["value"]
+    assert not fields.pairing_predicates(*jets)["implication_holds"]

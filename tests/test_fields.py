@@ -27,6 +27,7 @@ from lightcone.clifford import minkowski, slash
 from lightcone.errors import ConfigInvalid, ConfigMalformed, InvalidMode, MalformedMode
 from lightcone.fields import (
     DEFAULT_BOX,
+    FREQUENCY_TOL,
     FermionicJet,
     MaxwellField,
     _matched_pairs,
@@ -294,7 +295,9 @@ def reference_pairing_predicates(jet_u, jet_v):
             equal, opposite = dn_u == dn_v, dn_u == tuple(-c for c in dn_v)
             if equal or opposite:
                 quadruples.append([*pair_u, *pair_v])
-                if (equal and abs(dw_u - dw_v) > 1e-9) or (opposite and abs(dw_u + dw_v) > 1e-9):
+                if (equal and abs(dw_u - dw_v) > FREQUENCY_TOL) or (
+                    opposite and abs(dw_u + dw_v) > FREQUENCY_TOL
+                ):
                     flagged.append([*pair_u, *pair_v])
     return quadruples, flagged
 

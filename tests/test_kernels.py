@@ -18,7 +18,6 @@ from lightcone.kernels import (
     SHELL_WINDOW,
     TENSOR_INDEX_COUNT,
     ConeRegion,
-    KernelHat,
     classify,
     et_zm_split,
     eval_hat,
@@ -55,22 +54,42 @@ def test_classify_regions():
 
 def test_unknown_kernel_rejected():
     with pytest.raises(UnsupportedKernel):
-        KernelHat("nope")
+        eval_hat("nope", 0.5, 1.0)
+    with pytest.raises(UnsupportedKernel):
+        eval_hat_tensor("nope", 0.5, [1.0, 0.0, 0.0], 1)
+    # even on a grid with no points
+    with pytest.raises(UnsupportedKernel):
+        kernel_table("nope", [], [])
+
+
+@pytest.mark.parametrize(
+    "kid, index",
+    [
+        ("XiK0_over_t3", ()),
+        ("XiK0_over_t3", (1, 2)),
+        ("XiXiK0_over_t4", (1,)),
+        ("XiXiDelta_over_t3", (1, 2, 3)),
+        ("Delta_over_t", (1,)),
+        ("K0Hat", ()),
+    ],
+)
+def test_eval_hat_tensor_takes_one_index_per_tensor_index(kid, index):
+    with pytest.raises(UnsupportedKernel):
+        eval_hat_tensor(kid, 0.5, [1.0, 0.0, 0.0], *index)
 
 
 def test_zero_momentum_rejected():
     with pytest.raises(ZeroMomentum):
-        eval_hat(KernelHat("IK0_over_t"), 1.0, 0.0)
+        eval_hat("IK0_over_t", 1.0, 0.0)
 
 
 def test_log_singular_on_cone():
     with pytest.raises(OnLightCone):
-        eval_hat(KernelHat("Delta_over_t"), 1.0, 1.0)
+        eval_hat("Delta_over_t", 1.0, 1.0)
 
 
 def test_tensor_parity(rng):
     for kid, n_idx in TENSOR_INDEX_COUNT.items():
-        kern = KernelHat(kid)
         for _ in range(30):
             omega = float(rng.uniform(-3.0, 3.0))
             kvec = rng.uniform(-2.0, 2.0, size=3)
@@ -79,49 +98,45 @@ def test_tensor_parity(rng):
                 continue
             for a in (1, 2, 3):
                 idx = (a,) if n_idx == 1 else (a, 2)
-                v1 = eval_hat_tensor(kern, omega, kvec, *idx)
-                v2 = eval_hat_tensor(kern, -omega, -kvec, *idx)
+                v1 = eval_hat_tensor(kid, omega, kvec, *idx)
+                v2 = eval_hat_tensor(kid, -omega, -kvec, *idx)
                 assert v1 == pytest.approx(PARITY[kid] * v2, abs=1e-12)
 
 
 def test_harmonicity_off_singular_set():
     for kid, points in HARMONIC_SAMPLES.items():
-        kern = KernelHat(kid)
         for omega, k in points:
-            assert abs(harmonicity_residual(kern, omega, k)) < 1e-4
+            assert abs(harmonicity_residual(kid, omega, k)) < 1e-4
 
 
 def test_harmonicity_residual_is_second_order():
-    kern = KernelHat("Delta_over_t")
-    r1 = abs(harmonicity_residual(kern, 0.4, 1.7, h=2e-3))
-    r2 = abs(harmonicity_residual(kern, 0.4, 1.7, h=1e-3))
+    r1 = abs(harmonicity_residual("Delta_over_t", 0.4, 1.7, h=2e-3))
+    r2 = abs(harmonicity_residual("Delta_over_t", 0.4, 1.7, h=1e-3))
     # O(h^2): quartering h^2 reduces the residual accordingly (roundoff floor)
     assert r2 < 0.5 * r1 + 1e-8
 
 
 def test_xixi_base_not_harmonic_inside():
     # inside the cones the scalar base of XiXiK0_over_t4 has residual -sign
-    kern = KernelHat("XiXiK0_over_t4")
-    assert harmonicity_residual(kern, 2.5, 1.0) == pytest.approx(-1.0, abs=1e-5)
-    assert harmonicity_residual(kern, -2.5, 1.0) == pytest.approx(1.0, abs=1e-5)
+    assert harmonicity_residual("XiXiK0_over_t4", 2.5, 1.0) == pytest.approx(-1.0, abs=1e-5)
+    assert harmonicity_residual("XiXiK0_over_t4", -2.5, 1.0) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_harmonicity_guards_singular_set():
     with pytest.raises(TooCloseToSingularSet):
-        harmonicity_residual(KernelHat("Delta_over_t"), 1.0005, 1.0)
+        harmonicity_residual("Delta_over_t", 1.0005, 1.0)
 
 
 def test_homogeneity_of_tensor_forms():
     for kid in ("XiXiDelta_over_t3", "XiXiK0_over_t4"):
-        kern = KernelHat(kid)
         for omega, k in ((0.4, 1.3), (2.4, 1.1)):
-            assert homogeneity_check(kern, omega, k, 1.7) < 1e-10
+            assert homogeneity_check(kid, omega, k, 1.7) < 1e-10
 
 
-def _base_dk(kernel, omega, k, h=5e-3):
+def _base_dk(kid, omega, k, h=5e-3):
     """First and second k-derivatives of eval_hat's base at (omega, k):
     central differences at steps h and h/2, one Richardson step each."""
-    f = [eval_hat(kernel, omega, k + j * h / 2.0) for j in (-2, -1, 0, 1, 2)]
+    f = [eval_hat(kid, omega, k + j * h / 2.0) for j in (-2, -1, 0, 1, 2)]
     d1 = ((f[3] - f[1]) / h * 4.0 - (f[4] - f[0]) / (2.0 * h)) / 3.0
     d2 = ((f[3] - 2.0 * f[2] + f[1]) / (h / 2.0) ** 2 * 4.0 - (f[4] - 2.0 * f[2] + f[0]) / h**2) / 3.0
     return d1, d2
@@ -132,9 +147,8 @@ def test_tensor_assembly_matches_k_derivatives_of_the_base():
     # d_a d_b f = khat_a khat_b f'' + (delta_ab - khat_a khat_b) f'/k for two
     khat = np.array([2.0, -1.0, 2.0]) / 3.0
     for kid, n_idx in TENSOR_INDEX_COUNT.items():
-        kern = KernelHat(kid)
         for omega, k in ((0.4, 1.3), (-1.1, 1.6), (1.5, 1.7)):
-            d1, d2 = _base_dk(kern, omega, k)
+            d1, d2 = _base_dk(kid, omega, k)
             for a in (1, 2, 3):
                 if n_idx == 1:
                     pairs = [((a,), 1j * khat[a - 1] * d1)]
@@ -144,30 +158,28 @@ def test_tensor_assembly_matches_k_derivatives_of_the_base():
                         for b in (1, 2, 3)
                     ]
                 for idx, expected in pairs:
-                    value = eval_hat_tensor(kern, omega, k * khat, *idx)
+                    value = eval_hat_tensor(kid, omega, k * khat, *idx)
                     # the difference quotients are good to about 2e-9 here
                     assert abs(value - expected) <= 1e-7 * max(1.0, abs(expected)), (kid, omega, k, idx)
 
 
 def test_et_zm_split_pointwise(rng):
     for source, parts in (("IK0_over_t2", ("K0_et", "K0_zm")), ("IK0_over_t", ("K0c_et", "K0c_zm"))):
-        kern = KernelHat(source)
-        k_et, k_zm = et_zm_split(kern)
-        assert (k_et.id, k_zm.id) == parts
+        k_et, k_zm = et_zm_split(source)
+        assert (k_et, k_zm) == parts
         for _ in range(50):
             omega = float(rng.uniform(-3.0, 3.0))
             k = float(rng.uniform(0.1, 3.0))
             if abs(abs(omega) - k) < 1e-3:
                 continue
             total = eval_hat(k_et, omega, k) + eval_hat(k_zm, omega, k)
-            assert total == pytest.approx(eval_hat(kern, omega, k), abs=1e-12)
+            assert total == pytest.approx(eval_hat(source, omega, k), abs=1e-12)
 
 
 def test_zm_supported_in_closed_cones():
     for kid in ("K0_zm", "K0c_zm"):
-        kern = KernelHat(kid)
         for omega, k in ((0.3, 1.0), (-0.9, 1.2)):
-            assert eval_hat(kern, omega, k) == 0.0
+            assert eval_hat(kid, omega, k) == 0.0
 
 
 def test_oracle_ratio_constants():
@@ -456,7 +468,7 @@ def test_log_kernels_keep_their_digits_far_from_the_cone():
     # at (1e6, 1e-6), and Delta_over_t2 comes out 0.0 at (1e16, 1e-7)
     for omega, k in ((1e3, 1e-3), (1e6, 1e-6), (1e16, 1e-7), (-1e6, 1e-6), (1e-6, 1e6), (0.4, 1.3)):
         for kid, ref in _decimal_log_kernels(omega, k).items():
-            value = eval_hat(KernelHat(kid), omega, k)
+            value = eval_hat(kid, omega, k)
             assert abs(value - ref) <= 1e-15 * abs(ref), (kid, omega, k)
 
 
@@ -482,12 +494,12 @@ def test_tensor_derivatives_keep_their_digits_far_from_the_cone():
     # k-derivative b2 and the (2, 2) component is b1/k; both cancel as
     # k/omega -> 0, and taken from the two logs they were 7e2 relative off
     # at (1e3, 1e-3) and 2e20 off at (1e6, 1e-6)
-    kern = KernelHat("XiXiDelta_over_t3")
     for omega, k in ((1e3, 1e-3), (1e6, 1e-6), (-1e6, 1e-6), (2.2, 0.9), (0.4, 1.3)):
         b1, b2 = _decimal_xixi_delta_dk(omega, k)
         k_vec = np.array([k, 0.0, 0.0])
-        assert abs(eval_hat_tensor(kern, omega, k_vec, 1, 1) - b2) <= 1e-13 * abs(b2), (omega, k)
-        assert abs(eval_hat_tensor(kern, omega, k_vec, 2, 2) - b1 / k) <= 1e-13 * abs(b1 / k), (omega, k)
+        assert abs(eval_hat_tensor("XiXiDelta_over_t3", omega, k_vec, 1, 1) - b2) <= 1e-13 * abs(b2), (omega, k)
+        value = eval_hat_tensor("XiXiDelta_over_t3", omega, k_vec, 2, 2)
+        assert abs(value - b1 / k) <= 1e-13 * abs(b1 / k), (omega, k)
 
 
 def test_kernel_table_rows():

@@ -1,0 +1,92 @@
+"""Write the reports and CSVs of a lightcone checkout's CLI, with their exit
+codes, so that two checkouts can be compared byte for byte:
+
+    python3 tools/cli_outputs.py SRC OUTDIR
+    diff -r OUTDIR_A OUTDIR_B
+
+SRC is the root of a checkout: its src/ is the program that runs, and its
+perfbench/gen.py (imported, never changed) draws the configs and momenta,
+as it does for the benchmark.  Each command runs as a fresh
+`python -m lightcone.cli` process and writes OUTDIR/<name>.json or .csv;
+OUTDIR/exit_codes.txt lists every name with its exit code, and a command
+that writes to stderr leaves OUTDIR/<name>.stderr.  The set:
+
+- verify --suites all at seeds 7, 1, 2 and 3;
+- verify --suites slayer on the six gen.deep_config rows at config seeds
+  7 and 101-103, each at the verify seed the benchmark gives that row;
+- slayer eval on the default config and on the six gen.wide_config(7, i)
+  rows;
+- kernels for every kernel id and lineint for every function, on the
+  default grids, and convolution at the momenta of gen.cli_pass(7, p) for
+  p = 0..3 (rest frame on even p).
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+
+def load_gen(src):
+    spec = importlib.util.spec_from_file_location("gen", src / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def commands(gen, out):
+    """(name, argv) of every command; the configs they read are written to
+    out/configs first."""
+    configs = out / "configs"
+    configs.mkdir(parents=True, exist_ok=True)
+
+    def config(name, cfg):
+        path = configs / f"{name}.json"
+        path.write_text(json.dumps(cfg, sort_keys=True))
+        return str(path)
+
+    for seed in (7, 1, 2, 3):
+        yield f"verify-all-seed{seed}", ["verify", "--suites", "all", "--seed", str(seed)], "json"
+    for seed in (7, 101, 102, 103):
+        for i in range(len(gen.DEEP_TABLE)):
+            path = config(f"deep-{seed}-{i}", gen.deep_config(seed, i)[0])
+            vseed = int(gen.rng_for(seed, 5, i).integers(0, 2**31))
+            argv = ["verify", "--suites", "slayer", "--seed", str(vseed), "--config", path]
+            yield f"verify-deep-{seed}-{i}", argv, "json"
+    yield "slayer-eval-default", ["slayer", "eval"], "json"
+    for i in range(len(gen.WIDE_TABLE)):
+        path = config(f"wide-7-{i}", gen.wide_config(7, i)[0])
+        yield f"slayer-eval-wide-7-{i}", ["slayer", "eval", "--config", path], "json"
+    for kid in gen.KERNEL_IDS:
+        yield f"kernels-{kid}", ["kernels", "--id", kid], "csv"
+    for fn in gen.LINEINT_FNS:
+        yield f"lineint-{fn}", ["lineint", "--fn", fn], "csv"
+    for p in range(4):
+        q = ",".join(repr(c) for c in gen.cli_pass(7, p)["q"])
+        yield f"convolution-{p}", ["convolution", "--q", q], "csv"
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit("usage: cli_outputs.py SRC OUTDIR")
+    src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    codes = []
+    for name, args, ext in commands(load_gen(src), out):
+        run = subprocess.run(
+            [sys.executable, "-m", "lightcone.cli", *args, "--out", str(out / f"{name}.{ext}")],
+            env=env, cwd=out, capture_output=True, text=True,
+        )
+        if run.stderr:
+            (out / f"{name}.stderr").write_text(run.stderr)
+        codes.append(f"{name} {run.returncode}\n")
+    (out / "exit_codes.txt").write_text("".join(codes))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
