@@ -22,7 +22,6 @@ from .clifford import ETA, GAMMA, minkowski, slash
 from .errors import ConfigInvalid, ConfigMalformed, InvalidMode, MalformedMode
 
 ONSHELL_TOL = 1e-9
-FREQUENCY_TOL = 1e-12
 
 DEFAULT_BOX = 32.0 * np.pi
 
@@ -244,28 +243,50 @@ class FermionicJet:
         return np.exp(-1j * (k0 * x[0] - lattice_momentum(n, self.box) @ x[1:])) @ a
 
 
+def _transfer_classes(jet_u, jet_v):
+    """One int64 code per (delta_psi row, psi row) pair of each jet,
+    delta-major, equal across both jets exactly when the pairs' multisets
+    {|n_delta|^2, |n_psi|^2} are.  For one mass m > 0 and a float box L,
+    that is exactly when their frequency transfers omega_delta + omega_psi
+    are equal: (2 pi / L)^2 is then transcendental (Lindemann), and a sum
+    of two such roots fixes its multiset of squared norms."""
+    sides = [side for jet in (jet_u, jet_v) for side in (jet.delta_psi_n, jet.psi_n)]
+    # |n|^2 reaches 3 * 2^124: Python ints, ranked as objects
+    squares = np.array([sum(c * c for c in row) for side in sides for row in side.tolist()], dtype=object)
+    ranks = np.unique(squares, return_inverse=True)[1]
+    du, pu, dv, pv = np.split(ranks, np.cumsum([len(side) for side in sides])[:-1])
+    # per jet, one row per pair: its two ranks in order
+    codes_u, codes_v = _lattice_codes(*(
+        np.sort(np.stack(np.broadcast_arrays(d[:, None], p), -1), -1).reshape(-1, 2) for d, p in ((du, pu), (dv, pv))
+    ))
+    # jets of two masses share no frequency transfer: shift v's codes past u's
+    return codes_u, codes_v if jet_u.m == jet_v.m else codes_v + len(codes_u) + len(codes_v)
+
+
 def pairing_predicates(jet_u, jet_v):
     """Enumerate the mode quadruples (du, pu, dv, pv), rows of delta_psi_u,
     psi_u, delta_psi_v and psi_v, whose momentum transfers n(du) - n(pu)
     and n(dv) - n(pv) are equal or opposite (the momentum-conserving
     quadruples of the conservation residual) and flag those violating the
     matching frequency relation: equal transfers must carry equal frequency
-    transfers, opposite ones opposite frequency transfers (exact on the
-    lattice, to FREQUENCY_TOL in frequency).  Quadruples come as (Q, 4)
-    integer arrays."""
+    transfers omega_du + omega_pu = omega_dv + omega_pv, decided exactly by
+    _transfer_classes, and opposite ones opposite frequency transfers,
+    which no quadruple carries, since each is positive.  Quadruples come as
+    (Q, 4) integer arrays."""
     common_box(jet_u, jet_v)
 
     def transfers(jet):
         # the (delta_psi row, psi row) pairs, delta-major
         d, p = np.indices((len(jet.delta_psi_n), len(jet.psi_n))).reshape(2, -1)
-        return np.stack((d, p), 1), jet.delta_psi_n[d] - jet.psi_n[p], jet.delta_psi_k0[d] - jet.psi_k0[p]
+        return np.stack((d, p), 1), jet.delta_psi_n[d] - jet.psi_n[p]
 
-    pairs_u, dn_u, dw_u = transfers(jet_u)
-    pairs_v, dn_v, dw_v = transfers(jet_v)
+    pairs_u, dn_u = transfers(jet_u)
+    pairs_v, dn_v = transfers(jet_v)
+    classes_u, classes_v = _transfer_classes(jet_u, jet_v)
     codes_u, codes_v, codes_opposite = _lattice_codes(dn_u, dn_v, -dn_v)
     (ie, je), (io, jo) = _matched_pairs(codes_u, codes_v), _matched_pairs(codes_u, codes_opposite)
-    bad = np.concatenate((np.abs(dw_u[ie] - dw_v[je]), np.abs(dw_u[io] + dw_v[jo]))) > FREQUENCY_TOL
-    # a zero transfer matches both ways: one quadruple, flagged if either relation fails
+    bad = np.concatenate((classes_u[ie] != classes_v[je], np.ones(len(io), dtype=bool)))
+    # a zero transfer matches both ways: one quadruple, flagged as opposite
     pair = np.concatenate((ie, io)) * len(dn_v) + np.concatenate((je, jo))
     # the sorting np.unique: without return_index it imports numpy.ma
     (i, j), (fi, fj) = (np.divmod(np.unique(p, return_index=True)[0], len(dn_v)) for p in (pair, pair[bad]))

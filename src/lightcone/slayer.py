@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import _SIGMA, CHI_L, CHI_R, ETA, GAMMA, GAMMA0, ID4, sigma_jk
-from .fields import FREQUENCY_TOL, _lattice_codes, _matched_pairs, _matched_sums, common_box
+from .fields import _lattice_codes, _matched_pairs, _matched_sums, _transfer_classes, common_box
 from .fields import field_tensor_hat, lattice_momentum
 from .quadrature import converged, gauss_rule
 
@@ -298,14 +298,17 @@ def _box_quadrupole_hat(keys, box):
     return out
 
 
-def _jet_bilinears(jet, mats, sign_swapped):
+def _jet_bilinears(jet, mats, sign_swapped, classes):
     """<delta_psi(x) | M psi(y)> + sign_swapped <psi(x) | M delta_psi(y)> at
     x0 = y0 = 0 for a stack of matrices M, as exponential terms
     coeff[m, j] e^{i (k_total[j] - ky[j]).xvec} e^{i ky[j].yvec} of
     frequency w[j] (their time derivative is i w[j] times the term), the
-    momenta k = 2 pi n / L given by their integer lattice indices n.
+    momenta k = 2 pi n / L given by their integer lattice indices n.  Each
+    t[j] is +-(1 + the code in classes of the term's (delta_psi, psi) pair)
+    with the sign of w[j], so the w of two jets' terms cancel exactly when
+    their t do.
 
-    Returns (coeff, w, n_total, n_y) over the (delta_psi, psi) row pairs,
+    Returns (coeff, w, t, n_total, n_y) over the (delta_psi, psi) row pairs,
     delta-major, then the (psi, delta_psi) row pairs, psi-major."""
     n_delta, n_psi = len(jet.delta_psi_n), len(jet.psi_n)
     # rows of the stacked modes (delta_psi, then psi) as bra and ket
@@ -317,7 +320,8 @@ def _jet_bilinears(jet, mats, sign_swapped):
     k0 = np.concatenate((jet.delta_psi_k0, jet.psi_k0))
     sign = np.repeat((1.0, sign_swapped), n_delta * n_psi)
     coeff = sign * np.einsum("ji,mik,jk->mj", np.conj(a[bra]) @ GAMMA0, mats, a[ket])
-    return coeff, k0[bra] - k0[ket], n[ket] - n[bra], n[ket]
+    c = classes.reshape(n_delta, n_psi) + 1
+    return coeff, k0[bra] - k0[ket], np.concatenate((c[d1, p1], -c[d2, p2])), n[ket] - n[bra], n[ket]
 
 
 def fermi_conservation_residual(jet_u, jet_v):
@@ -334,18 +338,18 @@ def fermi_conservation_residual(jet_u, jet_v):
     term pairs of zero total lattice momentum survive the box integral and
     are weighted by the box quadrupole at their y-momentum."""
     box = common_box(jet_u, jet_v)
-    cu, wu, su, kyu = _jet_bilinears(jet_u, _SPATIAL_VERTEX_U, -1.0)
-    cv, wv, sv, kyv = _jet_bilinears(jet_v, _SPATIAL_VERTEX_V, 1.0)
+    classes_u, classes_v = _transfer_classes(jet_u, jet_v)
+    cu, wu, tu, su, kyu = _jet_bilinears(jet_u, _SPATIAL_VERTEX_U, -1.0, classes_u)
+    cv, wv, tv, sv, kyv = _jet_bilinears(jet_v, _SPATIAL_VERTEX_V, 1.0, classes_v)
     cu = cu.reshape(2, 3, 2, -1)
     cu[1] *= -1.0  # the vector-contracted part enters with a minus sign
     cv = cv.reshape(2, 3, 2, -1)
 
     iu, iv = _matched_pairs(*_lattice_codes(su, -sv))
+    # pairs whose frequency wu + wv vanishes exactly carry no time dependence
+    live = tu[iu] != -tv[iv]
+    iu, iv = iu[live], iv[live]
     w = wu[iu] + wv[iv]
-    # pairs whose frequency transfer vanishes, to the FREQUENCY_TOL that
-    # pairing_predicates flags at, carry no time dependence
-    live = np.abs(w) > FREQUENCY_TOL
-    iu, iv, w = iu[live], iv[live], w[live]
     if iu.size == 0:
         return 0.0
     coeff = np.einsum("kacp,kbcp->pab", cu[..., iu], cv[..., iv])
@@ -353,8 +357,10 @@ def fermi_conservation_residual(jet_u, jet_v):
     # Im(z) = (z - conj z)/(2i): each pair contributes at ky and, conjugated,
     # at -ky; one box quadrupole weight per distinct lattice momentum
     ky = kyu[iu] + kyv[iv]
-    keys, inv = np.unique(np.concatenate((ky, -ky)), axis=0, return_inverse=True)
-    w_hat = _box_quadrupole_hat(keys, box)[inv.reshape(2, -1)]
+    codes = np.stack(_lattice_codes(ky, -ky))
+    keys = np.empty((codes.max() + 1, 3), dtype=np.int64)
+    keys[codes] = ky, -ky
+    w_hat = _box_quadrupole_hat(keys, box)[codes]
     z = np.einsum("pab,pab->p", coeff, w_hat[0]) + np.einsum("pab,pab->p", np.conj(coeff), w_hat[1])
     return float((-0.25 * box**3 * np.sum(w * z)).real)
 

@@ -132,6 +132,14 @@ def violating_jet_pair(rng, box=DEFAULT_BOX, m=1.0):
     return one_mode_jet(rng, 0 * n1, n1, box, m), one_mode_jet(rng, -2 * n1, -n1, box, m)
 
 
+def gap_family_pair(rng, big_n):
+    """Two one-mode jets with equal transfers (2N, 0, 0) and the frequency
+    transfers 2 omega(N) and omega(N - 1) + omega(N + 1), which differ by
+    about -A / omega(N)^3, A = (2 pi / L)^2: below float64's resolution of
+    them from N = 3 * 10^4."""
+    return jet_at(rng, [(-big_n, 0, 0)], [(big_n, 0, 0)]), jet_at(rng, [(1 - big_n, 0, 0)], [(big_n + 1, 0, 0)])
+
+
 def opposite_transfer_pair(rng, box=DEFAULT_BOX, m=1.0):
     """Two jets on the same momenta (psi at p0, p1; delta_psi at d0, d1)
     whose transfers d1 - p1 = -(d0 - p0) and d1 - p0 = -(d0 - p1) are

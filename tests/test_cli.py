@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import jet_at, opposite_transfer_pair, violating_jet_pair
+from conftest import gap_family_pair, opposite_transfer_pair, violating_jet_pair
 import lightcone
 from lightcone import checks, cli, clifford, convolution, fields, kernels, lineint, slayer
 from lightcone.errors import OnLightCone
@@ -897,16 +897,13 @@ def test_verify_skips_conservation_outside_its_hypothesis(tmp_path, rng, pair):
     assert "slayer/fermi-conservation: SKIPPED" in rendered.stdout
 
 
-@pytest.mark.parametrize("big_n", [3000, 10**4, 10**5])
+@pytest.mark.parametrize("big_n", [3000, 10**4, 3 * 10**4, 10**5, 3 * 10**5])
 def test_verify_skips_conservation_at_a_small_frequency_transfer_gap(tmp_path, rng, big_n):
-    # both transfers are (2N, 0, 0), and the frequency transfers differ by
-    # 5.9e-10, 1.6e-11 and 1.8e-12: the residual counts the quadruple as
-    # time dependent exactly when pairing_predicates flags it, so the check
-    # is skipped, not failed
-    jets = (
-        jet_at(rng, [(-big_n, 0, 0)], [(big_n, 0, 0)]),
-        jet_at(rng, [(1 - big_n, 0, 0)], [(big_n + 1, 0, 0)]),
-    )
+    # the frequency transfers differ by 5.9e-10, 1.6e-11, 5.9e-13, 1.6e-14
+    # and 5.9e-16, which float64 rounds to 0 at N = 3 * 10^4 and 3 * 10^5.
+    # The residual counts the quadruple as time dependent exactly when
+    # pairing_predicates flags it, so the check is skipped, not failed
+    jets = gap_family_pair(rng, big_n)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_jet_config(jets)))
     result = invoke(["verify", "--suites", "slayer", "--config", str(path)])

@@ -7,6 +7,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     dense_jet_pair,
+    gap_family_pair,
     jet_at,
     matched_jet_pair,
     opposite_transfer_pair,
@@ -27,10 +29,10 @@ from lightcone.clifford import minkowski, slash
 from lightcone.errors import ConfigInvalid, ConfigMalformed, InvalidMode, MalformedMode
 from lightcone.fields import (
     DEFAULT_BOX,
-    FREQUENCY_TOL,
     FermionicJet,
     MaxwellField,
     _matched_pairs,
+    _transfer_classes,
     dirac_basis,
     field_tensor_hat,
     load_config,
@@ -280,11 +282,16 @@ def test_pairing_predicates_flags_opposite_transfers(rng):
 def reference_pairing_predicates(jet_u, jet_v):
     """Quadruple-by-quadruple evaluation of pairing_predicates: a loop over
     every (du, pu, dv, pv), row-major, with the transfers compared as
-    tuples of Python ints.  Returns (quadruples, flagged) as lists."""
+    tuples of Python ints.  Equal transfers must carry equal frequency
+    transfers omega_d + omega_p: one mass, and one multiset of Python-int
+    squared norms {|n_d|^2, |n_p|^2}.  Opposite transfers are all flagged,
+    since every frequency transfer is positive.  Returns (quadruples,
+    flagged) as lists."""
     def transfers(jet):
+        squares = [[sum(int(c) ** 2 for c in n) for n in side] for side in (jet.delta_psi_n, jet.psi_n)]
         return [
             ((d, p), tuple(int(a) - int(b) for a, b in zip(jet.delta_psi_n[d], jet.psi_n[p])),
-             jet.delta_psi_k0[d] - jet.psi_k0[p])
+             (jet.m, sorted((squares[0][d], squares[1][p]))))
             for d in range(len(jet.delta_psi_n))
             for p in range(len(jet.psi_n))
         ]
@@ -295,11 +302,15 @@ def reference_pairing_predicates(jet_u, jet_v):
             equal, opposite = dn_u == dn_v, dn_u == tuple(-c for c in dn_v)
             if equal or opposite:
                 quadruples.append([*pair_u, *pair_v])
-                if (equal and abs(dw_u - dw_v) > FREQUENCY_TOL) or (
-                    opposite and abs(dw_u + dw_v) > FREQUENCY_TOL
-                ):
+                if opposite or dw_u != dw_v:
                     flagged.append([*pair_u, *pair_v])
     return quadruples, flagged
+
+
+# Equal transfers (0, -2, -8) with |n|^2 {0, 68} and {33, 33}: in the box
+# 32 pi, omega(0) + omega(68) = 2 omega(33) = 17/8, so in the float box the
+# frequency sums agree to roundoff, and the exact gap is -2.5e-19
+_COINCIDENT = (([(0, 2, 8)], [(0, 0, 0)]), ([(-4, 1, 4)], [(-4, -1, -4)]))
 
 
 def test_pairing_predicates_matches_reference(rng):
@@ -313,6 +324,15 @@ def test_pairing_predicates_matches_reference(rng):
     # transfers of +-(2^63 - 2), opposite, and rows too far apart to pack into one int64
     far = 2**62 - 1
     cases.append(("far", jet_at(rng, [(-far, 0, 0)], [(far, 0, 0)]), jet_at(rng, [(far, 0, 0)], [(-far, 0, 0)])))
+    # equal transfers whose float frequency transfers coincide, though the
+    # exact ones differ
+    coincident = [jet_at(rng, *sides) for sides in _COINCIDENT]
+    for name, (u, v) in (("gap", gap_family_pair(rng, 3 * 10**4)), ("coincident", coincident)):
+        assert u.delta_psi_k0[0] - u.psi_k0[0] == v.delta_psi_k0[0] - v.psi_k0[0]
+        cases.append((name, u, v))
+    # the same momenta at two masses
+    psi_ns, delta_ns = [(1, 0, 0), (0, 2, 0)], [(0, 1, 0), (2, 0, 1)]
+    cases.append(("masses", jet_at(rng, psi_ns, delta_ns), jet_at(rng, psi_ns, delta_ns, m=1.5)))
     seen = set()
     for name, u, v in cases:
         want_quadruples, want_flagged = reference_pairing_predicates(u, v)
@@ -326,7 +346,68 @@ def test_pairing_predicates_matches_reference(rng):
             seen.add(name + " flagged")
         if any(not np.any(u.delta_psi_n[du] - u.psi_n[pu]) for du, pu, _, _ in want_quadruples):
             seen.add(name + " zero transfer")
-    assert seen >= {"dense flagged", "dense zero transfer", "far flagged", "opposite flagged", "violating flagged"}
+    assert seen >= {
+        "coincident flagged", "dense flagged", "dense zero transfer", "far flagged", "gap flagged",
+        "masses flagged", "opposite flagged", "violating flagged",
+    }
+
+
+def _mp_omega(square, box=DEFAULT_BOX, m=1.0):
+    """omega at a lattice index of squared norm square, in mpmath at its
+    working precision, with the float box and mass taken exactly."""
+    return mpmath.sqrt((2 * mpmath.pi / mpmath.mpf(box)) ** 2 * int(square) + mpmath.mpf(m) ** 2)
+
+
+@pytest.mark.parametrize("big_n", [3 * 10**3, 10**4, 3 * 10**4, 10**5, 3 * 10**5, 10**6, 3 * 10**6, 10**7])
+def test_the_gap_family_misses_its_frequency_relation_at_50_digits(rng, big_n):
+    # the gap 2 omega(N) - omega(N - 1) - omega(N + 1) is -omega''(N) =
+    # -A / omega(N)^3 to relative O(1/N^2), with A = (2 pi / L)^2: from
+    # -5.9e-10 at N = 3000 to -1.6e-20 at 10^7, far above 50 digits'
+    # resolution, where float64 loses it from N = 3 * 10^4
+    with mpmath.workdps(50):
+        gap = 2 * _mp_omega(big_n**2) - _mp_omega((big_n - 1) ** 2) - _mp_omega((big_n + 1) ** 2)
+        a = (2 * mpmath.pi / mpmath.mpf(DEFAULT_BOX)) ** 2
+        assert abs(gap / (-a / _mp_omega(big_n**2) ** 3) - 1) < 1e-6
+    assert not pairing_predicates(*gap_family_pair(rng, big_n))["implication_holds"]
+
+
+def test_frequency_sums_agree_exactly_when_the_squared_norm_multisets_do(rng):
+    # on one-mode jets (d, p) and (c, q): the exact gap omega(d) + omega(p)
+    # - omega(c) - omega(q), at 50 digits, is zero exactly when the two
+    # pairs' transfer classes are equal
+    (psi_u, delta_u), (psi_v, delta_v) = _COINCIDENT
+    quadruples = [(delta_u[0], psi_u[0], delta_v[0], psi_v[0])]
+    for _ in range(300):
+        d, p, c, q = rng.integers(-3, 4, size=(4, 3))
+        if rng.random() < 0.5:
+            # the squared norms of d and p, in either order: permuted and reflected components
+            pair = (d, p) if rng.random() < 0.5 else (p, d)
+            c, q = (rng.permutation(x) * rng.choice((-1, 1), size=3) for x in pair)
+        quadruples.append((d, p, c, q))
+    seen = set()
+    for d, p, c, q in quadruples:
+        classes_u, classes_v = _transfer_classes(jet_at(rng, [p], [d]), jet_at(rng, [q], [c]))
+        with mpmath.workdps(50):
+            # each sum rounded once, so that equal multisets give equal sums
+            omega_u, omega_v = (_mp_omega(np.dot(x, x)) + _mp_omega(np.dot(y, y)) for x, y in ((d, p), (c, q)))
+            gap = omega_u - omega_v
+        assert (gap == 0) == (classes_u[0] == classes_v[0]), (d, p, c, q, gap)
+        seen.add(gap == 0)
+    assert seen == {True, False}
+
+
+def test_no_src_module_imports_mpmath():
+    # mpmath is a test oracle: it shares no code path with the program
+    src = pathlib.Path(fields.__file__).parent
+    imported = [
+        (path.name, name.split(".")[0])
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in ([alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""])
+    ]
+    assert ("fields.py", "numpy") in imported
+    assert [entry for entry in imported if entry[1] == "mpmath"] == []
 
 
 def test_matched_pairs_orders_as_the_broadcast_mask(rng):

@@ -14,6 +14,11 @@ that writes to stderr leaves OUTDIR/<name>.stderr.  The set:
 - verify --suites all at seeds 7, 1, 2 and 3;
 - verify --suites slayer on the six gen.deep_config rows at config seeds
   7 and 101-103, each at the verify seed the benchmark gives that row;
+- verify --suites slayer on the frequency-gap family: two one-mode jets,
+  psi (-N, 0, 0) with delta_psi (N, 0, 0) and psi (1 - N, 0, 0) with
+  delta_psi (N + 1, 0, 0), whose equal transfers miss the frequency
+  relation by 2 omega(N) - omega(N - 1) - omega(N + 1), at N = 3*10^3,
+  10^4, 3*10^4, 10^5, 3*10^5 and 10^6;
 - slayer eval on the default config and on the six gen.wide_config(7, i)
   rows;
 - kernels for every kernel id and lineint for every function, on the
@@ -57,6 +62,14 @@ def commands(gen, out):
             vseed = int(gen.rng_for(seed, 5, i).integers(0, 2**31))
             argv = ["verify", "--suites", "slayer", "--seed", str(vseed), "--config", path]
             yield f"verify-deep-{seed}-{i}", argv, "json"
+    for big_n in (3 * 10**3, 10**4, 3 * 10**4, 10**5, 3 * 10**5, 10**6):
+        rng = gen.rng_for(7, 9, big_n)
+        jets = [
+            {"psi": [gen.dirac_mode(rng, -1, (psi, 0, 0))], "delta_psi": [gen.dirac_mode(rng, 1, (delta, 0, 0))]}
+            for psi, delta in ((-big_n, big_n), (1 - big_n, big_n + 1))
+        ]
+        path = config(f"gap-{big_n}", {"box": gen.BOX, "mass": gen.MASS, "maxwell": [], "jets": jets})
+        yield f"verify-gap-{big_n}", ["verify", "--suites", "slayer", "--config", path], "json"
     yield "slayer-eval-default", ["slayer", "eval"], "json"
     for i in range(len(gen.WIDE_TABLE)):
         path = config(f"wide-7-{i}", gen.wide_config(7, i)[0])
