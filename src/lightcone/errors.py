@@ -21,6 +21,10 @@ class ZeroMomentum(LightconeError):
     """Kernel evaluated at vanishing spatial momentum."""
 
 
+class NonFiniteMomentum(LightconeError):
+    """Kernel oracle evaluated at a momentum component that is not finite."""
+
+
 class TooCloseToSingularSet(LightconeError):
     """Evaluation point too close to a singular set for the requested scheme."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -300,16 +300,31 @@ def pairing_predicates(jet_u, jet_v):
 
 def time_translate(obj, dt):
     """Translate a field or jet forward in time by dt: every mode
-    amplitude picks up the phase exp(-i p0 dt)."""
+    amplitude picks up the phase exp(-i p0 dt).  A dt whose phases are
+    not finite raises MalformedMode."""
     if isinstance(obj, MaxwellField):
-        return replace(obj, eps=obj.eps * np.exp(-1j * obj.p[:, 0] * dt)[:, None])
+        return _rephased(obj, dt, eps=obj.p[:, 0])
     if isinstance(obj, FermionicJet):
-        return replace(
-            obj,
-            psi_a=obj.psi_a * np.exp(-1j * obj.psi_k0 * dt)[:, None],
-            delta_psi_a=obj.delta_psi_a * np.exp(-1j * obj.delta_psi_k0 * dt)[:, None],
-        )
+        return _rephased(obj, dt, psi_a=obj.psi_k0, delta_psi_a=obj.delta_psi_k0)
     raise TypeError(f"cannot time-translate {type(obj).__name__}")
+
+
+def _rephased(obj, dt, **frequencies):
+    """A copy of the field or jet obj whose amplitude arrays, named with
+    their frequencies p0, carry the phases exp(-i p0 dt), read-only.  A
+    phase keeps every mode condition, so the constructor's validation does
+    not run again, and the copy shares the other read-only arrays."""
+    moved = object.__new__(type(obj))
+    moved.__dict__.update(obj.__dict__)
+    for name, p0 in frequencies.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = np.exp(-1j * p0 * dt)
+        if not np.all(np.isfinite(phase)):
+            raise MalformedMode(f"time translation by {dt}: a phase is not finite")
+        amplitudes = getattr(obj, name) * phase[:, None]
+        amplitudes.flags.writeable = False
+        moved.__dict__[name] = amplitudes
+    return moved
 
 
 def _objects(what, entries):

@@ -10,11 +10,13 @@ unit-prefactor closed formula.
 
 from __future__ import annotations
 
+import bisect
+import math
 from enum import Enum
 
 import numpy as np
 
-from .errors import OnLightCone, TooCloseToSingularSet, UnsupportedKernel, ZeroMomentum
+from .errors import NonFiniteMomentum, OnLightCone, TooCloseToSingularSet, UnsupportedKernel, ZeroMomentum
 from .quadrature import converged, extrapolate_to_zero, gauss_rule, kronrod_rule
 
 
@@ -255,110 +257,144 @@ def radial_fourier(g, omega, k, eta, grid):
                                     int_0^inf r sin(k r) f(t, r) dr
 
     eta is one width or a 1-D ladder of them, and the result has its
-    shape.  Every rung builds its own t-rule, and one kronrod_rule call
-    maps the panels of all rungs.  g is the time factor, a vectorized
-    function of t and of eta (one width per panel, broadcast against t),
-    called once on all nodes t and once on -t.  The r-integral depends on
-    |t| only, so the t-rule is mirrored about t = 0: it runs on
-    [0, t_max] (grid key t_max) and sums e^{i omega t} g(t) +
-    e^{-i omega t} g(-t).  Its 21-point Kronrod panels are at most one
-    period of |omega| + k wide.  If grid sets t_fine_hw and t_fine_dx
-    (scalars, or one per rung), panels 2 t_fine_dx wide mesh
-    [0, t_fine_hw], and edges at t_fine_hw 2^j grade them out to one
-    period, since the kernels' 1/t^p factors vary on the scale t.
-    The r-integral runs over the window |r - |t|| <= 10 eta, cut at r = 0
-    (see _shell_sums).  Each rung's sums over t, over its window and over
-    the window's tails pass their own guard at relative
-    RADIAL_FOURIER_RTOL = 1e-9 (QuadratureNotConverged otherwise): the
-    t-sum and the window against their embedded 10-point Gauss rule, the
-    tails against the window's Kronrod panels (see _window_tails)."""
+    shape.  g is the time factor, a vectorized function of t and of eta
+    (one width per panel, broadcast against t), called once on all nodes
+    t and once on -t; it may depend on eta only for |t| < 10 eta.  The
+    r-integral depends on |t| only, so the t-rule is mirrored about
+    t = 0: it runs on [0, t_max] (grid key t_max) and sums
+    e^{i omega t} g(t) + e^{-i omega t} g(-t).  Its 21-point Kronrod
+    panels are at most one period of |omega| + k wide (coarse).  If grid
+    sets t_fine_hw and t_fine_dx (scalars, or one per rung), panels
+    2 t_fine_dx wide mesh [0, t_fine_hw], and edges at t_fine_hw 2^j
+    grade them out to one period, since the kernels' 1/t^p factors vary
+    on the scale t.  The r-integral runs over the window
+    |r - |t|| <= 10 eta, cut at r = 0 (see _shell_sums).  The t-rule
+    splits at the first coarse edge at or above every rung's own edges
+    and window: below it each rung has its own panels, and above it the
+    coarse panels serve the whole ladder, whose shell sums there are
+    A sin(kt) + B cos(kt) with each rung's window constants A + iB.
+    Each rung's sums over t, over its window and over the window's tails
+    pass their own guard at relative RADIAL_FOURIER_RTOL = 1e-9
+    (QuadratureNotConverged otherwise): the t-sum and the window against
+    their embedded 10-point Gauss rule, the tails against the window's
+    Kronrod panels (see _window_tails).  A non-finite omega or k raises
+    NonFiniteMomentum."""
+    if not (math.isfinite(omega) and math.isfinite(k)):
+        raise NonFiniteMomentum(f"(omega, k) = ({omega}, {k})")
     if k <= 0:
         raise ZeroMomentum("k must be > 0")
     ladder = np.atleast_1d(np.asarray(eta, dtype=float))
     t_max = grid["t_max"]
     # the integrand oscillates at up to |omega| + k
     period = 2.0 * np.pi / max(abs(omega) + k, 1.0)
-    coarse = np.linspace(0.0, t_max, int(np.ceil(t_max / period)) + 1)
-    t_fine = (np.broadcast_to(grid.get(key, 0.0), ladder.shape) for key in ("t_fine_hw", "t_fine_dx"))
-    edges = []
+    coarse = _linspace(t_max, math.ceil(t_max / period))
+    t_fine = (np.broadcast_to(grid.get(key, 0.0), ladder.shape).tolist() for key in ("t_fine_hw", "t_fine_dx"))
+    meshes = []
     for t_fine_hw, t_fine_dx in zip(*t_fine):
         if t_fine_hw > 0.0 and t_fine_dx > 0.0:
-            fine = np.linspace(0.0, t_fine_hw, int(np.ceil(t_fine_hw / (2.0 * t_fine_dx))) + 1)
-            n_graded = int(np.ceil(np.log2(max(period / t_fine_hw, 1.0))))
-            graded = t_fine_hw * 2.0 ** np.arange(1, n_graded)
-            edges.append(np.union1d(coarse, np.concatenate((fine, graded[graded < t_max]))))
+            n_graded = math.ceil(np.log2(max(period / t_fine_hw, 1.0)))
+            graded = [t_fine_hw * 2.0**j for j in range(1, n_graded) if t_fine_hw * 2.0**j < t_max]
+            meshes.append(_linspace(t_fine_hw, math.ceil(t_fine_hw / (2.0 * t_fine_dx))) + graded)
         else:
-            edges.append(coarse)
-    panels = np.array([len(e) - 1 for e in edges])
-    t, wk, wg = kronrod_rule(np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges]))
-    width = np.repeat(ladder, panels)[:, None]
-    phase = np.exp(1j * omega * t)
-    f = (2.0 * np.pi / k) * (phase * g(t, width) + phase.conj() * g(-t, width)) * _shell_sums(t, k, width)
-    first = np.cumsum(panels) - panels
-    kronrod = np.add.reduceat(np.sum(wk * f, axis=1), first)
-    gauss = np.add.reduceat(np.sum(wg * f[:, 1::2], axis=1), first)
-    value = np.array([converged(v, o, RADIAL_FOURIER_RTOL, "radial_fourier") for v, o in zip(kronrod, gauss)])
+            meshes.append([])
+    reach = max([SHELL_WINDOW * ladder.max(), *(mesh[-1] for mesh in meshes if mesh)])
+    split = min(bisect.bisect_left(coarse, reach), len(coarse) - 1)
+    # each rung's panels below the split, then the shared ones above it
+    rules = [sorted({*coarse[: split + 1], *mesh}) for mesh in meshes] + [coarse[split:]]
+    panels = [len(edges) - 1 for edges in rules]
+    t, wk, wg = kronrod_rule([x for edges in rules for x in edges[:-1]], [x for edges in rules for x in edges[1:]])
+    # above the split, where g does not depend on it, the widest rung's width
+    width = np.repeat(np.append(ladder, ladder.max()), panels)[:, None]
+    # e^{+-i omega t} from cos and sin, which cost less than a complex exp
+    g_plus, g_minus = g(t, width), g(-t, width)
+    h = (2.0 * np.pi / k) * (np.cos(omega * t) * (g_plus + g_minus) + 1j * np.sin(omega * t) * (g_plus - g_minus))
+    near, rung = sum(panels[:-1]), np.repeat(np.arange(len(ladder)), panels[:-1])
+    window, shell = _shell_sums(t[:near], rung[:, None], k, ladder)
+    f = h[:near] * shell
+    first = np.searchsorted(rung, np.arange(len(ladder)))
+    far = k * t[near:]
+    hs, hc = h[near:] * np.sin(far), h[near:] * np.cos(far)
+    # np.vdot of the real weights and the values is their weighted sum
+    kronrod = np.add.reduceat(np.sum(wk[:near] * f, axis=1), first) + (
+        window.real * np.vdot(wk[near:], hs) + window.imag * np.vdot(wk[near:], hc)
+    )
+    gauss = np.add.reduceat(np.sum(wg[:near] * f[:, 1::2], axis=1), first) + (
+        window.real * np.vdot(wg[near:], hs[:, 1::2]) + window.imag * np.vdot(wg[near:], hc[:, 1::2])
+    )
+    value = np.array(
+        [converged(v, o, RADIAL_FOURIER_RTOL, "radial_fourier") for v, o in zip(kronrod.tolist(), gauss.tolist())]
+    )
     return value if np.ndim(eta) else value[0]
 
 
-def _shell_sums(a, k, eta):
-    """For each a = |t| >= 0 and its shell width eta (broadcast against
-    a), the integral of sin(k r) G(r - a) over the window
-    |r - a| <= W = 10 eta cut at r = 0.  With r = a + u it is
+def _linspace(stop, n):
+    """np.linspace(0.0, stop, n + 1), as a list."""
+    step = stop / n
+    return [i * step for i in range(n)] + [stop]
+
+
+def _shell_sums(a, rung, k, eta):
+    """For each a = |t| >= 0 and its rung (an index into the ladder eta,
+    broadcast against a), the integral of sin(k r) G(r - a) over the
+    window |r - a| <= W = 10 eta cut at r = 0.  With r = a + u it is
 
         sin(ka) (A - Tc(a)) + cos(ka) (B + Ts(a)),
 
     A + iB the integral of e^{iku} G(u) over [-W, W], and Tc + iTs its
     tail over [a, W], which the cut removes where a < W (see
-    _window_tails).  Each distinct eta (rung) has its own window of
-    WINDOW_PANELS Kronrod panels; the windows of all rungs form one
-    stacked rule, and each passes its own embedded-Gauss guard."""
-    ladder, rung = np.unique(eta, return_inverse=True)
-    rung = rung.reshape(np.shape(eta))
-    r_window = SHELL_WINDOW * ladder
+    _window_tails; each rung's points a < W ascend in the order of a).
+    Each rung has its own window of WINDOW_PANELS Kronrod panels; the
+    windows of all rungs form one stacked rule, and each passes its own
+    embedded-Gauss guard.  Returns A + iB of every rung, and the sums."""
+    r_window = SHELL_WINDOW * eta
     u_edges = r_window[:, None] * np.linspace(-1.0, 1.0, WINDOW_PANELS + 1)
     u, wk, wg = kronrod_rule(u_edges[:, :-1], u_edges[:, 1:])
-    e = np.exp(1j * k * u) * _gaussian(u, ladder[:, None, None])
+    e = np.exp(1j * k * u) * _gaussian(u, eta[:, None, None])
     panels = np.sum(wk * e, axis=2)
     gauss = np.sum(wg * e[..., 1::2], axis=(1, 2))
-    window = np.array(
-        [converged(np.sum(p), o, RADIAL_FOURIER_RTOL, "radial_fourier window") for p, o in zip(panels, gauss)]
-    )
+    pairs = zip(np.sum(panels, axis=1).tolist(), gauss.tolist())
+    window = np.array([converged(p, o, RADIAL_FOURIER_RTOL, "radial_fourier window") for p, o in pairs])
     tails = np.zeros(a.shape, dtype=complex)
     core = a < r_window[rung]
     half = WINDOW_PANELS // 2
     core_rung = np.broadcast_to(rung, a.shape)[core]
-    tails[core] = _window_tails(a[core], core_rung, u_edges[:, half:], panels[:, half:], k, ladder)
-    window = window[rung]
-    return (window.real - tails.real) * np.sin(k * a) + (window.imag + tails.imag) * np.cos(k * a)
+    tails[core] = _window_tails(a[core], core_rung, u_edges[:, half:], panels[:, half:], k, eta)
+    rung_window = window[rung]
+    sums = (rung_window.real - tails.real) * np.sin(k * a) + (rung_window.imag + tails.imag) * np.cos(k * a)
+    return window, sums
 
 
 def _window_tails(a, rung, mesh, mesh_panels, k, eta):
     """The integral of e^{iku} G(u) over [a, W] for every core point
     0 <= a < W of every rung at once, W = mesh[rung, -1] and G of width
-    eta[rung]: a TAIL_NODES-point Gauss rule on each gap between the
-    rung's sorted points a and its window mesh, summed gap by gap from W
-    down.  The sums at the mesh points must agree, rung by rung, with the
-    sums of the window's Kronrod panels above them (mesh_panels)."""
-    n_mesh = mesh.shape[1]
-    points = np.concatenate((a, mesh.ravel()))
-    owner = np.concatenate((rung, np.repeat(np.arange(len(eta)), n_mesh)))
-    order = np.lexsort((points, owner))
-    lo, hi, gap_rung = points[order[:-1]], points[order[1:]], owner[order[:-1]]
-    u, w = gauss_rule(lo, hi, TAIL_NODES)
-    width = eta[gap_rung][:, None]
-    e = np.exp(1j * k * u - 0.5 * (u / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
-    # the step from one rung's W to the next rung's first point is no gap
-    gaps = np.where(gap_rung == owner[order[1:]], np.sum(w * e, axis=1), 0.0)
-    above = np.append(np.cumsum(gaps[::-1])[::-1], 0.0)
-    at = np.empty_like(order)  # the sorted position of each point
-    at[order] = np.arange(len(order))
-    top = at[len(a) + n_mesh * np.arange(1, len(eta) + 1) - 1]  # of each rung's W
-    tails = above[at] - above[top][owner]
-    mesh_tails = tails[len(a):].reshape(mesh.shape)[:, :-1]
+    eta[rung]; rung does not decrease, and the points of each rung
+    ascend.  A TAIL_NODES-point Gauss rule runs on the gap from each
+    point up to the next point of its rung, or up to W, and the gaps are
+    summed from W down.  The tails at the rung's window mesh below W,
+    each the gap up to the next point plus that point's tail, must agree,
+    rung by rung, with the sums of the window's Kronrod panels above them
+    (mesh_panels)."""
+    n = len(a)
+    n_rungs, n_mesh = mesh.shape
+    rungs = np.arange(n_rungs)
+    starts, ends = np.searchsorted(rung, rungs), np.searchsorted(rung, rungs, side="right")
+    # the index of the point above each point and each mesh point; n for W
+    above = np.concatenate(
+        (np.arange(1, n + 1), *(s + np.searchsorted(a[s:e], m[:-1]) for s, e, m in zip(starts, ends, mesh)))
+    )
+    owner = np.concatenate((rung, np.repeat(rungs, n_mesh - 1)))
+    above = np.where(above < ends[owner], above, n)
+    lo = np.concatenate((a, mesh[:, :-1].ravel()))
+    u, w = gauss_rule(lo, np.where(above < n, np.append(a, 0.0)[above], mesh[owner, -1]), TAIL_NODES)
+    w = w * _gaussian(u, eta[owner][:, None])
+    ones = np.ones(TAIL_NODES)  # a row sum as a matrix product is faster than np.sum
+    gaps = (w * np.cos(k * u)) @ ones + 1j * ((w * np.sin(k * u)) @ ones)
+    above_all = np.append(np.cumsum(gaps[:n][::-1])[::-1], 0.0)  # the core gaps above, over all rungs
+    tails = np.append(above_all[:n] - above_all[ends[rung]], 0.0)
+    mesh_tails = (gaps[n:] + tails[above[n:]]).reshape(n_rungs, n_mesh - 1)
     for r, reference in enumerate(np.cumsum(mesh_panels[:, ::-1], axis=1)[:, ::-1]):
         converged(mesh_tails[r], reference, RADIAL_FOURIER_RTOL, "radial_fourier window tails")
-    return tails[: len(a)]
+    return tails[:n]
 
 
 def _gaussian(x, eta):

@@ -5,6 +5,7 @@ extrapolation of a regularised value to zero regulator."""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -144,11 +145,18 @@ def converged(value, other, rtol, what):
     """value, once a refinement or embedded lower-order estimate `other` of
     the same integral agrees with it to |value - other| <= rtol *
     max(1, |value|); otherwise raises QuadratureNotConverged naming `what`.
-    For arrays of integrals the largest |value - other| is held to the
-    largest |value|."""
-    moved = np.max(np.abs(value - other))
-    if moved > rtol * max(1.0, np.max(np.abs(value))):
-        raise QuadratureNotConverged(f"{what}: refinement moved by {moved:.3e}")
+    A value or estimate that is not finite never agrees.  For arrays of
+    integrals the largest |value - other| is held to the largest |value|,
+    and one entry that is not finite fails them all.  Scalars are compared
+    as Python complex numbers, without numpy's per-call overhead."""
+    if isinstance(value, np.ndarray) or isinstance(other, np.ndarray):
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+            moved, size = np.abs(value - other).max(), np.abs(value).max()
+    else:
+        moved, size = abs(complex(value) - complex(other)), abs(complex(value))
+    # NaN fails both comparisons
+    if not (size < math.inf and moved <= rtol * max(1.0, size)):
+        raise QuadratureNotConverged(f"{what}: refinement moved by {moved:.3e} from {size:.3e}")
     return value
 
 

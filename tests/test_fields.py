@@ -442,6 +442,41 @@ def test_time_translation_phases(rng):
         time_translate("not a field", 1.0)
 
 
+def test_time_translation_matches_the_validated_copy_without_validating(rng, monkeypatch):
+    # bit for bit the copy dataclasses.replace builds through the
+    # constructor, which time_translate does not run; a time whose phases
+    # are not finite is malformed, as the constructor would find
+    dt = 0.7
+    jet, field = random_jet(rng, n_psi=2, n_delta=3), random_maxwell_field(rng, n_modes=3)
+    wants = (
+        replace(
+            jet,
+            psi_a=jet.psi_a * np.exp(-1j * jet.psi_k0 * dt)[:, None],
+            delta_psi_a=jet.delta_psi_a * np.exp(-1j * jet.delta_psi_k0 * dt)[:, None],
+        ),
+        replace(field, eps=field.eps * np.exp(-1j * field.p[:, 0] * dt)[:, None]),
+    )
+
+    def refuse(self):
+        raise AssertionError("__post_init__ ran")
+
+    monkeypatch.setattr(FermionicJet, "__post_init__", refuse)
+    monkeypatch.setattr(MaxwellField, "__post_init__", refuse)
+    for obj, want in zip((jet, field), wants):
+        moved = time_translate(obj, dt)
+        assert type(moved) is type(want) and moved.__dict__.keys() == want.__dict__.keys()
+        for name, value in want.__dict__.items():
+            got = getattr(moved, name)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype and got.shape == value.shape and got.tobytes() == value.tobytes()
+                assert not got.flags.writeable
+            else:
+                assert got == value
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(MalformedMode):
+                time_translate(obj, bad)
+
+
 def _sample_config():
     box = DEFAULT_BOX
     k = 2.0 * np.pi / box

@@ -5,6 +5,7 @@ import pytest
 
 from lightcone import kernels
 from lightcone.errors import (
+    NonFiniteMomentum,
     OnLightCone,
     QuadratureNotConverged,
     TooCloseToSingularSet,
@@ -297,14 +298,20 @@ def reference_cut_window_sums(a, r_window, k, eta, n):
 
 def test_window_tails_match_the_per_t_rule():
     # the core |t| < 10 eta, summed as the shared window minus its tail,
-    # against an 80-node rule per point on the cut window (refine = 2)
+    # against an 80-node rule per point on the cut window (refine = 2); all
+    # rungs in one call, each rung's points ascending, as radial_fourier
+    # hands them over
     rng = np.random.default_rng(5)
-    for eta in ORACLE_ETAS:
-        r_window = SHELL_WINDOW * eta
-        a = np.concatenate(([0.0, 1e-12, r_window * (1.0 - 1e-12)], r_window * rng.random(200)))
-        for k in (0.3, 1.3, 3.0):
-            ref = reference_cut_window_sums(a, r_window, k, eta, 80)
-            value = kernels._shell_sums(a, k, eta)
+    ladder = np.array(ORACLE_ETAS)
+    points = [
+        np.sort(np.concatenate(([0.0, 1e-12, r_window * (1.0 - 1e-12)], r_window * rng.random(200))))
+        for r_window in SHELL_WINDOW * ladder
+    ]
+    rung = np.repeat(np.arange(len(ladder)), [len(a) for a in points])
+    for k in (0.3, 1.3, 3.0):
+        values = np.split(kernels._shell_sums(np.concatenate(points), rung, k, ladder)[1], len(ladder))
+        for eta, a, value in zip(ladder, points, values):
+            ref = reference_cut_window_sums(a, SHELL_WINDOW * eta, k, eta, 80)
             assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref)), (eta, k)
 
 
@@ -381,19 +388,88 @@ def test_radial_fourier_runs_each_embedded_guard(monkeypatch):
 
 
 def test_ladder_matches_one_rung_calls():
-    # the ladder shares one t-rule construction and one stacked window
-    # rule, and returns each rung's value as its own one-rung call does
-    for kid, (w, k) in (
-        ("IK0_over_t", (0.4, 1.3)),
-        ("IK0_over_t2", (2.2, 0.9)),
-        ("Delta_over_t", (0.4, 1.3)),
-        ("K0Hat", (1.3, 1.3)),
-    ):
-        ladder = oracle_value(kid, w, k, ORACLE_ETAS, ORACLE_T_DAMP)
-        assert ladder.shape == (len(ORACLE_ETAS),)
-        for eta, value in zip(ORACLE_ETAS, ladder):
-            single = oracle_value(kid, w, k, eta, ORACLE_T_DAMP)
-            assert abs(value - single) <= 1e-13 * abs(single), (kid, eta)
+    # the ladder shares one t-rule construction, one stacked window rule
+    # and the far t-panels, and returns each rung's value as its own
+    # one-rung call does, also on a longer ladder with rungs down to 0.005
+    for etas in (ORACLE_ETAS, LONG_LADDER):
+        for kid, (w, k) in (
+            ("IK0_over_t", (0.4, 1.3)),
+            ("IK0_over_t2", (2.2, 0.9)),
+            ("Delta_over_t", (0.4, 1.3)),
+            ("K0Hat", (1.3, 1.3)),
+        ):
+            ladder = oracle_value(kid, w, k, etas, ORACLE_T_DAMP)
+            assert ladder.shape == (len(etas),)
+            for eta, value in zip(etas, ladder):
+                single = oracle_value(kid, w, k, eta, ORACLE_T_DAMP)
+                assert abs(value - single) <= 1e-13 * abs(single), (kid, eta)
+
+
+# a mollifier ladder down to the finest rung the oracles are meant to reach
+LONG_LADDER = (0.08, 0.04, 0.02, 0.01, 0.005)
+
+
+def test_mollified_time_factors_depend_on_eta_only_in_the_core():
+    # radial_fourier's contract: g may depend on eta only for |t| < 10 eta,
+    # so the far t-panels take one width for the whole ladder
+    t = np.concatenate(([SHELL_WINDOW * max(LONG_LADDER)], np.linspace(0.8, 6.0 * ORACLE_T_DAMP, 2001)))
+    for kid in SHELL_POINTS:
+        g = mollified_position_kernel(kid, ORACLE_T_DAMP)
+        for sign in (1.0, -1.0):
+            first = g(sign * t, LONG_LADDER[0])
+            for eta in LONG_LADDER[1:]:
+                assert g(sign * t, eta).tobytes() == first.tobytes(), (kid, sign, eta)
+
+
+def test_ladder_hands_g_each_rungs_near_nodes_and_the_far_nodes_once():
+    # per rung, the nodes below the split are the one-rung call's own, and
+    # the nodes above it, the same for every rung, reach g once
+    def nodes(eta):
+        calls = []
+        g = mollified_position_kernel("IK0_over_t", ORACLE_T_DAMP)
+
+        def record(t, width):
+            calls.append((np.array(t), np.broadcast_to(width, t.shape)[:, 0].copy()))
+            return g(t, width)
+
+        radial_fourier(record, 0.4, 1.3, eta, _oracle_grid(np.asarray(eta)))
+        assert len(calls) == 2 and np.array_equal(calls[1][0], -calls[0][0])
+        return calls[0]
+
+    ladder, widths = nodes(ORACLE_ETAS)
+    singles = [nodes(eta)[0] for eta in ORACLE_ETAS]
+    n_far, rest = divmod(sum(len(single) for single in singles) - len(ladder), len(ORACLE_ETAS) - 1)
+    assert rest == 0 and n_far > 0
+    far = ladder[len(ladder) - n_far :]
+    assert np.all(far >= SHELL_WINDOW * max(ORACLE_ETAS))
+    start = 0
+    for eta, single in zip(ORACLE_ETAS, singles):
+        near = ladder[start : start + len(single) - n_far]
+        assert np.array_equal(np.concatenate((near, far)), single), eta
+        assert np.all(widths[start : start + len(near)] == eta)
+        start += len(near)
+    assert start == len(ladder) - n_far
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w, k: oracle_value("IK0_over_t", w, k, ORACLE_ETAS, ORACLE_T_DAMP),
+        lambda w, k: oracle_ratio("IK0_over_t", w, k),
+        k0hat_shell_ratio,
+    ],
+    ids=["oracle_value", "oracle_ratio", "k0hat_shell_ratio"],
+)
+@pytest.mark.parametrize("w, k", [(float("nan"), 1.3), (0.4, float("nan"))], ids=["nan-omega", "nan-k"])
+def test_oracles_reject_a_nan_momentum(call, w, k):
+    with pytest.raises(NonFiniteMomentum):
+        call(w, k)
+
+
+@pytest.mark.parametrize("w, k", [(1.0, float("inf")), (float("inf"), 1.0), (float("-inf"), 1.0)])
+def test_k0hat_shell_ratio_rejects_an_infinite_momentum(w, k):
+    with pytest.raises(NonFiniteMomentum):
+        k0hat_shell_ratio(w, k)
 
 
 def test_oracle_ratio_makes_one_radial_fourier_call(monkeypatch):

@@ -77,6 +77,35 @@ def test_converged_raises_naming_the_integral():
         converged(1.0, 1.0 + 1e-6, 1e-9, "nested probe")
 
 
+def test_converged_holds_arrays_and_scalars_to_one_rule():
+    # scalars are compared as Python complex numbers; numpy scalars and
+    # arrays agree with them
+    for value, other, ok in ((2.0, 2.0 + 1e-12, True), (1e-3, 1e-3 + 5e-10, True), (1.0, 1.0 + 1e-6, False)):
+        for wrap in (float, complex, np.float64, np.complex128, np.atleast_1d):
+            if ok:
+                assert converged(wrap(value), wrap(other), 1e-9, "probe") == wrap(value)
+            else:
+                with pytest.raises(QuadratureNotConverged, match="probe"):
+                    converged(wrap(value), wrap(other), 1e-9, "probe")
+
+
+def test_converged_rejects_values_that_are_not_finite():
+    nan, inf = float("nan"), float("inf")
+    pairs = [(nan, 1.0), (1.0, nan), (nan, nan), (inf, inf), (-inf, -inf), (inf, 1.0), (1.0, inf)]
+    pairs += [(complex(1.0, inf), complex(1.0, inf)), (complex(nan, 0.0), 0.0), (np.float64(inf), np.float64(inf))]
+    for value, other in pairs:
+        with pytest.raises(QuadratureNotConverged, match="probe"):
+            converged(value, other, 1e-9, "probe")
+    # one entry of an array fails them all
+    good = np.array([1.0, 2.0, 3.0])
+    for bad in (nan, inf):
+        broken = good.copy()
+        broken[1] = bad
+        for value, other in ((broken, good), (good, broken), (broken, broken.copy())):
+            with pytest.raises(QuadratureNotConverged, match="probe"):
+                converged(value, other, 1e-9, "probe")
+
+
 @pytest.mark.parametrize("xs", [(0.05, 0.025), (0.08, 0.04, 0.02)])
 def test_extrapolate_to_zero_reproduces_polynomials(xs):
     # a polynomial of degree len(xs) - 1 is its own interpolant

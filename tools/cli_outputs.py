@@ -24,6 +24,13 @@ that writes to stderr leaves OUTDIR/<name>.stderr.  The set:
 - kernels for every kernel id and lineint for every function, on the
   default grids, and convolution at the momenta of gen.cli_pass(7, p) for
   p = 0..3 (rest frame on even p).
+
+OUTDIR/oracles.json holds the values of the in-process oracles that no
+command reaches, as [real, imag] at repr precision: oracle_ratio (three
+ids), k0hat_shell_ratio, bidist_A_oracle, nested_line_integral and
+conv_masscone_shell_oracle at the points of gen.oracle_pass(7, p) for
+p = 0..7, computed by a fresh interpreter on SRC's src/.  exit_codes.txt
+lists it as "oracles" with that interpreter's exit code.
 """
 
 from __future__ import annotations
@@ -83,18 +90,46 @@ def commands(gen, out):
         yield f"convolution-{p}", ["convolution", "--q", q], "csv"
 
 
+def write_oracles(src, path):
+    """Write oracles.json (see the module docstring) for the checkout at
+    src, with the lightcone package this interpreter imports."""
+    import numpy as np
+    from lightcone import convolution, kernels, lineint
+
+    gen = load_gen(Path(src))
+    values = {}
+    for p in range(8):
+        x = gen.oracle_pass(7, p)
+        row = {f"oracle_ratio {kid}": kernels.oracle_ratio(kid, w, k) for kid, w, k in x["oracle_ratio"]}
+        row["k0hat_shell_ratio"] = kernels.k0hat_shell_ratio(*x["k0hat_shell_ratio"])
+        row["bidist_A_oracle"] = lineint.bidist_A_oracle(*x["bidist_A_oracle"])
+        nl = x["nested_line_integral"]
+        a, b = np.asarray(nl["a"]), np.asarray(nl["b"])
+        row["nested_line_integral"] = lineint.nested_line_integral(
+            lambda z: a @ z, lambda z: b @ z, nl["x"], nl["y"], tuple(nl["w1"]), tuple(nl["w2"])
+        )
+        query = convolution.ShellIntegralQuery(x["conv_masscone_shell_oracle"], gen.MASS)
+        row["conv_masscone_shell_oracle"] = convolution.conv_masscone_shell_oracle(query)
+        values[f"pass {p}"] = {name: [complex(v).real, complex(v).imag] for name, v in row.items()}
+    Path(path).write_text(json.dumps(values, indent=1) + "\n")
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit("usage: cli_outputs.py SRC OUTDIR")
     src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    runs = [
+        (name, ["-m", "lightcone.cli", *args, "--out", str(out / f"{name}.{ext}")])
+        for name, args, ext in commands(load_gen(src), out)
+    ]
+    tools = str(Path(__file__).resolve().parent)
+    script = f"import sys; sys.path.append({tools!r}); import cli_outputs; cli_outputs.write_oracles(*sys.argv[1:])"
+    runs.append(("oracles", ["-c", script, str(src), str(out / "oracles.json")]))
     codes = []
-    for name, args, ext in commands(load_gen(src), out):
-        run = subprocess.run(
-            [sys.executable, "-m", "lightcone.cli", *args, "--out", str(out / f"{name}.{ext}")],
-            env=env, cwd=out, capture_output=True, text=True,
-        )
+    for name, args in runs:
+        run = subprocess.run([sys.executable, *args], env=env, cwd=out, capture_output=True, text=True)
         if run.stderr:
             (out / f"{name}.stderr").write_text(run.stderr)
         codes.append(f"{name} {run.returncode}\n")
