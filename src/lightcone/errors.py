@@ -25,6 +25,11 @@ class NonFiniteMomentum(LightconeError):
     """Kernel oracle evaluated at a momentum component that is not finite."""
 
 
+class InvalidWidth(LightconeError):
+    """Mollifier width that is not finite and positive, or a width ladder
+    that is empty or not one-dimensional."""
+
+
 class TooCloseToSingularSet(LightconeError):
     """Evaluation point too close to a singular set for the requested scheme."""
 

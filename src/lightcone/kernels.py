@@ -13,11 +13,14 @@ from __future__ import annotations
 import bisect
 import math
 from enum import Enum
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteMomentum, OnLightCone, TooCloseToSingularSet, UnsupportedKernel, ZeroMomentum
-from .quadrature import converged, extrapolate_to_zero, gauss_rule, kronrod_rule
+from .errors import InvalidWidth, NonFiniteMomentum, OnLightCone, TooCloseToSingularSet
+from .errors import UnsupportedKernel, ZeroMomentum
+from .quadrature import converged, extrapolate_to_zero, gauss_rule, kronrod_rule, read_only
 
 
 class ConeRegion(Enum):
@@ -59,7 +62,9 @@ TENSOR_HOMOGENEITY_DEGREE = {"XiXiDelta_over_t3": -1, "XiXiK0_over_t4": 0}
 
 
 def classify(omega, k):
-    """Cone-region tag of the momentum (omega, |k_vec| = k)."""
+    """Cone-region tag of the momentum (omega, |k_vec| = k), both finite."""
+    if not (math.isfinite(omega) and math.isfinite(k)):
+        raise NonFiniteMomentum(f"(omega, k) = ({omega}, {k})")
     if k < 0:
         raise ValueError("k must be >= 0")
     if abs(abs(omega) - k) <= 1e-12:
@@ -178,8 +183,8 @@ def eval_hat_tensor(kid, omega, k_vec, *index):
     k = float(np.linalg.norm(k_vec))
     if k == 0:
         raise ZeroMomentum("|k_vec| = 0")
-    khat = k_vec / k
     region = classify(omega, k)
+    khat = k_vec / k
     a = index[0] - 1
     inside = region in (ConeRegion.InsideUpper, ConeRegion.InsideLower)
     sign = 1.0 if region is ConeRegion.InsideUpper else -1.0
@@ -248,7 +253,7 @@ TAIL_NODES = 5
 RADIAL_FOURIER_RTOL = 1e-9
 
 
-def radial_fourier(g, omega, k, eta, grid):
+def radial_fourier(factor, omega, k, eta, grid):
     """Fourier transform of the Gaussian shell kernel
     f(t, r) = g(t, eta) G(r - |t|) / (2 r), G the normal density of width
     eta:
@@ -257,17 +262,19 @@ def radial_fourier(g, omega, k, eta, grid):
                                     int_0^inf r sin(k r) f(t, r) dr
 
     eta is one width or a 1-D ladder of them, and the result has its
-    shape.  g is the time factor, a vectorized function of t and of eta
-    (one width per panel, broadcast against t), called once on all nodes
-    t and once on -t; it may depend on eta only for |t| < 10 eta.  The
-    r-integral depends on |t| only, so the t-rule is mirrored about
-    t = 0: it runs on [0, t_max] (grid key t_max) and sums
-    e^{i omega t} g(t) + e^{-i omega t} g(-t).  Its 21-point Kronrod
-    panels are at most one period of |omega| + k wide (coarse).  If grid
-    sets t_fine_hw and t_fine_dx (scalars, or one per rung), panels
-    2 t_fine_dx wide mesh [0, t_fine_hw], and edges at t_fine_hw 2^j
-    grade them out to one period, since the kernels' 1/t^p factors vary
-    on the scale t.  The r-integral runs over the window
+    shape.  factor is the pair (g, parity): the time factor g, a
+    vectorized function of t and of eta (one width per panel, broadcast
+    against t) that may depend on eta only for |t| < 10 eta, and its
+    parity in t, g(-t) = parity g(t) with parity = +1 or -1.  The
+    r-integral depends on |t| only, so the t-rule runs on [0, t_max]
+    (grid key t_max), calls g once on its nodes t >= 0, and sums
+    e^{i omega t} g(t) + e^{-i omega t} g(-t) as 2 cos(omega t) g(t) or
+    2i sin(omega t) g(t).  Its 21-point Kronrod panels are at most one
+    period of |omega| + k wide (coarse).  If grid sets t_fine_hw and
+    t_fine_dx (scalars, or one per rung), panels 2 t_fine_dx wide mesh
+    [0, t_fine_hw], and edges at t_fine_hw 2^j grade them out to one
+    period, since the kernels' 1/t^p factors vary on the scale t.  The
+    r-integral runs over the window
     |r - |t|| <= 10 eta, cut at r = 0 (see _shell_sums).  The t-rule
     splits at the first coarse edge at or above every rung's own edges
     and window: below it each rung has its own panels, and above it the
@@ -278,12 +285,18 @@ def radial_fourier(g, omega, k, eta, grid):
     (QuadratureNotConverged otherwise): the t-sum and the window against
     their embedded 10-point Gauss rule, the tails against the window's
     Kronrod panels (see _window_tails).  A non-finite omega or k raises
-    NonFiniteMomentum."""
+    NonFiniteMomentum, and eta not positive and finite, or not a scalar
+    or a non-empty 1-D ladder, InvalidWidth."""
+    g, parity = factor
+    if parity not in (1, -1):
+        raise ValueError(f"parity must be +1 or -1, not {parity}")
     if not (math.isfinite(omega) and math.isfinite(k)):
         raise NonFiniteMomentum(f"(omega, k) = ({omega}, {k})")
     if k <= 0:
         raise ZeroMomentum("k must be > 0")
     ladder = np.atleast_1d(np.asarray(eta, dtype=float))
+    if ladder.ndim > 1 or not ladder.size or not np.all((ladder > 0.0) & (ladder < math.inf)):
+        raise InvalidWidth(f"eta = {eta}")
     t_max = grid["t_max"]
     # the integrand oscillates at up to |omega| + k
     period = 2.0 * np.pi / max(abs(omega) + k, 1.0)
@@ -305,9 +318,11 @@ def radial_fourier(g, omega, k, eta, grid):
     t, wk, wg = kronrod_rule([x for edges in rules for x in edges[:-1]], [x for edges in rules for x in edges[1:]])
     # above the split, where g does not depend on it, the widest rung's width
     width = np.repeat(np.append(ladder, ladder.max()), panels)[:, None]
-    # e^{+-i omega t} from cos and sin, which cost less than a complex exp
-    g_plus, g_minus = g(t, width), g(-t, width)
-    h = (2.0 * np.pi / k) * (np.cos(omega * t) * (g_plus + g_minus) + 1j * np.sin(omega * t) * (g_plus - g_minus))
+    values = 2.0 * g(t, width)
+    if parity == 1:  # h stays complex: numpy blocks sums of real arrays differently
+        h = ((2.0 * np.pi / k) * (np.cos(omega * t) * values)).astype(complex)
+    else:
+        h = (2.0 * np.pi / k) * (1j * np.sin(omega * t) * values)
     near, rung = sum(panels[:-1]), np.repeat(np.arange(len(ladder)), panels[:-1])
     window, shell = _shell_sums(t[:near], rung[:, None], k, ladder)
     f = h[:near] * shell
@@ -346,55 +361,78 @@ def _shell_sums(a, rung, k, eta):
     Each rung has its own window of WINDOW_PANELS Kronrod panels; the
     windows of all rungs form one stacked rule, and each passes its own
     embedded-Gauss guard.  Returns A + iB of every rung, and the sums."""
-    r_window = SHELL_WINDOW * eta
-    u_edges = r_window[:, None] * np.linspace(-1.0, 1.0, WINDOW_PANELS + 1)
-    u, wk, wg = kronrod_rule(u_edges[:, :-1], u_edges[:, 1:])
-    e = np.exp(1j * k * u) * _gaussian(u, eta[:, None, None])
+    ladder = tuple(eta.tolist())
+    u, wk, wg, g_u = _window_rule(ladder, SHELL_WINDOW, WINDOW_PANELS)
+    e = np.exp(1j * k * u) * g_u
     panels = np.sum(wk * e, axis=2)
     gauss = np.sum(wg * e[..., 1::2], axis=(1, 2))
     pairs = zip(np.sum(panels, axis=1).tolist(), gauss.tolist())
     window = np.array([converged(p, o, RADIAL_FOURIER_RTOL, "radial_fourier window") for p, o in pairs])
     tails = np.zeros(a.shape, dtype=complex)
-    core = a < r_window[rung]
-    half = WINDOW_PANELS // 2
+    core = a < (SHELL_WINDOW * eta)[rung]
     core_rung = np.broadcast_to(rung, a.shape)[core]
-    tails[core] = _window_tails(a[core], core_rung, u_edges[:, half:], panels[:, half:], k, eta)
+    tails[core] = _window_tails(a[core], core_rung, panels[:, WINDOW_PANELS // 2 :], k, ladder)
     rung_window = window[rung]
     sums = (rung_window.real - tails.real) * np.sin(k * a) + (rung_window.imag + tails.imag) * np.cos(k * a)
     return window, sums
 
 
-def _window_tails(a, rung, mesh, mesh_panels, k, eta):
+def _window_tails(a, rung, mesh_panels, k, ladder):
     """The integral of e^{iku} G(u) over [a, W] for every core point
-    0 <= a < W of every rung at once, W = mesh[rung, -1] and G of width
-    eta[rung]; rung does not decrease, and the points of each rung
-    ascend.  A TAIL_NODES-point Gauss rule runs on the gap from each
+    0 <= a < W of every rung at once, W = SHELL_WINDOW eta and G of width
+    eta = ladder[rung]; rung does not decrease, and the points of each
+    rung ascend.  A TAIL_NODES-point Gauss rule runs on the gap from each
     point up to the next point of its rung, or up to W, and the gaps are
     summed from W down.  The tails at the rung's window mesh below W,
     each the gap up to the next point plus that point's tail, must agree,
     rung by rung, with the sums of the window's Kronrod panels above them
-    (mesh_panels)."""
+    (mesh_panels).  The gap rule depends on the points and widths only,
+    and _tail_rule builds it once per exact set of them: a call only
+    evaluates e^{iku} on it, sums and runs the guard."""
     n = len(a)
-    n_rungs, n_mesh = mesh.shape
-    rungs = np.arange(n_rungs)
-    starts, ends = np.searchsorted(rung, rungs), np.searchsorted(rung, rungs, side="right")
-    # the index of the point above each point and each mesh point; n for W
-    above = np.concatenate(
-        (np.arange(1, n + 1), *(s + np.searchsorted(a[s:e], m[:-1]) for s, e, m in zip(starts, ends, mesh)))
-    )
-    owner = np.concatenate((rung, np.repeat(rungs, n_mesh - 1)))
-    above = np.where(above < ends[owner], above, n)
-    lo = np.concatenate((a, mesh[:, :-1].ravel()))
-    u, w = gauss_rule(lo, np.where(above < n, np.append(a, 0.0)[above], mesh[owner, -1]), TAIL_NODES)
-    w = w * _gaussian(u, eta[owner][:, None])
-    ones = np.ones(TAIL_NODES)  # a row sum as a matrix product is faster than np.sum
+    ends = tuple(np.searchsorted(rung, np.arange(len(ladder)), side="right").tolist())
+    u, w, rung_ends, above = _tail_rule(a.tobytes(), ends, ladder, SHELL_WINDOW, WINDOW_PANELS, TAIL_NODES)
+    ones = np.ones(u.shape[1])  # a row sum as a matrix product is faster than np.sum
     gaps = (w * np.cos(k * u)) @ ones + 1j * ((w * np.sin(k * u)) @ ones)
     above_all = np.append(np.cumsum(gaps[:n][::-1])[::-1], 0.0)  # the core gaps above, over all rungs
-    tails = np.append(above_all[:n] - above_all[ends[rung]], 0.0)
-    mesh_tails = (gaps[n:] + tails[above[n:]]).reshape(n_rungs, n_mesh - 1)
+    tails = np.append(above_all[:n] - above_all[rung_ends], 0.0)
+    mesh_tails = (gaps[n:] + tails[above]).reshape(len(ladder), -1)
     for r, reference in enumerate(np.cumsum(mesh_panels[:, ::-1], axis=1)[:, ::-1]):
         converged(mesh_tails[r], reference, RADIAL_FOURIER_RTOL, "radial_fourier window tails")
     return tails[:n]
+
+
+@lru_cache(maxsize=8)
+def _window_rule(ladder, shell_window, window_panels):
+    """Each rung's window [-W, W], W = shell_window eta, in window_panels
+    Kronrod panels: the nodes u, the Kronrod and embedded Gauss weights,
+    and G(u), stacked over the ladder (a tuple of widths).  Built once
+    per exact key and shared, so the arrays are read-only."""
+    eta = np.array(ladder)
+    u_edges = (shell_window * eta)[:, None] * np.linspace(-1.0, 1.0, window_panels + 1)
+    u, wk, wg = kronrod_rule(u_edges[:, :-1], u_edges[:, 1:])
+    return read_only(u, wk, wg, _gaussian(u, eta[:, None, None]))
+
+
+@lru_cache(maxsize=4)
+def _tail_rule(points, ends, ladder, shell_window, window_panels, tail_nodes):
+    """_window_tails' read-only gap rule for the core points (float64
+    bytes), rung r those below index ends[r]: the Gauss nodes u of the
+    points' gaps and then the window mesh's, their weights times G(u),
+    each point's rung end, and the point above each mesh point (n for W)."""
+    a, eta, ends = np.frombuffer(points), np.array(ladder), np.array(ends)
+    n, n_rungs = len(a), len(ladder)
+    mesh = (shell_window * eta)[:, None] * np.linspace(-1.0, 1.0, window_panels + 1)[window_panels // 2 :]
+    starts = np.append(0, ends[:-1])
+    rung = np.repeat(np.arange(n_rungs), ends - starts)
+    above = np.concatenate(
+        (np.arange(1, n + 1), *(s + np.searchsorted(a[s:e], m[:-1]) for s, e, m in zip(starts, ends, mesh)))
+    )
+    owner = np.concatenate((rung, np.repeat(np.arange(n_rungs), mesh.shape[1] - 1)))
+    above = np.where(above < ends[owner], above, n)
+    lo = np.concatenate((a, mesh[:, :-1].ravel()))
+    u, w = gauss_rule(lo, np.where(above < n, np.append(a, 0.0)[above], mesh[owner, -1]), tail_nodes)
+    return read_only(u, w * _gaussian(u, eta[owner][:, None]), ends[rung], above[n:])
 
 
 def _gaussian(x, eta):
@@ -407,19 +445,34 @@ def _smooth_cutoff(t, eta):
     return x * x * (3.0 - 2.0 * x)
 
 
+# The mollified ids and the parity in t of their time factors.
+MOLLIFIED_PARITY = {"K0Hat": -1, "IK0_over_t": +1, "IK0_over_t2": -1, "Delta_over_t": -1, "Delta_over_t2": +1}
+
+
+class TimeFactor(NamedTuple):
+    """A time factor g(t, eta) and its parity in t; calling it calls g."""
+
+    g: Callable
+    parity: int
+
+    def __call__(self, t, eta):
+        return self.g(t, eta)
+
+
 def mollified_position_kernel(kid, t_damp):
     """Position-space realization of a kernel id with the on-cone delta
     replaced by a Gaussian shell of width eta in (r - |t|) and a Gaussian
     time damping of scale t_damp (for conditional convergence):
     f(t, r) = g(t, eta) G(r - |t|) / (2 r).  Returns the vectorized time
-    factor g(t, eta) for radial_fourier; eta broadcasts against t."""
-    if kid not in {"K0Hat", "IK0_over_t", "IK0_over_t2", "Delta_over_t", "Delta_over_t2"}:
+    factor g(t, eta) for radial_fourier, eta broadcast against t, with
+    its parity: (g, MOLLIFIED_PARITY[kid]), met bit for bit."""
+    if kid not in MOLLIFIED_PARITY:
         raise UnsupportedKernel(kid)
 
     def g(t, eta):
         damp = np.exp(-0.5 * (t / t_damp) ** 2)
         if kid == "K0Hat":
-            return 1j * np.sign(t) * damp
+            return 1j * (np.sign(t) * damp)
         cut = _smooth_cutoff(t, eta) * damp
         safe_t = np.where(np.abs(t) < 1e-30, 1.0, t)
         if kid == "IK0_over_t":
@@ -430,7 +483,7 @@ def mollified_position_kernel(kid, t_damp):
             return np.sign(t) * cut / np.abs(safe_t)
         return cut / safe_t**2
 
-    return g
+    return TimeFactor(g, MOLLIFIED_PARITY[kid])
 
 
 def oracle_value(kid, omega, k, eta, t_damp):

@@ -56,11 +56,15 @@ def gauss_legendre(n):
         raise QuadratureNotConverged(f"Gauss-Legendre nodes, n = {n}: Newton did not converge")
     _, dp = _legendre(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    nodes = np.concatenate((-x, x[::-1][n % 2 :]))
-    weights = np.concatenate((w, w[::-1][n % 2 :]))
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    return read_only(np.concatenate((-x, x[::-1][n % 2 :])), np.concatenate((w, w[::-1][n % 2 :])))
+
+
+def read_only(*arrays):
+    """The arrays, made read-only, as a tuple: for a cached result that
+    every caller shares."""
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
 
 
 def _map(lo, hi, nodes, *weights):

@@ -5,6 +5,7 @@ import pytest
 
 from lightcone import kernels
 from lightcone.errors import (
+    InvalidWidth,
     NonFiniteMomentum,
     OnLightCone,
     QuadratureNotConverged,
@@ -13,6 +14,8 @@ from lightcone.errors import (
     ZeroMomentum,
 )
 from lightcone.kernels import (
+    KERNEL_IDS,
+    MOLLIFIED_PARITY,
     ORACLE_ETAS,
     ORACLE_T_DAMP,
     PARITY,
@@ -51,6 +54,34 @@ def test_classify_regions():
     assert classify(-2.0, 1.0) is ConeRegion.InsideLower
     assert classify(0.5, 1.0) is ConeRegion.Outside
     assert classify(1.0, 1.0) is ConeRegion.Boundary
+
+
+NON_FINITE_MOMENTA = pytest.mark.parametrize(
+    "w, k",
+    [(float("nan"), 1.3), (float("inf"), 1.3), (float("-inf"), 1.3), (0.4, float("nan")), (0.4, float("inf"))],
+    ids=["nan-omega", "inf-omega", "-inf-omega", "nan-k", "inf-k"],
+)
+
+
+@NON_FINITE_MOMENTA
+def test_classify_rejects_a_non_finite_momentum(w, k):
+    with pytest.raises(NonFiniteMomentum):
+        classify(w, k)
+
+
+@NON_FINITE_MOMENTA
+def test_eval_hat_rejects_a_non_finite_momentum(w, k):
+    # a NaN omega gave IK0_over_t 1/k, K0Hat 0 and Delta_over_t NaN
+    for kid in KERNEL_IDS:
+        with pytest.raises(NonFiniteMomentum):
+            eval_hat(kid, w, k)
+
+
+@NON_FINITE_MOMENTA
+def test_eval_hat_tensor_rejects_a_non_finite_momentum(w, k):
+    for kid, n_index in TENSOR_INDEX_COUNT.items():
+        with pytest.raises(NonFiniteMomentum):
+            eval_hat_tensor(kid, w, [k, 0.0, 0.0], *(1,) * n_index)
 
 
 def test_unknown_kernel_rejected():
@@ -362,10 +393,9 @@ def test_radial_fourier_calls_g_once_per_sign():
         calls.append(np.array(t))
         return g(t, eta)
 
-    radial_fourier(record, 0.4, 1.3, ORACLE_ETAS[1], _oracle_grid(ORACLE_ETAS[1]))
-    assert len(calls) == 2
+    radial_fourier((record, g.parity), 0.4, 1.3, ORACLE_ETAS[1], _oracle_grid(ORACLE_ETAS[1]))
+    assert len(calls) == 1
     assert np.all(calls[0] >= 0.0)
-    assert np.array_equal(calls[1], -calls[0])
 
 
 def test_radial_fourier_runs_each_embedded_guard(monkeypatch):
@@ -432,8 +462,8 @@ def test_ladder_hands_g_each_rungs_near_nodes_and_the_far_nodes_once():
             calls.append((np.array(t), np.broadcast_to(width, t.shape)[:, 0].copy()))
             return g(t, width)
 
-        radial_fourier(record, 0.4, 1.3, eta, _oracle_grid(np.asarray(eta)))
-        assert len(calls) == 2 and np.array_equal(calls[1][0], -calls[0][0])
+        radial_fourier((record, g.parity), 0.4, 1.3, eta, _oracle_grid(np.asarray(eta)))
+        assert len(calls) == 1 and np.all(calls[0][0] >= 0.0)
         return calls[0]
 
     ladder, widths = nodes(ORACLE_ETAS)
@@ -472,8 +502,113 @@ def test_k0hat_shell_ratio_rejects_an_infinite_momentum(w, k):
         k0hat_shell_ratio(w, k)
 
 
+def test_oracle_ratio_rejects_an_infinite_omega():
+    # it ended in TooCloseToSingularSet, the closed form read as vanishing
+    with pytest.raises(NonFiniteMomentum):
+        oracle_ratio("IK0_over_t", float("inf"), 1.3)
+
+
+@pytest.mark.parametrize(
+    "eta",
+    [0.0, float("inf"), (), -0.02, float("nan"), (0.08, -0.04), ((0.08, 0.04),)],
+    ids=["zero", "inf", "empty", "negative", "nan", "negative-rung", "2d"],
+)
+def test_radial_fourier_rejects_an_invalid_width(eta):
+    g = mollified_position_kernel("IK0_over_t", ORACLE_T_DAMP)
+    with pytest.raises(InvalidWidth):
+        radial_fourier(g, 0.4, 1.3, eta, {"t_max": 6.0 * ORACLE_T_DAMP})
+
+
+@pytest.mark.parametrize("parity", [0, 2, None])
+def test_radial_fourier_rejects_a_parity_other_than_plus_or_minus_one(parity):
+    g = mollified_position_kernel("IK0_over_t", ORACLE_T_DAMP)
+    with pytest.raises(ValueError):
+        radial_fourier((g.g, parity), 0.4, 1.3, ORACLE_ETAS, _oracle_grid(np.asarray(ORACLE_ETAS)))
+
+
+def test_mollified_time_factors_have_their_parity_bit_for_bit():
+    # radial_fourier calls g on t >= 0 only and takes g(-t) as parity g(t),
+    # so on every node of a ladder down to 0.005, each rung's core nodes
+    # at its own width, g(-t) must be parity g(t) to the last bit
+    for kid, parity in MOLLIFIED_PARITY.items():
+        g = mollified_position_kernel(kid, ORACLE_T_DAMP)
+        assert g.parity == parity
+        calls = []
+
+        def record(t, width):
+            calls.append((t, width))
+            return g(t, width)
+
+        radial_fourier((record, parity), 0.4, 1.3, LONG_LADDER, _oracle_grid(np.asarray(LONG_LADDER)))
+        ((t, width),) = calls
+        assert np.all(t >= 0.0)
+        assert g(-t, width).tobytes() == (parity * g(t, width)).tobytes(), kid
+
+
+def _clear_rule_caches():
+    kernels._window_rule.cache_clear()
+    kernels._tail_rule.cache_clear()
+
+
+# calls served by the cached window and tail rules: the oracle ladder, the
+# long ladder, one rung, a grid with no fine mesh, and a point where
+# |omega| + k >= 8 puts coarse t-edges inside the window, so that its core
+# nodes, and with them its tail rule, differ from the first call's
+CACHED_CALLS = (
+    lambda: oracle_value("IK0_over_t2", 2.2, 0.9, ORACLE_ETAS, ORACLE_T_DAMP),
+    lambda: oracle_value("Delta_over_t", 0.4, 1.3, LONG_LADDER, ORACLE_T_DAMP),
+    lambda: oracle_value("IK0_over_t", 0.4, 1.3, ORACLE_ETAS[1], ORACLE_T_DAMP),
+    lambda: radial_fourier(
+        mollified_position_kernel("K0Hat", ORACLE_T_DAMP), 1.3, 1.3, 0.5, {"t_max": 6.0 * ORACLE_T_DAMP}
+    ),
+    lambda: oracle_value("IK0_over_t2", 6.5, 2.1, ORACLE_ETAS, ORACLE_T_DAMP),
+)
+
+
+def test_cached_rules_give_the_values_of_fresh_ones():
+    fresh = []
+    for call in CACHED_CALLS:
+        _clear_rule_caches()
+        fresh.append(np.asarray(call()).tobytes())
+    # the two oracle-ladder calls share a window rule, but not core nodes
+    _clear_rule_caches()
+    for i in (0, 4):
+        assert np.asarray(CACHED_CALLS[i]()).tobytes() == fresh[i], i
+    assert (kernels._window_rule.cache_info().misses, kernels._tail_rule.cache_info().misses) == (1, 2)
+    for i in (4, 0, 1, 3, 2, 0, 4, 2, 1, 3, 0, 1, 1):
+        assert np.asarray(CACHED_CALLS[i]()).tobytes() == fresh[i], i
+    assert kernels._window_rule.cache_info().hits > 0 and kernels._tail_rule.cache_info().hits > 0
+
+
+def test_cached_rules_are_read_only_and_bounded(monkeypatch):
+    # every cache in kernels is bounded; its arrays are shared between
+    # calls, so none can be written; and both caches filled with the long
+    # ladder's rules at |omega| + k = 9.9, where coarse t-edges add core
+    # nodes, hold 0.57 MB, well under 1 MB
+    caches = [f for f in vars(kernels).values() if hasattr(f, "cache_info")]
+    assert {kernels._window_rule, kernels._tail_rule} <= set(caches)
+    assert all(f.cache_info().maxsize is not None for f in caches)
+    _clear_rule_caches()
+    rules, real_rules = {}, {name: getattr(kernels, name) for name in ("_window_rule", "_tail_rule")}
+    for name, real in real_rules.items():
+
+        def spy(*key, real=real, name=name):
+            rules[name] = real(*key)
+            return rules[name]
+
+        monkeypatch.setattr(kernels, name, spy)
+    oracle_value("IK0_over_t2", 7.5, 2.4, LONG_LADDER, ORACLE_T_DAMP)
+    full = 0
+    for name, arrays in rules.items():
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
+        full += real_rules[name].cache_info().maxsize * sum(array.nbytes for array in arrays)
+    assert full < 0.75e6
+
+
 def test_oracle_ratio_makes_one_radial_fourier_call(monkeypatch):
-    # the whole mollifier ladder in one call, with g called once per sign
+    # the whole mollifier ladder in one call, with g called once, on t >= 0
     calls = []
     real = kernels.radial_fourier
 
@@ -485,16 +620,15 @@ def test_oracle_ratio_makes_one_radial_fourier_call(monkeypatch):
             return g(t, width)
 
         calls.append((np.array(eta), g_calls))
-        return real(record, omega, k, eta, grid)
+        return real((record, g.parity), omega, k, eta, grid)
 
     monkeypatch.setattr(kernels, "radial_fourier", spy)
     oracle_ratio("IK0_over_t", 0.4, 1.3)
     assert len(calls) == 1
     eta, g_calls = calls[0]
     assert np.array_equal(eta, ORACLE_ETAS)
-    assert len(g_calls) == 2
+    assert len(g_calls) == 1
     assert np.all(g_calls[0] >= 0.0)
-    assert np.array_equal(g_calls[1], -g_calls[0])
 
 
 def test_each_rung_runs_its_own_guards(monkeypatch):

@@ -29,8 +29,13 @@ OUTDIR/oracles.json holds the values of the in-process oracles that no
 command reaches, as [real, imag] at repr precision: oracle_ratio (three
 ids), k0hat_shell_ratio, bidist_A_oracle, nested_line_integral and
 conv_masscone_shell_oracle at the points of gen.oracle_pass(7, p) for
-p = 0..7, computed by a fresh interpreter on SRC's src/.  exit_codes.txt
-lists it as "oracles" with that interpreter's exit code.
+p = 0..7, and then oracle_value of the five mollified ids on ORACLE_ETAS
+and on a five-rung ladder down to 0.005, at (2.2, 0.9) and at (6.5, 2.1),
+where |omega| + k >= 8 puts coarse t-edges inside the shell window.  The
+rows before them have met ORACLE_ETAS and the five-rung rows meet a new
+ladder, so the rows run the radial transform's cached rules both fresh
+and reused.  A fresh interpreter on SRC's src/ computes them all;
+exit_codes.txt lists it as "oracles" with that interpreter's exit code.
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+
+# the ids oracle_value takes
+MOLLIFIED_IDS = ("K0Hat", "IK0_over_t", "IK0_over_t2", "Delta_over_t", "Delta_over_t2")
 
 
 def load_gen(src):
@@ -111,6 +120,15 @@ def write_oracles(src, path):
         query = convolution.ShellIntegralQuery(x["conv_masscone_shell_oracle"], gen.MASS)
         row["conv_masscone_shell_oracle"] = convolution.conv_masscone_shell_oracle(query)
         values[f"pass {p}"] = {name: [complex(v).real, complex(v).imag] for name, v in row.items()}
+    ladders = {"ORACLE_ETAS": kernels.ORACLE_ETAS, "5 rungs": (0.08, 0.04, 0.02, 0.01, 0.005)}
+    values["oracle_value"] = {
+        f"{kid} {name} ({w}, {k})": [
+            [complex(v).real, complex(v).imag] for v in kernels.oracle_value(kid, w, k, etas, kernels.ORACLE_T_DAMP)
+        ]
+        for kid in MOLLIFIED_IDS
+        for name, etas in ladders.items()
+        for w, k in ((2.2, 0.9), (6.5, 2.1))
+    }
     Path(path).write_text(json.dumps(values, indent=1) + "\n")
 
 
