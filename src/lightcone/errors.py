@@ -27,7 +27,10 @@ class NonFiniteMomentum(LightconeError):
 
 class InvalidWidth(LightconeError):
     """Mollifier width that is not finite and positive, or a width ladder
-    that is empty or not one-dimensional."""
+    that is empty or not one-dimensional; also a length of the radial
+    Fourier t-rule (t_max, t_fine_hw, t_fine_dx, and so oracle_value's
+    damping scale t_damp, which sets t_max) that is not finite and
+    positive."""
 
 
 class TooCloseToSingularSet(LightconeError):

@@ -33,9 +33,9 @@ class ConeRegion(Enum):
 # Ids whose formula involves log|omega -+ k| and blows up on the cone.
 LOG_SINGULAR = {"Delta_over_t", "Delta_over_t2", "XiXiDelta_over_t3"}
 
-# Parity of the full evaluated value under p -> -p.
+# Parity of the full evaluated value under p -> -p; K0Hat, eps(p0) delta(p^2), is odd.
 PARITY = {
-    "K0Hat": +1,
+    "K0Hat": -1,
     "IK0_over_t": +1,
     "IK0_over_t2": -1,
     "Delta_over_t": -1,
@@ -78,11 +78,13 @@ def classify(omega, k):
 
 def _log_difference_and_sum(omega, k):
     """d = log|omega - k| - log|omega + k| and s = log|omega - k| + log|omega + k|.
-    d is written as -2 atanh of the smaller of k/omega and omega/k, which
-    keeps its digits when k << |omega| or |omega| << k, where the two logs
-    nearly cancel."""
-    d = -2.0 * np.arctanh(k / omega if k < abs(omega) else omega / k)
-    return d, np.log(abs(omega - k)) + np.log(abs(omega + k))
+    With x the smaller of k/omega and omega/k, d is -2 atanh(x) for |x| < 1/2,
+    which keeps its digits where the two logs nearly cancel; nearer the cone
+    omega -+ k is exact (Sterbenz), and d is the difference of the logs."""
+    log_minus, log_plus = np.log(abs(omega - k)), np.log(abs(omega + k))
+    x = k / omega if k < abs(omega) else omega / k
+    d = log_minus - log_plus if abs(x) >= 0.5 else -2.0 * np.arctanh(x)
+    return d, log_minus + log_plus
 
 
 def _xixi_delta_base(omega, k):
@@ -243,12 +245,13 @@ def homogeneity_check(kid, omega, k, R):
     return worst
 
 
-# Half-width of the shell window in r - |t|, in units of the shell width
-# eta, and its number of Kronrod panels, whose edges on [0, window] also
+# Half-width W of the shell window in r - |t|, in units of the shell width
+# eta, and the number of Kronrod panels, each W/4 wide, on its half [0, W]
+# (G is even, so the other half adds the mirror image), whose edges also
 # mesh the window's tails; the Gauss nodes per gap of the tails' mesh; and
 # the relative tolerance of the transform's guards.
 SHELL_WINDOW = 10.0
-WINDOW_PANELS = 8
+WINDOW_PANELS = 4
 TAIL_NODES = 5
 RADIAL_FOURIER_RTOL = 1e-9
 
@@ -279,14 +282,15 @@ def radial_fourier(factor, omega, k, eta, grid):
     splits at the first coarse edge at or above every rung's own edges
     and window: below it each rung has its own panels, and above it the
     coarse panels serve the whole ladder, whose shell sums there are
-    A sin(kt) + B cos(kt) with each rung's window constants A + iB.
+    A sin(kt) with each rung's real window constant A.
     Each rung's sums over t, over its window and over the window's tails
     pass their own guard at relative RADIAL_FOURIER_RTOL = 1e-9
     (QuadratureNotConverged otherwise): the t-sum and the window against
     their embedded 10-point Gauss rule, the tails against the window's
     Kronrod panels (see _window_tails).  A non-finite omega or k raises
     NonFiniteMomentum, and eta not positive and finite, or not a scalar
-    or a non-empty 1-D ladder, InvalidWidth."""
+    or a non-empty 1-D ladder, InvalidWidth, as does a t_max, or a given
+    t_fine_hw or t_fine_dx, that is not positive and finite."""
     g, parity = factor
     if parity not in (1, -1):
         raise ValueError(f"parity must be +1 or -1, not {parity}")
@@ -298,6 +302,9 @@ def radial_fourier(factor, omega, k, eta, grid):
     if ladder.ndim > 1 or not ladder.size or not np.all((ladder > 0.0) & (ladder < math.inf)):
         raise InvalidWidth(f"eta = {eta}")
     t_max = grid["t_max"]
+    lengths = np.concatenate([np.ravel(grid[key]) for key in ("t_max", "t_fine_hw", "t_fine_dx") if key in grid])
+    if not np.all((lengths > 0.0) & (lengths < math.inf)):
+        raise InvalidWidth(f"grid = {grid}")
     # the integrand oscillates at up to |omega| + k
     period = 2.0 * np.pi / max(abs(omega) + k, 1.0)
     coarse = _linspace(t_max, math.ceil(t_max / period))
@@ -318,26 +325,18 @@ def radial_fourier(factor, omega, k, eta, grid):
     t, wk, wg = kronrod_rule([x for edges in rules for x in edges[:-1]], [x for edges in rules for x in edges[1:]])
     # above the split, where g does not depend on it, the widest rung's width
     width = np.repeat(np.append(ladder, ladder.max()), panels)[:, None]
-    values = 2.0 * g(t, width)
-    if parity == 1:  # h stays complex: numpy blocks sums of real arrays differently
-        h = ((2.0 * np.pi / k) * (np.cos(omega * t) * values)).astype(complex)
-    else:
-        h = (2.0 * np.pi / k) * (1j * np.sin(omega * t) * values)
+    h = (4.0 * np.pi / k) * (np.cos(omega * t) if parity == 1 else 1j * np.sin(omega * t)) * g(t, width)
     near, rung = sum(panels[:-1]), np.repeat(np.arange(len(ladder)), panels[:-1])
     window, shell = _shell_sums(t[:near], rung[:, None], k, ladder)
     f = h[:near] * shell
     first = np.searchsorted(rung, np.arange(len(ladder)))
-    far = k * t[near:]
-    hs, hc = h[near:] * np.sin(far), h[near:] * np.cos(far)
+    far = h[near:] * np.sin(k * t[near:])
     # np.vdot of the real weights and the values is their weighted sum
-    kronrod = np.add.reduceat(np.sum(wk[:near] * f, axis=1), first) + (
-        window.real * np.vdot(wk[near:], hs) + window.imag * np.vdot(wk[near:], hc)
-    )
-    gauss = np.add.reduceat(np.sum(wg[:near] * f[:, 1::2], axis=1), first) + (
-        window.real * np.vdot(wg[near:], hs[:, 1::2]) + window.imag * np.vdot(wg[near:], hc[:, 1::2])
-    )
+    kronrod = np.add.reduceat(np.sum(wk[:near] * f, axis=1), first) + window * np.vdot(wk[near:], far)
+    gauss = np.add.reduceat(np.sum(wg[:near] * f[:, 1::2], axis=1), first) + window * np.vdot(wg[near:], far[:, 1::2])
     value = np.array(
-        [converged(v, o, RADIAL_FOURIER_RTOL, "radial_fourier") for v, o in zip(kronrod.tolist(), gauss.tolist())]
+        [converged(v, o, RADIAL_FOURIER_RTOL, "radial_fourier") for v, o in zip(kronrod.tolist(), gauss.tolist())],
+        dtype=complex,
     )
     return value if np.ndim(eta) else value[0]
 
@@ -353,27 +352,26 @@ def _shell_sums(a, rung, k, eta):
     broadcast against a), the integral of sin(k r) G(r - a) over the
     window |r - a| <= W = 10 eta cut at r = 0.  With r = a + u it is
 
-        sin(ka) (A - Tc(a)) + cos(ka) (B + Ts(a)),
+        sin(ka) (A - Tc(a)) + cos(ka) Ts(a),
 
-    A + iB the integral of e^{iku} G(u) over [-W, W], and Tc + iTs its
-    tail over [a, W], which the cut removes where a < W (see
-    _window_tails; each rung's points a < W ascend in the order of a).
-    Each rung has its own window of WINDOW_PANELS Kronrod panels; the
-    windows of all rungs form one stacked rule, and each passes its own
-    embedded-Gauss guard.  Returns A + iB of every rung, and the sums."""
+    A the integral of e^{iku} G(u) over [-W, W], real since G is even,
+    and Tc + iTs its tail over [a, W], which the cut removes where a < W
+    (see _window_tails; each rung's points a < W ascend in the order of
+    a).  Each rung has its own window of WINDOW_PANELS Kronrod panels on
+    [0, W], A twice the real part of their sum; the windows of all rungs
+    form one stacked rule, and each passes its own embedded-Gauss guard.
+    Returns A of every rung, and the sums."""
     ladder = tuple(eta.tolist())
-    u, wk, wg, g_u = _window_rule(ladder, SHELL_WINDOW, WINDOW_PANELS)
-    e = np.exp(1j * k * u) * g_u
+    u, wk, wg = _window_rule(ladder, SHELL_WINDOW, WINDOW_PANELS)
+    e = np.exp(1j * k * u)
     panels = np.sum(wk * e, axis=2)
-    gauss = np.sum(wg * e[..., 1::2], axis=(1, 2))
-    pairs = zip(np.sum(panels, axis=1).tolist(), gauss.tolist())
+    gauss = 2.0 * np.sum(wg * e[..., 1::2].real, axis=(1, 2))
+    pairs = zip((2.0 * np.sum(panels.real, axis=1)).tolist(), gauss.tolist())
     window = np.array([converged(p, o, RADIAL_FOURIER_RTOL, "radial_fourier window") for p, o in pairs])
     tails = np.zeros(a.shape, dtype=complex)
     core = a < (SHELL_WINDOW * eta)[rung]
-    core_rung = np.broadcast_to(rung, a.shape)[core]
-    tails[core] = _window_tails(a[core], core_rung, panels[:, WINDOW_PANELS // 2 :], k, ladder)
-    rung_window = window[rung]
-    sums = (rung_window.real - tails.real) * np.sin(k * a) + (rung_window.imag + tails.imag) * np.cos(k * a)
+    tails[core] = _window_tails(a[core], np.broadcast_to(rung, a.shape)[core], panels, k, ladder)
+    sums = (window[rung] - tails.real) * np.sin(k * a) + tails.imag * np.cos(k * a)
     return window, sums
 
 
@@ -404,14 +402,15 @@ def _window_tails(a, rung, mesh_panels, k, ladder):
 
 @lru_cache(maxsize=8)
 def _window_rule(ladder, shell_window, window_panels):
-    """Each rung's window [-W, W], W = shell_window eta, in window_panels
-    Kronrod panels: the nodes u, the Kronrod and embedded Gauss weights,
-    and G(u), stacked over the ladder (a tuple of widths).  Built once
+    """Each rung's half window [0, W], W = shell_window eta, in window_panels
+    Kronrod panels: the nodes u, and the Kronrod and embedded Gauss weights
+    times G(u), stacked over the ladder (a tuple of widths).  Built once
     per exact key and shared, so the arrays are read-only."""
     eta = np.array(ladder)
-    u_edges = (shell_window * eta)[:, None] * np.linspace(-1.0, 1.0, window_panels + 1)
+    u_edges = (shell_window * eta)[:, None] * np.linspace(0.0, 1.0, window_panels + 1)
     u, wk, wg = kronrod_rule(u_edges[:, :-1], u_edges[:, 1:])
-    return read_only(u, wk, wg, _gaussian(u, eta[:, None, None]))
+    g_u = _gaussian(u, eta[:, None, None])
+    return read_only(u, wk * g_u, wg * g_u[..., 1::2])
 
 
 @lru_cache(maxsize=4)
@@ -422,7 +421,7 @@ def _tail_rule(points, ends, ladder, shell_window, window_panels, tail_nodes):
     each point's rung end, and the point above each mesh point (n for W)."""
     a, eta, ends = np.frombuffer(points), np.array(ladder), np.array(ends)
     n, n_rungs = len(a), len(ladder)
-    mesh = (shell_window * eta)[:, None] * np.linspace(-1.0, 1.0, window_panels + 1)[window_panels // 2 :]
+    mesh = (shell_window * eta)[:, None] * np.linspace(0.0, 1.0, window_panels + 1)
     starts = np.append(0, ends[:-1])
     rung = np.repeat(np.arange(n_rungs), ends - starts)
     above = np.concatenate(
@@ -445,8 +444,8 @@ def _smooth_cutoff(t, eta):
     return x * x * (3.0 - 2.0 * x)
 
 
-# The mollified ids and the parity in t of their time factors.
-MOLLIFIED_PARITY = {"K0Hat": -1, "IK0_over_t": +1, "IK0_over_t2": -1, "Delta_over_t": -1, "Delta_over_t2": +1}
+# The mollified ids; the parity in t of their time factors is their PARITY.
+MOLLIFIED_PARITY = {kid: PARITY[kid] for kid in ("K0Hat", "IK0_over_t", "IK0_over_t2", "Delta_over_t", "Delta_over_t2")}
 
 
 class TimeFactor(NamedTuple):

@@ -19,7 +19,7 @@ import numpy as np
 from .clifford import _SIGMA, CHI_L, CHI_R, ETA, GAMMA, GAMMA0, ID4, sigma_jk
 from .fields import _lattice_codes, _matched_pairs, _matched_sums, _transfer_classes, common_box
 from .fields import field_tensor_hat, lattice_momentum
-from .quadrature import converged, gauss_rule
+from .quadrature import converged, gauss_rule, read_only
 
 _CHI = {"L": CHI_L, "R": CHI_R}
 _CHI_BAR = {"L": CHI_R, "R": CHI_L}
@@ -258,10 +258,7 @@ def _box_quadrupole_table(box):
     xs, ws = gauss_rule(-0.5 * box, 0.5 * box, BOX_QUADRUPOLE_NODES)
     s = xs * xs
     r2 = s[:, None, None] + s[None, :, None] + s[None, None, :]
-    table = (xs, ws, 1.0 / np.where(r2 == 0.0, 1.0, r2))
-    for a in table:
-        a.flags.writeable = False
-    return table
+    return read_only(xs, ws, 1.0 / np.where(r2 == 0.0, 1.0, r2))
 
 
 def _box_quadrupole_hat(keys, box):
@@ -428,10 +425,7 @@ def _time_average_corner():
     read-only."""
     tau, w = gauss_rule(0.0, 1.0, 200)
     i, j = np.triu_indices(len(tau))
-    sigma, weight = tau[i] + tau[j], np.where(i == j, 1.0, 2.0) * w[i] * w[j]
-    sigma.flags.writeable = False
-    weight.flags.writeable = False
-    return sigma, weight
+    return read_only(tau[i] + tau[j], np.where(i == j, 1.0, 2.0) * w[i] * w[j])
 
 
 def time_average_identity_check(f, t_list=(10.0, 50.0, 100.0), s_max=40.0):

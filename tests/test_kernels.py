@@ -1,5 +1,6 @@
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -346,6 +347,20 @@ def test_window_tails_match_the_per_t_rule():
             assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref)), (eta, k)
 
 
+def test_shell_window_is_the_gaussians_characteristic_function():
+    # the window constant A, the integral of e^{iku} G(u) over |u| <= 10
+    # eta, is exp(-k^2 eta^2 / 2) less the Gaussian's mass beyond ten
+    # widths, 2e-23; core points 0.05 eta apart keep the tails' guard
+    for ladder in (np.array(ORACLE_ETAS), np.array(LONG_LADDER)):
+        a = np.concatenate([np.linspace(0.0, SHELL_WINDOW * eta, 200, endpoint=False) for eta in ladder])
+        rung = np.repeat(np.arange(len(ladder)), 200)
+        for k in np.linspace(0.1, 12.0, 35):
+            window, _ = kernels._shell_sums(a, rung, k, ladder)
+            exact = np.exp(-0.5 * (k * ladder) ** 2)
+            assert window.dtype == float
+            assert np.max(np.abs(window - exact) / exact) <= 1e-13, (ladder, k)
+
+
 def test_radial_fourier_guard_passes_on_a_resolved_grid():
     # on oracle_value's own grid the embedded Gauss rule differs from the
     # Kronrod value by at most 4.2e-13 relative, and the window tails from
@@ -519,6 +534,45 @@ def test_radial_fourier_rejects_an_invalid_width(eta):
         radial_fourier(g, 0.4, 1.3, eta, {"t_max": 6.0 * ORACLE_T_DAMP})
 
 
+@pytest.mark.parametrize("t_damp", [0.0, float("nan"), float("inf"), -1.0], ids=["zero", "nan", "inf", "negative"])
+def test_oracle_value_rejects_an_invalid_damping_scale(t_damp):
+    # t_max = 6 t_damp: these ended in ZeroDivisionError, ValueError,
+    # OverflowError and a misleading QuadratureNotConverged
+    with pytest.raises(InvalidWidth):
+        oracle_value("IK0_over_t", 0.4, 1.3, ORACLE_ETAS, t_damp)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("t_max", 0.0),
+        ("t_max", float("nan")),
+        ("t_max", -5.0),
+        ("t_fine_dx", float("inf")),
+        ("t_fine_dx", 0.0),
+        ("t_fine_hw", -0.4),
+        ("t_fine_hw", (0.8, float("nan"), 0.2)),
+    ],
+    ids=["t_max-zero", "t_max-nan", "t_max-negative", "dx-inf", "dx-zero", "hw-negative", "hw-nan-rung"],
+)
+def test_radial_fourier_rejects_an_invalid_t_rule(key, value):
+    # a bare {"t_max": 0.0} and t_fine_dx = inf raised ZeroDivisionError
+    g = mollified_position_kernel("IK0_over_t", ORACLE_T_DAMP)
+    for grid in ([{}] if key == "t_max" else []) + [_oracle_grid(np.asarray(ORACLE_ETAS))]:
+        with pytest.raises(InvalidWidth):
+            radial_fourier(g, 0.4, 1.3, ORACLE_ETAS, {**grid, key: value})
+
+
+def test_oracle_values_have_their_kernels_parity():
+    # oracle_value(kid, -omega, k) = PARITY[kid] oracle_value(kid, omega, k);
+    # PARITY read +1 for K0Hat, whose transform is odd
+    for kid in MOLLIFIED_PARITY:
+        for w, k in ((1.3, 1.3), (0.4, 1.3), (2.2, 0.9)):
+            value = oracle_value(kid, w, k, ORACLE_ETAS, ORACLE_T_DAMP)
+            mirrored = oracle_value(kid, -w, k, ORACLE_ETAS, ORACLE_T_DAMP)
+            assert np.all(np.abs(mirrored - PARITY[kid] * value) <= 1e-14 * np.abs(value)), (kid, w, k)
+
+
 @pytest.mark.parametrize("parity", [0, 2, None])
 def test_radial_fourier_rejects_a_parity_other_than_plus_or_minus_one(parity):
     g = mollified_position_kernel("IK0_over_t", ORACLE_T_DAMP)
@@ -584,7 +638,7 @@ def test_cached_rules_are_read_only_and_bounded(monkeypatch):
     # every cache in kernels is bounded; its arrays are shared between
     # calls, so none can be written; and both caches filled with the long
     # ladder's rules at |omega| + k = 9.9, where coarse t-edges add core
-    # nodes, hold 0.57 MB, well under 1 MB
+    # nodes, hold 0.45 MB, well under 1 MB
     caches = [f for f in vars(kernels).values() if hasattr(f, "cache_info")]
     assert {kernels._window_rule, kernels._tail_rule} <= set(caches)
     assert all(f.cache_info().maxsize is not None for f in caches)
@@ -680,6 +734,39 @@ def test_log_kernels_keep_their_digits_far_from_the_cone():
         for kid, ref in _decimal_log_kernels(omega, k).items():
             value = eval_hat(kid, omega, k)
             assert abs(value - ref) <= 1e-15 * abs(ref), (kid, omega, k)
+
+
+def test_log_kernels_keep_their_digits_near_the_cone():
+    # |omega|/k - 1 from 1e-14 to 1e2, inside and outside the cones, against
+    # 60-digit mpmath logs of the binary omega and k.  d = log|omega - k| -
+    # log|omega + k| taken as -2 atanh(k/omega) lost up to 1.6e-4 relative
+    # here, since rounding k/omega costs digits as it nears 1.  Each value
+    # is held to the size of the terms its formula adds
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        k = 10.0 ** rng.uniform(-3.0, 3.0)
+        q = 1.0 + 10.0 ** rng.uniform(-14.0, 2.0)
+        omega = rng.choice((-1.0, 1.0)) * (k * q if rng.random() < 0.5 else k / q)
+        with mpmath.workdps(60):
+            w, kk = mpmath.mpf(omega), mpmath.mpf(k)
+            lm, lp = mpmath.log(abs(w - kk)), mpmath.log(abs(w + kk))
+            d, s = float(lm - lp), float(lm + lp)
+            logs = float(abs(lm) + abs(lp))
+            refs = {
+                "Delta_over_t": (d / k, abs(d / k)),
+                "Delta_over_t2": (float(w / kk * (lm - lp) - lm - lp), abs(omega / k * d) + logs),
+                "XiXiDelta_over_t3": (
+                    float((w * w + kk * kk) / kk * (lm - lp) - 2 * w * (lm + lp)),
+                    abs((omega**2 + k**2) / k * d) + 2.0 * abs(omega) * logs,
+                ),
+            }
+        value_d, value_s = kernels._log_difference_and_sum(omega, k)
+        assert abs(value_d - d) <= 1e-14 * abs(d), (omega, k)
+        assert abs(value_s - s) <= 1e-14 * logs, (omega, k)
+        if abs(abs(omega) - k) > 1e-12:  # nearer, classify calls it the Boundary
+            for kid, (ref, scale) in refs.items():
+                value = eval_hat(kid, omega, k)  # purely real or purely imaginary
+                assert abs(value.real + value.imag - ref) <= 1e-14 * scale, (kid, omega, k)
 
 
 def _decimal_xixi_delta_dk(omega, k):

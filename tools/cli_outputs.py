@@ -48,10 +48,6 @@ import sys
 from pathlib import Path
 
 
-# the ids oracle_value takes
-MOLLIFIED_IDS = ("K0Hat", "IK0_over_t", "IK0_over_t2", "Delta_over_t", "Delta_over_t2")
-
-
 def load_gen(src):
     spec = importlib.util.spec_from_file_location("gen", src / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
@@ -125,7 +121,7 @@ def write_oracles(src, path):
         f"{kid} {name} ({w}, {k})": [
             [complex(v).real, complex(v).imag] for v in kernels.oracle_value(kid, w, k, etas, kernels.ORACLE_T_DAMP)
         ]
-        for kid in MOLLIFIED_IDS
+        for kid in kernels.MOLLIFIED_PARITY
         for name, etas in ladders.items()
         for w, k in ((2.2, 0.9), (6.5, 2.1))
     }
