@@ -27,10 +27,9 @@ class NonFiniteMomentum(LightconeError):
 
 class InvalidWidth(LightconeError):
     """Mollifier width that is not finite and positive, or a width ladder
-    that is empty or not one-dimensional; also a length of the radial
-    Fourier t-rule (t_max, t_fine_hw, t_fine_dx, and so oracle_value's
-    damping scale t_damp, which sets t_max) that is not finite and
-    positive."""
+    that is empty or not one-dimensional; also a width whose core 10 eta or
+    half width eta / 2 in the radial Fourier t-rule is not finite and
+    positive, and a damping scale t_damp whose t_max = 6 t_damp is not."""
 
 
 class TooCloseToSingularSet(LightconeError):

@@ -14,7 +14,6 @@ import bisect
 import math
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,12 +61,13 @@ TENSOR_HOMOGENEITY_DEGREE = {"XiXiDelta_over_t3": -1, "XiXiK0_over_t4": 0}
 
 
 def classify(omega, k):
-    """Cone-region tag of the momentum (omega, |k_vec| = k), both finite."""
+    """Cone-region tag of the momentum (omega, |k_vec| = k), both finite;
+    Boundary where ||omega| - k| <= 1e-12 max(|omega|, k), at every scale."""
     if not (math.isfinite(omega) and math.isfinite(k)):
         raise NonFiniteMomentum(f"(omega, k) = ({omega}, {k})")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if abs(abs(omega) - k) <= 1e-12:
+    if abs(abs(omega) - k) <= 1e-12 * max(abs(omega), k):
         return ConeRegion.Boundary
     if omega > k:
         return ConeRegion.InsideUpper
@@ -256,68 +256,52 @@ TAIL_NODES = 5
 RADIAL_FOURIER_RTOL = 1e-9
 
 
-def radial_fourier(factor, omega, k, eta, grid):
-    """Fourier transform of the Gaussian shell kernel
+def radial_fourier(kid, omega, k, eta, t_damp):
+    """Fourier transform of the mollified id kid, the Gaussian shell kernel
     f(t, r) = g(t, eta) G(r - |t|) / (2 r), G the normal density of width
-    eta:
+    eta and g = _time_factor(kid, ., ., t_damp):
 
         fhat(omega, k) = (4 pi / k) int dt e^{i omega t}
                                     int_0^inf r sin(k r) f(t, r) dr
 
     eta is one width or a 1-D ladder of them, and the result has its
-    shape.  factor is the pair (g, parity): the time factor g, a
-    vectorized function of t and of eta (one width per panel, broadcast
-    against t) that may depend on eta only for |t| < 10 eta, and its
-    parity in t, g(-t) = parity g(t) with parity = +1 or -1.  The
-    r-integral depends on |t| only, so the t-rule runs on [0, t_max]
-    (grid key t_max), calls g once on its nodes t >= 0, and sums
+    shape; the value keeps the damping.  The r-integral depends on |t|
+    only, so the t-rule runs on [0, t_max], t_max = 6 t_damp, calls g once
+    on its nodes t >= 0, and by g's parity MOLLIFIED_PARITY[kid] sums
     e^{i omega t} g(t) + e^{-i omega t} g(-t) as 2 cos(omega t) g(t) or
-    2i sin(omega t) g(t).  Its 21-point Kronrod panels are at most one
-    period of |omega| + k wide (coarse).  If grid sets t_fine_hw and
-    t_fine_dx (scalars, or one per rung), panels 2 t_fine_dx wide mesh
-    [0, t_fine_hw], and edges at t_fine_hw 2^j grade them out to one
-    period, since the kernels' 1/t^p factors vary on the scale t.  The
-    r-integral runs over the window
-    |r - |t|| <= 10 eta, cut at r = 0 (see _shell_sums).  The t-rule
-    splits at the first coarse edge at or above every rung's own edges
-    and window: below it each rung has its own panels, and above it the
-    coarse panels serve the whole ladder, whose shell sums there are
-    A sin(kt) with each rung's real window constant A.
+    2i sin(omega t) g(t).  Its Kronrod panels are at most one period of
+    |omega| + k wide (coarse), and each rung adds its _core_mesh, where the
+    cutoff and the cut at r = 0 of the window |r - |t|| <= 10 eta act (see
+    _shell_sums).  Above the first coarse edge at or above every rung's
+    own edges and window the coarse panels serve the whole ladder, whose
+    shell sums there are A sin(kt) with each rung's real window constant A.
     Each rung's sums over t, over its window and over the window's tails
     pass their own guard at relative RADIAL_FOURIER_RTOL = 1e-9
     (QuadratureNotConverged otherwise): the t-sum and the window against
     their embedded 10-point Gauss rule, the tails against the window's
-    Kronrod panels (see _window_tails).  A non-finite omega or k raises
-    NonFiniteMomentum, and eta not positive and finite, or not a scalar
-    or a non-empty 1-D ladder, InvalidWidth, as does a t_max, or a given
-    t_fine_hw or t_fine_dx, that is not positive and finite."""
-    g, parity = factor
-    if parity not in (1, -1):
-        raise ValueError(f"parity must be +1 or -1, not {parity}")
+    Kronrod panels (see _window_tails).  An id outside MOLLIFIED_PARITY
+    raises UnsupportedKernel, a non-finite omega or k NonFiniteMomentum,
+    and InvalidWidth eta not a scalar or a non-empty 1-D ladder, or a
+    t_max or any eta / 2 or 10 eta that is not positive and finite."""
+    if kid not in MOLLIFIED_PARITY:
+        raise UnsupportedKernel(kid)
     if not (math.isfinite(omega) and math.isfinite(k)):
         raise NonFiniteMomentum(f"(omega, k) = ({omega}, {k})")
     if k <= 0:
         raise ZeroMomentum("k must be > 0")
     ladder = np.atleast_1d(np.asarray(eta, dtype=float))
-    if ladder.ndim > 1 or not ladder.size or not np.all((ladder > 0.0) & (ladder < math.inf)):
+    widths = ladder.tolist()
+    # in Python floats, where 10 eta overflows to inf without a warning
+    if ladder.ndim > 1 or not widths or not all(0.0 < x / 2.0 and SHELL_WINDOW * x < math.inf for x in widths):
         raise InvalidWidth(f"eta = {eta}")
-    t_max = grid["t_max"]
-    lengths = np.concatenate([np.ravel(grid[key]) for key in ("t_max", "t_fine_hw", "t_fine_dx") if key in grid])
-    if not np.all((lengths > 0.0) & (lengths < math.inf)):
-        raise InvalidWidth(f"grid = {grid}")
+    t_max = 6.0 * t_damp
+    if not 0.0 < t_max < math.inf:
+        raise InvalidWidth(f"t_damp = {t_damp}")
     # the integrand oscillates at up to |omega| + k
     period = 2.0 * np.pi / max(abs(omega) + k, 1.0)
     coarse = _linspace(t_max, math.ceil(t_max / period))
-    t_fine = (np.broadcast_to(grid.get(key, 0.0), ladder.shape).tolist() for key in ("t_fine_hw", "t_fine_dx"))
-    meshes = []
-    for t_fine_hw, t_fine_dx in zip(*t_fine):
-        if t_fine_hw > 0.0 and t_fine_dx > 0.0:
-            n_graded = math.ceil(np.log2(max(period / t_fine_hw, 1.0)))
-            graded = [t_fine_hw * 2.0**j for j in range(1, n_graded) if t_fine_hw * 2.0**j < t_max]
-            meshes.append(_linspace(t_fine_hw, math.ceil(t_fine_hw / (2.0 * t_fine_dx))) + graded)
-        else:
-            meshes.append([])
-    reach = max([SHELL_WINDOW * ladder.max(), *(mesh[-1] for mesh in meshes if mesh)])
+    meshes = [_core_mesh(SHELL_WINDOW * x, x / 2.0, period, t_max) for x in widths]
+    reach = max([SHELL_WINDOW * max(widths), *(mesh[-1] for mesh in meshes if mesh)])
     split = min(bisect.bisect_left(coarse, reach), len(coarse) - 1)
     # each rung's panels below the split, then the shared ones above it
     rules = [sorted({*coarse[: split + 1], *mesh}) for mesh in meshes] + [coarse[split:]]
@@ -325,7 +309,8 @@ def radial_fourier(factor, omega, k, eta, grid):
     t, wk, wg = kronrod_rule([x for edges in rules for x in edges[:-1]], [x for edges in rules for x in edges[1:]])
     # above the split, where g does not depend on it, the widest rung's width
     width = np.repeat(np.append(ladder, ladder.max()), panels)[:, None]
-    h = (4.0 * np.pi / k) * (np.cos(omega * t) if parity == 1 else 1j * np.sin(omega * t)) * g(t, width)
+    phase = np.cos(omega * t) if MOLLIFIED_PARITY[kid] == 1 else 1j * np.sin(omega * t)
+    h = (4.0 * np.pi / k) * phase * _time_factor(kid, t, width, t_damp)
     near, rung = sum(panels[:-1]), np.repeat(np.arange(len(ladder)), panels[:-1])
     window, shell = _shell_sums(t[:near], rung[:, None], k, ladder)
     f = h[:near] * shell
@@ -339,6 +324,14 @@ def radial_fourier(factor, omega, k, eta, grid):
         dtype=complex,
     )
     return value if np.ndim(eta) else value[0]
+
+
+def _core_mesh(hw, dx, period, t_max):
+    """One rung's core t-edges: panels 2 dx wide on [0, hw], then edges at
+    hw 2^j < t_max out to one period, as the 1/t^p factors vary on scale t."""
+    n_graded = math.ceil(np.log2(max(period / hw, 1.0)))
+    graded = [hw * 2.0**j for j in range(1, n_graded) if hw * 2.0**j < t_max]
+    return _linspace(hw, math.ceil(hw / (2.0 * dx))) + graded
 
 
 def _linspace(stop, n):
@@ -448,54 +441,22 @@ def _smooth_cutoff(t, eta):
 MOLLIFIED_PARITY = {kid: PARITY[kid] for kid in ("K0Hat", "IK0_over_t", "IK0_over_t2", "Delta_over_t", "Delta_over_t2")}
 
 
-class TimeFactor(NamedTuple):
-    """A time factor g(t, eta) and its parity in t; calling it calls g."""
-
-    g: Callable
-    parity: int
-
-    def __call__(self, t, eta):
-        return self.g(t, eta)
-
-
-def mollified_position_kernel(kid, t_damp):
-    """Position-space realization of a kernel id with the on-cone delta
-    replaced by a Gaussian shell of width eta in (r - |t|) and a Gaussian
-    time damping of scale t_damp (for conditional convergence):
-    f(t, r) = g(t, eta) G(r - |t|) / (2 r).  Returns the vectorized time
-    factor g(t, eta) for radial_fourier, eta broadcast against t, with
-    its parity: (g, MOLLIFIED_PARITY[kid]), met bit for bit."""
-    if kid not in MOLLIFIED_PARITY:
-        raise UnsupportedKernel(kid)
-
-    def g(t, eta):
-        damp = np.exp(-0.5 * (t / t_damp) ** 2)
-        if kid == "K0Hat":
-            return 1j * (np.sign(t) * damp)
-        cut = _smooth_cutoff(t, eta) * damp
-        safe_t = np.where(np.abs(t) < 1e-30, 1.0, t)
-        if kid == "IK0_over_t":
-            return -cut / np.abs(safe_t)
-        if kid == "IK0_over_t2":
-            return -np.sign(t) * cut / safe_t**2
-        if kid == "Delta_over_t":
-            return np.sign(t) * cut / np.abs(safe_t)
-        return cut / safe_t**2
-
-    return TimeFactor(g, MOLLIFIED_PARITY[kid])
-
-
-def oracle_value(kid, omega, k, eta, t_damp):
-    """The mollified radial Fourier transform of kernel id kid at
-    (omega, k), shell width eta and damping scale t_damp, under
-    radial_fourier's guards.  eta is one width or a ladder, evaluated in
-    one radial_fourier call; the result has eta's shape.  The fine t-mesh
-    (panels eta wide) covers the core |t| < 10 eta, where the cutoff and
-    the window's cut act.  The value keeps the damping: nothing
-    extrapolates it away in t_damp."""
-    eta = np.asarray(eta, dtype=float)
-    grid = {"t_fine_hw": SHELL_WINDOW * eta, "t_fine_dx": eta / 2.0, "t_max": 6.0 * t_damp}
-    return radial_fourier(mollified_position_kernel(kid, t_damp), omega, k, eta, grid)
+def _time_factor(kid, t, eta, t_damp):
+    """Time factor g(t, eta) of the mollified id kid, Gaussian-damped on the
+    scale t_damp (for conditional convergence), eta broadcast against t;
+    g(-t) = MOLLIFIED_PARITY[kid] g(t) bit for bit, eta matters for |t| < 3 eta."""
+    damp = np.exp(-0.5 * (t / t_damp) ** 2)
+    if kid == "K0Hat":
+        return 1j * (np.sign(t) * damp)
+    cut = _smooth_cutoff(t, eta) * damp
+    safe_t = np.where(np.abs(t) < 1e-30, 1.0, t)
+    if kid == "IK0_over_t":
+        return -cut / np.abs(safe_t)
+    if kid == "IK0_over_t2":
+        return -np.sign(t) * cut / safe_t**2
+    if kid == "Delta_over_t":
+        return np.sign(t) * cut / np.abs(safe_t)
+    return cut / safe_t**2
 
 
 # The oracles' mollifier ladder (extrapolated to zero width) and damping scale.
@@ -506,13 +467,12 @@ ORACLE_T_DAMP = 20.0
 def oracle_ratio(kid, omega, k):
     """Ratio of the mollified radial Fourier oracle to the closed form at
     (omega, k), polynomially extrapolated to zero mollifier width.  The
-    whole ladder ORACLE_ETAS is one oracle_value call, so one
-    radial_fourier call.  The limit is an (omega, k)-independent constant
-    per kernel id."""
+    whole ladder ORACLE_ETAS is one radial_fourier call.  The limit is an
+    (omega, k)-independent constant per kernel id."""
     closed = eval_hat(kid, omega, k)
     if abs(closed) < 1e-14:
         raise TooCloseToSingularSet("closed form vanishes; ratio undefined")
-    return extrapolate_to_zero(ORACLE_ETAS, oracle_value(kid, omega, k, ORACLE_ETAS, ORACLE_T_DAMP) / closed)
+    return extrapolate_to_zero(ORACLE_ETAS, radial_fourier(kid, omega, k, ORACLE_ETAS, ORACLE_T_DAMP) / closed)
 
 
 def k0hat_shell_ratio(omega, k):
@@ -523,7 +483,7 @@ def k0hat_shell_ratio(omega, k):
     - exp(-(omega+k)^2 T^2/2)); an (omega, k)-independent constant near
     either shell."""
     T = ORACLE_T_DAMP
-    oracle = oracle_value("K0Hat", omega, k, ORACLE_ETAS[-1], T)
+    oracle = radial_fourier("K0Hat", omega, k, ORACLE_ETAS[-1], T)
     ref = (T / np.sqrt(2.0 * np.pi) / k) * (
         np.exp(-0.5 * ((omega - k) * T) ** 2) - np.exp(-0.5 * ((omega + k) * T) ** 2)
     )

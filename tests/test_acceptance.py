@@ -125,7 +125,7 @@ def test_acceptance_4_kernel_catalogue(capsys):
 
     def extrapolated(w, k):
         return quadrature.extrapolate_to_zero(
-            etas, [kernels.oracle_value("Delta_over_t2", w, k, e, 20.0) for e in etas]
+            etas, [kernels.radial_fourier("Delta_over_t2", w, k, e, 20.0) for e in etas]
         )
 
     diffs = []

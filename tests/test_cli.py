@@ -62,11 +62,16 @@ def test_verify_convolution_tol_is_applied():
     assert report["shell-convolution-oracle"]["status"] == "fail"
 
 
+# V with its BELOW region's last coefficient 5 in place of 4; V enters the
+# compactification identity only on the unit square
+_WRONG_V = lineint.PiecewisePoly2(
+    (lineint.Region(None, None, None, None, lineint.BELOW, (0, -1, -3, 5)), lineint.V.regions[1])
+)
+
+
 @pytest.mark.parametrize("seed", [7, 11, 123])
 def test_lineint_suite_catches_a_wrong_V(monkeypatch, seed):
-    # V enters the compactification identity only on the unit square
-    wrong = lineint.Region(None, None, None, None, lineint.BELOW, (0, -1, -3, 5))
-    monkeypatch.setattr(lineint, "V", lineint.PiecewisePoly2((wrong, lineint.V.regions[1])))
+    monkeypatch.setattr(lineint, "V", _WRONG_V)
     report = {e["check"]: e for e in checks.suite_lineint(seed, 1e-10)}
     assert report["piecewise-identities"]["status"] == "fail"
 
@@ -76,25 +81,69 @@ def _wrap(module, name, change):
     return module, name, lambda *args: change(real(*args))
 
 
-# one planted defect per report entry that a shared check function gives, as
-# (suite, module, attribute, planted value).  A wrong metric sign plants the
-# clifford-relations defect; a wrong gamma matrix, which fails the projector
-# checks too, has its own test below
+_REPHASED = fields._rephased
+
+
+def _rephased_by_abs_frequency(obj, dt, **p0):
+    # time translation by exp(-i |p0| dt): negative-frequency terms evolve
+    # the wrong way, and the inner product of the default pair drifts
+    return _REPHASED(obj, dt, **{name: np.abs(f) for name, f in p0.items()})
+
+
+# one planted defect per verify row, as (suite, module, attribute, planted
+# value), each a defect of the code the row checks.  A wrong metric sign
+# plants the clifford-relations defect; a wrong gamma matrix, which fails the
+# projector checks too, has its own test below.  sigma_bose and sigma_fermi
+# vanish on the default pairs, so a scaled form would still pass the
+# antisymmetry rows: only a part symmetric in (u, v), as a constant is, shows.
+# Two rows have no such defect on any config the loader accepts:
+# - fermi-conservation is exactly 0.0 whenever it is not skipped: the
+#   residual's live term pairs are the ones fields._transfer_classes codes
+#   as missing the frequency relation, and the row is skipped exactly when
+#   pairing_predicates, from the same codes, finds one, so a defect in the
+#   residual's terms meets no pair.  It guards that skip rule.
+# - current-support is 0 for every jet the constructor accepts: with m > 0
+#   each on-shell mode has |k0| > |k|, inside the open cones, so the sum
+#   over the modes outside them is empty whatever it adds.  It guards the
+#   constructor's on-shell check; test_slayer injects a spacelike momentum.
 _PLANTED = {
     "clifford-relations": ("clifford", clifford, "ETA", np.diag([1.0, -1.0, -1.0, 1.0])),
     "projector-idempotency": ("clifford", *_wrap(clifford, "closed_chain_projectors", lambda r: (r[0], 2 * r[1], r[2]))),
     "projector-ratio": ("clifford", *_wrap(clifford, "projector_ratio_constant", lambda c: 2 * c)),
     "trace-insertion-equivalence": ("clifford", *_wrap(clifford, "sigma_jk", lambda s: 2 * s)),
     "kernel-parity": ("kernels", kernels, "PARITY", {**kernels.PARITY, "IK0_over_t2": 1}),
+    # d doubled leaves Delta_over_t harmonic, but not Delta_over_t2
+    "kernel-harmonicity": ("kernels", *_wrap(kernels, "_log_difference_and_sum", lambda r: (2 * r[0], r[1]))),
     "shell-convolution-anchor": ("convolution", *_wrap(convolution, "conv_K0_shell", lambda v: (1 + 1e-10) * v)),
     "shell-convolution-oracle": ("convolution", *_wrap(convolution, "conv_K0_shell_oracle", lambda v: (1 + 1e-8) * v)),
+    "piecewise-identities": ("lineint", lineint, "V", _WRONG_V),
+    "nested-line-anchor": ("lineint", *_wrap(lineint, "nested_line_integral", lambda v: (1 + 1e-8) * v)),
+    "damped-sign-block": ("lineint", *_wrap(lineint, "damped_sign_block", lambda v: (1 + 1e-5) * v)),
+    # a field tensor that is not antisymmetric
+    "field-tensor": ("fields", *_wrap(fields, "field_tensor_hat", np.abs)),
+    # an on-shell tolerance that lets p^2 = 0.75 through
+    "off-shell-rejection": ("fields", fields, "ONSHELL_TOL", 1.0),
+    # spinors of the other mass sign, (k_slash + m) a = 0
+    "dirac-basis-residual": ("fields", fields, "slash", lambda k: -clifford.slash(k)),
+    "symplectic-antisymmetry": ("slayer", *_wrap(slayer, "sigma_bose", lambda s: s + 1.0)),
+    # the inner product with the sign c2 = +1
+    "inner-product-sign": ("slayer", *_wrap(slayer, "ip_bose", lambda v: -v)),
+    "bose-conservation": ("slayer", fields, "_rephased", _rephased_by_abs_frequency),
+    "fermi-antisymmetry": ("slayer", *_wrap(slayer, "sigma_fermi", lambda s: s + 1.0)),
+    "definiteness-bracket": ("slayer", *_wrap(slayer, "definiteness_bracket", lambda b: -b)),
+    # the corner's weights halved: the double integral of the lhs is wrong
+    "time-average-identity": ("slayer", *_wrap(slayer, "_time_average_corner", lambda r: (r[0], 0.5 * r[1]))),
 }
+
+
+def test_every_verify_row_has_a_planted_defect_or_a_reason():
+    report = {e["check"] for e in checks.run_suites(tuple(checks._SUITES), 7)}
+    assert report == set(_PLANTED) | {"fermi-conservation", "current-support"}
 
 
 @pytest.mark.parametrize("check", sorted(_PLANTED))
 def test_suite_catches_a_planted_defect(monkeypatch, check):
-    # so no shared check function can pass both verify and the acceptance
-    # gate by returning 0
+    # so no verify row, and no shared check function, can pass by returning 0
     suite, module, name, planted = _PLANTED[check]
     monkeypatch.setattr(module, name, planted)
     report = {e["check"]: e for e in checks.run_suites((suite,), 7)}
@@ -910,3 +959,21 @@ def test_verify_skips_conservation_at_a_small_frequency_transfer_gap(tmp_path, r
     entry = next(e for e in json.loads(result.stdout) if e["check"] == "fermi-conservation")
     assert (result.exit_code, entry["status"]) == (0, "skipped"), entry["value"]
     assert not fields.pairing_predicates(*jets)["implication_holds"]
+
+
+def test_the_output_comparison_tool_writes_every_oracle(tmp_path):
+    # tools/cli_outputs.py compares two checkouts byte for byte; its
+    # in-process oracle file calls the library directly, so an API change
+    # breaks it where no CLI test looks
+    import importlib.util
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("cli_outputs", root / "tools" / "cli_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.write_oracles(root, tmp_path / "oracles.json")
+    values = json.loads((tmp_path / "oracles.json").read_text(), parse_constant=_reject_constant)
+    assert set(values) == {f"pass {p}" for p in range(8)} | {"oracle_value"}
+    assert len(values["oracle_value"]) == 20
+    assert all(len(rungs) in (3, 5) for rungs in values["oracle_value"].values())

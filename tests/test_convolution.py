@@ -1,5 +1,6 @@
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,15 @@ from lightcone.errors import LightconeError, OutsideUpperCone, SpacelikeQ
 
 def test_anchor_value():
     assert checks.k0_shell_anchor_error() <= 1e-14
+
+
+def test_anchor_against_a_50_digit_reference():
+    # 3/(128 pi^3) from mpmath, not from the float pi the check uses; the
+    # closed form meets it to 1.2e-16 relative, held to 2 ulp (4.4e-16)
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(3) / (128 * mpmath.pi**3)
+        value = conv_K0_shell(ShellIntegralQuery((2.0, 0.0, 0.0, 0.0), 1.0))
+        assert float(abs(mpmath.mpf(value) - exact) / exact) <= 4.4e-16
 
 
 def test_sign_odd_in_q0():

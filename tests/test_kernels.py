@@ -32,8 +32,6 @@ from lightcone.kernels import (
     k0hat_shell_ratio,
     kernel_table,
     oracle_ratio,
-    mollified_position_kernel,
-    oracle_value,
     radial_fourier,
 )
 from lightcone.quadrature import gauss_rule
@@ -55,6 +53,23 @@ def test_classify_regions():
     assert classify(-2.0, 1.0) is ConeRegion.InsideLower
     assert classify(0.5, 1.0) is ConeRegion.Outside
     assert classify(1.0, 1.0) is ConeRegion.Boundary
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_the_cone_test_is_relative(scale):
+    # 1e-10 relatively off the cone, each log id evaluates at every scale,
+    # and 1e-13 relatively off it is the Boundary; the absolute test
+    # ||omega| - k| <= 1e-12 called the first the Boundary at k <= 1e-3
+    # and missed the second from k of about 10 on
+    for sign, inside in ((1.0, ConeRegion.InsideUpper), (-1.0, ConeRegion.InsideLower)):
+        for q, region in ((1.0 + 1e-10, inside), (1.0 - 1e-10, ConeRegion.Outside)):
+            omega = sign * scale * q
+            assert classify(omega, scale) is region
+            for kid in sorted(kernels.LOG_SINGULAR):
+                assert np.isfinite(eval_hat(kid, omega, scale)), (kid, omega, scale)
+        assert classify(sign * scale * (1.0 + 1e-13), scale) is ConeRegion.Boundary
+        with pytest.raises(OnLightCone):
+            eval_hat("Delta_over_t", sign * scale * (1.0 + 1e-13), scale)
 
 
 NON_FINITE_MOMENTA = pytest.mark.parametrize(
@@ -236,24 +251,21 @@ def test_k0hat_shell_ratio_constant():
         assert abs(ratio - (-2.0 * np.pi**2)) < 0.01 * 2.0 * np.pi**2
 
 
-def reference_radial_fourier(f, omega, k, grid, refine):
+def reference_radial_fourier(f, omega, k, t_max, refine, fine=None, r_window=None):
     """The radial transform (4 pi / k) int dt e^{i omega t} int r sin(kr) f dr
     of any f(t, r) on a (t, r) product grid: a ten-node Gauss t-rule on
-    panels at most half a period of max(|omega|, k, 1) wide over refine,
-    with the fine mesh of spacing t_fine_dx / refine if the grid sets one,
-    times a rule of 40 * refine r-nodes per t-node,
-    on [0, t_max] or, with grid key r_window, on |r - |t|| <= r_window cut
-    at r = 0.  It makes no use of the shell structure, so it is the
+    panels at most half a period of max(|omega|, k, 1) wide over refine on
+    [-t_max, t_max], with, if fine = (hw, dx), a mesh of spacing dx / refine
+    on [-hw, hw], times a rule of 40 * refine r-nodes per t-node,
+    on [0, t_max] or, given r_window, on |r - |t|| <= r_window cut at
+    r = 0.  It makes no use of the shell structure, so it is the
     reference for it."""
-    t_max = grid["t_max"]
-    r_window = grid.get("r_window")
     freq = max(abs(omega), k, 1.0)
     npan = int(np.ceil(refine * 4.0 * t_max * freq / (2.0 * np.pi))) + 8
     edges = np.linspace(-t_max, t_max, npan + 1)
-    if "t_fine_hw" in grid:
-        nfine = int(np.ceil(2.0 * grid["t_fine_hw"] / (grid["t_fine_dx"] / refine)))
-        fine = np.linspace(-grid["t_fine_hw"], grid["t_fine_hw"], nfine + 1)
-        edges = np.unique(np.concatenate([edges, fine]))
+    if fine is not None:
+        hw, dx = fine
+        edges = np.unique(np.concatenate([edges, np.linspace(-hw, hw, int(np.ceil(2.0 * hw / (dx / refine))) + 1)]))
     t, wt = (a.ravel() for a in gauss_rule(edges[:-1], edges[1:], 10))
     if r_window is None:
         r_lo, r_hi = np.zeros_like(t), t_max
@@ -273,19 +285,18 @@ def test_reference_radial_fourier_exact_on_a_4d_gaussian():
     for omega, k in ((0.3, 0.7), (1.2, 0.4), (2.0, 1.5)):
         exact = (2.0 * np.pi) ** 2 * np.exp(-(omega**2 + k**2) / 2.0)
         for refine in (1, 2):
-            value = reference_radial_fourier(_gaussian_4d, omega, k, {"t_max": 12.0}, refine)
+            value = reference_radial_fourier(_gaussian_4d, omega, k, 12.0, refine)
             assert abs(value - exact) <= 1e-12 * exact
 
 
-def _oracle_grid(eta):
-    # the grid oracle_value passes to radial_fourier
-    return {"t_fine_hw": SHELL_WINDOW * eta, "t_fine_dx": eta / 2.0, "t_max": 6.0 * ORACLE_T_DAMP}
-
-
-def _shell_kernel(g, eta):
-    """f(t, r) = g(t, eta) G(r - |t|) / (2 r), G the normal density of width eta."""
+def _shell_kernel(kid, eta):
+    """f(t, r) = g(t, eta) G(r - |t|) / (2 r) of the mollified id kid at
+    damping ORACLE_T_DAMP, G the normal density of width eta."""
     return lambda t, r: (
-        g(t, eta) * np.exp(-0.5 * ((r - np.abs(t)) / eta) ** 2) / (eta * np.sqrt(2.0 * np.pi)) / (2.0 * r)
+        kernels._time_factor(kid, t, eta, ORACLE_T_DAMP)
+        * np.exp(-0.5 * ((r - np.abs(t)) / eta) ** 2)
+        / (eta * np.sqrt(2.0 * np.pi))
+        / (2.0 * r)
     )
 
 
@@ -307,13 +318,12 @@ def test_shell_transform_matches_the_2d_reference():
     # on-shell magnitude at the same k
     for kid, points in SHELL_POINTS.items():
         for eta in ORACLE_ETAS:
-            g = mollified_position_kernel(kid, ORACLE_T_DAMP)
-            grid = _oracle_grid(eta)
-            ref_grid = {**grid, "t_fine_hw": max(20.0 * eta, 1.0), "r_window": SHELL_WINDOW * eta}
-            refs = [reference_radial_fourier(_shell_kernel(g, eta), w, k, ref_grid, 2) for w, k in points]
+            f = _shell_kernel(kid, eta)
+            fine, r_window = (max(20.0 * eta, 1.0), eta / 2.0), SHELL_WINDOW * eta
+            refs = [reference_radial_fourier(f, w, k, 6.0 * ORACLE_T_DAMP, 2, fine, r_window) for w, k in points]
             scale = abs(refs[0]) if kid == "K0Hat" else None
             for (w, k), ref in zip(points, refs):
-                value = radial_fourier(g, w, k, eta, grid)
+                value = radial_fourier(kid, w, k, eta, ORACLE_T_DAMP)
                 assert abs(value - ref) <= 1e-12 * (scale or abs(ref)), (kid, eta, w, k)
 
 
@@ -362,17 +372,17 @@ def test_shell_window_is_the_gaussians_characteristic_function():
 
 
 def test_radial_fourier_guard_passes_on_a_resolved_grid():
-    # on oracle_value's own grid the embedded Gauss rule differs from the
-    # Kronrod value by at most 4.2e-13 relative, and the window tails from
-    # the window's own panels by 2e-16, far inside the guards
+    # on its own t-rule the embedded Gauss rule differs from the Kronrod
+    # value by at most 4.2e-13 relative, and the window tails from the
+    # window's own panels by 2e-16, far inside the guards
     for kid, points in SHELL_POINTS.items():
         for eta in ORACLE_ETAS:
             for w, k in points:
-                assert np.isfinite(oracle_value(kid, w, k, eta, ORACLE_T_DAMP))
+                assert np.isfinite(radial_fourier(kid, w, k, eta, ORACLE_T_DAMP))
 
 
-def test_radial_fourier_guard_rejects_an_unresolved_grid():
-    # the oracle grid without its fine t-mesh; with few t-nodes in the core
+def test_radial_fourier_guard_rejects_an_unresolved_grid(monkeypatch):
+    # the t-rule without its core meshes; with few t-nodes in the core
     # the window-tails guard fires first in all but the eta = 0.08 case
     # (it reads 1.3e-9 to 4.4e-9), and the t-sum guard reads as below
     cases = (
@@ -386,31 +396,38 @@ def test_radial_fourier_guard_rejects_an_unresolved_grid():
         ("Delta_over_t", 1.3, 1.3, 0.08),
         ("Delta_over_t", 1.3, 1.3, 0.04),
     )
+    monkeypatch.setattr(kernels, "_core_mesh", lambda hw, dx, period, t_max: [])
     for kid, omega, k, eta in cases:
-        g = mollified_position_kernel(kid, ORACLE_T_DAMP)
         with pytest.raises(QuadratureNotConverged):
-            radial_fourier(g, omega, k, eta, {"t_max": 6.0 * ORACLE_T_DAMP})
+            radial_fourier(kid, omega, k, eta, ORACLE_T_DAMP)
 
 
-def test_oracle_value_runs_the_refinement_guard(monkeypatch):
+def test_radial_fourier_runs_the_refinement_guard(monkeypatch):
     # with a zero tolerance any gap between the Kronrod and Gauss values raises
     monkeypatch.setattr(kernels, "RADIAL_FOURIER_RTOL", 0.0)
     with pytest.raises(QuadratureNotConverged):
-        oracle_value("IK0_over_t", 0.4, 1.3, ORACLE_ETAS[0], ORACLE_T_DAMP)
+        radial_fourier("IK0_over_t", 0.4, 1.3, ORACLE_ETAS[0], ORACLE_T_DAMP)
 
 
-def test_radial_fourier_calls_g_once_per_sign():
+def _record_time_factor(monkeypatch):
+    """Replace kernels._time_factor by a spy; returns the list of its
+    (kid, t, eta, t_damp) calls, t and eta broadcast to one shape."""
+    calls, real = [], kernels._time_factor
+
+    def record(kid, t, eta, t_damp):
+        calls.append((kid, np.array(t), np.broadcast_to(eta, np.shape(t)).copy(), t_damp))
+        return real(kid, t, eta, t_damp)
+
+    monkeypatch.setattr(kernels, "_time_factor", record)
+    return calls
+
+
+def test_radial_fourier_calls_g_once_per_sign(monkeypatch):
     # g(t) and g(-t) on the one mirrored node array, nothing more
-    calls = []
-    g = mollified_position_kernel("IK0_over_t", ORACLE_T_DAMP)
-
-    def record(t, eta):
-        calls.append(np.array(t))
-        return g(t, eta)
-
-    radial_fourier((record, g.parity), 0.4, 1.3, ORACLE_ETAS[1], _oracle_grid(ORACLE_ETAS[1]))
+    calls = _record_time_factor(monkeypatch)
+    radial_fourier("IK0_over_t", 0.4, 1.3, ORACLE_ETAS[1], ORACLE_T_DAMP)
     assert len(calls) == 1
-    assert np.all(calls[0] >= 0.0)
+    assert np.all(calls[0][1] >= 0.0)
 
 
 def test_radial_fourier_runs_each_embedded_guard(monkeypatch):
@@ -424,7 +441,7 @@ def test_radial_fourier_runs_each_embedded_guard(monkeypatch):
         return real(value, other, rtol, what)
 
     monkeypatch.setattr(kernels, "converged", spy)
-    oracle_value("Delta_over_t2", 0.3, 0.9, ORACLE_ETAS[1], ORACLE_T_DAMP)
+    radial_fourier("Delta_over_t2", 0.3, 0.9, ORACLE_ETAS[1], ORACLE_T_DAMP)
     assert sorted(checked) == [
         ("radial_fourier", 1e-9),
         ("radial_fourier window", 1e-9),
@@ -443,10 +460,10 @@ def test_ladder_matches_one_rung_calls():
             ("Delta_over_t", (0.4, 1.3)),
             ("K0Hat", (1.3, 1.3)),
         ):
-            ladder = oracle_value(kid, w, k, etas, ORACLE_T_DAMP)
+            ladder = radial_fourier(kid, w, k, etas, ORACLE_T_DAMP)
             assert ladder.shape == (len(etas),)
             for eta, value in zip(etas, ladder):
-                single = oracle_value(kid, w, k, eta, ORACLE_T_DAMP)
+                single = radial_fourier(kid, w, k, eta, ORACLE_T_DAMP)
                 assert abs(value - single) <= 1e-13 * abs(single), (kid, eta)
 
 
@@ -455,31 +472,28 @@ LONG_LADDER = (0.08, 0.04, 0.02, 0.01, 0.005)
 
 
 def test_mollified_time_factors_depend_on_eta_only_in_the_core():
-    # radial_fourier's contract: g may depend on eta only for |t| < 10 eta,
-    # so the far t-panels take one width for the whole ladder
+    # radial_fourier takes one width, the widest, for the whole ladder on
+    # the far t-panels, t >= 10 eta, so g may depend on eta only below that
     t = np.concatenate(([SHELL_WINDOW * max(LONG_LADDER)], np.linspace(0.8, 6.0 * ORACLE_T_DAMP, 2001)))
     for kid in SHELL_POINTS:
-        g = mollified_position_kernel(kid, ORACLE_T_DAMP)
         for sign in (1.0, -1.0):
-            first = g(sign * t, LONG_LADDER[0])
+            first = kernels._time_factor(kid, sign * t, LONG_LADDER[0], ORACLE_T_DAMP)
             for eta in LONG_LADDER[1:]:
-                assert g(sign * t, eta).tobytes() == first.tobytes(), (kid, sign, eta)
+                value = kernels._time_factor(kid, sign * t, eta, ORACLE_T_DAMP)
+                assert value.tobytes() == first.tobytes(), (kid, sign, eta)
 
 
-def test_ladder_hands_g_each_rungs_near_nodes_and_the_far_nodes_once():
+def test_ladder_hands_g_each_rungs_near_nodes_and_the_far_nodes_once(monkeypatch):
     # per rung, the nodes below the split are the one-rung call's own, and
     # the nodes above it, the same for every rung, reach g once
+    calls = _record_time_factor(monkeypatch)
+
     def nodes(eta):
-        calls = []
-        g = mollified_position_kernel("IK0_over_t", ORACLE_T_DAMP)
-
-        def record(t, width):
-            calls.append((np.array(t), np.broadcast_to(width, t.shape)[:, 0].copy()))
-            return g(t, width)
-
-        radial_fourier((record, g.parity), 0.4, 1.3, eta, _oracle_grid(np.asarray(eta)))
-        assert len(calls) == 1 and np.all(calls[0][0] >= 0.0)
-        return calls[0]
+        calls.clear()
+        radial_fourier("IK0_over_t", 0.4, 1.3, eta, ORACLE_T_DAMP)
+        ((_, t, width, _),) = calls
+        assert np.all(t >= 0.0)
+        return t, width[:, 0]
 
     ladder, widths = nodes(ORACLE_ETAS)
     singles = [nodes(eta)[0] for eta in ORACLE_ETAS]
@@ -499,11 +513,11 @@ def test_ladder_hands_g_each_rungs_near_nodes_and_the_far_nodes_once():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda w, k: oracle_value("IK0_over_t", w, k, ORACLE_ETAS, ORACLE_T_DAMP),
+        lambda w, k: radial_fourier("IK0_over_t", w, k, ORACLE_ETAS, ORACLE_T_DAMP),
         lambda w, k: oracle_ratio("IK0_over_t", w, k),
         k0hat_shell_ratio,
     ],
-    ids=["oracle_value", "oracle_ratio", "k0hat_shell_ratio"],
+    ids=["radial_fourier", "oracle_ratio", "k0hat_shell_ratio"],
 )
 @pytest.mark.parametrize("w, k", [(float("nan"), 1.3), (0.4, float("nan"))], ids=["nan-omega", "nan-k"])
 def test_oracles_reject_a_nan_momentum(call, w, k):
@@ -529,74 +543,74 @@ def test_oracle_ratio_rejects_an_infinite_omega():
     ids=["zero", "inf", "empty", "negative", "nan", "negative-rung", "2d"],
 )
 def test_radial_fourier_rejects_an_invalid_width(eta):
-    g = mollified_position_kernel("IK0_over_t", ORACLE_T_DAMP)
     with pytest.raises(InvalidWidth):
-        radial_fourier(g, 0.4, 1.3, eta, {"t_max": 6.0 * ORACLE_T_DAMP})
-
-
-@pytest.mark.parametrize("t_damp", [0.0, float("nan"), float("inf"), -1.0], ids=["zero", "nan", "inf", "negative"])
-def test_oracle_value_rejects_an_invalid_damping_scale(t_damp):
-    # t_max = 6 t_damp: these ended in ZeroDivisionError, ValueError,
-    # OverflowError and a misleading QuadratureNotConverged
-    with pytest.raises(InvalidWidth):
-        oracle_value("IK0_over_t", 0.4, 1.3, ORACLE_ETAS, t_damp)
+        radial_fourier("IK0_over_t", 0.4, 1.3, eta, ORACLE_T_DAMP)
 
 
 @pytest.mark.parametrize(
-    "key, value",
+    "eta, t_damp",
     [
-        ("t_max", 0.0),
-        ("t_max", float("nan")),
-        ("t_max", -5.0),
-        ("t_fine_dx", float("inf")),
-        ("t_fine_dx", 0.0),
-        ("t_fine_hw", -0.4),
-        ("t_fine_hw", (0.8, float("nan"), 0.2)),
+        (ORACLE_ETAS, 0.0),
+        (ORACLE_ETAS, float("nan")),
+        (ORACLE_ETAS, -5.0 / 6.0),
+        (ORACLE_ETAS, float("inf")),
+        (ORACLE_ETAS, 1e308),
+        (float("inf"), ORACLE_T_DAMP),
+        (5e-324, ORACLE_T_DAMP),
+        (-0.04, ORACLE_T_DAMP),
+        ((0.08, float("nan"), 0.02), ORACLE_T_DAMP),
+        ((0.08, 1e308), ORACLE_T_DAMP),
     ],
-    ids=["t_max-zero", "t_max-nan", "t_max-negative", "dx-inf", "dx-zero", "hw-negative", "hw-nan-rung"],
+    ids=[
+        "t_max-zero",
+        "t_max-nan",
+        "t_max-negative",
+        "t_max-inf",
+        "t_max-overflow",
+        "dx-inf",
+        "dx-zero",
+        "hw-negative",
+        "hw-nan-rung",
+        "hw-overflow",
+    ],
 )
-def test_radial_fourier_rejects_an_invalid_t_rule(key, value):
-    # a bare {"t_max": 0.0} and t_fine_dx = inf raised ZeroDivisionError
-    g = mollified_position_kernel("IK0_over_t", ORACLE_T_DAMP)
-    for grid in ([{}] if key == "t_max" else []) + [_oracle_grid(np.asarray(ORACLE_ETAS))]:
-        with pytest.raises(InvalidWidth):
-            radial_fourier(g, 0.4, 1.3, ORACLE_ETAS, {**grid, key: value})
+def test_radial_fourier_rejects_an_invalid_t_rule(eta, t_damp):
+    # the t-rule's lengths t_max = 6 t_damp, and each rung's core hw = 10 eta
+    # and half width dx = eta / 2; a t_max of 0, NaN, -5 and inf ended in
+    # ZeroDivisionError, ValueError, a misleading QuadratureNotConverged and
+    # OverflowError.  dx of the least subnormal eta rounds to 0
+    with pytest.raises(InvalidWidth):
+        radial_fourier("IK0_over_t", 0.4, 1.3, eta, t_damp)
 
 
-def test_oracle_values_have_their_kernels_parity():
-    # oracle_value(kid, -omega, k) = PARITY[kid] oracle_value(kid, omega, k);
+@pytest.mark.parametrize("kid", ["XiK0_over_t3", "K0_et", "nope"])
+def test_radial_fourier_rejects_an_id_it_does_not_mollify(kid):
+    with pytest.raises(UnsupportedKernel):
+        radial_fourier(kid, 0.4, 1.3, ORACLE_ETAS, ORACLE_T_DAMP)
+
+
+def test_radial_fourier_values_have_their_kernels_parity():
+    # radial_fourier(kid, -omega, k) = PARITY[kid] radial_fourier(kid, omega, k);
     # PARITY read +1 for K0Hat, whose transform is odd
     for kid in MOLLIFIED_PARITY:
         for w, k in ((1.3, 1.3), (0.4, 1.3), (2.2, 0.9)):
-            value = oracle_value(kid, w, k, ORACLE_ETAS, ORACLE_T_DAMP)
-            mirrored = oracle_value(kid, -w, k, ORACLE_ETAS, ORACLE_T_DAMP)
+            value = radial_fourier(kid, w, k, ORACLE_ETAS, ORACLE_T_DAMP)
+            mirrored = radial_fourier(kid, -w, k, ORACLE_ETAS, ORACLE_T_DAMP)
             assert np.all(np.abs(mirrored - PARITY[kid] * value) <= 1e-14 * np.abs(value)), (kid, w, k)
 
 
-@pytest.mark.parametrize("parity", [0, 2, None])
-def test_radial_fourier_rejects_a_parity_other_than_plus_or_minus_one(parity):
-    g = mollified_position_kernel("IK0_over_t", ORACLE_T_DAMP)
-    with pytest.raises(ValueError):
-        radial_fourier((g.g, parity), 0.4, 1.3, ORACLE_ETAS, _oracle_grid(np.asarray(ORACLE_ETAS)))
-
-
-def test_mollified_time_factors_have_their_parity_bit_for_bit():
+def test_mollified_time_factors_have_their_parity_bit_for_bit(monkeypatch):
     # radial_fourier calls g on t >= 0 only and takes g(-t) as parity g(t),
     # so on every node of a ladder down to 0.005, each rung's core nodes
     # at its own width, g(-t) must be parity g(t) to the last bit
+    real = kernels._time_factor
+    calls = _record_time_factor(monkeypatch)
     for kid, parity in MOLLIFIED_PARITY.items():
-        g = mollified_position_kernel(kid, ORACLE_T_DAMP)
-        assert g.parity == parity
-        calls = []
-
-        def record(t, width):
-            calls.append((t, width))
-            return g(t, width)
-
-        radial_fourier((record, parity), 0.4, 1.3, LONG_LADDER, _oracle_grid(np.asarray(LONG_LADDER)))
-        ((t, width),) = calls
+        calls.clear()
+        radial_fourier(kid, 0.4, 1.3, LONG_LADDER, ORACLE_T_DAMP)
+        ((_, t, width, t_damp),) = calls
         assert np.all(t >= 0.0)
-        assert g(-t, width).tobytes() == (parity * g(t, width)).tobytes(), kid
+        assert real(kid, -t, width, t_damp).tobytes() == (parity * real(kid, t, width, t_damp)).tobytes(), kid
 
 
 def _clear_rule_caches():
@@ -605,17 +619,15 @@ def _clear_rule_caches():
 
 
 # calls served by the cached window and tail rules: the oracle ladder, the
-# long ladder, one rung, a grid with no fine mesh, and a point where
+# long ladder, one rung, one wide rung, and a point where
 # |omega| + k >= 8 puts coarse t-edges inside the window, so that its core
 # nodes, and with them its tail rule, differ from the first call's
 CACHED_CALLS = (
-    lambda: oracle_value("IK0_over_t2", 2.2, 0.9, ORACLE_ETAS, ORACLE_T_DAMP),
-    lambda: oracle_value("Delta_over_t", 0.4, 1.3, LONG_LADDER, ORACLE_T_DAMP),
-    lambda: oracle_value("IK0_over_t", 0.4, 1.3, ORACLE_ETAS[1], ORACLE_T_DAMP),
-    lambda: radial_fourier(
-        mollified_position_kernel("K0Hat", ORACLE_T_DAMP), 1.3, 1.3, 0.5, {"t_max": 6.0 * ORACLE_T_DAMP}
-    ),
-    lambda: oracle_value("IK0_over_t2", 6.5, 2.1, ORACLE_ETAS, ORACLE_T_DAMP),
+    lambda: radial_fourier("IK0_over_t2", 2.2, 0.9, ORACLE_ETAS, ORACLE_T_DAMP),
+    lambda: radial_fourier("Delta_over_t", 0.4, 1.3, LONG_LADDER, ORACLE_T_DAMP),
+    lambda: radial_fourier("IK0_over_t", 0.4, 1.3, ORACLE_ETAS[1], ORACLE_T_DAMP),
+    lambda: radial_fourier("K0Hat", 1.3, 1.3, 0.5, ORACLE_T_DAMP),
+    lambda: radial_fourier("IK0_over_t2", 6.5, 2.1, ORACLE_ETAS, ORACLE_T_DAMP),
 )
 
 
@@ -651,7 +663,7 @@ def test_cached_rules_are_read_only_and_bounded(monkeypatch):
             return rules[name]
 
         monkeypatch.setattr(kernels, name, spy)
-    oracle_value("IK0_over_t2", 7.5, 2.4, LONG_LADDER, ORACLE_T_DAMP)
+    radial_fourier("IK0_over_t2", 7.5, 2.4, LONG_LADDER, ORACLE_T_DAMP)
     full = 0
     for name, arrays in rules.items():
         for array in arrays:
@@ -666,23 +678,18 @@ def test_oracle_ratio_makes_one_radial_fourier_call(monkeypatch):
     calls = []
     real = kernels.radial_fourier
 
-    def spy(g, omega, k, eta, grid):
-        g_calls = []
-
-        def record(t, width):
-            g_calls.append(np.array(t))
-            return g(t, width)
-
-        calls.append((np.array(eta), g_calls))
-        return real((record, g.parity), omega, k, eta, grid)
+    def spy(kid, omega, k, eta, t_damp):
+        calls.append((kid, np.array(eta), t_damp))
+        return real(kid, omega, k, eta, t_damp)
 
     monkeypatch.setattr(kernels, "radial_fourier", spy)
+    g_calls = _record_time_factor(monkeypatch)
     oracle_ratio("IK0_over_t", 0.4, 1.3)
     assert len(calls) == 1
-    eta, g_calls = calls[0]
-    assert np.array_equal(eta, ORACLE_ETAS)
+    kid, eta, t_damp = calls[0]
+    assert kid == "IK0_over_t" and np.array_equal(eta, ORACLE_ETAS) and t_damp == ORACLE_T_DAMP
     assert len(g_calls) == 1
-    assert np.all(g_calls[0] >= 0.0)
+    assert np.all(g_calls[0][1] >= 0.0)
 
 
 def test_each_rung_runs_its_own_guards(monkeypatch):
@@ -696,7 +703,7 @@ def test_each_rung_runs_its_own_guards(monkeypatch):
         return real(value, other, rtol, what)
 
     monkeypatch.setattr(kernels, "converged", spy)
-    ladder = oracle_value("Delta_over_t2", 0.3, 0.9, ORACLE_ETAS, ORACLE_T_DAMP)
+    ladder = radial_fourier("Delta_over_t2", 0.3, 0.9, ORACLE_ETAS, ORACLE_T_DAMP)
     names = [what for what, _, _ in checked]
     for what in ("radial_fourier", "radial_fourier window", "radial_fourier window tails"):
         assert names.count(what) == len(ORACLE_ETAS)
@@ -709,7 +716,7 @@ def test_window_tails_guard_fires_on_a_one_node_rule(monkeypatch):
     # one Gauss node per gap misses the window's own panel sums by 7e-6
     monkeypatch.setattr(kernels, "TAIL_NODES", 1)
     with pytest.raises(QuadratureNotConverged, match="window tails"):
-        oracle_value("IK0_over_t", 0.4, 1.3, ORACLE_ETAS, ORACLE_T_DAMP)
+        radial_fourier("IK0_over_t", 0.4, 1.3, ORACLE_ETAS, ORACLE_T_DAMP)
 
 
 def _decimal_log_kernels(omega, k):
@@ -763,7 +770,7 @@ def test_log_kernels_keep_their_digits_near_the_cone():
         value_d, value_s = kernels._log_difference_and_sum(omega, k)
         assert abs(value_d - d) <= 1e-14 * abs(d), (omega, k)
         assert abs(value_s - s) <= 1e-14 * logs, (omega, k)
-        if abs(abs(omega) - k) > 1e-12:  # nearer, classify calls it the Boundary
+        if abs(abs(omega) - k) > 1e-12 * max(abs(omega), k):  # nearer, classify calls it the Boundary
             for kid, (ref, scale) in refs.items():
                 value = eval_hat(kid, omega, k)  # purely real or purely imaginary
                 assert abs(value.real + value.imag - ref) <= 1e-14 * scale, (kid, omega, k)

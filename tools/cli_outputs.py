@@ -29,9 +29,10 @@ OUTDIR/oracles.json holds the values of the in-process oracles that no
 command reaches, as [real, imag] at repr precision: oracle_ratio (three
 ids), k0hat_shell_ratio, bidist_A_oracle, nested_line_integral and
 conv_masscone_shell_oracle at the points of gen.oracle_pass(7, p) for
-p = 0..7, and then oracle_value of the five mollified ids on ORACLE_ETAS
-and on a five-rung ladder down to 0.005, at (2.2, 0.9) and at (6.5, 2.1),
-where |omega| + k >= 8 puts coarse t-edges inside the shell window.  The
+p = 0..7, and then, under the key "oracle_value", radial_fourier of the
+five mollified ids on ORACLE_ETAS and on a five-rung ladder down to 0.005,
+at (2.2, 0.9) and at (6.5, 2.1), where |omega| + k >= 8 puts coarse
+t-edges inside the shell window.  The
 rows before them have met ORACLE_ETAS and the five-rung rows meet a new
 ladder, so the rows run the radial transform's cached rules both fresh
 and reused.  A fresh interpreter on SRC's src/ computes them all;
@@ -117,9 +118,10 @@ def write_oracles(src, path):
         row["conv_masscone_shell_oracle"] = convolution.conv_masscone_shell_oracle(query)
         values[f"pass {p}"] = {name: [complex(v).real, complex(v).imag] for name, v in row.items()}
     ladders = {"ORACLE_ETAS": kernels.ORACLE_ETAS, "5 rungs": (0.08, 0.04, 0.02, 0.01, 0.005)}
+    # the key keeps its name so that files of older checkouts compare equal
     values["oracle_value"] = {
         f"{kid} {name} ({w}, {k})": [
-            [complex(v).real, complex(v).imag] for v in kernels.oracle_value(kid, w, k, etas, kernels.ORACLE_T_DAMP)
+            [complex(v).real, complex(v).imag] for v in kernels.radial_fourier(kid, w, k, etas, kernels.ORACLE_T_DAMP)
         ]
         for kid in kernels.MOLLIFIED_PARITY
         for name, etas in ladders.items()
