@@ -172,8 +172,9 @@ def convolution_cmd(q, m, out):
             raise ValueError("components must have finite squares")
     except ValueError as exc:
         _abort(f"bad momentum: {exc}")
-    if not (math.isfinite(m * m) and m > 0):
-        _abort(f"bad mass: {m} must be positive with a finite square")
+    # a tiny mass can square to 0, which puts the shell on the cone
+    if not (math.isfinite(m * m) and m * m > 0 and m > 0):
+        _abort(f"bad mass: {m} must be positive with a finite, nonzero square")
     from . import convolution
 
     query = convolution.ShellIntegralQuery(qv, m)

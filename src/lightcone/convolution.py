@@ -32,6 +32,9 @@ class ShellIntegralQuery:
     def __post_init__(self):
         if self.m <= 0:
             raise ValueError("mass must be positive")
+        # a mass whose square underflows leaves a rest-frame q a shell of radius 0
+        if self.m**2 == 0.0 and self.qvec_norm**2 == 0.0:
+            raise ValueError(f"|q|^2 + m^2 rounds to 0 at m = {self.m}")
 
     @property
     def q0(self):

@@ -17,8 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import _SIGMA, CHI_L, CHI_R, ETA, GAMMA, GAMMA0, ID4, sigma_jk
-from .fields import _lattice_codes, _matched_pairs, _matched_sums, _transfer_classes, common_box
-from .fields import field_tensor_hat, lattice_momentum
+from .fields import _lattice_codes, _matched_sums, common_box, field_tensor_hat, lattice_momentum, pairing_predicates
 from .quadrature import converged, gauss_rule, read_only
 
 _CHI = {"L": CHI_L, "R": CHI_R}
@@ -295,30 +294,14 @@ def _box_quadrupole_hat(keys, box):
     return out
 
 
-def _jet_bilinears(jet, mats, sign_swapped, classes):
-    """<delta_psi(x) | M psi(y)> + sign_swapped <psi(x) | M delta_psi(y)> at
-    x0 = y0 = 0 for a stack of matrices M, as exponential terms
-    coeff[m, j] e^{i (k_total[j] - ky[j]).xvec} e^{i ky[j].yvec} of
-    frequency w[j] (their time derivative is i w[j] times the term), the
-    momenta k = 2 pi n / L given by their integer lattice indices n.  Each
-    t[j] is +-(1 + the code in classes of the term's (delta_psi, psi) pair)
-    with the sign of w[j], so the w of two jets' terms cancel exactly when
-    their t do.
-
-    Returns (coeff, w, t, n_total, n_y) over the (delta_psi, psi) row pairs,
-    delta-major, then the (psi, delta_psi) row pairs, psi-major."""
-    n_delta, n_psi = len(jet.delta_psi_n), len(jet.psi_n)
-    # rows of the stacked modes (delta_psi, then psi) as bra and ket
-    d1, p1 = np.indices((n_delta, n_psi)).reshape(2, -1)
-    p2, d2 = np.indices((n_psi, n_delta)).reshape(2, -1)
-    bra, ket = np.concatenate((d1, n_delta + p2)), np.concatenate((n_delta + p1, d2))
-    n = np.concatenate((jet.delta_psi_n, jet.psi_n))
-    a = np.concatenate((jet.delta_psi_a, jet.psi_a))
-    k0 = np.concatenate((jet.delta_psi_k0, jet.psi_k0))
-    sign = np.repeat((1.0, sign_swapped), n_delta * n_psi)
-    coeff = sign * np.einsum("ji,mik,jk->mj", np.conj(a[bra]) @ GAMMA0, mats, a[ket])
-    c = classes.reshape(n_delta, n_psi) + 1
-    return coeff, k0[bra] - k0[ket], np.concatenate((c[d1, p1], -c[d2, p2])), n[ket] - n[bra], n[ket]
+# The spatial vertex as one (16, 144) matrix H[(i, l), (j, m, a, b)], the
+# sum over (contraction, c) of +-(gamma0 U[a, c])_ij (gamma0 V[b, c])_lm, the
+# vector contraction signed: a term pair's coefficient is its bras'
+# conjugated amplitudes (i, l) through H against its kets' amplitudes (j, m).
+_SPATIAL_H = np.einsum(
+    "k,kacij,kbclm->iljmab", (1.0, -1.0),
+    *((GAMMA0 @ vertex).reshape(2, 3, 2, 4, 4) for vertex in (_SPATIAL_VERTEX_U, _SPATIAL_VERTEX_V)),
+).reshape(16, 144)
 
 
 def fermi_conservation_residual(jet_u, jet_v):
@@ -327,39 +310,52 @@ def fermi_conservation_residual(jet_u, jet_v):
     (xi_a xi_b/|xi|^2 - delta_ab/3) over the box; for another time, evolve
     both jets with fields.time_translate first.
 
-    Vanishes when every momentum-conserving mode quadruple also conserves
-    the frequency transfer, and for mode families whose summed J^{alpha
-    beta} is proportional to delta^{alpha beta}.
+    Exactly 0.0 when pairing_predicates finds every momentum-conserving
+    mode quadruple conserving the frequency transfer too, and vanishes for
+    mode families whose summed J^{alpha beta} is proportional to
+    delta^{alpha beta}.
 
-    The bilinears of both jets are tabulated once as exponential terms;
-    term pairs of zero total lattice momentum survive the box integral and
-    are weighted by the box quadrupole at their y-momentum."""
+    A term pair of the jets' bilinears survives the box integral exactly
+    when its bra momenta and its ket momenta sum to the same K, its
+    y-momentum, and its frequency is (bra frequencies) - (ket frequencies):
+    so per block pairing, bras and kets are summed per K, plain and
+    frequency-weighted, and met through H and the box quadrupole at K."""
     box = common_box(jet_u, jet_v)
-    classes_u, classes_v = _transfer_classes(jet_u, jet_v)
-    cu, wu, tu, su, kyu = _jet_bilinears(jet_u, _SPATIAL_VERTEX_U, -1.0, classes_u)
-    cv, wv, tv, sv, kyv = _jet_bilinears(jet_v, _SPATIAL_VERTEX_V, 1.0, classes_v)
-    cu = cu.reshape(2, 3, 2, -1)
-    cu[1] *= -1.0  # the vector-contracted part enters with a minus sign
-    cv = cv.reshape(2, 3, 2, -1)
-
-    iu, iv = _matched_pairs(*_lattice_codes(su, -sv))
-    # pairs whose frequency wu + wv vanishes exactly carry no time dependence
-    live = tu[iu] != -tv[iv]
-    iu, iv = iu[live], iv[live]
-    w = wu[iu] + wv[iv]
-    if iu.size == 0:
+    if pairing_predicates(jet_u, jet_v)["implication_holds"]:
         return 0.0
-    coeff = np.einsum("kacp,kbcp->pab", cu[..., iu], cv[..., iv])
 
-    # Im(z) = (z - conj z)/(2i): each pair contributes at ky and, conjugated,
-    # at -ky; one box quadrupole weight per distinct lattice momentum
-    ky = kyu[iu] + kyv[iv]
-    codes = np.stack(_lattice_codes(ky, -ky))
+    def products(name_u, name_v):
+        """Per (u row, v row) of jet u's side name_u and jet v's name_v: the
+        momentum sum, and the amplitudes' outer product beside its copy
+        weighted by the summed frequency, shape (pairs, 2, 16)."""
+        (nu, wu, au), (nv, wv, av) = (
+            [getattr(jet, f"{name}_{s}") for s in ("n", "k0", "a")] for jet, name in ((jet_u, name_u), (jet_v, name_v))
+        )
+        outer = (au[:, None, :, None] * av[None, :, None, :]).reshape(-1, 16)
+        w = (wu[:, None] + wv).reshape(-1, 1)
+        return (nu[:, None] + nv).reshape(-1, 3), np.stack((outer, w * outer), axis=1)
+
+    ks, sums = [], []
+    blocks = (("delta_psi", "psi"), ("psi", "delta_psi"))
+    for (bra_u, ket_u), (bra_v, ket_v) in itertools.product(blocks, blocks):
+        (n_bra, x), (n_ket, y) = products(bra_u, bra_v), products(ket_u, ket_v)
+        codes_bra, codes_ket = _lattice_codes(n_bra, n_ket)
+        row, x, y = _matched_sums(codes_bra, x, codes_ket, y)
+        # the pairs at K sum w coeff to X^w H Y - X H Y^w
+        xh = (np.conj(x) @ _SPATIAL_H).reshape(-1, 2, 16, 9)
+        at_k = np.einsum("kpjq,kpj->kq", xh, np.stack((-y[:, 1], y[:, 0]), axis=1))
+        # jet u's psi-bra terms enter with sign -1
+        sums.append(-at_k if bra_u == "psi" else at_k)
+        ks.append(n_bra[row])
+    s, k = np.concatenate(sums), np.concatenate(ks)
+
+    # Im(z) = (z - conj z)/(2i): each K contributes at K and, conjugated,
+    # at -K; one box quadrupole weight per distinct lattice momentum
+    codes = np.stack(_lattice_codes(k, -k))
     keys = np.empty((codes.max() + 1, 3), dtype=np.int64)
-    keys[codes] = ky, -ky
-    w_hat = _box_quadrupole_hat(keys, box)[codes]
-    z = np.einsum("pab,pab->p", coeff, w_hat[0]) + np.einsum("pab,pab->p", np.conj(coeff), w_hat[1])
-    return float((-0.25 * box**3 * np.sum(w * z)).real)
+    keys[codes] = k, -k
+    w_hat = _box_quadrupole_hat(keys, box)[codes].reshape(2, -1, 9)
+    return float((-0.25 * box**3 * np.sum(s * w_hat[0] + np.conj(s) * w_hat[1])).real)
 
 
 def cube_spin_rotations():

@@ -98,10 +98,10 @@ def _rephased_by_abs_frequency(obj, dt, **p0):
 # antisymmetry rows: only a part symmetric in (u, v), as a constant is, shows.
 # Two rows have no such defect on any config the loader accepts:
 # - fermi-conservation is exactly 0.0 whenever it is not skipped: the
-#   residual's live term pairs are the ones fields._transfer_classes codes
-#   as missing the frequency relation, and the row is skipped exactly when
-#   pairing_predicates, from the same codes, finds one, so a defect in the
-#   residual's terms meets no pair.  It guards that skip rule.
+#   residual returns 0.0 exactly when pairing_predicates finds no quadruple
+#   missing the frequency relation, and the row is skipped exactly when it
+#   finds one, so a defect in the residual's sums meets no checked row.  It
+#   guards that skip rule.
 # - current-support is 0 for every jet the constructor accepts: with m > 0
 #   each on-shell mode has |k0| > |k|, inside the open cones, so the sum
 #   over the modes outside them is empty whatever it adds.  It guards the
@@ -660,6 +660,8 @@ def test_convolution_bad_momentum_exits_2():
         # finite, but the square overflows
         ["--q", "2,0,0,0", "--m", "1e300"],
         ["--q", "1e308,1e308,0,0"],
+        # positive, but the square underflows to 0
+        ["--q", "2,0,0,0", "--m", "1e-200"],
     ],
     ids=" ".join,
 )

@@ -42,6 +42,17 @@ def test_weight_function_argument():
     assert conv_K0_shell(q) == pytest.approx(5.0 * 3.0 / (128.0 * np.pi**3), abs=1e-13)
 
 
+@pytest.mark.parametrize("m", [0.0, -1.0, 1e-200])
+def test_query_rejects_a_shell_of_radius_zero(m):
+    # 1e-200 squares to 0: at a rest-frame q the closed form's shell radius
+    # sqrt(|q|^2 + m^2) would be 0, and its value 0 * inf
+    with pytest.raises(ValueError):
+        ShellIntegralQuery((2.0, 0.0, 0.0, 0.0), m)
+    if m > 0:
+        # off the rest frame |q| keeps the radius positive
+        assert np.isfinite(conv_masscone_shell(ShellIntegralQuery((2.0, 0.5, 0.0, 0.0), m)))
+
+
 def test_spacelike_rejected():
     with pytest.raises(SpacelikeQ):
         conv_K0_shell(ShellIntegralQuery((0.5, 1.0, 0.0, 0.0), 1.0))

@@ -410,6 +410,22 @@ def test_no_src_module_imports_mpmath():
     assert [entry for entry in imported if entry[1] == "mpmath"] == []
 
 
+def test_only_fields_decides_the_frequency_relation():
+    # _transfer_classes decides every frequency relation; a module that
+    # named it beside pairing_predicates would be a second decider
+    src = pathlib.Path(fields.__file__).parent
+    naming = {
+        path.name
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id == "_transfer_classes")
+        or (isinstance(node, ast.Attribute) and node.attr == "_transfer_classes")
+        or (isinstance(node, ast.alias) and node.name == "_transfer_classes")
+        or (isinstance(node, ast.FunctionDef) and node.name == "_transfer_classes")
+    }
+    assert naming == {"fields.py"}
+
+
 def test_matched_pairs_orders_as_the_broadcast_mask(rng):
     none = np.zeros(0, dtype=np.int64)
     cases = [

@@ -599,6 +599,8 @@ def test_conservation_residual_matches_reference(rng):
     cases.append(("opposite", *opposite_transfer_pair(rng)))
     # the residual reads the box from the jets
     cases.append(("violating, box 10", *violating_jet_pair(rng, box=10.0)))
+    # many terms whose frequencies cancel, all inside the per-momentum sums
+    cases.append(("dense, 4 modes", *dense_jet_pair(rng, 4)))
     nonzero = set()
     for name, u, v in cases:
         for t in (0.0, 0.3):
@@ -608,7 +610,7 @@ def test_conservation_residual_matches_reference(rng):
             if want != 0.0:
                 nonzero.add(name)
     # the comparison is not between zeros only
-    assert nonzero >= {"dense", "violating", "opposite", "violating, box 10"}
+    assert nonzero >= {"dense", "violating", "opposite", "violating, box 10", "dense, 4 modes"}
 
 
 def test_jtensor_vertex_is_defined_once():
@@ -677,6 +679,21 @@ def test_momentum_matches_grow_with_the_matches(rng):
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+def test_conservation_residual_memory_at_128_modes():
+    # 128 distinct momenta per side, indices up to 6: enumerating every
+    # matched term pair peaked at about 175 MB; the sums per lattice
+    # momentum need about 70 MB
+    u, v = evolved(0.3, *distinct_momentum_pair(np.random.default_rng(5), 128, 6))
+    tracemalloc.start()
+    try:
+        value = fermi_conservation_residual(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value != 0.0
+    assert peak < 120e6
 
 
 def test_cube_spin_rotation_group():
